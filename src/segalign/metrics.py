@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import AggregatorParams, aggregate_mean_max, cosine_sim, cosine_matrix
+from .rvq import sqdist
 
 DEFAULT_DIVERSITY_PAIRS = 300
 DEFAULT_POOL_SIZE = 32
@@ -106,6 +107,10 @@ def r_precision(
 ) -> float:
     """Pooled retrieval accuracy by Euclidean distance.
 
+    Motions are ranked by squared distance (:func:`segalign.rvq.sqdist`,
+    which orders the same as the distance) with a stable sort, so exact
+    ties keep the lower index.
+
     Samples are chunked into pools of ``pool_size`` (drop-last); each text
     ranks the motions in its pool, and the fraction whose true pair lands in
     the top k is returned.  Fewer samples than one pool fall back to a single
@@ -129,8 +134,7 @@ def r_precision(
     hits = 0
     total = 0
     for pool in pools:
-        dist = np.linalg.norm(T[pool][:, None, :] - M[pool][None, :, :], axis=2)
-        ranks = np.argsort(dist, axis=1, kind="stable")
+        ranks = np.argsort(sqdist(T[pool], M[pool]), axis=1, kind="stable")
         for row in range(len(pool)):
             if row in ranks[row, :topk]:
                 hits += 1

@@ -29,8 +29,16 @@ class BadMagicError(MotionFormatError):
     pass
 
 
+class BadHeaderError(MotionFormatError):
+    """The header declares zero frames or zero dims."""
+
+
 class TruncatedPayloadError(MotionFormatError):
     pass
+
+
+class TrailingBytesError(MotionFormatError):
+    """Bytes follow the payload the header declares."""
 
 
 class NonFiniteValueError(MotionFormatError):
@@ -146,7 +154,11 @@ def save_motion(m: MotionSequence, path) -> None:
 
 
 def load_motion(path) -> MotionSequence:
-    """Read a motion written by :func:`save_motion`."""
+    """Read a motion written by :func:`save_motion`.
+
+    The file must be exactly the header plus the N*D floats it declares;
+    anything else raises a :class:`MotionFormatError` subclass.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -155,9 +167,12 @@ def load_motion(path) -> MotionSequence:
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise BadMagicError(f"{path}: bad magic bytes (not a SGMO motion file)")
     n, d = struct.unpack_from("<II", blob, 4)
+    if n == 0 or d == 0:
+        raise BadHeaderError(f"{path}: header declares {n} frames x {d} dims")
     expected = 12 + 4 * n * d
-    if len(blob) < expected:
-        raise TruncatedPayloadError(f"{path}: truncated payload ({len(blob)} of {expected} bytes)")
+    if len(blob) != expected:
+        kind = TruncatedPayloadError if len(blob) < expected else TrailingBytesError
+        raise kind(f"{path}: payload is {len(blob)} bytes, header declares {expected}")
     frames = np.frombuffer(blob, dtype="<f4", count=n * d, offset=12).reshape(n, d)
     if not np.all(np.isfinite(frames)):
         raise NonFiniteValueError(f"{path}: non-finite value in payload")

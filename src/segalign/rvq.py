@@ -89,10 +89,32 @@ class TokenSequence:
         return self.layers.shape[1]
 
 
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, (n, d) x (k, d) -> (n, k).
+
+    Computed as ``||a||^2 + ||b||^2 - 2 a.b^T`` with one BLAS matmul and
+    clamped at 0, so memory is O(n*k): no (n, k, d) difference array is built.
+    The absolute rounding error of an entry is a small multiple of
+    ``eps * (||a_i||^2 + ||b_j||^2)``, under 8x on random data.  So near-equal
+    distances may order differently than under the difference form, and a
+    distance that is exactly 0 may come out slightly positive.  On
+    integer-valued data whose products and sums are exact in float64 the
+    result equals the difference form exactly, so exact ties stay exact.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    d2 -= 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def _nearest(codes: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Index of the nearest code (squared Euclidean) per vector; ties -> lowest index."""
-    d2 = ((vectors[:, None, :] - codes[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    """Index of the nearest code per vector under :func:`sqdist`.
+
+    Exact ties go to the lowest index (``argmin`` keeps the first minimum).
+    Memory is the O(n*k) distance matrix.
+    """
+    return np.argmin(sqdist(vectors, codes), axis=1)
 
 
 def quantize(v: LatentSequence, stack: CodebookStack) -> tuple[TokenSequence, LatentSequence]:
@@ -127,8 +149,12 @@ def dequantize(t: TokenSequence, stack: CodebookStack) -> LatentSequence:
 def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
     """Seeded k-means with k-means++ init and a fixed iteration count.
 
-    Empty clusters are reseeded to the point farthest from its assigned
-    center, so the result is deterministic for a fixed seed.
+    Each iteration assigns every point to its nearest center by
+    :func:`sqdist` (exact ties to the lowest index), then moves each center
+    to the mean of its points; memory is the O(n*k) distance matrix.  Every
+    cluster left empty is reseeded to the single point farthest from its
+    assigned center under the pre-update distances, so the result is
+    deterministic for a fixed seed.
     """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
@@ -149,15 +175,15 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
         d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
 
     for _ in range(iters):
-        dist = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dist = sqdist(data, centers)
         assign = np.argmin(dist, axis=1)
-        for j in range(k):
-            members = data[assign == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-            else:
-                farthest = np.argmax(dist[np.arange(n), assign])
-                centers[j] = data[farthest]
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, assign, data)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
+        if not filled.all():
+            centers[~filled] = data[np.argmax(dist.min(axis=1))]
     return centers
 
 

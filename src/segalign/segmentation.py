@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .motion import LatentSequence
-from .rvq import kmeans
+from .rvq import kmeans, sqdist
 
 DEFAULT_WINDOW_SIZE = 4
 DEFAULT_WINDOW_STRIDE = 1
@@ -182,9 +182,12 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
     """Pairwise Gaussian kernel k(a,b) = exp(-||a-b||^2 / (2 sigma^2)).
 
     bandwidth "median" uses the median pairwise distance (1 if it is 0).
+    Distances come from :func:`sqdist`; the diagonal is set to exactly 0, so
+    every k(a, a) is exactly 1.
     """
     x = np.asarray(x, dtype=np.float64)
-    sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    sq = sqdist(x, x)
+    np.fill_diagonal(sq, 0.0)
     if bandwidth == "median":
         n = x.shape[0]
         if n < 2:
@@ -272,8 +275,7 @@ def build_primitive_library(
 def window_cost_matrix(x: LatentSequence, lib: PrimitiveLibrary) -> CostMatrix:
     """Squared distance of each window to each primitive center."""
     windows = extract_windows(x.vectors, lib.window_size, lib.stride)
-    d2 = ((windows[:, None, :] - lib.centers[None, :, :]) ** 2).sum(axis=2)
-    return CostMatrix(costs=d2)
+    return CostMatrix(costs=sqdist(windows, lib.centers))
 
 
 def run_cost_tables(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
 from segalign.motion import (
+    BadHeaderError,
     BadMagicError,
     MotionSequence,
     LatentSequence,
     DatasetRecord,
     NonFiniteValueError,
     SyntheticSpec,
+    TrailingBytesError,
     TruncatedPayloadError,
     load_motion,
     project_latent,
@@ -56,6 +60,20 @@ class TestMotionIO:
         save_motion(MotionSequence(frames=np.zeros((2, 3))), path)
         path.write_bytes(path.read_bytes()[:12])
         with pytest.raises(TruncatedPayloadError):
+            load_motion(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.sgmo"
+        save_motion(MotionSequence(frames=np.ones((2, 3))), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(TrailingBytesError):
+            load_motion(path)
+
+    @pytest.mark.parametrize("n, d", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_header_is_format_error(self, tmp_path, n, d):
+        path = tmp_path / "m.sgmo"
+        path.write_bytes(b"SGMO" + struct.pack("<II", n, d))
+        with pytest.raises(BadHeaderError):
             load_motion(path)
 
     def test_nan_payload_rejected(self, tmp_path):

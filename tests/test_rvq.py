@@ -6,15 +6,53 @@ from segalign.rvq import (
     Codebook,
     CodebookStack,
     TokenSequence,
+    _nearest,
     dequantize,
     kmeans,
     quantize,
     reconstruction_error,
+    sqdist,
     stack_from_json,
     stack_to_json,
     train_codebooks,
     truncate_stack,
 )
+
+EPS = np.finfo(np.float64).eps
+
+
+def difference_sqdist(a, b):
+    """The (n, k, d) broadcast form that sqdist replaces; test-only reference."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def reference_kmeans(data, k, seed, iters=25):
+    """Per-cluster-loop k-means with difference-form distances; test-only
+    reference for the loop-free implementation, as brute_force_* is for the DP."""
+    data = np.asarray(data, dtype=np.float64)
+    n = data.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, data.shape[1]))
+    centers[0] = data[rng.integers(n)]
+    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j] = data[rng.integers(n)]
+        else:
+            centers[j] = data[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
+    for _ in range(iters):
+        dist = difference_sqdist(data, centers)
+        assign = np.argmin(dist, axis=1)
+        for j in range(k):
+            members = data[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+            else:
+                farthest = np.argmax(dist[np.arange(n), assign])
+                centers[j] = data[farthest]
+    return centers
 
 
 def two_layer_stack():
@@ -67,6 +105,49 @@ class TestQuantize:
             dequantize(TokenSequence(layers=np.zeros((1, 3), dtype=int)), stack)
 
 
+class TestSqdist:
+    def test_error_bounded_on_random_data(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            n, k, d = (int(v) for v in rng.integers(1, 40, size=3))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            a = rng.normal(0.0, scale, size=(n, d)) + rng.normal(0.0, scale, size=d)
+            b = rng.normal(0.0, scale, size=(k, d))
+            exact = difference_sqdist(a.astype(np.longdouble), b.astype(np.longdouble))
+            norms = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+            err = np.abs(sqdist(a, b) - exact).astype(np.float64)
+            assert np.all(err <= 8 * EPS * norms)
+
+    def test_never_negative(self):
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(200, 7)) * 1e3
+        # near-duplicates of a's rows, where cancellation is worst
+        b = a[:50] + rng.normal(0.0, 1e-9, size=(50, 7))
+        d2 = sqdist(a, np.vstack([b, a[:50]]))
+        assert d2.min() >= 0.0
+
+    def test_integer_data_with_duplicates_is_exact(self):
+        rng = np.random.default_rng(2)
+        a = rng.integers(-50, 51, size=(60, 5)).astype(np.float64)
+        b = np.vstack([a[:10], a[:10], rng.integers(-50, 51, size=(8, 5))])
+        np.testing.assert_array_equal(sqdist(a, b), difference_sqdist(a, b))
+
+    def test_nearest_sends_exact_ties_to_lowest_index(self):
+        rng = np.random.default_rng(3)
+        codes = rng.integers(-3, 4, size=(6, 2)).astype(np.float64)
+        codes = np.vstack([codes, codes[::-1]])     # every code appears twice
+        vectors = rng.integers(-4, 5, size=(300, 2)).astype(np.float64)
+        d2 = difference_sqdist(vectors, codes)
+        expected = np.array([np.flatnonzero(row == row.min())[0] for row in d2])
+        np.testing.assert_array_equal(_nearest(codes, vectors), expected)
+
+    def test_shapes(self):
+        rng = np.random.default_rng(4)
+        assert sqdist(rng.normal(size=(1, 3)), rng.normal(size=(5, 3))).shape == (1, 5)
+        assert sqdist(rng.normal(size=(5, 3)), rng.normal(size=(1, 3))).shape == (5, 1)
+        assert sqdist(rng.normal(size=(1, 3)), rng.normal(size=(1, 3))).shape == (1, 1)
+
+
 class TestKmeans:
     def test_separated_clusters_found(self):
         rng = np.random.default_rng(0)
@@ -87,6 +168,37 @@ class TestKmeans:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 2)), 3, seed=0)
+
+    def test_matches_reference_on_integer_data(self):
+        rng = np.random.default_rng(6)
+        for seed in range(40):
+            n = int(rng.integers(5, 60))
+            k = int(rng.integers(1, min(n, 8) + 1))
+            data = rng.integers(-4, 5, size=(n, int(rng.integers(1, 5)))).astype(np.float64)
+            np.testing.assert_array_equal(
+                kmeans(data, k, seed=seed, iters=10),
+                reference_kmeans(data, k, seed=seed, iters=10),
+            )
+
+    def test_empty_cluster_reseed_matches_reference(self):
+        # k-means++ must place a duplicate center here; the duplicate with the
+        # higher index wins no points and takes the reseed branch.
+        data = np.array([[0.0, 0.0]] * 4 + [[5.0, 5.0]])
+        for seed in range(5):
+            np.testing.assert_array_equal(
+                kmeans(data, 3, seed=seed), reference_kmeans(data, 3, seed=seed)
+            )
+
+    def test_reseed_takes_farthest_point_under_pre_update_distances(self):
+        # With this seed, k-means++ picks (7,8), (8,4), (8,5).  After the first
+        # update the centers are (4,7), (6,11/3), (8,5); in the second
+        # assignment center 1 wins no point ((7,8) ties between centers 0 and
+        # 2 and goes to 0), so it is reseeded to (1,3), the point farthest
+        # (squared distance 25) from its center (4,7).
+        data = np.array([[8, 4], [8, 5], [1, 3], [7, 8], [1, 6], [9, 4]], dtype=np.float64)
+        centers = kmeans(data, 3, seed=178)
+        np.testing.assert_array_equal(centers, reference_kmeans(data, 3, seed=178))
+        np.testing.assert_array_equal(centers, [[1.0, 6.0], [1.0, 3.0], [8.0, 5.25]])
 
 
 class TestTrainCodebooks:
