@@ -2,10 +2,13 @@
 
 Motion tokens inside a segment span are aggregated (mean + max pooled, then
 a small MLP) into a segment embedding living in the text embedding space.
-Four contrastive losses are provided: per-sample (the default, negatives come
-only from the same sample), batch-level, global sequence-level, and
-token-level.  Gradients are hand-derived so they can be audited against
-finite differences, and a toy SGD loop demonstrates the mechanism end to end.
+Three symmetric InfoNCE losses share one kernel and differ only in the block
+of negatives: per-sample (the default, negatives come only from the same
+sample), batch-level and global sequence-level.  Their gradients are
+hand-derived so they can be audited against finite differences.  A
+one-directional token-level loss (each token against its sample's segments)
+is provided without a gradient.  A toy SGD loop demonstrates the mechanism
+end to end.
 """
 
 from __future__ import annotations
@@ -226,33 +229,61 @@ def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def _info_nce(T: np.ndarray, M: np.ndarray, tau: float, denom: int):
+    """(loss, dL/dM): symmetric InfoNCE over paired rows, every other row of
+    the block a negative, summed and divided by ``denom``.  Motion rows with
+    norm under the floor get a zero gradient."""
+    Ut = _unit_rows(T)
+    Um = _unit_rows(M)
+    S = (Ut @ Um.T) / tau
+    p_row = _softmax(S, axis=1)     # t2m: softmax over motion rows
+    p_col = _softmax(S, axis=0)     # m2t: softmax over text rows
+    diag = np.arange(T.shape[0])
+    loss = (-np.log(p_row[diag, diag]).sum() - np.log(p_col[diag, diag]).sum()) / denom
+
+    eye = np.eye(T.shape[0])
+    G = ((p_row - eye) + (p_col - eye)) / (denom * tau)
+    # d sim(j,k) / d Um[k] = Ut[j]  ->  dL/dUm = G^T Ut
+    g_um = G.T @ Ut
+    # through row normalization: dL/dm = (I - u u^T) g_u / ||m||
+    norms = np.linalg.norm(M, axis=1, keepdims=True)
+    radial = np.sum(Um * g_um, axis=1, keepdims=True)
+    g_m = np.where(norms < NORM_FLOOR, 0.0, (g_um - radial * Um) / np.maximum(norms, NORM_FLOOR))
+    return float(loss), g_m
+
+
+def grad_loss_per_sample(e: SegmentEmbeddings, cfg: AlignmentConfig):
+    """(loss_per_sample, per-sample gradients w.r.t. motion segment embeddings)."""
+    denom = 2 * e.total_pairs
+    loss = 0.0
+    grads = []
+    for T, M in zip(e.text, e.motion):
+        contrib, g = _info_nce(T, M, cfg.temperature, denom)
+        loss += contrib
+        grads.append(g)
+    return loss, grads
+
+
+def grad_loss_batch(e: SegmentEmbeddings, cfg: AlignmentConfig):
+    """(loss_batch, per-sample gradients w.r.t. motion segment embeddings)."""
+    T = np.vstack(e.text)
+    loss, g_flat = _info_nce(T, np.vstack(e.motion), cfg.temperature, 2 * T.shape[0])
+    offsets = np.cumsum([m.shape[0] for m in e.motion])[:-1]
+    return loss, np.split(g_flat, offsets)
+
+
 def loss_per_sample(e: SegmentEmbeddings, cfg: AlignmentConfig) -> float:
     """Symmetric InfoNCE where negatives come only from the same sample.
 
     Normalized by the number of valid (sample, segment) pairs, so padding
     never influences the loss scale.
     """
-    total_pairs = e.total_pairs
-    acc = 0.0
-    for T, M in zip(e.text, e.motion):
-        S = cosine_matrix(T, M) / cfg.temperature
-        p_row = _softmax(S, axis=1)     # t2m: softmax over motion segments
-        p_col = _softmax(S, axis=0)     # m2t: softmax over text segments
-        diag = np.arange(T.shape[0])
-        acc += -np.log(p_row[diag, diag]).sum() - np.log(p_col[diag, diag]).sum()
-    return float(acc / (2 * total_pairs))
+    return grad_loss_per_sample(e, cfg)[0]
 
 
 def loss_batch(e: SegmentEmbeddings, cfg: AlignmentConfig) -> float:
     """As loss_per_sample, but negatives range over every segment in the batch."""
-    T = np.vstack(e.text)
-    M = np.vstack(e.motion)
-    S = cosine_matrix(T, M) / cfg.temperature
-    p_row = _softmax(S, axis=1)
-    p_col = _softmax(S, axis=0)
-    diag = np.arange(T.shape[0])
-    acc = -np.log(p_row[diag, diag]).sum() - np.log(p_col[diag, diag]).sum()
-    return float(acc / (2 * T.shape[0]))
+    return grad_loss_batch(e, cfg)[0]
 
 
 def loss_global(text_embs, motion_embs, cfg: AlignmentConfig) -> float:
@@ -261,12 +292,7 @@ def loss_global(text_embs, motion_embs, cfg: AlignmentConfig) -> float:
     M = np.asarray(motion_embs, dtype=np.float64)
     if T.shape[0] != M.shape[0]:
         raise ValueError("text and motion lists differ in length")
-    S = cosine_matrix(T, M) / cfg.temperature
-    p_row = _softmax(S, axis=1)
-    p_col = _softmax(S, axis=0)
-    diag = np.arange(T.shape[0])
-    acc = -np.log(p_row[diag, diag]).sum() - np.log(p_col[diag, diag]).sum()
-    return float(acc / (2 * T.shape[0]))
+    return _info_nce(T, M, cfg.temperature, 2 * T.shape[0])[0]
 
 
 def loss_token(tok: TokenEmbeddings, text: list[np.ndarray], cfg: AlignmentConfig) -> float:
@@ -290,83 +316,7 @@ def total_loss(mask_loss: float, align_loss: float, cfg: AlignmentConfig) -> flo
     return float(mask_loss + cfg.lambda_align * align_loss)
 
 
-# --- analytic gradients -----------------------------------------------------
-
-def _per_sample_sim_grad(T: np.ndarray, M: np.ndarray, cfg: AlignmentConfig, total_pairs: int):
-    """Loss contribution of one sample and its gradient w.r.t. motion rows."""
-    A = T.shape[0]
-    Ut = _unit_rows(T)
-    m_norms = np.linalg.norm(M, axis=1, keepdims=True)
-    Um = np.where(m_norms < NORM_FLOOR, 0.0, M / np.maximum(m_norms, NORM_FLOOR))
-    S = (Ut @ Um.T) / cfg.temperature
-    p_row = _softmax(S, axis=1)
-    p_col = _softmax(S, axis=0)
-    diag = np.arange(A)
-    contrib = (-np.log(p_row[diag, diag]).sum() - np.log(p_col[diag, diag]).sum()) / (2 * total_pairs)
-
-    eye = np.eye(A)
-    G = ((p_row - eye) + (p_col - eye)) / (2 * total_pairs * cfg.temperature)
-    # d sim(j,k) / d Um[k] = Ut[j]  ->  dL/dUm = G^T Ut
-    g_um = G.T @ Ut
-    # through row normalization: dL/dm = (I - u u^T) g_u / ||m||
-    g_m = np.zeros_like(M)
-    for k in range(A):
-        nk = float(m_norms[k, 0])
-        if nk < NORM_FLOOR:
-            continue
-        u = Um[k]
-        g_m[k] = (g_um[k] - (u @ g_um[k]) * u) / nk
-    return float(contrib), g_m
-
-
-def grad_loss_per_sample(e: SegmentEmbeddings, cfg: AlignmentConfig):
-    """(loss, per-sample gradients w.r.t. motion segment embeddings)."""
-    total_pairs = e.total_pairs
-    grads = []
-    loss = 0.0
-    for T, M in zip(e.text, e.motion):
-        contrib, g = _per_sample_sim_grad(T, M, cfg, total_pairs)
-        loss += contrib
-        grads.append(g)
-    return loss, grads
-
-
-def _block_sim_grad(T: np.ndarray, M: np.ndarray, cfg: AlignmentConfig):
-    """Loss and motion-row gradient for one flat block of paired rows."""
-    n = T.shape[0]
-    Ut = _unit_rows(T)
-    m_norms = np.linalg.norm(M, axis=1, keepdims=True)
-    Um = np.where(m_norms < NORM_FLOOR, 0.0, M / np.maximum(m_norms, NORM_FLOOR))
-    S = (Ut @ Um.T) / cfg.temperature
-    p_row = _softmax(S, axis=1)
-    p_col = _softmax(S, axis=0)
-    diag = np.arange(n)
-    loss = float((-np.log(p_row[diag, diag]).sum() - np.log(p_col[diag, diag]).sum()) / (2 * n))
-    eye = np.eye(n)
-    G = ((p_row - eye) + (p_col - eye)) / (2 * n * cfg.temperature)
-    g_um = G.T @ Ut
-    g_m = np.zeros_like(M)
-    for k in range(n):
-        nk = float(m_norms[k, 0])
-        if nk < NORM_FLOOR:
-            continue
-        u = Um[k]
-        g_m[k] = (g_um[k] - (u @ g_um[k]) * u) / nk
-    return loss, g_m
-
-
-def grad_loss_batch(e: SegmentEmbeddings, cfg: AlignmentConfig):
-    """(loss_batch, per-sample gradients w.r.t. motion segment embeddings)."""
-    T = np.vstack(e.text)
-    M = np.vstack(e.motion)
-    loss, g_flat = _block_sim_grad(T, M, cfg)
-    grads = []
-    offset = 0
-    for m in e.motion:
-        grads.append(g_flat[offset : offset + m.shape[0]])
-        offset += m.shape[0]
-    return loss, grads
-
+# --- gradients through the aggregator ---------------------------------------
 
 def grad_alignment(
     text: list[np.ndarray],
@@ -384,19 +334,8 @@ def grad_alignment(
     global whole-sequence loss).  Returns (loss, AggregatorGrads, per-sample
     motion-embedding gradients).
     """
-    motion = []
-    caches = []
-    for sample_spans in spans:
-        embs = []
-        sample_caches = []
-        for span in sample_spans:
-            out, cache = _agg_forward(span, params)
-            embs.append(out)
-            sample_caches.append(cache)
-        motion.append(np.stack(embs))
-        caches.append(sample_caches)
-
-    e = SegmentEmbeddings(text=text, motion=motion)
+    forward = [[_agg_forward(span, params) for span in sample_spans] for sample_spans in spans]
+    e = SegmentEmbeddings(text=text, motion=[np.stack([out for out, _ in fwd]) for fwd in forward])
     if variant == "sample":
         loss, motion_grads = grad_loss_per_sample(e, cfg)
     elif variant == "batch":
@@ -405,8 +344,8 @@ def grad_alignment(
         raise ValueError(f"unknown gradient variant {variant!r}")
 
     pgrads = AggregatorGrads.zeros_like(params)
-    for sample_caches, g_m in zip(caches, motion_grads):
-        for cache, g in zip(sample_caches, g_m):
+    for sample_fwd, g_m in zip(forward, motion_grads):
+        for (_, cache), g in zip(sample_fwd, g_m):
             _agg_backward(cache, params, g, pgrads)
     return loss, pgrads, motion_grads
 

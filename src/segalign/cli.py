@@ -239,7 +239,7 @@ def cmd_decompose(args) -> int:
             )
         cfg = textseg.LlmEndpointConfig(base_url=url, model_name=args.model_name)
     statuses = {}
-    out_records = []
+    report_path = os.path.splitext(args.out)[0] + "_report.json"
     for r in records:
         try:
             if args.fallback:
@@ -250,9 +250,12 @@ def cmd_decompose(args) -> int:
             statuses[r.id] = "ok"
         except (textseg.SegmentValidationError, textseg.MalformedResponseError) as exc:
             statuses[r.id] = f"rejected: {exc}"
-        out_records.append(r)
-    motion.write_dataset(out_records, args.out)
-    report_path = os.path.splitext(args.out)[0] + "_report.json"
+        except textseg.TransportError as exc:
+            # report what was handled; a partial dataset is never written
+            statuses[r.id] = f"failed: {exc}"
+            _write_json(report_path, statuses)
+            raise CliError(str(exc)) from exc
+    motion.write_dataset(records, args.out)
     _write_json(report_path, statuses)
     rejected = sum(1 for s in statuses.values() if s != "ok")
     _log(args, f"decompose: {len(records) - rejected} ok, {rejected} rejected")
@@ -320,13 +323,8 @@ def cmd_train_align(args) -> int:
             ]
 
         train_used, variant = flatten(train), "batch"
-    elif args.loss in ("sample", "batch", "token"):
-        # the token loss has no learnable path at this scale; training uses
-        # per-sample gradients and the report carries the requested loss
-        train_used = train
-        variant = "batch" if args.loss == "batch" else "sample"
     else:
-        raise CliError(f"unknown loss variant {args.loss!r}")
+        train_used, variant = train, args.loss
 
     init = alignment.AggregatorParams.init(
         args.d_token, args.d_embed, seed=seed_for(args.seed, "align.init")
@@ -556,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--loss", choices=["sample", "batch", "global", "token"], default="sample")
+    p.add_argument("--loss", choices=["sample", "batch", "global"], default="sample")
     p.add_argument("--lambda", type=float, default=alignment.DEFAULT_LAMBDA_ALIGN)
     p.add_argument("--temperature", type=float, default=alignment.DEFAULT_TEMPERATURE)
     p.set_defaults(func=cmd_train_align)

@@ -109,13 +109,7 @@ def cosine_mask_count(t: int, total_iters: int, length: int) -> int:
         raise ValueError("schedule needs at least one iteration")
     if not (0 <= t <= total_iters):
         raise ValueError("iteration index out of range")
-    if t == 0:
-        return length
-    if t == total_iters:
-        return 0
-    prev = cosine_mask_count(t - 1, total_iters, length)
-    raw = math.floor(length * math.cos(math.pi * t / (2 * total_iters)))
-    return max(0, min(raw, prev - 1))
+    return mask_count_schedule(total_iters, length)[t]
 
 
 def mask_count_schedule(total_iters: int, length: int) -> list[int]:

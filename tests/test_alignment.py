@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,7 +144,41 @@ class TestLosses:
         assert sharp < soft
 
 
+def reference_block(T, M, tau, denom):
+    """Symmetric InfoNCE and its motion-row gradient with a per-row loop."""
+    Ut = T / np.linalg.norm(T, axis=1, keepdims=True)
+    norms = np.linalg.norm(M, axis=1)
+    Um = np.array([m / n if n >= al.NORM_FLOOR else 0.0 * m for m, n in zip(M, norms)])
+    S = Ut @ Um.T / tau
+    p_row = np.exp(S) / np.exp(S).sum(axis=1, keepdims=True)
+    p_col = np.exp(S) / np.exp(S).sum(axis=0, keepdims=True)
+    loss = -(np.log(np.diag(p_row)).sum() + np.log(np.diag(p_col)).sum()) / denom
+    g_um = ((p_row - np.eye(len(T))) + (p_col - np.eye(len(T)))).T @ Ut / (denom * tau)
+    g_m = np.zeros_like(M)
+    for k, (u, n) in enumerate(zip(Um, norms)):
+        if n >= al.NORM_FLOOR:
+            g_m[k] = (g_um[k] - (u @ g_um[k]) * u) / n
+    return loss, g_m
+
+
 class TestGradients:
+    def test_matches_per_row_reference(self):
+        rng = np.random.default_rng(10)
+        for trial in range(20):
+            text = [rng.normal(size=(int(a), 4)) for a in rng.integers(1, 5, size=3)]
+            motion = [rng.normal(size=t.shape) for t in text]
+            motion[trial % 3][0] = 0.0
+            e = al.SegmentEmbeddings(text=text, motion=motion)
+            loss, grads = al.grad_loss_per_sample(e, CFG)
+            parts = [reference_block(t, m, CFG.temperature, 2 * e.total_pairs) for t, m in zip(text, motion)]
+            assert loss == pytest.approx(sum(l for l, _ in parts), rel=1e-12)
+            for g, (_, ref) in zip(grads, parts):
+                np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-15)
+            loss, grads = al.grad_loss_batch(e, CFG)
+            ref_loss, ref = reference_block(np.vstack(text), np.vstack(motion), CFG.temperature, 2 * e.total_pairs)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            np.testing.assert_allclose(np.vstack(grads), ref, rtol=1e-12, atol=1e-15)
+
     def test_motion_grad_orthogonal_to_embedding(self):
         # cosine depends only on direction, so gradients live in the tangent space
         rng = np.random.default_rng(6)
@@ -164,6 +199,39 @@ class TestGradients:
         l2, g2, _ = al.grad_alignment(text, spans, params, CFG, variant="batch")
         assert l1 == pytest.approx(l2, abs=1e-12)
         np.testing.assert_allclose(g1.w1, g2.w1, atol=1e-12)
+
+    @pytest.mark.parametrize("grad_fn", [al.grad_loss_per_sample, al.grad_loss_batch])
+    def test_zero_motion_row_gets_zero_gradient(self, grad_fn):
+        rng = np.random.default_rng(8)
+        motion = [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))]
+        motion[0][1] = 0.0
+        e = al.SegmentEmbeddings(text=[rng.normal(size=(3, 4)), rng.normal(size=(2, 4))],
+                                 motion=motion)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loss, grads = grad_fn(e, CFG)
+        assert np.isfinite(loss)
+        np.testing.assert_array_equal(grads[0][1], np.zeros(4))
+        assert np.all(np.isfinite(grads[0])) and np.any(grads[0][0] != 0.0)
+
+    @pytest.mark.parametrize("grad_fn", [al.grad_loss_per_sample, al.grad_loss_batch])
+    def test_motion_gradient_matches_finite_differences(self, grad_fn):
+        rng = np.random.default_rng(9)
+        shapes = [(3, 5), (1, 5), (2, 5)]
+        text = [rng.normal(size=s) for s in shapes]
+        motion = [rng.normal(size=s) for s in shapes]
+        _, grads = grad_fn(al.SegmentEmbeddings(text=text, motion=motion), CFG)
+        h = 1e-6
+        for i, m in enumerate(motion):
+            for idx in np.ndindex(m.shape):
+                orig = m[idx]
+                m[idx] = orig + h
+                up = grad_fn(al.SegmentEmbeddings(text=text, motion=motion), CFG)[0]
+                m[idx] = orig - h
+                dn = grad_fn(al.SegmentEmbeddings(text=text, motion=motion), CFG)[0]
+                m[idx] = orig
+                fd = (up - dn) / (2 * h)
+                assert abs(grads[i][idx] - fd) / max(abs(fd), 1e-3) < 1e-6
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from segalign import textseg
 from segalign.cli import main
 from segalign.motion import DatasetRecord, load_motion, read_dataset, write_dataset
 from segalign.seeds import rng_for, seed_for
@@ -166,6 +167,33 @@ class TestDecomposeCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["count"] == 1
 
+    def test_unreachable_endpoint_reports_and_writes_no_dataset(self, tmp_path, capsys, monkeypatch):
+        def refuse(url, payload, timeout):
+            raise ConnectionError("connection refused")
+
+        monkeypatch.setattr(textseg, "_default_transport", refuse)
+        monkeypatch.setattr(textseg.time, "sleep", lambda s: None)
+        monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps({"model": "m", "input": "a person waves.",
+                                     "output": "a person waves"}) + "\n")
+        data = tmp_path / "in.jsonl"
+        write_dataset([
+            DatasetRecord(id=name, raw_text=raw, text_segments=["x"], motion_path=f"{name}.sgmo")
+            for name, raw in (("hit", "a person waves."), ("miss", "a person jumps."),
+                              ("unseen", "a person sits."))
+        ], data)
+        out = tmp_path / "seg.jsonl"
+        assert main(["decompose", "--data", str(data), "--endpoint", "http://127.0.0.1:9",
+                     "--model-name", "m", "--cache", str(cache),
+                     "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and "unreachable" in json.loads(err[0])["error"]
+        report = json.loads((tmp_path / "seg_report.json").read_text())
+        assert list(report) == ["hit", "miss"]
+        assert report["hit"] == "ok" and report["miss"].startswith("failed")
+        assert not out.exists()
+
     def test_no_endpoint_errors(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
         data = tmp_path / "in.jsonl"
@@ -189,13 +217,17 @@ class TestTrainAlignCommand:
         assert len(lines) == 201
 
     def test_loss_variant_dispatch(self, tmp_path):
-        for loss in ("batch", "global", "token"):
+        for loss in ("batch", "global"):
             out = tmp_path / loss
             assert main(["train-align", "--seed", "0", "--samples", "40",
                          "--holdout", "10", "--steps", "30", "--loss", loss,
                          "--out", str(out), "--quiet"]) == 0
             report = json.loads((out / "train_report.json").read_text())
             assert report["loss_variant"] == loss
+        # the token loss has no gradient, so it is not a training option
+        with pytest.raises(SystemExit) as exc:
+            main(["train-align", "--loss", "token", "--out", str(tmp_path / "t"), "--quiet"])
+        assert exc.value.code == 2
 
     def test_lambda_zero_trains_nothing(self, tmp_path):
         out = tmp_path / "lz"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,11 @@ class TestSchedule:
             for length in (1, 5, 33):
                 seq = mask_count_schedule(total, length)
                 assert seq == [cosine_mask_count(t, total, length) for t in range(total + 1)]
+
+    def test_long_schedule_needs_no_recursion(self):
+        count = cosine_mask_count(1500, 2000, 4096)
+        assert count == mask_count_schedule(2000, 4096)[1500]
+        assert count == math.floor(4096 * math.cos(math.pi * 1500 / 4000))
 
     def test_endpoints_and_monotonic(self):
         for total in range(1, 11):
