@@ -121,40 +121,39 @@ def uniform_segment(n: int, num_segments: int) -> SegmentBoundaries:
 # --- exact DP over span costs ----------------------------------------------
 #
 # Both DP and the brute-force oracle read span costs from the same
-# precomputed table and accumulate segment costs right-associatively (last
-# span first), so optimal objectives compare bit-for-bit and the shared
-# lowest-index tie rule yields identical boundaries.
+# precomputed (n+1, n+1) table C, where C[s, e] is the cost of the half-open
+# span [s, e) and every entry with e <= s is +inf, so an empty or reversed
+# span can never win.  Both accumulate segment costs right-associatively
+# (last span first), so optimal objectives compare bit-for-bit.  Each DP
+# candidate is the single float add C[s, e] + best[e]; ``argmin`` takes the
+# first minimum, i.e. the lowest end, which is the oracle's strict-< rule over
+# lexicographically ordered cuts, so both return identical boundaries.
 
-def _dp_partition(span_cost, n: int, num_segments: int) -> tuple[list[int], float]:
+def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list[int], float]:
     """Minimize sum of span costs over contiguous partitions into A spans.
 
-    Returns (interior cuts, objective).  Among optimal partitions, the
+    ``C`` is the (n+1, n+1) span-cost table described above.  Returns
+    (interior cuts, objective).  Among optimal partitions, the
     lexicographically smallest cut sequence is returned.
     """
     A = num_segments
-    # best[a][s]: cost of splitting [s, n) into a spans; choice[a][s]: first cut
-    best = [[np.inf] * (n + 1) for _ in range(A + 1)]
-    choice = [[-1] * (n + 1) for _ in range(A + 1)]
-    best[1] = [np.inf] * (n + 1)
-    for s in range(n):
-        best[1][s] = span_cost(s, n)
+    # best[s]: cost of splitting [s, n) into the current number of spans
+    best = C[:n, n]
+    buf = np.empty((n, n + 1))
+    choices = []
     for a in range(2, A + 1):
-        for s in range(n - a + 1):
-            acc = np.inf
-            pick = -1
-            for e in range(s + 1, n - a + 2):
-                c = span_cost(s, e) + best[a - 1][e]
-                if c < acc:
-                    acc = c
-                    pick = e
-            best[a][s] = acc
-            choice[a][s] = pick
+        # a spans over [s, n) need s <= n - a; the first span ends at e <= n-a+1
+        rows, hi = n - a + 1, n - a + 2
+        cand = np.add(C[:rows, :hi], best[:hi], out=buf[:rows, :hi])
+        pick = cand.argmin(axis=1)
+        best = cand[np.arange(rows), pick]
+        choices.append(pick)
     cuts = []
     s = 0
-    for a in range(A, 1, -1):
-        s = choice[a][s]
+    for pick in reversed(choices):
+        s = int(pick[s])
         cuts.append(s)
-    return cuts, float(best[A][0])
+    return cuts, float(best[0])
 
 
 def _enumerate_partitions(n: int, num_segments: int):
@@ -211,16 +210,25 @@ def kernel_span_cost(K: np.ndarray, s: int, e: int) -> float:
 
 
 def kernel_cost_table(K: np.ndarray) -> np.ndarray:
-    """C[s, e] = within-segment kernel cost of [s, e), for all spans at once."""
+    """C[s, e] = within-segment kernel cost of [s, e), for all spans at once.
+
+    K must be symmetric.  The block sums of K over [s, e) x [s, e) grow one
+    column at a time: column j joining block [s, j) adds
+    2 (P[j, j] - P[s, j]) + 2 K[s, j] - K[j, j], with P = cumsum(K, axis=0).
+    Each cost then carries O(eps * n) rounding error (a 2-D cumulative sum
+    gives O(eps * n^2)).  Costs are clamped at 0; entries with e <= s are +inf.
+    """
     n = K.shape[0]
-    diag_cum = np.concatenate([[0.0], np.cumsum(np.diag(K))])
-    cum2 = np.zeros((n + 1, n + 1))
-    cum2[1:, 1:] = np.cumsum(np.cumsum(K, axis=0), axis=1)
-    C = np.full((n + 1, n + 1), np.nan)
-    for s in range(n):
-        e = np.arange(s + 1, n + 1)
-        block = cum2[e, e] - cum2[s, e] - cum2[e, s] + cum2[s, s]
-        C[s, s + 1 :] = (diag_cum[e] - diag_cum[s]) - block / (e - s)
+    diag = np.diag(K)
+    diag_cum = np.concatenate([[0.0], np.cumsum(diag)])
+    P = np.cumsum(K, axis=0)
+    lengths = np.arange(n, 0, -1, dtype=np.float64)   # lengths[n-1-j:][s] = j + 1 - s
+    block = np.zeros(n)           # block[s]: sum of K over [s, j) x [s, j)
+    C = np.full((n + 1, n + 1), np.inf)
+    for j in range(n):
+        block[: j + 1] += 2.0 * (P[j, j] - P[: j + 1, j] + K[: j + 1, j]) - diag[j]
+        cost = (diag_cum[j + 1] - diag_cum[: j + 1]) - block[: j + 1] / lengths[n - j - 1 :]
+        C[: j + 1, j + 1] = np.maximum(cost, 0.0)
     return C
 
 
@@ -233,9 +241,8 @@ def kernel_cpd_segment(x: LatentSequence, num_segments: int, bandwidth="median")
         raise ValueError(f"{n} tokens cannot form {num_segments} segments")
     if num_segments == 1:
         return SegmentBoundaries(spans=((0, n),))
-    K = gaussian_kernel_matrix(x.vectors, bandwidth)
-    C = kernel_cost_table(K)
-    cuts, _ = _dp_partition(lambda s, e: C[s, e], n, num_segments)
+    C = kernel_cost_table(gaussian_kernel_matrix(x.vectors, bandwidth))
+    cuts, _ = _dp_partition(C, n, num_segments)
     return SegmentBoundaries.from_cuts(n, cuts)
 
 
@@ -245,8 +252,10 @@ def extract_windows(x: np.ndarray, window_size: int, stride: int) -> np.ndarray:
     """Flattened sliding windows: row i covers tokens [i*stride, i*stride + w)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    starts = range(0, n - window_size + 1, stride)
-    return np.stack([x[s : s + window_size].reshape(-1) for s in starts])
+    if n < window_size:
+        raise ValueError(f"{n} tokens are fewer than the window size {window_size}")
+    windows = np.lib.stride_tricks.sliding_window_view(x, (window_size, x.shape[1]))[::stride, 0]
+    return windows.reshape(windows.shape[0], -1).copy()
 
 
 def build_primitive_library(
@@ -278,34 +287,38 @@ def window_cost_matrix(x: LatentSequence, lib: PrimitiveLibrary) -> CostMatrix:
     return CostMatrix(costs=sqdist(windows, lib.centers))
 
 
-def run_cost_tables(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _run_prefix(costs: np.ndarray) -> np.ndarray:
+    """prefix[e] - prefix[s] is the per-primitive cost sum of windows [s, e)."""
+    return np.vstack([np.zeros(costs.shape[1]), np.cumsum(costs, axis=0)])
+
+
+def run_cost_tables(costs: np.ndarray) -> np.ndarray:
     """Per-span primitive sums reduced to the cheapest primitive.
 
-    Returns (C, P): C[s, e] is the cost of assigning windows [s, e) to their
-    best single primitive, P[s, e] that primitive's index (lowest on ties).
+    C[s, e] is the cost of assigning windows [s, e) to their best single
+    primitive; entries with e <= s are +inf.
     """
     nw = costs.shape[0]
-    prefix = np.vstack([np.zeros(costs.shape[1]), np.cumsum(costs, axis=0)])
-    C = np.full((nw + 1, nw + 1), np.nan)
-    P = np.zeros((nw + 1, nw + 1), dtype=np.int64)
+    prefix = _run_prefix(costs)
+    C = np.full((nw + 1, nw + 1), np.inf)
     for s in range(nw):
-        sums = prefix[s + 1 :] - prefix[s]          # (nw - s, Kp)
-        C[s, s + 1 :] = sums.min(axis=1)
-        P[s, s + 1 :] = sums.argmin(axis=1)
-    return C, P
+        C[s, s + 1 :] = (prefix[s + 1 :] - prefix[s]).min(axis=1)
+    return C
 
 
 def segment_cost_matrix_dp(cost: CostMatrix, num_segments: int) -> tuple[list[int], list[int], float]:
-    """DP over windows: returns (window cuts, per-run primitive, objective)."""
+    """DP over windows: returns (window cuts, per-run primitive, objective).
+
+    Each run's primitive is the cheapest one over the run (lowest index on
+    ties), from the same prefix sums the cost table reduces.
+    """
     nw = cost.costs.shape[0]
     if num_segments < 1 or num_segments > nw:
         raise ValueError(f"{nw} windows cannot form {num_segments} runs")
-    C, P = run_cost_tables(cost.costs)
-    if num_segments == 1:
-        return [], [int(P[0, nw])], float(C[0, nw])
-    cuts, obj = _dp_partition(lambda s, e: C[s, e], nw, num_segments)
+    cuts, obj = _dp_partition(run_cost_tables(cost.costs), nw, num_segments)
+    prefix = _run_prefix(cost.costs)
     edges = [0, *cuts, nw]
-    assignments = [int(P[s, e]) for s, e in zip(edges[:-1], edges[1:])]
+    assignments = [int((prefix[e] - prefix[s]).argmin()) for s, e in zip(edges[:-1], edges[1:])]
     return cuts, assignments, obj
 
 
@@ -349,7 +362,7 @@ def _brute_force_span_cost(costs):
     """
     if isinstance(costs, CostMatrix):
         n = costs.costs.shape[0]
-        prefix = np.vstack([np.zeros(costs.costs.shape[1]), np.cumsum(costs.costs, axis=0)])
+        prefix = _run_prefix(costs.costs)
 
         def span_cost(s, e):
             sums = prefix[e] - prefix[s]

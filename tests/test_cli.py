@@ -122,6 +122,21 @@ class TestSegmentCommand:
                      "--library", str(lib), "--out", str(out), "--quiet"]) == 0
         assert (out / "boundaries_cluster.json").exists()
 
+    def test_same_seed_byte_identical(self, synth_dir, tmp_path):
+        outs = []
+        for name in ("o1", "o2"):
+            out = tmp_path / name
+            assert main(["segment", "--data", str(synth_dir), "--method", "cpd", "--seed", "3",
+                         "--out", str(out), "--quiet"]) == 0
+            assert main(["segment", "--data", str(synth_dir), "--method", "cluster",
+                         "--library", str(out / "library.json"), "--fit-library", "--window", "2",
+                         "--primitives", "4", "--seed", "3", "--out", str(out), "--quiet"]) == 0
+            outs.append(out)
+        names = ["boundaries_cpd.json", "seg_report_cpd.csv", "boundaries_cluster.json",
+                 "seg_report_cluster.csv", "library.json"]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 class TestQuantizeCommand:
     def test_artifacts(self, synth_dir, tmp_path):

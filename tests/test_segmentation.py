@@ -12,19 +12,60 @@ from segalign.segmentation import (
     brute_force_segment,
     build_primitive_library,
     cluster_dp_segment,
+    _dp_partition,
     cut_errors,
+    extract_windows,
     gaussian_kernel_matrix,
     kernel_cost_table,
     kernel_cpd_segment,
     kernel_span_cost,
     library_from_json,
     library_to_json,
+    run_cost_tables,
     seg_error_corpus,
     seg_error_eval,
     segment_cost_matrix_dp,
     uniform_segment,
     window_cost_matrix,
 )
+
+
+def reference_dp(C, n, num_segments):
+    """Triple-loop DP with a strict-< scan over ends; test-only reference for
+    the vectorised _dp_partition, as brute_force_* is for small instances."""
+    A = num_segments
+    best = [[np.inf] * (n + 1) for _ in range(A + 1)]
+    choice = [[-1] * (n + 1) for _ in range(A + 1)]
+    for s in range(n):
+        best[1][s] = C[s, n]
+    for a in range(2, A + 1):
+        for s in range(n - a + 1):
+            acc = np.inf
+            pick = -1
+            for e in range(s + 1, n - a + 2):
+                c = C[s, e] + best[a - 1][e]
+                if c < acc:
+                    acc = c
+                    pick = e
+            best[a][s] = acc
+            choice[a][s] = pick
+    cuts = []
+    s = 0
+    for a in range(A, 1, -1):
+        s = choice[a][s]
+        cuts.append(s)
+    return cuts, float(best[A][0])
+
+
+def random_cost_table(rng, n, kind, ties):
+    """A kernel or run cost table; ``ties`` gives binary tokens or integer
+    window costs, so many partitions share the optimal objective."""
+    if kind == "kernel":
+        x = rng.integers(0, 2, size=(n, 2)) if ties else rng.normal(size=(n, 3))
+        return kernel_cost_table(gaussian_kernel_matrix(x.astype(np.float64)))
+    kp = int(rng.integers(1, 5))
+    costs = rng.integers(0, 3, size=(n, kp)) if ties else rng.uniform(0.0, 5.0, size=(n, kp))
+    return run_cost_tables(costs.astype(np.float64))
 
 
 class TestSegmentBoundaries:
@@ -73,6 +114,17 @@ class TestKernelCpd:
         for s in range(9):
             for e in range(s + 1, 10):
                 assert abs(C[s, e] - kernel_span_cost(K, s, e)) < 1e-12
+
+    def test_cost_table_error_bound_at_n_1024(self):
+        n = 1024
+        rng = np.random.default_rng(8)
+        K = gaussian_kernel_matrix(rng.normal(size=(n, 16)))
+        C = kernel_cost_table(K)
+        assert C[np.triu_indices(n + 1, k=1)].min() >= 0.0
+        spans = [sorted(rng.choice(n + 1, size=2, replace=False)) for _ in range(200)]
+        spans += [(s, s + length) for s in range(0, n - 3, 37) for length in (1, 2, 3)]
+        err = max(abs(C[s, e] - kernel_span_cost(K, int(s), int(e))) for s, e in spans)
+        assert err <= 16 * np.finfo(np.float64).eps * n
 
     def test_single_point_span_costs_zero(self):
         K = gaussian_kernel_matrix(np.random.default_rng(1).normal(size=(5, 3)))
@@ -141,6 +193,14 @@ class TestClusterDp:
         b = cluster_dp_segment(corpus[0], lib, 2)
         assert b.cuts == (6,)
 
+    def test_sequence_shorter_than_window(self):
+        lib = PrimitiveLibrary(centers=np.zeros((2, 8)), window_size=4, stride=1)
+        x = LatentSequence(vectors=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="3 tokens .* window size 4"):
+            extract_windows(x.vectors, 4, 1)
+        with pytest.raises(ValueError, match="3 tokens .* window size 4"):
+            cluster_dp_segment(x, lib, 1)
+
     def test_window_cost_matrix_shape(self):
         lib = PrimitiveLibrary(centers=np.zeros((3, 4)), window_size=2, stride=1)
         x = LatentSequence(vectors=np.arange(10, dtype=float).reshape(5, 2))
@@ -151,6 +211,37 @@ class TestClusterDp:
         back = library_from_json(library_to_json(lib))
         np.testing.assert_array_equal(back.centers, lib.centers)
         assert (back.window_size, back.stride) == (2, 1)
+
+
+class TestDpPartition:
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            n = int(rng.integers(2, 65))
+            a = int(rng.integers(2, min(7, n) + 1))
+            kind = ("kernel", "run")[trial % 2]
+            C = random_cost_table(rng, n, kind, ties=trial % 3 == 0)
+            cuts, obj = _dp_partition(C, n, a)
+            ref_cuts, ref_obj = reference_dp(C, n, a)
+            assert cuts == ref_cuts
+            assert obj == ref_obj
+
+    def test_edge_segment_counts(self):
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 7, 12):
+            for kind in ("kernel", "run"):
+                for ties in (False, True):
+                    C = random_cost_table(rng, n, kind, ties)
+                    for a in (1, 2, n):
+                        assert _dp_partition(C, n, a) == reference_dp(C, n, a)
+                    assert _dp_partition(C, n, n)[0] == list(range(1, n))
+
+    def test_single_token_single_segment(self):
+        x = LatentSequence(vectors=np.array([[0.5, -1.0]]))
+        assert kernel_cpd_segment(x, 1).spans == ((0, 1),)
+        lib = PrimitiveLibrary(centers=np.array([[1.0, 1.0], [0.5, -1.0]]), window_size=1, stride=1)
+        assert cluster_dp_segment(x, lib, 1).spans == ((0, 1),)
+        assert segment_cost_matrix_dp(window_cost_matrix(x, lib), 1) == ([], [1], 0.0)
 
 
 class TestBruteForceGuards:
