@@ -50,6 +50,7 @@ from .alignment import (
     SegmentEmbeddings,
     TokenEmbeddings,
     cosine_sim,
+    embed_spans,
     aggregate_mean_max,
     aggregate_mean,
     aggregate_max,

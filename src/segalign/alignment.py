@@ -1,10 +1,11 @@
 """Fine-grained contrastive text-motion alignment.
 
 Motion tokens inside a segment span are aggregated (mean + max pooled, then
-a small MLP) into a segment embedding living in the text embedding space.
-Three symmetric InfoNCE losses share one kernel and differ only in the block
-of negatives: per-sample (the default, negatives come only from the same
-sample), batch-level and global sequence-level.  Their gradients are
+a small MLP) into a segment embedding in the text embedding space, in one
+batched aggregator pass over all spans.  Three symmetric InfoNCE losses are
+one kernel call on the stacked block and differ only in the negatives:
+per-sample (the default; a group mask keeps them in the same sample),
+batch-level and global sequence-level.  Their gradients are
 hand-derived so they can be audited against finite differences.  A
 one-directional token-level loss (each token against its sample's segments)
 is provided without a gradient.  A toy SGD loop demonstrates the mechanism
@@ -14,6 +15,7 @@ end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -180,30 +182,6 @@ def aggregate_max(span: np.ndarray) -> np.ndarray:
     return span.max(axis=0)
 
 
-def _agg_forward(span: np.ndarray, p: AggregatorParams):
-    feat = np.concatenate([aggregate_mean(span), aggregate_max(span)])
-    h_pre = p.w1 @ feat + p.b1
-    h = np.maximum(h_pre, 0.0)
-    out = p.w2 @ h + p.b2
-    return out, (feat, h_pre, h)
-
-
-def aggregate_mean_max(span: np.ndarray, p: AggregatorParams) -> np.ndarray:
-    """MLP(concat(mean(span), max(span))) -> segment embedding."""
-    out, _ = _agg_forward(span, p)
-    return out
-
-
-def _agg_backward(cache, p: AggregatorParams, g_out: np.ndarray, grads: "AggregatorGrads") -> None:
-    feat, h_pre, h = cache
-    grads.w2 += np.outer(g_out, h)
-    grads.b2 += g_out
-    g_h = p.w2.T @ g_out
-    g_pre = g_h * (h_pre > 0.0)
-    grads.w1 += np.outer(g_pre, feat)
-    grads.b1 += g_pre
-
-
 @dataclass
 class AggregatorGrads:
     w1: np.ndarray
@@ -211,14 +189,39 @@ class AggregatorGrads:
     w2: np.ndarray
     b2: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, p: AggregatorParams) -> "AggregatorGrads":
-        return cls(
-            w1=np.zeros_like(p.w1),
-            b1=np.zeros_like(p.b1),
-            w2=np.zeros_like(p.w2),
-            b2=np.zeros_like(p.b2),
-        )
+
+def _agg_forward(spans, p: AggregatorParams):
+    """(N, d_embed) outputs of MLP(concat(mean, max)) for N spans, pooled
+    with ``reduceat`` over their concatenation, and the backward cache."""
+    lengths = np.array(list(map(len, spans)))
+    if lengths.min() < 1:
+        # reduceat would silently return the start row for an empty span
+        raise ValueError(f"span {int(lengths.argmin())} is empty")
+    X = np.concatenate(spans, axis=0, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("spans must be (m, d) matrices")
+    starts = np.cumsum(lengths) - lengths
+    feat = np.hstack([np.add.reduceat(X, starts) / lengths[:, None], np.maximum.reduceat(X, starts)])
+    h_pre = feat @ p.w1.T + p.b1
+    h = np.maximum(h_pre, 0.0)
+    return h @ p.w2.T + p.b2, (feat, h_pre, h)
+
+
+def embed_spans(spans, params: AggregatorParams) -> np.ndarray:
+    """Segment embeddings (N, d_embed) of N token spans of any lengths >= 1."""
+    return _agg_forward(spans, params)[0]
+
+
+def aggregate_mean_max(span: np.ndarray, p: AggregatorParams) -> np.ndarray:
+    """MLP(concat(mean(span), max(span))) -> segment embedding."""
+    return embed_spans([span], p)[0]
+
+
+def _agg_backward(cache, p: AggregatorParams, G: np.ndarray) -> AggregatorGrads:
+    """Parameter gradients given G, the (N, d_embed) gradients of the outputs."""
+    feat, h_pre, h = cache
+    g_pre = (G @ p.w2) * (h_pre > 0.0)
+    return AggregatorGrads(w1=g_pre.T @ feat, b1=g_pre.sum(axis=0), w2=G.T @ h, b2=G.sum(axis=0))
 
 
 # --- contrastive losses -----------------------------------------------------
@@ -229,13 +232,15 @@ def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _info_nce(T: np.ndarray, M: np.ndarray, tau: float, denom: int):
-    """(loss, dL/dM): symmetric InfoNCE over paired rows, every other row of
-    the block a negative, summed and divided by ``denom``.  Motion rows with
-    norm under the floor get a zero gradient."""
+def _info_nce(T: np.ndarray, M: np.ndarray, tau: float, denom: int, groups=None):
+    """(loss, dL/dM): symmetric InfoNCE over paired rows, summed and divided
+    by ``denom``; the negatives are the other rows of the block, or of the
+    same group given ``groups``.  Floored motion rows get a zero gradient."""
     Ut = _unit_rows(T)
     Um = _unit_rows(M)
     S = (Ut @ Um.T) / tau
+    if groups is not None:
+        S[groups[:, None] != groups[None, :]] = -np.inf
     p_row = _softmax(S, axis=1)     # t2m: softmax over motion rows
     p_col = _softmax(S, axis=0)     # m2t: softmax over text rows
     diag = np.arange(T.shape[0])
@@ -252,24 +257,22 @@ def _info_nce(T: np.ndarray, M: np.ndarray, tau: float, denom: int):
     return float(loss), g_m
 
 
+def _grad_stacked(e: SegmentEmbeddings, cfg: AlignmentConfig, per_sample: bool):
+    """One kernel call on the stacked pairs; the gradient is split per sample."""
+    sizes = list(map(len, e.text))
+    groups = np.repeat(np.arange(len(sizes)), sizes) if per_sample else None
+    loss, g = _info_nce(np.vstack(e.text), np.vstack(e.motion), cfg.temperature, 2 * sum(sizes), groups)
+    return loss, np.split(g, np.cumsum(sizes)[:-1])
+
+
 def grad_loss_per_sample(e: SegmentEmbeddings, cfg: AlignmentConfig):
     """(loss_per_sample, per-sample gradients w.r.t. motion segment embeddings)."""
-    denom = 2 * e.total_pairs
-    loss = 0.0
-    grads = []
-    for T, M in zip(e.text, e.motion):
-        contrib, g = _info_nce(T, M, cfg.temperature, denom)
-        loss += contrib
-        grads.append(g)
-    return loss, grads
+    return _grad_stacked(e, cfg, per_sample=True)
 
 
 def grad_loss_batch(e: SegmentEmbeddings, cfg: AlignmentConfig):
     """(loss_batch, per-sample gradients w.r.t. motion segment embeddings)."""
-    T = np.vstack(e.text)
-    loss, g_flat = _info_nce(T, np.vstack(e.motion), cfg.temperature, 2 * T.shape[0])
-    offsets = np.cumsum([m.shape[0] for m in e.motion])[:-1]
-    return loss, np.split(g_flat, offsets)
+    return _grad_stacked(e, cfg, per_sample=False)
 
 
 def loss_per_sample(e: SegmentEmbeddings, cfg: AlignmentConfig) -> float:
@@ -334,20 +337,13 @@ def grad_alignment(
     global whole-sequence loss).  Returns (loss, AggregatorGrads, per-sample
     motion-embedding gradients).
     """
-    forward = [[_agg_forward(span, params) for span in sample_spans] for sample_spans in spans]
-    e = SegmentEmbeddings(text=text, motion=[np.stack([out for out, _ in fwd]) for fwd in forward])
-    if variant == "sample":
-        loss, motion_grads = grad_loss_per_sample(e, cfg)
-    elif variant == "batch":
-        loss, motion_grads = grad_loss_batch(e, cfg)
-    else:
+    grad_fn = {"sample": grad_loss_per_sample, "batch": grad_loss_batch}.get(variant)
+    if grad_fn is None:
         raise ValueError(f"unknown gradient variant {variant!r}")
-
-    pgrads = AggregatorGrads.zeros_like(params)
-    for sample_fwd, g_m in zip(forward, motion_grads):
-        for (_, cache), g in zip(sample_fwd, g_m):
-            _agg_backward(cache, params, g, pgrads)
-    return loss, pgrads, motion_grads
+    out, cache = _agg_forward(list(chain.from_iterable(spans)), params)
+    motion = np.split(out, np.cumsum(list(map(len, spans)))[:-1])
+    loss, motion_grads = grad_fn(SegmentEmbeddings(text=text, motion=motion), cfg)
+    return loss, _agg_backward(cache, params, np.vstack(motion_grads)), motion_grads
 
 
 # --- toy training loop ------------------------------------------------------
@@ -365,7 +361,7 @@ class ToySample:
 
 
 def motion_embeddings(sample: ToySample, params: AggregatorParams) -> np.ndarray:
-    return np.stack([aggregate_mean_max(s, params) for s in sample.spans])
+    return embed_spans(sample.spans, params)
 
 
 def make_separable_dataset(

@@ -473,18 +473,9 @@ def cmd_eval(args) -> int:
     else:
         params = _load_model(args.model)
         _, holdout = _load_align_data(args.data)
-        pairs = []
-        text_rows = []
-        motion_rows = []
-        for sample in holdout:
-            M = alignment.motion_embeddings(sample, params)
-            for j in range(M.shape[0]):
-                pairs.append((sample.text[j], M[j]))
-                text_rows.append(sample.text[j])
-                motion_rows.append(M[j])
-        T = np.vstack(text_rows)
-        M = np.vstack(motion_rows)
-        report.add("isc", metrics.isc_score(pairs))
+        T = np.vstack([s.text for s in holdout])
+        M = alignment.embed_spans([span for s in holdout for span in s.spans], params)
+        report.add("isc", metrics.isc_score(zip(T, M)))
         for k in (1, 2, 3):
             report.add(f"r_precision_top{k}", metrics.r_precision(T, M, topk=k))
         report.add("mm_dist", metrics.mm_dist(T, M))

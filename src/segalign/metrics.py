@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import AggregatorParams, aggregate_mean_max, cosine_sim, cosine_matrix
+from .alignment import AggregatorParams, cosine_matrix, cosine_sim, embed_spans
 from .rvq import sqdist
 
 DEFAULT_DIVERSITY_PAIRS = 300
@@ -56,19 +56,16 @@ class EvalReport:
 def motion_grounding(
     q: GroundingQuery, motion_tokens: np.ndarray, model: AggregatorParams
 ) -> tuple[int, np.ndarray]:
-    """Slide a window over the motion tokens, embed each window, and return
+    """Embed every window of the motion tokens in one batch and return
     (best start index, full similarity vector).  Ties -> lowest start index."""
     tokens = np.asarray(motion_tokens, dtype=np.float64)
     n = tokens.shape[0]
     if n < q.window_size:
         raise ValueError(f"motion of {n} tokens is shorter than window {q.window_size}")
-    starts = list(range(0, n - q.window_size + 1, q.stride))
-    sims = np.empty(len(starts))
-    for i, s in enumerate(starts):
-        emb = aggregate_mean_max(tokens[s : s + q.window_size], model)
-        sims[i] = cosine_sim(q.text_embedding, emb)
-    best = starts[int(np.argmax(sims))]
-    return best, sims
+    windows = np.lib.stride_tricks.sliding_window_view(tokens, q.window_size, axis=0)[:: q.stride]
+    embs = embed_spans(windows.transpose(0, 2, 1), model)
+    sims = cosine_matrix(q.text_embedding[None], embs)[0]
+    return int(np.argmax(sims)) * q.stride, sims
 
 
 def m2t_retrieve(m_q: np.ndarray, candidates: np.ndarray) -> int:

@@ -251,6 +251,11 @@ def read_dataset(path) -> list[DatasetRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{line_no}: expected a JSON object")
+            for name in ("id", "text", "segments", "motion"):
+                if name not in obj:
+                    raise ValueError(f"{path}:{line_no}: missing field {name!r}")
             records.append(
                 DatasetRecord(
                     id=obj["id"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -169,15 +170,23 @@ def fallback_decompose(raw: str) -> TextSegmentSet:
 # --- LLM endpoint with on-disk cache ---------------------------------------
 
 def _cache_lookup(cache_path, model: str, raw: str) -> str | None:
+    """Cached output for (model, raw), or None.  A line that is not a JSON
+    object with string model, input and output is skipped with a warning."""
     if cache_path is None or not os.path.exists(cache_path):
         return None
     with open(cache_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if obj.get("model") == model and obj.get("input") == raw:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                obj = None
+            if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in ("model", "input", "output"))):
+                warnings.warn(f"{cache_path}:{line_no}: skipping malformed cache line", RuntimeWarning)
+                continue
+            if obj["model"] == model and obj["input"] == raw:
                 return obj["output"]
     return None
 

@@ -58,6 +58,32 @@ class TestAggregation:
         expected = al.aggregate_mean(span) + al.aggregate_max(span)
         np.testing.assert_allclose(al.aggregate_mean_max(span, params), expected)
 
+    def test_embed_spans_matches_per_span_reference(self):
+        rng = np.random.default_rng(11)
+        params = al.AggregatorParams.init(5, 6, seed=2)
+        for _ in range(10):
+            spans = [-rng.uniform(0.1, 3.0, size=(int(m), 5)) for m in rng.integers(1, 8, size=9)]
+            out = al.embed_spans(spans, params)
+            assert out.shape == (9, 6)
+            for span, row in zip(spans, out):
+                feat = np.concatenate([al.aggregate_mean(span), al.aggregate_max(span)])
+                ref = params.w2 @ np.maximum(params.w1 @ feat + params.b1, 0.0) + params.b2
+                np.testing.assert_allclose(row, ref, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(al.aggregate_mean_max(span, params), ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_empty_span_in_batch_rejected(self, position):
+        rng = np.random.default_rng(12)
+        params = al.AggregatorParams.init(3, 4, seed=0)
+        spans = [rng.normal(size=(2, 3)) for _ in range(3)]
+        spans[position] = np.zeros((0, 3))
+        text = rng.normal(size=(3, 4))
+        with pytest.raises(ValueError, match="empty"):
+            al.motion_embeddings(al.ToySample(text=text, spans=spans), params)
+        other = [rng.normal(size=(2, 4)), text]
+        with pytest.raises(ValueError, match="empty"):
+            al.grad_alignment(other, [[rng.normal(size=(3, 3))] * 2, spans], params, CFG)
+
     def test_init_deterministic_and_bounded(self):
         p1 = al.AggregatorParams.init(4, 6, seed=3)
         p2 = al.AggregatorParams.init(4, 6, seed=3)

@@ -209,6 +209,40 @@ class TestDecomposeCommand:
         assert report["hit"] == "ok" and report["miss"].startswith("failed")
         assert not out.exists()
 
+    def test_malformed_cache_lines_skipped_with_warning(self, tmp_path, capsys, monkeypatch):
+        asked = []
+
+        def answer(url, payload, timeout):
+            asked.append(payload["messages"][0]["content"])
+            return "a person jumps"
+
+        monkeypatch.setattr(textseg, "_default_transport", answer)
+        monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("\n".join([
+            "[1, 2]",
+            "{not json",
+            json.dumps({"model": "m", "input": "a person jumps."}),
+            json.dumps({"model": "m", "input": "a person jumps.", "output": 3}),
+            json.dumps({"model": "m", "input": "a person waves.", "output": "a person waves"}),
+        ]) + "\n")
+        data = tmp_path / "in.jsonl"
+        write_dataset([
+            DatasetRecord(id=name, raw_text=raw, text_segments=["x"], motion_path=f"{name}.sgmo")
+            for name, raw in (("hit", "a person waves."), ("miss", "a person jumps."))
+        ], data)
+        out = tmp_path / "seg.jsonl"
+        with pytest.warns(RuntimeWarning) as record:
+            assert main(["decompose", "--data", str(data), "--endpoint", "http://127.0.0.1:9",
+                         "--model-name", "m", "--cache", str(cache),
+                         "--out", str(out), "--quiet"]) == 0
+        messages = {str(w.message) for w in record}
+        assert messages == {f"{cache}:{n}: skipping malformed cache line" for n in (1, 2, 3, 4)}
+        assert len(asked) == 1 and asked[0].endswith("a person jumps.")
+        assert [r.text_segments for r in read_dataset(out)] == [["a person waves"], ["a person jumps"]]
+        assert json.loads((tmp_path / "seg_report.json").read_text()) == {"hit": "ok", "miss": "ok"}
+        assert capsys.readouterr().err == ""
+
     def test_no_endpoint_errors(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
         data = tmp_path / "in.jsonl"
@@ -217,6 +251,34 @@ class TestDecomposeCommand:
         assert main(["decompose", "--data", str(data),
                      "--out", str(tmp_path / "o.jsonl"), "--quiet"]) == 1
         assert "endpoint" in capsys.readouterr().err
+
+
+BAD_RECORDS = [
+    ("[1, 2]", "expected a JSON object"),
+    ('"a person walks"', "expected a JSON object"),
+    (json.dumps({"id": "a", "segments": ["x"], "motion": "a.sgmo"}), "missing field 'text'"),
+    (json.dumps({"text": "t", "segments": ["x"], "motion": "a.sgmo"}), "missing field 'id'"),
+    (json.dumps({"id": "a", "text": "t", "motion": "a.sgmo"}), "missing field 'segments'"),
+    (json.dumps({"id": "a", "text": "t", "segments": ["x"]}), "missing field 'motion'"),
+]
+
+
+class TestBadDatasetRecords:
+    @pytest.mark.parametrize("line,message", BAD_RECORDS)
+    @pytest.mark.parametrize("command", ["decompose", "segment --method cpd", "quantize"])
+    def test_bad_record_is_a_json_error(self, tmp_path, capsys, command, line, message):
+        good = json.dumps({"id": "g", "text": "a person waves.", "segments": ["x"], "motion": "g.sgmo"})
+        (tmp_path / "dataset.jsonl").write_text(good + "\n" + line + "\n")
+        if command == "decompose":
+            argv = ["decompose", "--data", str(tmp_path / "dataset.jsonl"), "--fallback",
+                    "--out", str(tmp_path / "o.jsonl")]
+        else:
+            argv = command.split() + ["--data", str(tmp_path), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--quiet"]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == f"{tmp_path / 'dataset.jsonl'}:2: {message}"
+        assert sorted(os.listdir(tmp_path)) == ["dataset.jsonl"]
 
 
 class TestTrainAlignCommand:
@@ -243,6 +305,15 @@ class TestTrainAlignCommand:
         with pytest.raises(SystemExit) as exc:
             main(["train-align", "--loss", "token", "--out", str(tmp_path / "t"), "--quiet"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("loss", ["sample", "batch", "global"])
+    def test_same_seed_byte_identical(self, tmp_path, loss):
+        for run in ("r1", "r2"):
+            assert main(["train-align", "--seed", "4", "--samples", "30", "--holdout", "10",
+                         "--steps", "20", "--batch", "8", "--loss", loss,
+                         "--out", str(tmp_path / run), "--quiet"]) == 0
+        for name in ("curve.csv", "model.json", "train_report.json"):
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
     def test_lambda_zero_trains_nothing(self, tmp_path):
         out = tmp_path / "lz"
