@@ -345,7 +345,6 @@ def cmd_train_align(args) -> int:
         return 1
     top1_after = alignment.retrieval_top1(holdout, params)
 
-    os.makedirs(args.out, exist_ok=True)
     _write_json(
         os.path.join(args.out, "align_data.json"),
         {
@@ -391,7 +390,6 @@ def cmd_decode(args) -> int:
         seed=seed_for(args.seed, "decode.sampling"),
         trace=trace,
     )
-    os.makedirs(args.out, exist_ok=True)
     _write_json(
         os.path.join(args.out, "decoded_tokens.json"),
         {"tokens": tokens.tolist(), "target": target.tolist(), "exact": bool(np.array_equal(tokens, target))},
@@ -426,7 +424,6 @@ def cmd_ground(args) -> int:
         start, sims = metrics.motion_grounding(q, tokens, params)
         sim_rows[f"segment_{j}"] = sims
         best[f"segment_{j}"] = start
-    os.makedirs(args.out, exist_ok=True)
     _write_atomic(os.path.join(args.out, "similarity_map.csv"), metrics.similarity_map_csv(sim_rows))
     _write_json(os.path.join(args.out, "grounding.json"), best)
     _log(args, f"ground: {len(sim_rows)} segments x {len(next(iter(sim_rows.values())))} windows")
@@ -449,7 +446,6 @@ def cmd_retrieve(args) -> int:
             lines.append(f"{i},{j},{got},{ok}")
     acc = hits / total
     lines.append(f"accuracy,,,{acc:.6f}")
-    os.makedirs(args.out, exist_ok=True)
     _write_atomic(os.path.join(args.out, "retrieval.csv"), "\n".join(lines) + "\n")
     _log(args, f"retrieve: top-1 accuracy {acc:.3f} over {total} queries")
     return 0
@@ -483,7 +479,6 @@ def cmd_eval(args) -> int:
             "diversity", metrics.diversity(M, seed=seed_for(args.seed, "eval.diversity"))
         )
         report.add("fid", metrics.fid(T, M))
-    os.makedirs(args.out, exist_ok=True)
     _write_atomic(os.path.join(args.out, "eval.csv"), report.to_csv())
     _write_json(os.path.join(args.out, "eval.json"), {"metrics": report.metrics, "metadata": report.metadata})
     _log(args, "eval: " + ", ".join(f"{k}={v:.4g}" for k, v in sorted(report.metrics.items())))

@@ -240,6 +240,10 @@ def write_dataset(records: list[DatasetRecord], path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
 def read_dataset(path) -> list[DatasetRecord]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -256,13 +260,23 @@ def read_dataset(path) -> list[DatasetRecord]:
             for name in ("id", "text", "segments", "motion"):
                 if name not in obj:
                     raise ValueError(f"{path}:{line_no}: missing field {name!r}")
+            embeddings = obj.get("embeddings")
+            for name, ok, kind in (
+                ("id", isinstance(obj["id"], str), "a string"),
+                ("text", isinstance(obj["text"], str), "a string"),
+                ("segments", _list_of(obj["segments"], str), "a list of strings"),
+                ("motion", isinstance(obj["motion"], str), "a string"),
+                ("embeddings", embeddings is None or _list_of(embeddings, list), "a list of lists"),
+            ):
+                if not ok:
+                    raise ValueError(f"{path}:{line_no}: field {name!r} must be {kind}")
             records.append(
                 DatasetRecord(
                     id=obj["id"],
                     raw_text=obj["text"],
-                    text_segments=list(obj["segments"]),
+                    text_segments=obj["segments"],
                     motion_path=obj["motion"],
-                    precomputed_embeddings=obj.get("embeddings"),
+                    precomputed_embeddings=embeddings,
                 )
             )
     return records

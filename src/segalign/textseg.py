@@ -4,7 +4,10 @@ Raw motion descriptions are decomposed into temporally ordered text segments,
 one per atomic action, joined by the '#' delimiter.  Decomposition can go
 through an external LLM endpoint (with an on-disk cache so the step is
 offline-repeatable) or through a deterministic rule-based fallback that keeps
-the test suite hermetic.  The fallback rules are intentionally crude.
+the test suite hermetic.  The fallback rules are intentionally crude.  An
+endpoint that cannot be reached (refused or timed-out connection, non-2xx
+status, truncated reply) is retried, then raises ``TransportError``; one that
+answers wrongly raises ``MalformedResponseError`` at once and is not cached.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import time
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-
-import requests
 
 A_MAX = 5
 
@@ -199,10 +200,18 @@ def _cache_append(cache_path, model: str, raw: str, output: str) -> None:
 
 
 def _default_transport(url: str, payload: dict, timeout: float) -> str:
-    resp = requests.post(url, json=payload, timeout=timeout)
-    resp.raise_for_status()
-    body = resp.json()
-    return body["choices"][0]["message"]["content"]
+    import http.client
+    import urllib.request  # here, so only a call to the endpoint pays for the import
+    request = urllib.request.Request(url, json.dumps(payload).encode(), {"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            body = resp.read()
+    except http.client.HTTPException as exc:
+        raise ConnectionError(f"bad HTTP reply: {exc!r}") from exc
+    try:
+        return json.loads(body)["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise MalformedResponseError("reply is not a chat completion", body.decode("utf-8", "replace")) from exc
 
 
 def llm_decompose(
@@ -216,7 +225,9 @@ def llm_decompose(
     Results are cached on disk keyed by (model, input), so a warm cache makes
     the call deterministic and network-free.  ``transport`` may be injected
     for testing; it receives (url, payload, timeout) and returns the text of
-    the first choice.
+    the first choice.  An ``OSError`` from it is retried, then raises
+    ``TransportError``; a non-string or off-contract reply raises
+    ``MalformedResponseError`` unretried.
     """
     if not raw:
         raise SegmentValidationError("empty input text")
@@ -233,18 +244,19 @@ def llm_decompose(
     send = transport if transport is not None else _default_transport
 
     last_exc = None
-    text = None
     for attempt in range(cfg.max_retries + 1):
         try:
             text = send(url, payload, cfg.timeout)
             break
-        except (requests.RequestException, ConnectionError, TimeoutError) as exc:
+        except OSError as exc:
             last_exc = exc
             if attempt < cfg.max_retries:
                 time.sleep(min(0.2 * (attempt + 1), 1.0))
-    if text is None:
+    else:
         raise TransportError(f"endpoint {url} unreachable after {cfg.max_retries + 1} attempts: {last_exc}")
 
+    if not isinstance(text, str):
+        raise MalformedResponseError("reply content is not a string", repr(text))
     stripped = text.strip()
     if stripped.lower().startswith("output:") or stripped.startswith(('"', "'", "`")):
         raise MalformedResponseError("response carries extra text forbidden by the prompt", text)

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import urllib.request
 
 import numpy as np
 import pytest
@@ -243,6 +245,28 @@ class TestDecomposeCommand:
         assert json.loads((tmp_path / "seg_report.json").read_text()) == {"hit": "ok", "miss": "ok"}
         assert capsys.readouterr().err == ""
 
+    def test_malformed_reply_rejects_the_record(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def urlopen(request, timeout):
+            calls.append(request)
+            return io.BytesIO(b'{"error": "model not found"}')
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
+        cache = tmp_path / "cache.jsonl"
+        data = tmp_path / "in.jsonl"
+        write_dataset([DatasetRecord(id="a", raw_text="a person walks.",
+                                     text_segments=["x"], motion_path="a.sgmo")], data)
+        assert main(["decompose", "--data", str(data), "--endpoint", "http://127.0.0.1:9",
+                     "--model-name", "m", "--cache", str(cache),
+                     "--out", str(tmp_path / "seg.jsonl"), "--quiet"]) == 1
+        report = json.loads((tmp_path / "seg_report.json").read_text())
+        assert report["a"].startswith("rejected: reply is not a chat completion")
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and json.loads(err[0]) == {"count": 1, "error": "records rejected"}
+        assert len(calls) == 1 and not cache.exists()
+
     def test_no_endpoint_errors(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
         data = tmp_path / "in.jsonl"
@@ -260,6 +284,15 @@ BAD_RECORDS = [
     (json.dumps({"text": "t", "segments": ["x"], "motion": "a.sgmo"}), "missing field 'id'"),
     (json.dumps({"id": "a", "text": "t", "motion": "a.sgmo"}), "missing field 'segments'"),
     (json.dumps({"id": "a", "text": "t", "segments": ["x"]}), "missing field 'motion'"),
+    (json.dumps({"id": 3, "text": "t", "segments": ["x"], "motion": "a.sgmo"}), "field 'id' must be a string"),
+    (json.dumps({"id": "a", "text": 7, "segments": ["x"], "motion": "a.sgmo"}), "field 'text' must be a string"),
+    (json.dumps({"id": "a", "text": "t", "segments": 5, "motion": "a.sgmo"}),
+     "field 'segments' must be a list of strings"),
+    (json.dumps({"id": "a", "text": "t", "segments": ["x", 1], "motion": "a.sgmo"}),
+     "field 'segments' must be a list of strings"),
+    (json.dumps({"id": "a", "text": "t", "segments": ["x"], "motion": None}), "field 'motion' must be a string"),
+    (json.dumps({"id": "a", "text": "t", "segments": ["x"], "motion": "a.sgmo", "embeddings": [1.0]}),
+     "field 'embeddings' must be a list of lists"),
 ]
 
 

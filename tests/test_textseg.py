@@ -1,8 +1,15 @@
+import http.client
+import io
 import json
+import os
+import subprocess
+import sys
+import urllib.error
+import urllib.request
 
 import pytest
-import requests
 
+from segalign import textseg
 from segalign.textseg import (
     A_MAX,
     DECOMPOSE_PROMPT,
@@ -157,7 +164,7 @@ class TestLlmDecompose:
         def flaky(url, payload, timeout):
             state["n"] += 1
             if state["n"] == 1:
-                raise requests.ConnectionError("boom")
+                raise ConnectionError("boom")
             return "a person walks."
 
         out = llm_decompose("a person walks.", self.CFG, transport=flaky)
@@ -166,7 +173,7 @@ class TestLlmDecompose:
 
     def test_unreachable_raises_transport_error(self):
         def dead(url, payload, timeout):
-            raise requests.ConnectionError("refused")
+            raise ConnectionError("refused")
 
         with pytest.raises(TransportError):
             llm_decompose("a person walks.", self.CFG, transport=dead)
@@ -177,3 +184,78 @@ class TestLlmDecompose:
         with pytest.raises(MalformedResponseError):
             llm_decompose("a person walks.", self.CFG, cache_path=str(cache), transport=t)
         assert not cache.exists() or cache.read_text() == ""
+
+
+class TestDefaultTransport:
+    """The real urllib transport, with ``urlopen`` replaced: no network."""
+
+    CFG = TestLlmDecompose.CFG
+
+    @pytest.fixture
+    def urlopen(self, monkeypatch):
+        calls = []
+
+        def install(reply):
+            def fake(request, timeout):
+                calls.append((request, timeout))
+                if isinstance(reply, Exception):
+                    raise reply
+                return io.BytesIO(reply)
+
+            monkeypatch.setattr(urllib.request, "urlopen", fake)
+            monkeypatch.setattr(textseg.time, "sleep", lambda s: None)
+            monkeypatch.delenv(LLM_URL_ENV_VAR, raising=False)
+            return calls
+
+        return install
+
+    def test_posts_json_chat_request(self, urlopen):
+        reply = {"choices": [{"message": {"content": "a person walks#a person runs."}}]}
+        calls = urlopen(json.dumps(reply).encode())
+        out = llm_decompose("a person walks then runs.", self.CFG)
+        assert out.segments == ("a person walks", "a person runs")
+        (request, timeout), = calls
+        assert request.full_url == self.CFG.base_url
+        assert request.get_method() == "POST"
+        assert request.get_header("Content-type") == "application/json"
+        assert json.loads(request.data) == {
+            "model": "test-model",
+            "messages": [{"role": "user", "content": DECOMPOSE_PROMPT + "a person walks then runs."}],
+        }
+        assert timeout == self.CFG.timeout
+
+    @pytest.mark.parametrize("body", [
+        b'{"error": "x"}',
+        b'{"choices": []}',
+        b'{"choices": [{"message": {"content": 7}}]}',
+        b"not json",
+    ])
+    def test_wrong_answer_is_malformed_not_retried_not_cached(self, urlopen, tmp_path, body):
+        calls = urlopen(body)
+        cache = tmp_path / "cache.jsonl"
+        with pytest.raises(MalformedResponseError):
+            llm_decompose("a person walks.", self.CFG, cache_path=str(cache))
+        assert len(calls) == 1
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("failure", [
+        urllib.error.URLError("connection refused"),
+        urllib.error.HTTPError("http://llm.example", 503, "Service Unavailable", {}, None),
+        http.client.IncompleteRead(b"{\"cho"),
+    ], ids=["URLError", "HTTPError-503", "IncompleteRead"])
+    def test_unreachable_is_retried_then_transport_error(self, urlopen, tmp_path, failure):
+        calls = urlopen(failure)
+        cache = tmp_path / "cache.jsonl"
+        with pytest.raises(TransportError):
+            llm_decompose("a person walks.", self.CFG, cache_path=str(cache))
+        assert len(calls) == self.CFG.max_retries + 1
+        assert not cache.exists()
+
+
+def test_no_network_module_imported_at_startup():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    probe = ("import segalign.cli, sys; "
+             "print(sorted({'requests', 'urllib.request', 'http.client'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
