@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+import urllib.parse
 
 import numpy as np
 
@@ -212,12 +213,13 @@ def cmd_quantize(args) -> int:
         iters=args.iters,
     )
     _write_atomic(os.path.join(args.out, "stack.json"), rvq.stack_to_json(stack) + "\n")
-    lines = []
-    for r in records:
-        tokens, _ = rvq.quantize(latents[r.id], stack)
-        lines.append(json.dumps({"id": r.id, "layers": tokens.layers.tolist()}, sort_keys=True))
+    quantized = {rid: rvq.quantize(v, stack) for rid, v in latents.items()}
+    lines = [
+        json.dumps({"id": r.id, "layers": quantized[r.id][0].layers.tolist()}, sort_keys=True)
+        for r in records
+    ]
     _write_atomic(os.path.join(args.out, "tokens.jsonl"), "\n".join(lines) + "\n")
-    err = rvq.reconstruction_error(list(latents.values()), stack)
+    err = rvq.quantization_mse((v, quantized[rid][1]) for rid, v in latents.items())
     _write_atomic(
         os.path.join(args.out, "rvq_report.csv"),
         f"metric,value\nreconstruction_error,{err:.10g}\n",
@@ -237,6 +239,8 @@ def cmd_decompose(args) -> int:
             raise CliError(
                 "no endpoint: pass --endpoint, set SEGALIGN_LLM_URL, or use --fallback"
             )
+        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+            raise CliError(f"endpoint {url!r} is not an http:// or https:// URL")
         cfg = textseg.LlmEndpointConfig(base_url=url, model_name=args.model_name)
     statuses = {}
     report_path = os.path.splitext(args.out)[0] + "_report.json"

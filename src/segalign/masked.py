@@ -134,12 +134,15 @@ class Schedule:
 
 
 def _check_rows(probs: np.ndarray, positions) -> None:
-    for i in positions:
-        row = probs[i]
-        if np.any(row < 0) or abs(float(row.sum()) - 1.0) > PROB_SUM_TOL:
-            raise PredictorContractError(
-                f"position {i}: probabilities must be nonnegative and sum to 1"
-            )
+    """Reject the first row, in ``positions`` order, that has a negative
+    entry or does not sum to 1 within ``PROB_SUM_TOL``."""
+    positions = np.asarray(positions, dtype=np.intp)
+    rows = probs[positions]
+    bad = (rows < 0).any(axis=1) | (np.abs(rows.sum(axis=1) - 1.0) > PROB_SUM_TOL)
+    if bad.any():
+        raise PredictorContractError(
+            f"position {positions[bad.argmax()]}: probabilities must be nonnegative and sum to 1"
+        )
 
 
 def iterative_decode(

@@ -147,23 +147,28 @@ def dequantize(t: TokenSequence, stack: CodebookStack) -> LatentSequence:
 
 
 def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
-    """Seeded k-means with k-means++ init and a fixed iteration count.
+    """Seeded k-means with k-means++ init and at most ``iters`` iterations.
 
     Each iteration assigns every point to its nearest center by
     :func:`sqdist` (exact ties to the lowest index), then moves each center
-    to the mean of its points; memory is the O(n*k) distance matrix.  Every
-    cluster left empty is reseeded to the single point farthest from its
-    assigned center under the pre-update distances, so the result is
-    deterministic for a fixed seed.
+    to the mean of its points, summed in row order per cluster; memory is
+    the O(n*k) distance matrix.  Every cluster left empty is reseeded to the
+    single point farthest from its assigned center under the pre-update
+    distances, so the result is deterministic for a fixed seed.
+
+    It stops at the fixed point, which gives the same centers: once an
+    assignment repeats the previous one with no cluster empty, the centers
+    were already computed from it without a reseed, and every further
+    iteration would recompute the same means by the same arithmetic.
     """
     data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
+    n, d = data.shape
     if n < k:
         raise ValueError(f"k-means needs at least k={k} points, got {n}")
     rng = np.random.default_rng(seed)
 
     # k-means++ initialization
-    centers = np.empty((k, data.shape[1]))
+    centers = np.empty((k, d))
     centers[0] = data[rng.integers(n)]
     d2 = ((data - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
@@ -174,13 +179,20 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
             centers[j] = data[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
 
+    bins = np.arange(d)
+    prev = None
     for _ in range(iters):
         dist = sqdist(data, centers)
         assign = np.argmin(dist, axis=1)
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, data)
         filled = counts > 0
+        if filled.all() and prev is not None and np.array_equal(assign, prev):
+            break
+        prev = assign
+        # bin (cluster, dim) receives its points in row order, as np.add.at would
+        sums = np.bincount(
+            (assign[:, None] * d + bins).ravel(), weights=data.ravel(), minlength=k * d
+        ).reshape(k, d)
         centers[filled] = sums[filled] / counts[filled, None]
         if not filled.all():
             centers[~filled] = data[np.argmax(dist.min(axis=1))]
@@ -221,10 +233,17 @@ def reconstruction_error(data: list[LatentSequence] | np.ndarray, stack: Codeboo
         seqs = [LatentSequence(vectors=np.asarray(data, dtype=np.float64))]
     else:
         seqs = data
+    return quantization_mse((s, quantize(s, stack)[1]) for s in seqs)
+
+
+def quantization_mse(pairs) -> float:
+    """Mean squared Euclidean distance over (latents, quantized latents) pairs.
+
+    Each pair's squared error is summed in float64, then the pairs in order.
+    """
     total = 0.0
     count = 0
-    for s in seqs:
-        _, q = quantize(s, stack)
+    for s, q in pairs:
         total += float(((s.vectors - q.vectors) ** 2).sum())
         count += s.length
     return total / count

@@ -296,13 +296,16 @@ def run_cost_tables(costs: np.ndarray) -> np.ndarray:
     """Per-span primitive sums reduced to the cheapest primitive.
 
     C[s, e] is the cost of assigning windows [s, e) to their best single
-    primitive; entries with e <= s are +inf.
+    primitive; entries with e <= s are +inf.  The prefix sums are held
+    transposed, (Kp, nw+1), so each start's (Kp, nw - s) block of sums
+    prefix[e] - prefix[s] is reduced over its outer axis: an elementwise
+    minimum of contiguous rows.  Memory is C, O(nw^2), plus one such block.
     """
     nw = costs.shape[0]
-    prefix = _run_prefix(costs)
+    prefix_t = _run_prefix(costs).T.copy()
     C = np.full((nw + 1, nw + 1), np.inf)
     for s in range(nw):
-        C[s, s + 1 :] = (prefix[s + 1 :] - prefix[s]).min(axis=1)
+        np.minimum.reduce(prefix_t[:, s + 1 :] - prefix_t[:, s, None], axis=0, out=C[s, s + 1 :])
     return C
 
 

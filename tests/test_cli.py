@@ -152,6 +152,14 @@ class TestQuantizeCommand:
         report = (out / "rvq_report.csv").read_text()
         assert report.startswith("metric,value\nreconstruction_error,")
 
+    def test_seeded_runs_byte_identical(self, synth_dir, tmp_path):
+        outs = [tmp_path / "q1", tmp_path / "q2"]
+        for out in outs:
+            assert main(["quantize", "--data", str(synth_dir), "--layers", "3", "--codes", "8",
+                         "--seed", "3", "--out", str(out), "--quiet"]) == 0
+        for name in ("stack.json", "tokens.jsonl", "rvq_report.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 class TestDecomposeCommand:
     def test_fallback_deterministic(self, tmp_path):
@@ -275,6 +283,28 @@ class TestDecomposeCommand:
         assert main(["decompose", "--data", str(data),
                      "--out", str(tmp_path / "o.jsonl"), "--quiet"]) == 1
         assert "endpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("url", ["llm.example/v1", "ftp://llm.example/v1"])
+    def test_endpoint_without_http_scheme_fails_before_any_record(self, tmp_path, capsys,
+                                                                  monkeypatch, url):
+        asked = []
+        monkeypatch.setattr(textseg, "_default_transport", lambda *a: asked.append(a) or "x")
+        monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps({"model": "m", "input": "a person waves.",
+                                     "output": "a person waves"}) + "\n")
+        data = tmp_path / "in.jsonl"
+        write_dataset([
+            DatasetRecord(id=name, raw_text=raw, text_segments=["x"], motion_path=f"{name}.sgmo")
+            for name, raw in (("hit", "a person waves."), ("miss", "a person jumps."))
+        ], data)
+        out = tmp_path / "seg.jsonl"
+        assert main(["decompose", "--data", str(data), "--endpoint", url, "--model-name", "m",
+                     "--cache", str(cache), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and url in json.loads(err[0])["error"]
+        assert not out.exists() and not (tmp_path / "seg_report.json").exists()
+        assert asked == []
 
 
 BAD_RECORDS = [

@@ -18,6 +18,7 @@ from segalign.masked import (
     mask_loss,
     mask_random,
     residual_decode,
+    _check_rows,
     trace_to_jsonl,
 )
 
@@ -158,6 +159,27 @@ class TestIterativeDecode:
 
         with pytest.raises(PredictorContractError):
             iterative_decode(None, 4, Broken(), Schedule(2))
+
+    def test_first_bad_masked_row_is_named(self):
+        class TwoBad:
+            def predict(self, cond, state):
+                p = np.full((state.length, 2), 0.5)
+                p[1] = [1.5, -0.5]      # second masked position: negative entry
+                p[3] = [0.5, 0.6]       # fourth masked position: sums to 1.1
+                return p
+
+        with pytest.raises(PredictorContractError, match=r"^position 1: probabilities must be "
+                                                         r"nonnegative and sum to 1$"):
+            iterative_decode(None, 6, TwoBad(), Schedule(2))
+
+    def test_bad_rows_reported_in_positions_order(self):
+        p = np.full((5, 2), 0.5)
+        p[1, 0] = 0.7
+        p[3, 1] = -0.1
+        with pytest.raises(PredictorContractError, match="^position 3:"):
+            _check_rows(p, [4, 3, 0, 1])
+        _check_rows(p, [0, 2, 4])
+        _check_rows(p, [])
 
     def test_confidence_tie_prefers_lowest_index(self):
         class TwoPeaks:

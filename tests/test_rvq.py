@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from segalign import rvq
 from segalign.motion import LatentSequence
 from segalign.rvq import (
     Codebook,
@@ -199,6 +200,69 @@ class TestKmeans:
         centers = kmeans(data, 3, seed=178)
         np.testing.assert_array_equal(centers, reference_kmeans(data, 3, seed=178))
         np.testing.assert_array_equal(centers, [[1.0, 6.0], [1.0, 3.0], [8.0, 5.25]])
+
+
+def clustered_integer_data(rng, k, per_cluster, d):
+    """Integer points in k well-separated blobs, so k-means settles early and
+    every distance and mean is exact enough for reference_kmeans to agree."""
+    centers = rng.integers(-3, 4, size=(k, d)) * 40
+    offsets = rng.integers(-2, 3, size=(k * per_cluster, d))
+    return (np.repeat(centers, per_cluster, axis=0) + offsets).astype(np.float64)
+
+
+@pytest.fixture
+def sqdist_calls(monkeypatch):
+    calls = []
+    real = rvq.sqdist
+
+    def counting(a, b):
+        calls.append(a.shape[0])
+        return real(a, b)
+
+    monkeypatch.setattr(rvq, "sqdist", counting)
+    return calls
+
+
+class TestKmeansFixedPoint:
+    def test_early_exit_matches_reference(self, sqdist_calls):
+        rng = np.random.default_rng(21)
+        exited = 0
+        for seed in range(20):
+            k = int(rng.integers(2, 9))
+            data = clustered_integer_data(rng, k, int(rng.integers(3, 12)), int(rng.integers(1, 4)))
+            for iters in (1, 2, 25):
+                sqdist_calls.clear()
+                np.testing.assert_array_equal(
+                    kmeans(data, k, seed=seed, iters=iters),
+                    reference_kmeans(data, k, seed=seed, iters=iters),
+                )
+                assert len(sqdist_calls) <= iters
+            exited += len(sqdist_calls) < 25
+        assert exited == 20
+
+    def test_repeated_assignment_with_reseed_does_not_exit(self, sqdist_calls):
+        # k-means++ places a duplicate center; it wins no points, so every
+        # assignment repeats the previous one and every update reseeds.
+        data = np.array([[0.0, 0.0]] * 4 + [[5.0, 5.0]])
+        for seed in range(5):
+            for iters in (1, 2, 25):
+                sqdist_calls.clear()
+                np.testing.assert_array_equal(
+                    kmeans(data, 3, seed=seed, iters=iters),
+                    reference_kmeans(data, 3, seed=seed, iters=iters),
+                )
+                assert len(sqdist_calls) == iters
+
+    def test_fixed_point_saves_distance_calls(self, sqdist_calls):
+        rng = np.random.default_rng(8)
+        blobs = rng.normal(0.0, 20.0, size=(16, 4))
+        data = np.repeat(blobs, 30, axis=0) + rng.normal(0.0, 0.1, size=(480, 4))
+        centers = kmeans(data, 16, seed=2, iters=25)
+        assert len(sqdist_calls) < 25
+        # the fixed point is a true one: one more update changes nothing
+        assign = np.argmin(sqdist(data, centers), axis=1)
+        means = np.stack([data[assign == j].mean(axis=0) for j in range(16)])
+        np.testing.assert_allclose(means, centers, rtol=0, atol=1e-12)
 
 
 class TestTrainCodebooks:

@@ -57,6 +57,17 @@ def reference_dp(C, n, num_segments):
     return cuts, float(best[A][0])
 
 
+def reference_run_cost_tables(costs):
+    """Per-start loop reducing over the short primitive axis; test-only
+    reference for run_cost_tables, which reduces over the transposed prefix."""
+    nw = costs.shape[0]
+    prefix = np.vstack([np.zeros(costs.shape[1]), np.cumsum(costs, axis=0)])
+    C = np.full((nw + 1, nw + 1), np.inf)
+    for s in range(nw):
+        C[s, s + 1 :] = (prefix[s + 1 :] - prefix[s]).min(axis=1)
+    return C
+
+
 def random_cost_table(rng, n, kind, ties):
     """A kernel or run cost table; ``ties`` gives binary tokens or integer
     window costs, so many partitions share the optimal objective."""
@@ -211,6 +222,21 @@ class TestClusterDp:
         back = library_from_json(library_to_json(lib))
         np.testing.assert_array_equal(back.centers, lib.centers)
         assert (back.window_size, back.stride) == (2, 1)
+
+
+class TestRunCostTables:
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(14)
+        shapes = [(1, 1), (1, 5), (7, 1), (2, 32), (30, 64)]
+        shapes += [(int(rng.integers(1, 120)), int(rng.integers(1, 33))) for _ in range(60)]
+        for i, (nw, kp) in enumerate(shapes):
+            if i % 2:
+                costs = rng.integers(0, 3, size=(nw, kp)).astype(np.float64)
+            else:
+                costs = rng.uniform(0.0, 5.0, size=(nw, kp))
+            C = run_cost_tables(costs)
+            assert C.shape == (nw + 1, nw + 1)
+            assert C.tobytes() == reference_run_cost_tables(costs).tobytes(), (nw, kp)
 
 
 class TestDpPartition:
