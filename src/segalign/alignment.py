@@ -364,6 +364,13 @@ def motion_embeddings(sample: ToySample, params: AggregatorParams) -> np.ndarray
     return embed_spans(sample.spans, params)
 
 
+def split_embeddings(samples: list[ToySample], params: AggregatorParams) -> list[np.ndarray]:
+    """Each sample's motion embeddings, from one embed_spans call over all
+    spans of the split."""
+    M = embed_spans([span for s in samples for span in s.spans], params)
+    return np.split(M, np.cumsum([len(s.spans) for s in samples])[:-1])
+
+
 def make_separable_dataset(
     n_samples: int,
     d_token: int = 8,
@@ -402,8 +409,7 @@ def retrieval_top1(samples: list[ToySample], params: AggregatorParams) -> float:
     nearest motion segment (cosine) come from its own pair?"""
     hits = 0
     total = 0
-    for sample in samples:
-        M = motion_embeddings(sample, params)
+    for sample, M in zip(samples, split_embeddings(samples, params)):
         S = cosine_matrix(sample.text, M)
         hits += int((np.argmax(S, axis=1) == np.arange(S.shape[0])).sum())
         total += S.shape[0]

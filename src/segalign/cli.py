@@ -1,7 +1,11 @@
 """Command-line surface wiring the modules into reproducible pipelines.
 
-Subcommands: synth, decompose, quantize, segment, train-align, decode,
-ground, retrieve, eval.  Every stochastic command takes --seed and derives
+Commands: synth, decompose, quantize, segment, train-align, decode, ground,
+retrieve, eval.  ``main`` builds the parser of the one command it is given;
+``segalign <command> --help`` lists its flags.  ``--config FILE`` goes before
+the command: its JSON keys are flag dests (``d_token``, ``lambda``), flags
+override them, keys the command does not use are ignored, and a bad file
+exits 1 with a JSON error.  Every stochastic command takes --seed and derives
 all module seeds from it through named streams, so reruns are bit-identical.
 All outputs are written atomically (temp + rename).
 """
@@ -184,10 +188,8 @@ def cmd_segment(args) -> int:
             b = segmentation.uniform_segment(x.length, a)
         elif args.method == "cpd":
             b = segmentation.kernel_cpd_segment(x, a, bandwidth=args.bandwidth)
-        elif args.method == "cluster":
-            b = segmentation.cluster_dp_segment(x, lib, a)
         else:
-            raise CliError(f"unknown method {args.method!r}")
+            b = segmentation.cluster_dp_segment(x, lib, a)
         boundaries[r.id] = segmentation.boundaries_to_json(b)
         if truth is not None and r.id in truth:
             pairs.append((b, truth[r.id]))
@@ -285,48 +287,31 @@ def _sample_from_json(obj: dict) -> alignment.ToySample:
     )
 
 
-def _load_align_data(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    train = [_sample_from_json(s) for s in obj["train"]]
-    holdout = [_sample_from_json(s) for s in obj["holdout"]]
-    return train, holdout
-
-
 def cmd_train_align(args) -> int:
     cfg = alignment.AlignmentConfig(
         temperature=args.temperature,
         lambda_align=getattr(args, "lambda"),
         batch_size=args.batch,
     )
-    train = alignment.make_separable_dataset(
-        args.samples,
-        d_token=args.d_token,
-        d_embed=args.d_embed,
-        seed=seed_for(args.seed, "align.train_data"),
-        map_seed=seed_for(args.seed, "align.map"),
-    )
-    holdout = alignment.make_separable_dataset(
-        args.holdout,
-        d_token=args.d_token,
-        d_embed=args.d_embed,
-        seed=seed_for(args.seed, "align.holdout_data"),
-        map_seed=seed_for(args.seed, "align.map"),
+    train, holdout = (
+        alignment.make_separable_dataset(
+            n,
+            d_token=args.d_token,
+            d_embed=args.d_embed,
+            seed=seed_for(args.seed, f"align.{split}_data"),
+            map_seed=seed_for(args.seed, "align.map"),
+        )
+        for n, split in ((args.samples, "train"), (args.holdout, "holdout"))
     )
 
     if args.loss == "global":
         # one whole-sequence segment per sample: batch gradients reduce to
         # the global whole-sequence objective
-        def flatten(samples):
-            return [
-                alignment.ToySample(
-                    text=s.text.mean(axis=0, keepdims=True),
-                    spans=[np.vstack(s.spans)],
-                )
-                for s in samples
-            ]
-
-        train_used, variant = flatten(train), "batch"
+        train_used = [
+            alignment.ToySample(text=s.text.mean(axis=0, keepdims=True), spans=[np.vstack(s.spans)])
+            for s in train
+        ]
+        variant = "batch"
     else:
         train_used, variant = train, args.loss
 
@@ -349,15 +334,14 @@ def cmd_train_align(args) -> int:
         return 1
     top1_after = alignment.retrieval_top1(holdout, params)
 
-    _write_json(
-        os.path.join(args.out, "align_data.json"),
-        {
-            "d_token": args.d_token,
-            "d_embed": args.d_embed,
-            "train": [_sample_to_json(s) for s in train],
-            "holdout": [_sample_to_json(s) for s in holdout],
-        },
-    )
+    # no indent: it would force json's pure-Python encoder on megabytes of floats
+    data = {
+        "d_token": args.d_token,
+        "d_embed": args.d_embed,
+        "train": [_sample_to_json(s) for s in train],
+        "holdout": [_sample_to_json(s) for s in holdout],
+    }
+    _write_atomic(os.path.join(args.out, "align_data.json"), json.dumps(data, sort_keys=True) + "\n")
     _write_json(os.path.join(args.out, "model.json"), alignment.params_to_json(params))
     curve_lines = ["step,loss"] + [f"{i},{v:.10g}" for i, v in enumerate(curve)]
     _write_atomic(os.path.join(args.out, "curve.csv"), "\n".join(curve_lines) + "\n")
@@ -405,16 +389,18 @@ def cmd_decode(args) -> int:
 
 # --- ground / retrieve / eval ----------------------------------------------
 
-def _load_model(path) -> alignment.AggregatorParams:
-    if not os.path.exists(path):
-        raise CliError(f"model file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return alignment.params_from_json(json.load(fh))
+def _load_query(args):
+    """The trained model and the held-out split of align_data.json."""
+    if not os.path.exists(args.model):
+        raise CliError(f"model file not found: {args.model}")
+    with open(args.model, "r", encoding="utf-8") as fh:
+        params = alignment.params_from_json(json.load(fh))
+    with open(args.data, "r", encoding="utf-8") as fh:
+        return params, [_sample_from_json(s) for s in json.load(fh)["holdout"]]
 
 
 def cmd_ground(args) -> int:
-    params = _load_model(args.model)
-    _, holdout = _load_align_data(args.data)
+    params, holdout = _load_query(args)
     if not (0 <= args.index < len(holdout)):
         raise CliError(f"--index out of range (holdout has {len(holdout)} samples)")
     sample = holdout[args.index]
@@ -435,35 +421,25 @@ def cmd_ground(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    params = _load_model(args.model)
-    _, holdout = _load_align_data(args.data)
-    lines = ["sample,segment,retrieved,correct"]
-    hits = 0
-    total = 0
-    for i, sample in enumerate(holdout):
-        M = alignment.motion_embeddings(sample, params)
-        for j in range(M.shape[0]):
-            got = metrics.m2t_retrieve(M[j], sample.text)
-            ok = int(got == j)
-            hits += ok
-            total += 1
-            lines.append(f"{i},{j},{got},{ok}")
-    acc = hits / total
+    params, holdout = _load_query(args)
+    rows = [
+        (i, j, metrics.m2t_retrieve(m, sample.text))
+        for i, (sample, M) in enumerate(zip(holdout, alignment.split_embeddings(holdout, params)))
+        for j, m in enumerate(M)
+    ]
+    acc = sum(got == j for _, j, got in rows) / len(rows)
+    lines = ["sample,segment,retrieved,correct"] + [f"{i},{j},{got},{int(got == j)}" for i, j, got in rows]
     lines.append(f"accuracy,,,{acc:.6f}")
     _write_atomic(os.path.join(args.out, "retrieval.csv"), "\n".join(lines) + "\n")
-    _log(args, f"retrieve: top-1 accuracy {acc:.3f} over {total} queries")
+    _log(args, f"retrieve: top-1 accuracy {acc:.3f} over {len(rows)} queries")
     return 0
-
-
-def _load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def cmd_eval(args) -> int:
     report = metrics.EvalReport(metadata={"seed": args.seed})
     if args.features_a:
-        A = _load_matrix_csv(args.features_a)
-        B = _load_matrix_csv(args.features_b) if args.features_b else A
+        A = np.loadtxt(args.features_a, delimiter=",", ndmin=2)
+        B = np.loadtxt(args.features_b, delimiter=",", ndmin=2) if args.features_b else A
         if args.metric in (None, "fid"):
             report.add("fid", metrics.fid(A, B))
         if args.metric in (None, "mm_dist") and A.shape == B.shape:
@@ -471,8 +447,7 @@ def cmd_eval(args) -> int:
         if args.metric in (None, "diversity"):
             report.add("diversity", metrics.diversity(A, seed=seed_for(args.seed, "eval.diversity")))
     else:
-        params = _load_model(args.model)
-        _, holdout = _load_align_data(args.data)
+        params, holdout = _load_query(args)
         T = np.vstack([s.text for s in holdout])
         M = alignment.embed_spans([span for s in holdout for span in s.spans], params)
         report.add("isc", metrics.isc_score(zip(T, M)))
@@ -489,117 +464,133 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# --- parser -----------------------------------------------------------------
+# --- command table ----------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="segalign", description=__doc__)
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    sub = parser.add_subparsers(dest="command", required=True)
+# flags every command takes; a command's own entry for one of them wins
+_COMMON = {
+    "--seed": dict(type=int, default=0),
+    "--out": dict(default="out"),
+    "--quiet": dict(action="store_true"),
+}
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="out")
-        p.add_argument("--quiet", action="store_true")
-
-    p = sub.add_parser("synth", help="generate a synthetic annotated corpus")
-    common(p)
-    p.add_argument("--spec", required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("decompose", help="decompose raw texts into segments")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--fallback", action="store_true")
-    p.add_argument("--endpoint", default="")
-    p.add_argument("--model-name", default="qwen3:8b")
-    p.add_argument("--cache", default=None)
-    p.set_defaults(func=cmd_decompose, out="decomposed.jsonl")
-
-    p = sub.add_parser("quantize", help="train RVQ codebooks and tokenize")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--codes", type=int, default=16)
-    p.add_argument("--iters", type=int, default=25)
-    p.set_defaults(func=cmd_quantize)
-
-    p = sub.add_parser("segment", help="segment a corpus and score against truth")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--method", choices=["uniform", "cpd", "cluster"], required=True)
-    p.add_argument("--bandwidth", default="median")
-    p.add_argument("--library", default=None)
-    p.add_argument("--fit-library", action="store_true")
-    p.add_argument("--window", type=int, default=segmentation.DEFAULT_WINDOW_SIZE)
-    p.add_argument("--stride", type=int, default=segmentation.DEFAULT_WINDOW_STRIDE)
-    p.add_argument("--primitives", type=int, default=segmentation.DEFAULT_LIBRARY_SIZE)
-    p.set_defaults(func=cmd_segment)
-
-    p = sub.add_parser("train-align", help="toy contrastive alignment training")
-    common(p)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--holdout", type=int, default=50)
-    p.add_argument("--d-token", type=int, default=8)
-    p.add_argument("--d-embed", type=int, default=16)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--loss", choices=["sample", "batch", "global"], default="sample")
-    p.add_argument("--lambda", type=float, default=alignment.DEFAULT_LAMBDA_ALIGN)
-    p.add_argument("--temperature", type=float, default=alignment.DEFAULT_TEMPERATURE)
-    p.set_defaults(func=cmd_train_align)
-
-    p = sub.add_parser("decode", help="iterative masked decoding demo")
-    common(p)
-    p.add_argument("--length", type=int, default=16)
-    p.add_argument("--iters", type=int, default=5)
-    p.add_argument("--codes", type=int, default=8)
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("ground", help="motion grounding similarity map")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--stride", type=int, default=1)
-    p.set_defaults(func=cmd_ground)
-
-    p = sub.add_parser("retrieve", help="motion-to-text retrieval report")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_retrieve)
-
-    p = sub.add_parser("eval", help="metric report (ISC, R-Precision, MM-Dist, Diversity, FID)")
-    common(p)
-    p.add_argument("--model", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--features-a", default=None)
-    p.add_argument("--features-b", default=None)
-    p.add_argument("--metric", default=None)
-    p.set_defaults(func=cmd_eval)
-
-    return parser
+# command -> (handler, help line, {flag: add_argument kwargs})
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic annotated corpus", {
+        "--spec": dict(required=True),
+    }),
+    "decompose": (cmd_decompose, "decompose raw texts into segments", {
+        "--out": dict(default="decomposed.jsonl"),
+        "--data": dict(required=True),
+        "--fallback": dict(action="store_true"),
+        "--endpoint": dict(default=""),
+        "--model-name": dict(default="qwen3:8b"),
+        "--cache": dict(default=None),
+    }),
+    "quantize": (cmd_quantize, "train RVQ codebooks and tokenize", {
+        "--data": dict(required=True),
+        "--layers": dict(type=int, default=3),
+        "--codes": dict(type=int, default=16),
+        "--iters": dict(type=int, default=25),
+    }),
+    "segment": (cmd_segment, "segment a corpus and score against truth", {
+        "--data": dict(required=True),
+        "--method": dict(choices=["uniform", "cpd", "cluster"], required=True),
+        "--bandwidth": dict(default="median"),
+        "--library": dict(default=None),
+        "--fit-library": dict(action="store_true"),
+        "--window": dict(type=int, default=segmentation.DEFAULT_WINDOW_SIZE),
+        "--stride": dict(type=int, default=segmentation.DEFAULT_WINDOW_STRIDE),
+        "--primitives": dict(type=int, default=segmentation.DEFAULT_LIBRARY_SIZE),
+    }),
+    "train-align": (cmd_train_align, "toy contrastive alignment training", {
+        "--samples": dict(type=int, default=200),
+        "--holdout": dict(type=int, default=50),
+        "--d-token": dict(type=int, default=8),
+        "--d-embed": dict(type=int, default=16),
+        "--steps": dict(type=int, default=300),
+        "--lr": dict(type=float, default=0.5),
+        "--batch": dict(type=int, default=8),
+        "--loss": dict(choices=["sample", "batch", "global"], default="sample"),
+        "--lambda": dict(type=float, default=alignment.DEFAULT_LAMBDA_ALIGN),
+        "--temperature": dict(type=float, default=alignment.DEFAULT_TEMPERATURE),
+    }),
+    "decode": (cmd_decode, "iterative masked decoding demo", {
+        "--length": dict(type=int, default=16),
+        "--iters": dict(type=int, default=5),
+        "--codes": dict(type=int, default=8),
+    }),
+    "ground": (cmd_ground, "motion grounding similarity map", {
+        "--model": dict(required=True),
+        "--data": dict(required=True),
+        "--index": dict(type=int, default=0),
+        "--window": dict(type=int, default=5),
+        "--stride": dict(type=int, default=1),
+    }),
+    "retrieve": (cmd_retrieve, "motion-to-text retrieval report", {
+        "--model": dict(required=True),
+        "--data": dict(required=True),
+    }),
+    "eval": (cmd_eval, "metric report (ISC, R-Precision, MM-Dist, Diversity, FID)", {
+        "--model": dict(default=None),
+        "--data": dict(default=None),
+        "--features-a": dict(default=None),
+        "--features-b": dict(default=None),
+        "--metric": dict(default=None),
+    }),
+}
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, overrides: dict) -> None:
-    """Config values become defaults everywhere, so explicit flags still win."""
-    parser.set_defaults(**overrides)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub_parser in action.choices.values():
-                sub_parser.set_defaults(**overrides)
+def command_parser(name: str):
+    """The parser of one command, and its flag actions keyed by dest."""
+    func, help_line, flags = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"segalign {name}", description=help_line)
+    parser.set_defaults(func=func)
+    actions = [parser.add_argument(flag, **kwargs) for flag, kwargs in {**_COMMON, **flags}.items()]
+    return parser, {a.dest: a for a in actions}
+
+
+def _config_defaults(path, flags: dict) -> dict:
+    """The config values for the running command's flags; other keys are
+    ignored.  argparse converts only string defaults, so a value for an int
+    or float flag must already be a number of that type."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except ValueError as exc:
+        raise CliError(f"config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CliError(f"config {path}: expected a JSON object, got {type(config).__name__}")
+    config = {key: value for key, value in config.items() if key in flags}
+    for key, value in config.items():
+        kind = flags[key].type
+        if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, kind))):
+            raise CliError(f"config {path}: {key!r} must be {kind.__name__}, got {value!r}")
+    return config
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv with the parser of the one command it names; --config
+    values become that parser's defaults, so explicit flags still win."""
+    commands = "\n".join(f"  {name:<12} {line}" for name, (_, line, _) in COMMANDS.items())
+    top = argparse.ArgumentParser(
+        prog="segalign",
+        description=__doc__,
+        epilog=f"commands:\n{commands}\n\nRun 'segalign <command> --help' for its flags.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    top.add_argument("--config", help="JSON file of flag defaults keyed by dest; goes before the command")
+    top.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands below")
+    top.add_argument("args", nargs=argparse.REMAINDER, help="the command's flags")
+    head = top.parse_args(argv)
+    parser, flags = command_parser(head.command)
+    if head.config:
+        parser.set_defaults(**_config_defaults(head.config, flags))
+    return parser.parse_args(head.args, argparse.Namespace(config=head.config, command=head.command))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, _ = parser.parse_known_args(argv)
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            _apply_config_defaults(parser, json.load(fh))
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

@@ -298,3 +298,33 @@ class TestToyTraining:
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             al.toy_train([], al.AlignmentConfig())
+
+
+class TestSplitRetrieval:
+    def test_one_embedding_pass_equals_per_sample_loop(self):
+        """split_embeddings and retrieval_top1 embed the split in one call;
+        the top-1 score must equal embedding the samples one at a time.
+
+        A one-segment sample embedded alone is a one-row product, which
+        numpy hands to a matrix-vector routine that may round the last bit
+        differently, so the rows are compared to a few ulp; its 1x1
+        retrieval is a hit either way."""
+        rng = np.random.default_rng(8)
+        for trial in range(25):
+            d_token, d_embed = (int(v) for v in rng.integers(2, 10, size=2))
+            params = al.AggregatorParams.init(d_token, d_embed, seed=trial)
+            samples = [
+                al.ToySample(
+                    text=rng.normal(size=(a, d_embed)),
+                    spans=[rng.normal(size=(int(rng.integers(1, 7)), d_token)) for _ in range(a)],
+                )
+                for a in rng.integers(1, 5, size=int(rng.integers(1, 12)))
+            ]
+            hits = total = 0
+            for sample, M in zip(samples, al.split_embeddings(samples, params)):
+                expected = al.motion_embeddings(sample, params)
+                np.testing.assert_allclose(M, expected, rtol=1e-13, atol=1e-15)
+                S = al.cosine_matrix(sample.text, expected)
+                hits += int((np.argmax(S, axis=1) == np.arange(S.shape[0])).sum())
+                total += S.shape[0]
+            assert al.retrieval_top1(samples, params) == hits / total

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -6,7 +7,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from segalign import textseg
+from segalign import cli, textseg
 from segalign.cli import main
 from segalign.motion import DatasetRecord, load_motion, read_dataset, write_dataset
 from segalign.seeds import rng_for, seed_for
@@ -458,3 +459,210 @@ class TestConfigFile:
         assert len(trace) == 4  # flag overrides config
         tokens = json.loads((out / "decoded_tokens.json").read_text())["tokens"]
         assert len(tokens) == 8  # config supplies the length
+
+
+# The parser surface of every command as the ten-parser build_parser() gave
+# it: vars(args) for a minimal valid argv (func by name), then each flag's
+# (option_strings, dest, default, type name, choices, required).
+PARSER_SURFACE = {
+    "synth": (["--spec", "s.json"],
+              {"config": None, "command": "synth", "seed": 0, "out": "out", "quiet": False,
+               "spec": "s.json", "func": "cmd_synth"},
+              [(("--seed",), "seed", 0, "int", None, False),
+               (("--out",), "out", "out", None, None, False),
+               (("--quiet",), "quiet", False, None, None, False),
+               (("--spec",), "spec", None, None, None, True)]),
+    "decompose": (["--data", "d.jsonl"],
+                  {"config": None, "command": "decompose", "seed": 0, "out": "decomposed.jsonl",
+                   "quiet": False, "data": "d.jsonl", "fallback": False, "endpoint": "",
+                   "model_name": "qwen3:8b", "cache": None, "func": "cmd_decompose"},
+                  [(("--seed",), "seed", 0, "int", None, False),
+                   (("--out",), "out", "decomposed.jsonl", None, None, False),
+                   (("--quiet",), "quiet", False, None, None, False),
+                   (("--data",), "data", None, None, None, True),
+                   (("--fallback",), "fallback", False, None, None, False),
+                   (("--endpoint",), "endpoint", "", None, None, False),
+                   (("--model-name",), "model_name", "qwen3:8b", None, None, False),
+                   (("--cache",), "cache", None, None, None, False)]),
+    "quantize": (["--data", "d"],
+                 {"config": None, "command": "quantize", "seed": 0, "out": "out", "quiet": False,
+                  "data": "d", "layers": 3, "codes": 16, "iters": 25, "func": "cmd_quantize"},
+                 [(("--seed",), "seed", 0, "int", None, False),
+                  (("--out",), "out", "out", None, None, False),
+                  (("--quiet",), "quiet", False, None, None, False),
+                  (("--data",), "data", None, None, None, True),
+                  (("--layers",), "layers", 3, "int", None, False),
+                  (("--codes",), "codes", 16, "int", None, False),
+                  (("--iters",), "iters", 25, "int", None, False)]),
+    "segment": (["--data", "d", "--method", "cpd"],
+                {"config": None, "command": "segment", "seed": 0, "out": "out", "quiet": False,
+                 "data": "d", "method": "cpd", "bandwidth": "median", "library": None,
+                 "fit_library": False, "window": 4, "stride": 1, "primitives": 64,
+                 "func": "cmd_segment"},
+                [(("--seed",), "seed", 0, "int", None, False),
+                 (("--out",), "out", "out", None, None, False),
+                 (("--quiet",), "quiet", False, None, None, False),
+                 (("--data",), "data", None, None, None, True),
+                 (("--method",), "method", None, None, ("uniform", "cpd", "cluster"), True),
+                 (("--bandwidth",), "bandwidth", "median", None, None, False),
+                 (("--library",), "library", None, None, None, False),
+                 (("--fit-library",), "fit_library", False, None, None, False),
+                 (("--window",), "window", 4, "int", None, False),
+                 (("--stride",), "stride", 1, "int", None, False),
+                 (("--primitives",), "primitives", 64, "int", None, False)]),
+    "train-align": ([],
+                    {"config": None, "command": "train-align", "seed": 0, "out": "out",
+                     "quiet": False, "samples": 200, "holdout": 50, "d_token": 8, "d_embed": 16,
+                     "steps": 300, "lr": 0.5, "batch": 8, "loss": "sample", "lambda": 1.0,
+                     "temperature": 0.1, "func": "cmd_train_align"},
+                    [(("--seed",), "seed", 0, "int", None, False),
+                     (("--out",), "out", "out", None, None, False),
+                     (("--quiet",), "quiet", False, None, None, False),
+                     (("--samples",), "samples", 200, "int", None, False),
+                     (("--holdout",), "holdout", 50, "int", None, False),
+                     (("--d-token",), "d_token", 8, "int", None, False),
+                     (("--d-embed",), "d_embed", 16, "int", None, False),
+                     (("--steps",), "steps", 300, "int", None, False),
+                     (("--lr",), "lr", 0.5, "float", None, False),
+                     (("--batch",), "batch", 8, "int", None, False),
+                     (("--loss",), "loss", "sample", None, ("sample", "batch", "global"), False),
+                     (("--lambda",), "lambda", 1.0, "float", None, False),
+                     (("--temperature",), "temperature", 0.1, "float", None, False)]),
+    "decode": ([],
+               {"config": None, "command": "decode", "seed": 0, "out": "out", "quiet": False,
+                "length": 16, "iters": 5, "codes": 8, "func": "cmd_decode"},
+               [(("--seed",), "seed", 0, "int", None, False),
+                (("--out",), "out", "out", None, None, False),
+                (("--quiet",), "quiet", False, None, None, False),
+                (("--length",), "length", 16, "int", None, False),
+                (("--iters",), "iters", 5, "int", None, False),
+                (("--codes",), "codes", 8, "int", None, False)]),
+    "ground": (["--model", "m.json", "--data", "a.json"],
+               {"config": None, "command": "ground", "seed": 0, "out": "out", "quiet": False,
+                "model": "m.json", "data": "a.json", "index": 0, "window": 5, "stride": 1,
+                "func": "cmd_ground"},
+               [(("--seed",), "seed", 0, "int", None, False),
+                (("--out",), "out", "out", None, None, False),
+                (("--quiet",), "quiet", False, None, None, False),
+                (("--model",), "model", None, None, None, True),
+                (("--data",), "data", None, None, None, True),
+                (("--index",), "index", 0, "int", None, False),
+                (("--window",), "window", 5, "int", None, False),
+                (("--stride",), "stride", 1, "int", None, False)]),
+    "retrieve": (["--model", "m.json", "--data", "a.json"],
+                 {"config": None, "command": "retrieve", "seed": 0, "out": "out", "quiet": False,
+                  "model": "m.json", "data": "a.json", "func": "cmd_retrieve"},
+                 [(("--seed",), "seed", 0, "int", None, False),
+                  (("--out",), "out", "out", None, None, False),
+                  (("--quiet",), "quiet", False, None, None, False),
+                  (("--model",), "model", None, None, None, True),
+                  (("--data",), "data", None, None, None, True)]),
+    "eval": ([],
+             {"config": None, "command": "eval", "seed": 0, "out": "out", "quiet": False,
+              "model": None, "data": None, "features_a": None, "features_b": None, "metric": None,
+              "func": "cmd_eval"},
+             [(("--seed",), "seed", 0, "int", None, False),
+              (("--out",), "out", "out", None, None, False),
+              (("--quiet",), "quiet", False, None, None, False),
+              (("--model",), "model", None, None, None, False),
+              (("--data",), "data", None, None, None, False),
+              (("--features-a",), "features_a", None, None, None, False),
+              (("--features-b",), "features_b", None, None, None, False),
+              (("--metric",), "metric", None, None, None, False)]),
+}
+
+
+class TestParserSurface:
+    def test_every_command_is_in_the_table(self):
+        assert list(cli.COMMANDS) == list(PARSER_SURFACE)
+
+    @pytest.mark.parametrize("name", list(PARSER_SURFACE))
+    def test_args_and_flags_match_the_recorded_surface(self, name):
+        argv, expected_args, expected_flags = PARSER_SURFACE[name]
+        args = vars(cli.parse_args([name, *argv]))
+        args["func"] = args["func"].__name__
+        assert args == expected_args
+        _, flags = cli.command_parser(name)
+        got = [
+            (tuple(a.option_strings), a.dest, a.default, a.type and a.type.__name__,
+             a.choices and tuple(a.choices), a.required)
+            for a in flags.values()
+        ]
+        assert got == expected_flags
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, (_, help_line, _) in cli.COMMANDS.items():
+            assert f"{name} " in out and help_line in out
+
+    def test_command_help_lists_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "--help"])
+        assert exc.value.code == 0
+        assert "--length" in capsys.readouterr().out
+
+    def test_config_after_the_command_is_refused(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", "--config", str(cfg), "--out", str(tmp_path / "d"), "--quiet"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "d").exists()
+
+    def test_one_command_builds_only_its_own_parser(self, tmp_path, monkeypatch):
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+        assert main(["decode", "--out", str(tmp_path / "d"), "--quiet"]) == 0
+        assert len(calls) < 20
+
+
+class TestBadConfig:
+    """A config file that cannot serve the command exits 1 with one JSON
+    line naming the file or the key, before anything is written."""
+
+    def _run(self, tmp_path, capsys, cfg):
+        out = tmp_path / "d"
+        assert main(["--config", str(cfg), "decode", "--out", str(out), "--quiet"]) == 1
+        assert not out.exists()
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert "nope.json" in self._run(tmp_path, capsys, tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("text", ["{oops", "[1, 2]"])
+    def test_not_a_json_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert str(cfg) in self._run(tmp_path, capsys, cfg)
+
+    @pytest.mark.parametrize("value", [4.5, True, "8", None])
+    def test_int_flag_given_a_non_integer(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"length": value}))
+        assert "'length'" in self._run(tmp_path, capsys, cfg)
+
+    def test_float_flag_given_a_non_number(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": "fast"}))
+        out = tmp_path / "a"
+        assert main(["--config", str(cfg), "train-align", "--out", str(out), "--quiet"]) == 1
+        assert not out.exists()
+        assert "'lr'" in json.loads(capsys.readouterr().err.strip())["error"]
+
+    def test_keys_of_other_commands_are_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"length": 6, "lr": "fast", "spec": 3, "d_token": 4.5}))
+        out = tmp_path / "d"
+        assert main(["--config", str(cfg), "decode", "--out", str(out), "--quiet"]) == 0
+        assert len(json.loads((out / "decoded_tokens.json").read_text())["tokens"]) == 6
