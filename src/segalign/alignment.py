@@ -190,9 +190,9 @@ class AggregatorGrads:
     b2: np.ndarray
 
 
-def _agg_forward(spans, p: AggregatorParams):
-    """(N, d_embed) outputs of MLP(concat(mean, max)) for N spans, pooled
-    with ``reduceat`` over their concatenation, and the backward cache."""
+def _pool(spans) -> np.ndarray:
+    """(N, 2*d_token) concat(mean, max) of N spans, pooled with ``reduceat``
+    over their concatenation.  It has no parameters, so training pools once."""
     lengths = np.array(list(map(len, spans)))
     if lengths.min() < 1:
         # reduceat would silently return the start row for an empty span
@@ -201,7 +201,11 @@ def _agg_forward(spans, p: AggregatorParams):
     if X.ndim != 2:
         raise ValueError("spans must be (m, d) matrices")
     starts = np.cumsum(lengths) - lengths
-    feat = np.hstack([np.add.reduceat(X, starts) / lengths[:, None], np.maximum.reduceat(X, starts)])
+    return np.hstack([np.add.reduceat(X, starts) / lengths[:, None], np.maximum.reduceat(X, starts)])
+
+
+def _mlp_forward(feat: np.ndarray, p: AggregatorParams):
+    """(N, d_embed) MLP outputs for N pooled rows, and the backward cache."""
     h_pre = feat @ p.w1.T + p.b1
     h = np.maximum(h_pre, 0.0)
     return h @ p.w2.T + p.b2, (feat, h_pre, h)
@@ -209,7 +213,7 @@ def _agg_forward(spans, p: AggregatorParams):
 
 def embed_spans(spans, params: AggregatorParams) -> np.ndarray:
     """Segment embeddings (N, d_embed) of N token spans of any lengths >= 1."""
-    return _agg_forward(spans, params)[0]
+    return _mlp_forward(_pool(spans), params)[0]
 
 
 def aggregate_mean_max(span: np.ndarray, p: AggregatorParams) -> np.ndarray:
@@ -257,10 +261,15 @@ def _info_nce(T: np.ndarray, M: np.ndarray, tau: float, denom: int, groups=None)
     return float(loss), g_m
 
 
+def _sample_groups(sizes) -> np.ndarray:
+    """The sample index of each stacked row, given each sample's row count."""
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
 def _grad_stacked(e: SegmentEmbeddings, cfg: AlignmentConfig, per_sample: bool):
     """One kernel call on the stacked pairs; the gradient is split per sample."""
     sizes = list(map(len, e.text))
-    groups = np.repeat(np.arange(len(sizes)), sizes) if per_sample else None
+    groups = _sample_groups(sizes) if per_sample else None
     loss, g = _info_nce(np.vstack(e.text), np.vstack(e.motion), cfg.temperature, 2 * sum(sizes), groups)
     return loss, np.split(g, np.cumsum(sizes)[:-1])
 
@@ -321,6 +330,34 @@ def total_loss(mask_loss: float, align_loss: float, cfg: AlignmentConfig) -> flo
 
 # --- gradients through the aggregator ---------------------------------------
 
+def _per_sample(variant: str) -> bool:
+    """Whether a gradient variant keeps the negatives within each sample."""
+    if variant not in ("sample", "batch"):
+        raise ValueError(f"unknown gradient variant {variant!r}")
+    return variant == "sample"
+
+
+def _stack_text(text, sizes, d_embed: int) -> np.ndarray:
+    """All samples' text rows stacked, once sample i is checked to be a
+    (sizes[i], d_embed) matrix with at least one row."""
+    if len(text) != len(sizes):
+        raise ValueError("text and motion sample counts differ")
+    text = [np.asarray(t, dtype=np.float64) for t in text]
+    for i, (t, a) in enumerate(zip(text, sizes)):
+        if a < 1 or t.shape != (a, d_embed):
+            raise ValueError(f"sample {i}: text shape {t.shape} != motion shape {(a, d_embed)}")
+    return np.vstack(text)
+
+
+def _pooled_step(T: np.ndarray, feat: np.ndarray, groups, params: AggregatorParams, cfg: AlignmentConfig):
+    """(loss, AggregatorGrads, dL/dM) of InfoNCE between the text rows ``T``
+    and the aggregator outputs M of the pooled spans ``feat``, paired row by
+    row; ``groups`` as in :func:`_info_nce`."""
+    out, cache = _mlp_forward(feat, params)
+    loss, g = _info_nce(T, out, cfg.temperature, 2 * T.shape[0], groups)
+    return loss, _agg_backward(cache, params, g), g
+
+
 def grad_alignment(
     text: list[np.ndarray],
     spans: list[list[np.ndarray]],
@@ -337,13 +374,13 @@ def grad_alignment(
     global whole-sequence loss).  Returns (loss, AggregatorGrads, per-sample
     motion-embedding gradients).
     """
-    grad_fn = {"sample": grad_loss_per_sample, "batch": grad_loss_batch}.get(variant)
-    if grad_fn is None:
-        raise ValueError(f"unknown gradient variant {variant!r}")
-    out, cache = _agg_forward(list(chain.from_iterable(spans)), params)
-    motion = np.split(out, np.cumsum(list(map(len, spans)))[:-1])
-    loss, motion_grads = grad_fn(SegmentEmbeddings(text=text, motion=motion), cfg)
-    return loss, _agg_backward(cache, params, np.vstack(motion_grads)), motion_grads
+    per_sample = _per_sample(variant)
+    sizes = list(map(len, spans))
+    feat = _pool(list(chain.from_iterable(spans)))
+    T = _stack_text(text, sizes, params.w2.shape[0])
+    groups = _sample_groups(sizes) if per_sample else None
+    loss, pgrads, g = _pooled_step(T, feat, groups, params, cfg)
+    return loss, pgrads, np.split(g, np.cumsum(sizes)[:-1])
 
 
 # --- toy training loop ------------------------------------------------------
@@ -426,7 +463,8 @@ def toy_train(
     variant: str = "sample",
 ) -> tuple[AggregatorParams, list[float]]:
     """Seeded minibatch SGD on the weighted alignment loss through the
-    aggregator.
+    aggregator; ``variant`` is as in :func:`grad_alignment`, whose step
+    this runs on rows gathered from spans pooled once.
 
     The objective is ``lambda_align * loss``, so a zero weight leaves the
     parameters untouched.  Returns the trained parameters and the per-step
@@ -434,12 +472,19 @@ def toy_train(
     """
     if not dataset:
         raise ValueError("empty dataset")
+    per_sample = _per_sample(variant)
     d_token = dataset[0].spans[0].shape[1]
     d_embed = dataset[0].text.shape[1]
     if params is None:
         params = AggregatorParams.init(d_token, d_embed, seed=seed)
     else:
         params = params.copy()
+    # pooling has no parameters: pool every span once, and let each step
+    # gather its batch's rows in the order concatenating the batch gives
+    counts = np.array([len(s.spans) for s in dataset])
+    offsets = np.cumsum(counts) - counts
+    feat = _pool([span for s in dataset for span in s.spans])
+    T = _stack_text([s.text for s in dataset], counts, params.w2.shape[0])
     rng = np.random.default_rng(seed)
     curve = []
     order = np.arange(len(dataset))
@@ -448,11 +493,12 @@ def toy_train(
         if pos + cfg.batch_size > len(order):
             rng.shuffle(order)
             pos = 0
-        batch = [dataset[i] for i in order[pos : pos + cfg.batch_size]]
+        batch = order[pos : pos + cfg.batch_size]
         pos += cfg.batch_size
-        loss, pgrads, _ = grad_alignment(
-            [s.text for s in batch], [s.spans for s in batch], params, cfg, variant=variant
-        )
+        sizes = counts[batch]
+        rows = np.repeat(offsets[batch] - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        groups = _sample_groups(sizes) if per_sample else None
+        loss, pgrads, _ = _pooled_step(T[rows], feat[rows], groups, params, cfg)
         lam = cfg.lambda_align
         loss *= lam
         if not np.isfinite(loss):

@@ -119,7 +119,7 @@ def cmd_synth(args) -> int:
         )
         truth[sample_id] = segmentation.boundaries_to_json(token_bounds)
 
-    motion.write_dataset(records, os.path.join(out, "dataset.jsonl"))
+    _write_atomic(os.path.join(out, "dataset.jsonl"), motion.dataset_to_jsonl(records))
     _write_json(os.path.join(out, "truth.json"), truth)
     manifest = {
         "seed": args.seed,
@@ -261,7 +261,7 @@ def cmd_decompose(args) -> int:
             statuses[r.id] = f"failed: {exc}"
             _write_json(report_path, statuses)
             raise CliError(str(exc)) from exc
-    motion.write_dataset(records, args.out)
+    _write_atomic(args.out, motion.dataset_to_jsonl(records))
     _write_json(report_path, statuses)
     rejected = sum(1 for s in statuses.values() if s != "ok")
     _log(args, f"decompose: {len(records) - rejected} ok, {rejected} rejected")
@@ -334,11 +334,12 @@ def cmd_train_align(args) -> int:
         return 1
     top1_after = alignment.retrieval_top1(holdout, params)
 
-    # no indent: it would force json's pure-Python encoder on megabytes of floats
+    # the query commands read only the holdout split; the train split is a
+    # function of the flags.  No indent: it would force json's pure-Python
+    # encoder on a megabyte of floats
     data = {
         "d_token": args.d_token,
         "d_embed": args.d_embed,
-        "train": [_sample_to_json(s) for s in train],
         "holdout": [_sample_to_json(s) for s in holdout],
     }
     _write_atomic(os.path.join(args.out, "align_data.json"), json.dumps(data, sort_keys=True) + "\n")
@@ -447,6 +448,8 @@ def cmd_eval(args) -> int:
         if args.metric in (None, "diversity"):
             report.add("diversity", metrics.diversity(A, seed=seed_for(args.seed, "eval.diversity")))
     else:
+        if not (args.model and args.data):
+            raise CliError("eval needs --features-a, or both --model and --data")
         params, holdout = _load_query(args)
         T = np.vstack([s.text for s in holdout])
         M = alignment.embed_spans([span for s in holdout for span in s.spans], params)

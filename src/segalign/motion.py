@@ -225,19 +225,26 @@ def reconstruct_motion(v: LatentSequence, ratio: int = DEFAULT_DOWNSAMPLE_RATIO)
 
 # --- dataset JSON-lines I/O -------------------------------------------------
 
-def write_dataset(records: list[DatasetRecord], path) -> None:
+def dataset_to_jsonl(records: list[DatasetRecord]) -> str:
     """One JSON object per line: id, text, segments, motion[, embeddings]."""
+    lines = []
+    for r in records:
+        obj = {
+            "id": r.id,
+            "text": r.raw_text,
+            "segments": list(r.text_segments),
+            "motion": r.motion_path,
+        }
+        if r.precomputed_embeddings is not None:
+            obj["embeddings"] = r.precomputed_embeddings
+        lines.append(json.dumps(obj, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def write_dataset(records: list[DatasetRecord], path) -> None:
+    """Write :func:`dataset_to_jsonl` of the records to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            obj = {
-                "id": r.id,
-                "text": r.raw_text,
-                "segments": list(r.text_segments),
-                "motion": r.motion_path,
-            }
-            if r.precomputed_embeddings is not None:
-                obj["embeddings"] = r.precomputed_embeddings
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        fh.write(dataset_to_jsonl(records))
 
 
 def _list_of(value, kind) -> bool:

@@ -300,6 +300,78 @@ class TestToyTraining:
             al.toy_train([], al.AlignmentConfig())
 
 
+def reference_toy_train(dataset, cfg, steps, lr, seed, params, variant):
+    """toy_train as a per-step grad_alignment loop, which pools each batch's
+    spans again on every step."""
+    params = params.copy()
+    rng = np.random.default_rng(seed)
+    curve = []
+    order = np.arange(len(dataset))
+    pos = len(dataset)
+    for _ in range(steps):
+        if pos + cfg.batch_size > len(order):
+            rng.shuffle(order)
+            pos = 0
+        batch = [dataset[i] for i in order[pos : pos + cfg.batch_size]]
+        pos += cfg.batch_size
+        loss, pgrads, _ = al.grad_alignment(
+            [s.text for s in batch], [s.spans for s in batch], params, cfg, variant=variant
+        )
+        lam = cfg.lambda_align
+        for name in ("w1", "b1", "w2", "b2"):
+            setattr(params, name, getattr(params, name) - lr * lam * getattr(pgrads, name))
+        curve.append(float(loss * lam))
+    return params, curve
+
+
+def _global_data(data):
+    """One whole-sequence segment per sample, as train-align --loss global builds."""
+    return [al.ToySample(text=s.text.mean(axis=0, keepdims=True), spans=[np.vstack(s.spans)]) for s in data]
+
+
+class TestPooledTraining:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("variant", ["sample", "batch", "global"])
+    def test_matches_per_step_reference_bit_for_bit(self, seed, variant):
+        rng = np.random.default_rng(seed)
+        data = al.make_separable_dataset(
+            int(rng.integers(7, 20)), d_token=5, d_embed=6, seg_choices=(1, 2, 3),
+            tokens_per_segment=int(rng.integers(1, 5)), seed=seed, map_seed=seed,
+        )
+        if variant == "global":
+            data, variant = _global_data(data), "batch"
+        # lambda 0 on every third seed; batch sizes 3..6 rarely divide the dataset
+        cfg = al.AlignmentConfig(lambda_align=(0.0, 1.0, 0.7)[seed % 3], batch_size=int(rng.integers(3, 7)))
+        init = al.AggregatorParams.init(5, 6, seed=seed)
+        params, curve = al.toy_train(data, cfg, steps=17, lr=0.4, seed=seed, params=init, variant=variant)
+        ref_params, ref_curve = reference_toy_train(data, cfg, 17, 0.4, seed, init, variant)
+        assert curve == ref_curve
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(getattr(params, name), getattr(ref_params, name))
+
+    def _count_steps(self, monkeypatch):
+        calls = []
+        step = al._pooled_step
+        monkeypatch.setattr(al, "_pooled_step", lambda *a: calls.append(1) or step(*a))
+        return calls
+
+    def test_empty_span_raises_before_any_step(self, monkeypatch):
+        data = al.make_separable_dataset(9, d_token=4, d_embed=5, seed=1, map_seed=1)
+        data[-1].spans[0] = np.zeros((0, 4))
+        calls = self._count_steps(monkeypatch)
+        with pytest.raises(ValueError, match="empty"):
+            al.toy_train(data, al.AlignmentConfig(batch_size=2), steps=3, seed=0)
+        assert calls == []
+
+    def test_params_of_another_embedding_size_raise_before_any_step(self, monkeypatch):
+        data = al.make_separable_dataset(9, d_token=4, d_embed=5, seed=1, map_seed=1)
+        calls = self._count_steps(monkeypatch)
+        with pytest.raises(ValueError, match="text shape"):
+            al.toy_train(data, al.AlignmentConfig(batch_size=2), steps=3, seed=0,
+                         params=al.AggregatorParams.init(4, 7, seed=0))
+        assert calls == []
+
+
 class TestSplitRetrieval:
     def test_one_embedding_pass_equals_per_sample_loop(self):
         """split_embeddings and retrieval_top1 embed the split in one call;

@@ -7,7 +7,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from segalign import cli, textseg
+from segalign import alignment, cli, textseg
 from segalign.cli import main
 from segalign.motion import DatasetRecord, load_motion, read_dataset, write_dataset
 from segalign.seeds import rng_for, seed_for
@@ -176,6 +176,18 @@ class TestDecomposeCommand:
         assert out1.read_bytes() == out2.read_bytes()
         segs = read_dataset(out1)[0].text_segments
         assert segs == ["a person walks", "a person runs"]
+
+    def test_missing_out_directory_is_created(self, tmp_path):
+        data = tmp_path / "in.jsonl"
+        write_dataset([
+            DatasetRecord(id="a", raw_text="a person walks, then runs.",
+                          text_segments=["placeholder"], motion_path="a.sgmo"),
+        ], data)
+        out = tmp_path / "nodir" / "x.jsonl"
+        assert main(["decompose", "--data", str(data), "--fallback", "--out", str(out), "--quiet"]) == 0
+        assert read_dataset(out)[0].text_segments == ["a person walks", "a person runs"]
+        assert json.loads((tmp_path / "nodir" / "x_report.json").read_text()) == {"a": "ok"}
+        assert sorted(os.listdir(tmp_path / "nodir")) == ["x.jsonl", "x_report.json"]
 
     def test_rejected_record_flagged_and_nonzero_exit(self, tmp_path, capsys):
         data = tmp_path / "in.jsonl"
@@ -389,6 +401,41 @@ class TestTrainAlignCommand:
         assert report["holdout_top1_after"] == report["holdout_top1_before"]
 
 
+class TestQueryFile:
+    def test_holds_the_holdout_split_only(self, trained):
+        data = json.loads((trained / "align_data.json").read_text())
+        assert set(data) == {"d_embed", "d_token", "holdout"}
+        assert (data["d_token"], data["d_embed"]) == (8, 16)
+        holdout = alignment.make_separable_dataset(
+            30, d_token=8, d_embed=16, seed=seed_for(0, "align.holdout_data"), map_seed=seed_for(0, "align.map"))
+        assert len(data["holdout"]) == len(holdout)
+        for obj, sample in zip(data["holdout"], holdout):
+            np.testing.assert_array_equal(np.array(obj["text"]), sample.text)
+            assert len(obj["spans"]) == len(sample.spans)
+            for span, ref in zip(obj["spans"], sample.spans):
+                np.testing.assert_array_equal(np.array(span), ref)
+
+    def test_queries_match_a_file_with_the_train_split(self, trained, tmp_path):
+        """The query commands read the holdout only, so a file that still
+        holds the regenerated train split gives byte-identical outputs."""
+        data = json.loads((trained / "align_data.json").read_text())
+        train = alignment.make_separable_dataset(
+            80, d_token=8, d_embed=16, seed=seed_for(0, "align.train_data"), map_seed=seed_for(0, "align.map"))
+        with_train = tmp_path / "with_train.json"
+        with_train.write_text(json.dumps({**data, "train": [cli._sample_to_json(s) for s in train]},
+                                         sort_keys=True) + "\n")
+        model = str(trained / "model.json")
+        for name, path in (("holdout", trained / "align_data.json"), ("both", with_train)):
+            out = tmp_path / name
+            for cmd in ("ground", "retrieve", "eval"):
+                assert main([cmd, "--model", model, "--data", str(path), "--out", str(out / cmd), "--quiet"]) == 0
+        for cmd, names in (("ground", ("grounding.json", "similarity_map.csv")), ("retrieve", ("retrieval.csv",)),
+                           ("eval", ("eval.csv", "eval.json"))):
+            for name in names:
+                assert (tmp_path / "holdout" / cmd / name).read_bytes() == \
+                    (tmp_path / "both" / cmd / name).read_bytes(), name
+
+
 class TestDownstreamCommands:
     def test_ground(self, trained, tmp_path):
         out = tmp_path / "g"
@@ -426,6 +473,14 @@ class TestDownstreamCommands:
                      "--out", str(out), "--quiet"]) == 0
         metrics = json.loads((out / "eval.json").read_text())["metrics"]
         assert metrics["fid"] < 1e-6
+
+    @pytest.mark.parametrize("flags", [[], ["--features-b", "b.csv"], ["--model", "m.json"]])
+    def test_eval_without_features_needs_model_and_data(self, tmp_path, capsys, flags):
+        assert main(["eval", *flags, "--out", str(tmp_path / "e"), "--quiet"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "eval needs --features-a, or both --model and --data"}
+        assert not (tmp_path / "e").exists()
 
     def test_missing_model_errors(self, trained, tmp_path, capsys):
         assert main(["ground", "--model", str(tmp_path / "nope.json"),
