@@ -114,11 +114,12 @@ def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    """Row-normalize; rows with norm under the floor become zero rows."""
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    out = np.where(norms < NORM_FLOOR, 0.0, X / np.maximum(norms, NORM_FLOOR))
-    return out
+def _unit_rows(X: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """Row-normalize; rows with norm under the floor become zero rows.
+    ``norms``, when given, are X's (n, 1) row norms."""
+    if norms is None:
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+    return np.where(norms < NORM_FLOOR, 0.0, X / np.maximum(norms, NORM_FLOOR))
 
 
 def cosine_matrix(T: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -230,9 +231,11 @@ def _agg_backward(cache, p: AggregatorParams, G: np.ndarray) -> AggregatorGrads:
 
 # --- contrastive losses -----------------------------------------------------
 
-def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
+def _softmax(z: np.ndarray, axis: int, where=True) -> np.ndarray:
+    """Softmax over the entries ``where`` selects; the others come out 0, as
+    they would from a -inf logit, without computing their exp."""
+    z = z - z.max(axis=axis, keepdims=True, where=where, initial=-np.inf)
+    e = np.exp(z, out=np.zeros_like(z), where=where)
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -240,22 +243,25 @@ def _info_nce(T: np.ndarray, M: np.ndarray, tau: float, denom: int, groups=None)
     """(loss, dL/dM): symmetric InfoNCE over paired rows, summed and divided
     by ``denom``; the negatives are the other rows of the block, or of the
     same group given ``groups``.  Floored motion rows get a zero gradient."""
+    norms = np.linalg.norm(M, axis=1, keepdims=True)
     Ut = _unit_rows(T)
-    Um = _unit_rows(M)
+    Um = _unit_rows(M, norms)
     S = (Ut @ Um.T) / tau
-    if groups is not None:
-        S[groups[:, None] != groups[None, :]] = -np.inf
-    p_row = _softmax(S, axis=1)     # t2m: softmax over motion rows
-    p_col = _softmax(S, axis=0)     # m2t: softmax over text rows
+    same = True if groups is None else groups[:, None] == groups[None, :]
+    p_row = _softmax(S, 1, same)     # t2m: softmax over motion rows
+    p_col = _softmax(S, 0, same)     # m2t: softmax over text rows
     diag = np.arange(T.shape[0])
-    loss = (-np.log(p_row[diag, diag]).sum() - np.log(p_col[diag, diag]).sum()) / denom
+    d_row = p_row[diag, diag]
+    d_col = p_col[diag, diag]
+    loss = (-np.log(d_row).sum() - np.log(d_col).sum()) / denom
 
-    eye = np.eye(T.shape[0])
-    G = ((p_row - eye) + (p_col - eye)) / (denom * tau)
+    # (p_row - I) + (p_col - I), with the identity touching only the diagonal
+    G = p_row + p_col
+    G[diag, diag] = (d_row - 1.0) + (d_col - 1.0)
+    G /= denom * tau
     # d sim(j,k) / d Um[k] = Ut[j]  ->  dL/dUm = G^T Ut
     g_um = G.T @ Ut
     # through row normalization: dL/dm = (I - u u^T) g_u / ||m||
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
     radial = np.sum(Um * g_um, axis=1, keepdims=True)
     g_m = np.where(norms < NORM_FLOOR, 0.0, (g_um - radial * Um) / np.maximum(norms, NORM_FLOOR))
     return float(loss), g_m
@@ -401,11 +407,14 @@ def motion_embeddings(sample: ToySample, params: AggregatorParams) -> np.ndarray
     return embed_spans(sample.spans, params)
 
 
-def split_embeddings(samples: list[ToySample], params: AggregatorParams) -> list[np.ndarray]:
-    """Each sample's motion embeddings, from one embed_spans call over all
-    spans of the split."""
-    M = embed_spans([span for s in samples for span in s.spans], params)
-    return np.split(M, np.cumsum([len(s.spans) for s in samples])[:-1])
+def unit_blocks(samples: list[ToySample], params: AggregatorParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each sample's unit-norm (text rows, motion embeddings), from one
+    embed_spans call over all spans of the split and one row normalization
+    of each side."""
+    cuts = np.cumsum([len(s.spans) for s in samples])[:-1]
+    Ut = _unit_rows(np.vstack([s.text for s in samples]))
+    Um = _unit_rows(embed_spans([span for s in samples for span in s.spans], params))
+    return list(zip(np.split(Ut, cuts), np.split(Um, cuts)))
 
 
 def make_separable_dataset(
@@ -446,10 +455,9 @@ def retrieval_top1(samples: list[ToySample], params: AggregatorParams) -> float:
     nearest motion segment (cosine) come from its own pair?"""
     hits = 0
     total = 0
-    for sample, M in zip(samples, split_embeddings(samples, params)):
-        S = cosine_matrix(sample.text, M)
-        hits += int((np.argmax(S, axis=1) == np.arange(S.shape[0])).sum())
-        total += S.shape[0]
+    for Ut, Um in unit_blocks(samples, params):
+        hits += int((np.argmax(Ut @ Um.T, axis=1) == np.arange(Ut.shape[0])).sum())
+        total += Ut.shape[0]
     return hits / total
 
 

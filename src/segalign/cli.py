@@ -13,16 +13,17 @@ All outputs are written atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
-import tempfile
 import urllib.parse
 
 import numpy as np
 
 from . import alignment, metrics, motion, rvq, segmentation, textseg
+from .atomic import write_atomic
 from .masked import OraclePredictor, Schedule, iterative_decode, trace_to_jsonl
 from .seeds import rng_for, seed_for
 
@@ -37,17 +38,8 @@ def _log(args, message: str) -> None:
 
 
 def _write_atomic(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    write_atomic(path, text)
 
 
 def _write_json(path, obj) -> None:
@@ -423,10 +415,12 @@ def cmd_ground(args) -> int:
 
 def cmd_retrieve(args) -> int:
     params, holdout = _load_query(args)
+    # rows normalized once per split, then per segment the (1, d) @ (d, a)
+    # product of metrics.m2t_retrieve, so the scores round as its do
     rows = [
-        (i, j, metrics.m2t_retrieve(m, sample.text))
-        for i, (sample, M) in enumerate(zip(holdout, alignment.split_embeddings(holdout, params)))
-        for j, m in enumerate(M)
+        (i, j, int(np.argmax(um[None, :] @ Ut.T)))
+        for i, (Ut, Um) in enumerate(alignment.unit_blocks(holdout, params))
+        for j, um in enumerate(Um)
     ]
     acc = sum(got == j for _, j, got in rows) / len(rows)
     lines = ["sample,segment,retrieved,correct"] + [f"{i},{j},{got},{int(got == j)}" for i, j, got in rows]
@@ -543,8 +537,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def command_parser(name: str):
-    """The parser of one command, and its flag actions keyed by dest."""
+    """The parser of one command, and its flag actions keyed by dest; built
+    once per process and never mutated, so it can be shared."""
     func, help_line, flags = COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"segalign {name}", description=help_line)
     parser.set_defaults(func=func)
@@ -571,9 +567,9 @@ def _config_defaults(path, flags: dict) -> dict:
     return config
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    """Parse argv with the parser of the one command it names; --config
-    values become that parser's defaults, so explicit flags still win."""
+@functools.cache
+def _top_parser():
+    """The top-level parser: --config, the command and the rest of argv."""
     commands = "\n".join(f"  {name:<12} {line}" for name, (_, line, _) in COMMANDS.items())
     top = argparse.ArgumentParser(
         prog="segalign",
@@ -584,11 +580,18 @@ def parse_args(argv=None) -> argparse.Namespace:
     top.add_argument("--config", help="JSON file of flag defaults keyed by dest; goes before the command")
     top.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands below")
     top.add_argument("args", nargs=argparse.REMAINDER, help="the command's flags")
-    head = top.parse_args(argv)
+    return top
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv with the parser of the one command it names.  --config
+    values seed the namespace, where argparse leaves a value it finds in
+    place of the flag's default, so explicit flags still win and the cached
+    parser is never changed."""
+    head = _top_parser().parse_args(argv)
     parser, flags = command_parser(head.command)
-    if head.config:
-        parser.set_defaults(**_config_defaults(head.config, flags))
-    return parser.parse_args(head.args, argparse.Namespace(config=head.config, command=head.command))
+    config = _config_defaults(head.config, flags) if head.config else {}
+    return parser.parse_args(head.args, argparse.Namespace(config=head.config, command=head.command, **config))
 
 
 def main(argv=None) -> int:

@@ -4,7 +4,9 @@ Training-time random masking, the masked-position negative-log-likelihood
 loss, the cosine unmasking schedule, confidence-based iterative decoding with
 a pluggable predictor, and the layer-by-layer residual decoding protocol.
 Decoding is deterministic under argmax with a fixed tie rule (lowest index
-wins), so traces are bit-stable.
+wins), so traces are bit-stable.  Predictors must return finite probability
+rows; a row with a NaN or infinite entry is rejected like any other row that
+is not a distribution.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class MaskState:
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        sentinel_positions = frozenset(int(i) for i in np.flatnonzero(self.tokens == MASK))
+        sentinel_positions = frozenset(np.flatnonzero(self.tokens == MASK).tolist())
         if frozenset(self.masked_set) != sentinel_positions:
             raise ValueError("masked_set must equal the sentinel positions")
         self.masked_set = sentinel_positions
@@ -57,7 +59,8 @@ class TokenPredictor(Protocol):
     """Behavioral contract: probability rows over the base codebook.
 
     ``predict(cond, state)`` returns an (L, K) matrix whose masked-position
-    rows are probability vectors summing to 1 within 1e-9.
+    rows are probability vectors: finite, nonnegative and summing to 1
+    within 1e-9.
     """
 
     def predict(self, cond, state: MaskState) -> np.ndarray: ...
@@ -133,15 +136,15 @@ class Schedule:
             raise ValueError("total_iters must be >= 1")
 
 
-def _check_rows(probs: np.ndarray, positions) -> None:
-    """Reject the first row, in ``positions`` order, that has a negative
-    entry or does not sum to 1 within ``PROB_SUM_TOL``."""
-    positions = np.asarray(positions, dtype=np.intp)
-    rows = probs[positions]
-    bad = (rows < 0).any(axis=1) | (np.abs(rows.sum(axis=1) - 1.0) > PROB_SUM_TOL)
-    if bad.any():
+def _check_rows(rows: np.ndarray, positions) -> None:
+    """Reject the first of ``rows``, the probability rows at ``positions``,
+    in ``positions`` order, that is not finite, has a negative entry or does
+    not sum to 1 within ``PROB_SUM_TOL``.  The test is written so that a NaN
+    entry, which fails every comparison, fails it too."""
+    ok = (rows >= 0).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
+    if not ok.all():
         raise PredictorContractError(
-            f"position {positions[bad.argmax()]}: probabilities must be nonnegative and sum to 1"
+            f"position {positions[ok.argmin()]}: probabilities must be nonnegative and sum to 1"
         )
 
 
@@ -167,37 +170,31 @@ def iterative_decode(
         raise ValueError(f"unknown decode mode {mode!r}")
     counts = mask_count_schedule(schedule.total_iters, length)
     tokens = np.full(length, MASK, dtype=np.int64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if mode == "sample" else None
     for t in range(1, schedule.total_iters + 1):
         masked = np.flatnonzero(tokens == MASK)
         if masked.size == 0:
             if trace is not None:
                 trace.append({"iteration": t, "masked_count": 0, "fixed_indices": []})
             continue
-        state = MaskState(tokens=tokens.copy(), masked_set=frozenset(int(i) for i in masked), seed=seed)
+        state = MaskState(tokens=tokens.copy(), masked_set=frozenset(masked.tolist()), seed=seed)
         probs = np.asarray(predictor.predict(cond, state), dtype=np.float64)
         if probs.shape[0] != length:
             raise PredictorContractError("predictor returned wrong number of rows")
-        _check_rows(probs, masked)
-        if mode == "argmax":
-            chosen = np.argmax(probs[masked], axis=1)
+        rows = probs[masked]
+        _check_rows(rows, masked)
+        if rng is None:
+            chosen = rows.argmax(axis=1)
         else:
-            chosen = np.array(
-                [rng.choice(probs.shape[1], p=probs[i] / probs[i].sum()) for i in masked]
-            )
-        conf = probs[masked, chosen]
-        n_commit = masked.size - counts[t]
+            chosen = np.array([rng.choice(rows.shape[1], p=row / row.sum()) for row in rows])
+        conf = rows[np.arange(masked.size), chosen]
         # confidence descending, index ascending on ties
-        order = np.lexsort((masked, -conf))
-        commit = order[:n_commit]
-        fixed = []
-        for k in commit:
-            pos = int(masked[k])
-            tokens[pos] = int(chosen[k])
-            fixed.append(pos)
+        commit = np.lexsort((masked, -conf))[: masked.size - counts[t]]
+        fixed = masked[commit]
+        tokens[fixed] = chosen[commit]
         if trace is not None:
             trace.append(
-                {"iteration": t, "masked_count": int(counts[t]), "fixed_indices": sorted(fixed)}
+                {"iteration": t, "masked_count": int(counts[t]), "fixed_indices": np.sort(fixed).tolist()}
             )
     if np.any(tokens == MASK):
         raise RuntimeError("decode finished with masked positions left")
@@ -229,7 +226,7 @@ def residual_decode(cond, base_tokens: np.ndarray, layer_predictors, num_residua
         probs = np.asarray(layer_predictors[i - 1](cond, so_far), dtype=np.float64)
         if probs.shape[0] != base.shape[0]:
             raise PredictorContractError(f"layer {i}: wrong number of rows")
-        _check_rows(probs, range(probs.shape[0]))
+        _check_rows(probs, np.arange(probs.shape[0]))
         layers.append(np.argmax(probs, axis=1).astype(np.int64))
     return TokenSequence(layers=np.stack(layers))
 
@@ -258,11 +255,13 @@ class OraclePredictor:
     def __init__(self, target: np.ndarray, num_codes: int):
         self.target = np.asarray(target, dtype=np.int64)
         self.num_codes = num_codes
+        # the same rows answer every query; read-only, so no caller can change them
+        self._probs = np.zeros((self.target.shape[0], num_codes))
+        self._probs[np.arange(self.target.shape[0]), self.target] = 1.0
+        self._probs.flags.writeable = False
 
     def predict(self, cond, state: MaskState) -> np.ndarray:
-        probs = np.zeros((self.target.shape[0], self.num_codes))
-        probs[np.arange(self.target.shape[0]), self.target] = 1.0
-        return probs
+        return self._probs
 
 
 class SoftmaxRegressionPredictor:

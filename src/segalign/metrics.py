@@ -131,11 +131,9 @@ def r_precision(
     hits = 0
     total = 0
     for pool in pools:
-        ranks = np.argsort(sqdist(T[pool], M[pool]), axis=1, kind="stable")
-        for row in range(len(pool)):
-            if row in ranks[row, :topk]:
-                hits += 1
-            total += 1
+        top = np.argsort(sqdist(T[pool], M[pool]), axis=1, kind="stable")[:, :topk]
+        hits += int((top == np.arange(len(pool))[:, None]).any(axis=1).sum())
+        total += len(pool)
     return hits / total
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
+
 MAGIC = b"SGMO"
 
 DEFAULT_DOWNSAMPLE_RATIO = 4
@@ -145,10 +147,7 @@ def save_motion(m: MotionSequence, path) -> None:
     frames = np.ascontiguousarray(m.frames, dtype="<f4")
     n, d = frames.shape
     try:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", n, d))
-            fh.write(frames.tobytes())
+        write_atomic(path, MAGIC + struct.pack("<II", n, d) + frames.tobytes())
     except OSError as exc:
         raise MotionFormatError(f"cannot write motion file {path}: {exc}") from exc
 
@@ -242,9 +241,8 @@ def dataset_to_jsonl(records: list[DatasetRecord]) -> str:
 
 
 def write_dataset(records: list[DatasetRecord], path) -> None:
-    """Write :func:`dataset_to_jsonl` of the records to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dataset_to_jsonl(records))
+    """Write :func:`dataset_to_jsonl` of the records to ``path``, atomically."""
+    write_atomic(path, dataset_to_jsonl(records))
 
 
 def _list_of(value, kind) -> bool:

@@ -372,18 +372,26 @@ class TestPooledTraining:
         assert calls == []
 
 
+def reference_retrieval_top1(samples, params):
+    """retrieval_top1 as a per-sample loop: the split embedded in one call,
+    then each sample's rows normalized and scored on their own."""
+    M = al.embed_spans([span for s in samples for span in s.spans], params)
+    hits = total = 0
+    for sample, Mi in zip(samples, np.split(M, np.cumsum([len(s.spans) for s in samples])[:-1])):
+        S = al.cosine_matrix(sample.text, Mi)
+        hits += int((np.argmax(S, axis=1) == np.arange(S.shape[0])).sum())
+        total += S.shape[0]
+    return hits / total
+
+
 class TestSplitRetrieval:
     def test_one_embedding_pass_equals_per_sample_loop(self):
-        """split_embeddings and retrieval_top1 embed the split in one call;
-        the top-1 score must equal embedding the samples one at a time.
-
-        A one-segment sample embedded alone is a one-row product, which
-        numpy hands to a matrix-vector routine that may round the last bit
-        differently, so the rows are compared to a few ulp; its 1x1
-        retrieval is a hit either way."""
+        """unit_blocks embeds the split in one call and normalizes each side
+        once; every block must equal normalizing that sample's rows alone,
+        bit for bit, and retrieval_top1 must equal the per-sample loop."""
         rng = np.random.default_rng(8)
-        for trial in range(25):
-            d_token, d_embed = (int(v) for v in rng.integers(2, 10, size=2))
+        for trial in range(40):
+            d_token, d_embed = (int(v) for v in rng.integers(2, 34, size=2))
             params = al.AggregatorParams.init(d_token, d_embed, seed=trial)
             samples = [
                 al.ToySample(
@@ -392,11 +400,62 @@ class TestSplitRetrieval:
                 )
                 for a in rng.integers(1, 5, size=int(rng.integers(1, 12)))
             ]
-            hits = total = 0
-            for sample, M in zip(samples, al.split_embeddings(samples, params)):
-                expected = al.motion_embeddings(sample, params)
-                np.testing.assert_allclose(M, expected, rtol=1e-13, atol=1e-15)
-                S = al.cosine_matrix(sample.text, expected)
-                hits += int((np.argmax(S, axis=1) == np.arange(S.shape[0])).sum())
-                total += S.shape[0]
-            assert al.retrieval_top1(samples, params) == hits / total
+            M = al.embed_spans([span for s in samples for span in s.spans], params)
+            Ms = np.split(M, np.cumsum([len(s.spans) for s in samples])[:-1])
+            blocks = al.unit_blocks(samples, params)
+            assert len(blocks) == len(samples)
+            for sample, Mi, (Ut, Um) in zip(samples, Ms, blocks):
+                np.testing.assert_array_equal(Ut, al._unit_rows(sample.text))
+                np.testing.assert_array_equal(Um, al._unit_rows(Mi))
+            assert al.retrieval_top1(samples, params) == reference_retrieval_top1(samples, params)
+
+
+def _unit_rows_reference(X):
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    return np.where(norms < al.NORM_FLOOR, 0.0, X / np.maximum(norms, al.NORM_FLOOR))
+
+
+def _softmax_reference(z, axis):
+    z = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def reference_info_nce(T, M, tau, denom, groups=None):
+    """_info_nce as it was with the group mask written into S as -inf, an
+    identity matrix in the gradient and the motion norms taken twice."""
+    Ut = _unit_rows_reference(T)
+    Um = _unit_rows_reference(M)
+    S = (Ut @ Um.T) / tau
+    if groups is not None:
+        S[groups[:, None] != groups[None, :]] = -np.inf
+    p_row = _softmax_reference(S, axis=1)
+    p_col = _softmax_reference(S, axis=0)
+    diag = np.arange(T.shape[0])
+    loss = (-np.log(p_row[diag, diag]).sum() - np.log(p_col[diag, diag]).sum()) / denom
+    eye = np.eye(T.shape[0])
+    G = ((p_row - eye) + (p_col - eye)) / (denom * tau)
+    g_um = G.T @ Ut
+    norms = np.linalg.norm(M, axis=1, keepdims=True)
+    radial = np.sum(Um * g_um, axis=1, keepdims=True)
+    g_m = np.where(norms < al.NORM_FLOOR, 0.0, (g_um - radial * Um) / np.maximum(norms, al.NORM_FLOOR))
+    return float(loss), g_m
+
+
+class TestInfoNceKernel:
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_matches_the_masked_logit_form_bit_for_bit(self, seed, grouped):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 4, size=int(rng.integers(1, 30)))
+        n, d = int(sizes.sum()), int(rng.integers(2, 40))
+        T = rng.normal(size=(n, d))
+        M = rng.normal(size=(n, d))
+        if seed % 3 == 0:
+            M[int(rng.integers(n))] = 0.0     # a floored row: zero gradient
+        groups = np.repeat(np.arange(len(sizes)), sizes) if grouped else None
+        tau = float(rng.uniform(0.05, 1.0))
+        loss, g = al._info_nce(T, M, tau, 2 * n, groups)
+        ref_loss, ref_g = reference_info_nce(T, M, tau, 2 * n, groups)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(g, ref_g)

@@ -7,7 +7,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from segalign import alignment, cli, textseg
+from segalign import alignment, cli, metrics, textseg
 from segalign.cli import main
 from segalign.motion import DatasetRecord, load_motion, read_dataset, write_dataset
 from segalign.seeds import rng_for, seed_for
@@ -455,6 +455,22 @@ class TestDownstreamCommands:
         assert last.startswith("accuracy,")
         assert float(last.split(",")[-1]) >= 0.9
 
+    def test_retrieve_matches_the_per_segment_m2t_loop(self, trained, tmp_path):
+        out = tmp_path / "r"
+        assert main(["retrieve", "--model", str(trained / "model.json"),
+                     "--data", str(trained / "align_data.json"),
+                     "--out", str(out), "--quiet"]) == 0
+        params = alignment.params_from_json(json.loads((trained / "model.json").read_text()))
+        holdout = [cli._sample_from_json(obj)
+                   for obj in json.loads((trained / "align_data.json").read_text())["holdout"]]
+        M = alignment.embed_spans([span for s in holdout for span in s.spans], params)
+        blocks = np.split(M, np.cumsum([len(s.spans) for s in holdout])[:-1])
+        rows = [(i, j, metrics.m2t_retrieve(m, sample.text))
+                for i, (sample, Mi) in enumerate(zip(holdout, blocks)) for j, m in enumerate(Mi)]
+        lines = ["sample,segment,retrieved,correct"] + [f"{i},{j},{got},{int(got == j)}" for i, j, got in rows]
+        lines.append(f"accuracy,,,{sum(got == j for _, j, got in rows) / len(rows):.6f}")
+        assert (out / "retrieval.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_eval_full_report(self, trained, tmp_path):
         out = tmp_path / "e"
         assert main(["eval", "--model", str(trained / "model.json"),
@@ -514,6 +530,17 @@ class TestConfigFile:
         assert len(trace) == 4  # flag overrides config
         tokens = json.loads((out / "decoded_tokens.json").read_text())["tokens"]
         assert len(tokens) == 8  # config supplies the length
+
+    def test_config_does_not_outlive_its_call(self, tmp_path):
+        """Parsers are built once per process; a --config call must leave
+        the built-in defaults to the next call."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"length": 8, "iters": 3, "quiet": True}))
+        with_config = cli.parse_args(["--config", str(cfg), "decode"])
+        assert (with_config.length, with_config.iters, with_config.quiet) == (8, 3, True)
+        plain = cli.parse_args(["decode"])
+        assert (plain.length, plain.iters, plain.quiet) == (16, 5, False)
+        assert cli.command_parser("decode") is cli.command_parser("decode")
 
 
 # The parser surface of every command as the ten-parser build_parser() gave

@@ -176,10 +176,15 @@ class TestIterativeDecode:
         p = np.full((5, 2), 0.5)
         p[1, 0] = 0.7
         p[3, 1] = -0.1
+
+        def check(positions):
+            positions = np.array(positions, dtype=np.intp)
+            _check_rows(p[positions], positions)
+
         with pytest.raises(PredictorContractError, match="^position 3:"):
-            _check_rows(p, [4, 3, 0, 1])
-        _check_rows(p, [0, 2, 4])
-        _check_rows(p, [])
+            check([4, 3, 0, 1])
+        check([0, 2, 4])
+        check([])
 
     def test_confidence_tie_prefers_lowest_index(self):
         class TwoPeaks:
@@ -192,6 +197,96 @@ class TestIterativeDecode:
         trace = []
         iterative_decode(None, 6, TwoPeaks(), Schedule(3), trace=trace)
         assert trace[0]["fixed_indices"] == list(range(len(trace[0]["fixed_indices"])))
+
+
+def reference_iterative_decode(cond, length, predictor, schedule, seed=0, mode="argmax"):
+    """iterative_decode as a per-position loop that gathers the masked rows
+    for each use; returns (tokens, trace)."""
+    counts = mask_count_schedule(schedule.total_iters, length)
+    tokens = np.full(length, MASK, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    trace = []
+    for t in range(1, schedule.total_iters + 1):
+        masked = np.flatnonzero(tokens == MASK)
+        if masked.size == 0:
+            trace.append({"iteration": t, "masked_count": 0, "fixed_indices": []})
+            continue
+        state = MaskState(tokens=tokens.copy(), masked_set=frozenset(int(i) for i in masked), seed=seed)
+        probs = np.asarray(predictor.predict(cond, state), dtype=np.float64)
+        if mode == "argmax":
+            chosen = np.argmax(probs[masked], axis=1)
+        else:
+            chosen = np.array([rng.choice(probs.shape[1], p=probs[i] / probs[i].sum()) for i in masked])
+        conf = probs[masked, chosen]
+        order = np.lexsort((masked, -conf))
+        fixed = []
+        for k in order[: masked.size - counts[t]]:
+            tokens[int(masked[k])] = int(chosen[k])
+            fixed.append(int(masked[k]))
+        trace.append({"iteration": t, "masked_count": int(counts[t]), "fixed_indices": sorted(fixed)})
+    return tokens, trace
+
+
+class RandomRows:
+    """Random probability rows with deliberate confidence ties, fresh per call."""
+
+    def __init__(self, num_codes, seed):
+        self.num_codes = num_codes
+        self.rng = np.random.default_rng(seed)
+
+    def predict(self, cond, state):
+        p = self.rng.integers(1, 4, size=(state.length, self.num_codes)).astype(np.float64)
+        return p / p.sum(axis=1, keepdims=True)
+
+
+class TestDecodeMatchesReferenceLoop:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("mode", ["argmax", "sample"])
+    def test_tokens_and_trace(self, seed, mode):
+        rng = np.random.default_rng(seed)
+        length, codes = int(rng.integers(1, 60)), int(rng.integers(2, 40))
+        schedule = Schedule(int(rng.integers(1, 12)))
+        trace = []
+        got = iterative_decode(None, length, RandomRows(codes, seed), schedule, seed=seed, mode=mode, trace=trace)
+        want, want_trace = reference_iterative_decode(None, length, RandomRows(codes, seed), schedule,
+                                                      seed=seed, mode=mode)
+        np.testing.assert_array_equal(got, want)
+        assert trace == want_trace
+
+    def test_oracle_rows_are_built_once_and_read_only(self):
+        pred = OraclePredictor(np.array([2, 0, 1]), num_codes=3)
+        state = mask_random(np.zeros(3, dtype=int), 1.0, seed=0)
+        rows = pred.predict(None, state)
+        assert rows is pred.predict(None, state)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.5
+
+
+def _one_bad_row(bad):
+    """A predictor of 6x4 uniform rows with row 2 replaced by ``bad``."""
+    def predict(cond, state):
+        p = np.full((6, 4), 0.25)
+        p[2] = bad
+        return p
+    return predict
+
+
+NON_FINITE_ROWS = [np.nan, np.inf, -np.inf, [np.inf, -np.inf, 0.5, 0.5], [np.nan, 1.0, 0.0, 0.0]]
+
+
+class TestNonFiniteRows:
+    @pytest.mark.parametrize("bad", NON_FINITE_ROWS)
+    def test_iterative_decode_rejects_the_row(self, bad):
+        class Predictor:
+            predict = staticmethod(_one_bad_row(bad))
+
+        with pytest.raises(PredictorContractError, match="^position 2:"):
+            iterative_decode(None, 6, Predictor(), Schedule(3))
+
+    @pytest.mark.parametrize("bad", NON_FINITE_ROWS)
+    def test_residual_decode_rejects_the_row(self, bad):
+        with pytest.raises(PredictorContractError, match="^position 2:"):
+            residual_decode(None, np.zeros(6, dtype=int), [_one_bad_row(bad)], 1)
 
 
 class TestResidualDecode:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from segalign import metrics as mx
 from segalign.alignment import AggregatorParams
+from segalign.rvq import sqdist
 
 
 class TestGrounding:
@@ -97,6 +99,25 @@ class TestRPrecision:
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
             mx.r_precision(np.zeros((4, 2)), np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_per_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, pool, topk = (int(v) for v in rng.integers((4, 1, 3, 1), (120, 6, 40, 4)))
+        T = rng.normal(size=(n, d))
+        M = T + rng.normal(0.0, 1.0, size=T.shape)
+        M[::5] = T[::5]                      # exact hits among noisy ones
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = mx.r_precision(T, M, topk=topk, pool_size=pool)
+        pools = [np.arange(n)] if n < pool else [np.arange(i, i + pool) for i in range(0, n - pool + 1, pool)]
+        hits = total = 0
+        for p in pools:
+            ranks = np.argsort(sqdist(T[p], M[p]), axis=1, kind="stable")
+            for row in range(len(p)):
+                hits += row in ranks[row, :topk]
+                total += 1
+        assert got == hits / total
 
 
 class TestMmDistDiversity:

@@ -1,3 +1,5 @@
+import errno
+import os
 import struct
 
 import numpy as np
@@ -9,6 +11,7 @@ from segalign.motion import (
     MotionSequence,
     LatentSequence,
     DatasetRecord,
+    MotionFormatError,
     NonFiniteValueError,
     SyntheticSpec,
     TrailingBytesError,
@@ -89,6 +92,39 @@ class TestMotionIO:
         bad = tmp_path / "missing_dir" / "m.sgmo"
         with pytest.raises(Exception, match="missing_dir"):
             save_motion(MotionSequence(frames=np.ones((1, 1))), bad)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A write that fails part-way (a full disk) leaves the existing
+        motion file as it was and no temporary file behind."""
+        path = tmp_path / "m.sgmo"
+        save_motion(MotionSequence(frames=np.ones((2, 3))), path)
+        before = path.read_bytes()
+
+        class FullDisk:
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:7])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("segalign.atomic.open", FullDisk, raising=False)
+        with pytest.raises(MotionFormatError, match="No space left"):
+            save_motion(MotionSequence(frames=np.zeros((4, 3))), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.sgmo"]
+
+    def test_written_file_has_the_permissions_of_a_plain_open(self, tmp_path):
+        save_motion(MotionSequence(frames=np.ones((1, 1))), tmp_path / "m.sgmo")
+        (tmp_path / "plain").write_bytes(b"")
+        assert (tmp_path / "m.sgmo").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 class TestSynthMotion:
