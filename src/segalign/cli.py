@@ -550,8 +550,9 @@ def command_parser(name: str):
 
 def _config_defaults(path, flags: dict) -> dict:
     """The config values for the running command's flags; other keys are
-    ignored.  argparse converts only string defaults, so a value for an int
-    or float flag must already be a number of that type."""
+    ignored.  The values are placed in the parse namespace as they are, so
+    argparse never runs a flag's ``type`` on them: a value for an int or
+    float flag must already be a number of that type."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)

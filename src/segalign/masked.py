@@ -250,12 +250,16 @@ class OrderedLayerPredictors:
 
 
 class OraclePredictor:
-    """Always assigns probability 1 to a known target sequence."""
+    """Always assigns probability 1 to a known target sequence.
+
+    The one-hot rows are built from ``target`` once, at construction: every
+    ``predict`` call returns that same read-only (L, K) array, so a caller
+    that wants to edit it takes a copy, and a later change to ``target``
+    does not reach it (build a new predictor instead)."""
 
     def __init__(self, target: np.ndarray, num_codes: int):
         self.target = np.asarray(target, dtype=np.int64)
         self.num_codes = num_codes
-        # the same rows answer every query; read-only, so no caller can change them
         self._probs = np.zeros((self.target.shape[0], num_codes))
         self._probs[np.arange(self.target.shape[0]), self.target] = 1.0
         self._probs.flags.writeable = False

@@ -385,13 +385,10 @@ def reference_retrieval_top1(samples, params):
 
 
 class TestSplitRetrieval:
-    def test_one_embedding_pass_equals_per_sample_loop(self):
-        """unit_blocks embeds the split in one call and normalizes each side
-        once; every block must equal normalizing that sample's rows alone,
-        bit for bit, and retrieval_top1 must equal the per-sample loop."""
-        rng = np.random.default_rng(8)
-        for trial in range(40):
-            d_token, d_embed = (int(v) for v in rng.integers(2, 34, size=2))
+    @staticmethod
+    def _split(rng, trials, max_dim):
+        for trial in range(trials):
+            d_token, d_embed = (int(v) for v in rng.integers(2, max_dim, size=2))
             params = al.AggregatorParams.init(d_token, d_embed, seed=trial)
             samples = [
                 al.ToySample(
@@ -400,6 +397,35 @@ class TestSplitRetrieval:
                 )
                 for a in rng.integers(1, 5, size=int(rng.integers(1, 12)))
             ]
+            yield params, samples
+
+    def test_one_embedding_pass_equals_per_sample_loop(self):
+        """unit_blocks and retrieval_top1 embed the split in one call; each
+        block and the top-1 score must equal embedding the samples one at a
+        time.
+
+        A one-segment sample embedded alone is a one-row product, which
+        numpy hands to a matrix-vector routine that may round the last bit
+        differently, so the rows are compared to a few ulp; its 1x1
+        retrieval is a hit either way."""
+        for params, samples in self._split(np.random.default_rng(8), 25, 10):
+            hits = total = 0
+            blocks = al.unit_blocks(samples, params)
+            assert len(blocks) == len(samples)
+            for sample, (Ut, Um) in zip(samples, blocks):
+                expected = al.motion_embeddings(sample, params)
+                np.testing.assert_array_equal(Ut, al._unit_rows(sample.text))
+                np.testing.assert_allclose(Um, al._unit_rows(expected), rtol=1e-13, atol=1e-15)
+                S = al.cosine_matrix(sample.text, expected)
+                hits += int((np.argmax(S, axis=1) == np.arange(S.shape[0])).sum())
+                total += S.shape[0]
+            assert al.retrieval_top1(samples, params) == hits / total
+
+    def test_blocks_normalize_the_one_pass_rows_bit_for_bit(self):
+        """Every block must equal normalizing that sample's rows of the
+        one-call embedding alone, bit for bit, and retrieval_top1 must equal
+        scoring those rows sample by sample."""
+        for params, samples in self._split(np.random.default_rng(9), 40, 34):
             M = al.embed_spans([span for s in samples for span in s.spans], params)
             Ms = np.split(M, np.cumsum([len(s.spans) for s in samples])[:-1])
             blocks = al.unit_blocks(samples, params)
