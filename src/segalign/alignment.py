@@ -532,11 +532,30 @@ def params_to_json(p: AggregatorParams) -> dict:
     }
 
 
-def params_from_json(obj: dict) -> AggregatorParams:
-    return AggregatorParams(
-        w1=np.asarray(obj["w1"], dtype=np.float64),
-        b1=np.asarray(obj["b1"], dtype=np.float64),
-        w2=np.asarray(obj["w2"], dtype=np.float64),
-        b2=np.asarray(obj["b2"], dtype=np.float64),
-        seed=int(obj.get("seed", 0)),
-    )
+def params_from_json(obj) -> AggregatorParams:
+    """The inverse of ``params_to_json``.  A top level that is not an
+    object, or a weight that is missing, not numeric or of a shape that does
+    not fit the others, is a ValueError naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"model: expected a JSON object, got {type(obj).__name__}")
+    w = {}
+    for name, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1)):
+        if name not in obj:
+            raise ValueError(f"model: missing weight {name!r}")
+        try:
+            arr = np.asarray(obj[name])
+        except ValueError:  # ragged nested lists
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf":
+            raise ValueError(f"model: weight {name!r} is not numeric")
+        if arr.ndim != ndim:
+            raise ValueError(f"model: weight {name!r} must be {ndim}-D, got shape {arr.shape}")
+        w[name] = arr.astype(np.float64)
+    (h, _), (d_embed, _) = w["w1"].shape, w["w2"].shape
+    for name, shape in (("b1", (h,)), ("w2", (d_embed, h)), ("b2", (d_embed,))):
+        if w[name].shape != shape:
+            raise ValueError(f"model: weight {name!r} has shape {w[name].shape}, expected {shape}")
+    seed = obj.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"model: seed must be an integer, got {seed!r}")
+    return AggregatorParams(**w, seed=seed)

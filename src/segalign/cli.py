@@ -268,15 +268,36 @@ def cmd_decompose(args) -> int:
 
 # --- train-align ------------------------------------------------------------
 
-def _sample_to_json(s: alignment.ToySample) -> dict:
-    return {"text": s.text.tolist(), "spans": [sp.tolist() for sp in s.spans]}
+def _hex_rows(X: np.ndarray) -> list[str]:
+    """Each row of ``X`` as the lowercase hex of its little-endian float64
+    bytes, so ``_unhex_rows`` reads back the same bits."""
+    text = np.ascontiguousarray(X, "<f8").tobytes().hex()
+    width = 16 * X.shape[1]
+    return [text[i : i + width] for i in range(0, len(text), width)]
 
 
-def _sample_from_json(obj: dict) -> alignment.ToySample:
-    return alignment.ToySample(
-        text=np.asarray(obj["text"], dtype=np.float64),
-        spans=[np.asarray(sp, dtype=np.float64) for sp in obj["spans"]],
-    )
+def _unhex_rows(rows, d: int, where: str) -> np.ndarray:
+    """The (len(rows), d) float64 matrix that ``_hex_rows`` wrote; anything
+    else is a CliError that starts with ``where``."""
+    if not isinstance(rows, list) or not rows:
+        raise CliError(f"{where}: expected a non-empty list of rows")
+    width = 16 * d
+    if not all(isinstance(r, str) and len(r) == width for r in rows):
+        raise CliError(
+            f"{where}: each row must be a string of {width} hex digits, the little-endian "
+            "float64 bytes of its values (a file of float lists is older: rerun train-align)"
+        )
+    try:
+        raw = bytearray.fromhex("".join(rows))
+    except ValueError:
+        raise CliError(f"{where}: rows are not hex") from None
+    # fromhex skips whitespace, so a row of the right length may decode short
+    if len(raw) != 8 * d * len(rows):
+        raise CliError(f"{where}: {len(raw)} bytes decoded, expected {8 * d * len(rows)}")
+    X = np.frombuffer(raw, "<f8").reshape(-1, d)
+    if not np.isfinite(X).all():
+        raise CliError(f"{where}: non-finite value")
+    return X
 
 
 def cmd_train_align(args) -> int:
@@ -327,12 +348,13 @@ def cmd_train_align(args) -> int:
     top1_after = alignment.retrieval_top1(holdout, params)
 
     # the query commands read only the holdout split; the train split is a
-    # function of the flags.  No indent: it would force json's pure-Python
-    # encoder on a megabyte of floats
+    # function of the flags.  Each row is the hex of its float64 bytes: exact,
+    # and one bytes.fromhex per matrix to read, where printing and parsing
+    # the floats as decimal text took tens of milliseconds per command
     data = {
         "d_token": args.d_token,
         "d_embed": args.d_embed,
-        "holdout": [_sample_to_json(s) for s in holdout],
+        "holdout": [{"text": _hex_rows(s.text), "spans": [_hex_rows(sp) for sp in s.spans]} for s in holdout],
     }
     _write_atomic(os.path.join(args.out, "align_data.json"), json.dumps(data, sort_keys=True) + "\n")
     _write_json(os.path.join(args.out, "model.json"), alignment.params_to_json(params))
@@ -382,14 +404,43 @@ def cmd_decode(args) -> int:
 
 # --- ground / retrieve / eval ----------------------------------------------
 
+def _read_holdout(path) -> list[alignment.ToySample]:
+    """The held-out split of an align_data.json: ``text`` rows are d_embed
+    wide, span rows d_token wide, each written by ``_hex_rows``.  A file of
+    any other shape is a CliError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("d_embed", "d_token", "holdout") if key not in data]
+    if missing:
+        raise CliError(f"{path}: missing {', '.join(missing)}; rerun train-align")
+    d_embed, d_token, holdout = data["d_embed"], data["d_token"], data["holdout"]
+    for key, d in (("d_embed", d_embed), ("d_token", d_token)):
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+            raise CliError(f"{path}: {key} must be a positive integer, got {d!r}")
+    if not isinstance(holdout, list) or not holdout:
+        raise CliError(f"{path}: holdout must be a non-empty list of samples")
+    samples = []
+    for i, s in enumerate(holdout):
+        where = f"{path}: holdout[{i}]"
+        if not isinstance(s, dict) or not isinstance(s.get("spans"), list):
+            raise CliError(f"{where}: expected an object with text and a list of spans")
+        text = _unhex_rows(s.get("text"), d_embed, f"{where}.text")
+        spans = [_unhex_rows(sp, d_token, f"{where}.spans[{j}]") for j, sp in enumerate(s["spans"])]
+        if len(spans) != len(text):
+            raise CliError(f"{where}: {len(text)} text rows but {len(spans)} spans")
+        samples.append(alignment.ToySample(text=text, spans=spans))
+    return samples
+
+
 def _load_query(args):
     """The trained model and the held-out split of align_data.json."""
     if not os.path.exists(args.model):
         raise CliError(f"model file not found: {args.model}")
     with open(args.model, "r", encoding="utf-8") as fh:
         params = alignment.params_from_json(json.load(fh))
-    with open(args.data, "r", encoding="utf-8") as fh:
-        return params, [_sample_from_json(s) for s in json.load(fh)["holdout"]]
+    return params, _read_holdout(args.data)
 
 
 def cmd_ground(args) -> int:

@@ -140,8 +140,10 @@ def _check_rows(rows: np.ndarray, positions) -> None:
     """Reject the first of ``rows``, the probability rows at ``positions``,
     in ``positions`` order, that is not finite, has a negative entry or does
     not sum to 1 within ``PROB_SUM_TOL``.  The test is written so that a NaN
-    entry, which fails every comparison, fails it too."""
-    ok = (rows >= 0).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
+    entry, which fails every comparison, fails it too.  A row holding both
+    +inf and -inf sums to NaN, which is rejected without a warning."""
+    with np.errstate(invalid="ignore"):
+        ok = (rows >= 0).all(axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
     if not ok.all():
         raise PredictorContractError(
             f"position {positions[ok.argmin()]}: probabilities must be nonnegative and sum to 1"

@@ -97,6 +97,26 @@ class TestAggregation:
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(back, name), getattr(p, name))
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda obj: [1, 2], "expected a JSON object, got list"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "b2"}, "missing weight 'b2'"),
+        (lambda obj: {**obj, "w1": "weights"}, "weight 'w1' is not numeric"),
+        (lambda obj: {**obj, "b1": [None] * len(obj["b1"])}, "weight 'b1' is not numeric"),
+        (lambda obj: {**obj, "w2": [[0.5], [0.5, 0.5]]}, "weight 'w2' is not numeric"),
+        (lambda obj: {**obj, "w2": [True] * 5}, "weight 'w2' is not numeric"),
+        (lambda obj: {**obj, "w1": obj["b1"]}, "weight 'w1' must be 2-D"),
+        (lambda obj: {**obj, "b1": obj["b1"][1:]}, "weight 'b1' has shape (5,), expected (6,)"),
+        (lambda obj: {**obj, "w2": [row[1:] for row in obj["w2"]]},
+         "weight 'w2' has shape (5, 5), expected (5, 6)"),
+        (lambda obj: {**obj, "b2": obj["b1"]}, "weight 'b2' has shape (6,), expected (5,)"),
+        (lambda obj: {**obj, "seed": [1]}, "seed must be an integer"),
+    ])
+    def test_params_from_json_names_the_bad_weight(self, edit, message):
+        obj = al.params_to_json(al.AggregatorParams.init(3, 5, seed=1))
+        with pytest.raises(ValueError) as exc:
+            al.params_from_json(edit(obj))
+        assert message in str(exc.value)
+
 
 class TestLosses:
     def test_per_sample_bounds(self):

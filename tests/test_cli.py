@@ -401,6 +401,55 @@ class TestTrainAlignCommand:
         assert report["holdout_top1_after"] == report["holdout_top1_before"]
 
 
+# an edit of the parsed align_data.json, returning the object to write, and
+# a fragment of the error it must give
+BAD_QUERY_FILES = [
+    pytest.param(lambda data: [1, 2], "expected a JSON object, got list", id="list"),
+    pytest.param(lambda data: {k: v for k, v in data.items() if k != "holdout"}, "missing holdout",
+                 id="no-holdout"),
+    pytest.param(lambda data: {k: v for k, v in data.items() if k != "d_token"}, "missing d_token",
+                 id="no-d-token"),
+    pytest.param(lambda data: {k: v for k, v in data.items() if k != "d_embed"}, "missing d_embed",
+                 id="no-d-embed"),
+    pytest.param(lambda data: {**data, "d_token": "8"}, "d_token must be a positive integer", id="d-token-text"),
+    pytest.param(lambda data: {**data, "holdout": []}, "holdout must be a non-empty list", id="empty-holdout"),
+    pytest.param(lambda data: _edit_row(data, lambda row: np.frombuffer(bytes.fromhex(row), "<f8").tolist()),
+                 "rerun train-align", id="float-list-row"),
+    pytest.param(lambda data: _edit_row(data, lambda row: row[:-2]),
+                 "holdout[0].text: each row must be a string of 256", id="short-row"),
+    pytest.param(lambda data: _edit_row(data, lambda row: row + "00", "spans"),
+                 "holdout[0].spans[0]: each row must be a string of 128", id="long-span-row"),
+    pytest.param(lambda data: _edit_row(data, lambda row: 7), "each row must be a string", id="number-row"),
+    pytest.param(lambda data: _edit_row(data, lambda row: "zz" + row[2:]), "holdout[0].text: rows are not hex",
+                 id="non-hex"),
+    pytest.param(lambda data: _edit_row(data, lambda row: row[:-2] + "  "), "bytes decoded, expected",
+                 id="whitespace"),
+    pytest.param(lambda data: _edit_sample(data, spans=lambda spans: [[]] + spans[1:]),
+                 "holdout[0].spans[0]: expected a non-empty list of rows", id="empty-span"),
+    pytest.param(lambda data: _edit_sample(data, spans=lambda spans: None), "a list of spans", id="no-spans"),
+    pytest.param(lambda data: _edit_sample(data, spans=lambda spans: spans[1:]), "text rows but", id="span-count"),
+    pytest.param(lambda data: _edit_row(data, lambda row: np.full(16, np.inf).tobytes().hex()),
+                 "holdout[0].text: non-finite value", id="inf"),
+    pytest.param(lambda data: _edit_row(data, lambda row: np.full(8, np.nan).tobytes().hex(), "spans"),
+                 "holdout[0].spans[0]: non-finite value", id="nan-span"),
+]
+
+
+def _edit_sample(data, **edits):
+    first = dict(data["holdout"][0])
+    for key, edit in edits.items():
+        first[key] = edit(first[key])
+    return {**data, "holdout": [first] + data["holdout"][1:]}
+
+
+def _edit_row(data, edit, where="text"):
+    """``edit`` applied to the first row of the first sample's text, or of
+    its first span."""
+    if where == "text":
+        return _edit_sample(data, text=lambda rows: [edit(rows[0])] + rows[1:])
+    return _edit_sample(data, spans=lambda spans: [[edit(spans[0][0])] + spans[0][1:]] + spans[1:])
+
+
 class TestQueryFile:
     def test_holds_the_holdout_split_only(self, trained):
         data = json.loads((trained / "align_data.json").read_text())
@@ -410,10 +459,16 @@ class TestQueryFile:
             30, d_token=8, d_embed=16, seed=seed_for(0, "align.holdout_data"), map_seed=seed_for(0, "align.map"))
         assert len(data["holdout"]) == len(holdout)
         for obj, sample in zip(data["holdout"], holdout):
-            np.testing.assert_array_equal(np.array(obj["text"]), sample.text)
-            assert len(obj["spans"]) == len(sample.spans)
-            for span, ref in zip(obj["spans"], sample.spans):
-                np.testing.assert_array_equal(np.array(span), ref)
+            assert set(obj) == {"text", "spans"}
+            # each row is the lowercase hex of its little-endian float64 bytes
+            assert obj["text"] == [row.astype("<f8").tobytes().hex() for row in sample.text]
+            assert obj["spans"] == [[row.astype("<f8").tobytes().hex() for row in span] for span in sample.spans]
+        decoded = cli._read_holdout(trained / "align_data.json")
+        assert len(decoded) == len(holdout)
+        for got, ref in zip(decoded, holdout):
+            assert got.text.tobytes() == ref.text.tobytes()
+            assert len(got.spans) == len(ref.spans)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.spans, ref.spans))
 
     def test_queries_match_a_file_with_the_train_split(self, trained, tmp_path):
         """The query commands read the holdout only, so a file that still
@@ -422,8 +477,8 @@ class TestQueryFile:
         train = alignment.make_separable_dataset(
             80, d_token=8, d_embed=16, seed=seed_for(0, "align.train_data"), map_seed=seed_for(0, "align.map"))
         with_train = tmp_path / "with_train.json"
-        with_train.write_text(json.dumps({**data, "train": [cli._sample_to_json(s) for s in train]},
-                                         sort_keys=True) + "\n")
+        train = [{"text": cli._hex_rows(s.text), "spans": [cli._hex_rows(sp) for sp in s.spans]} for s in train]
+        with_train.write_text(json.dumps({**data, "train": train}, sort_keys=True) + "\n")
         model = str(trained / "model.json")
         for name, path in (("holdout", trained / "align_data.json"), ("both", with_train)):
             out = tmp_path / name
@@ -434,6 +489,38 @@ class TestQueryFile:
             for name in names:
                 assert (tmp_path / "holdout" / cmd / name).read_bytes() == \
                     (tmp_path / "both" / cmd / name).read_bytes(), name
+
+    def _run_bad(self, trained, tmp_path, capsys, command, model=None, data=None):
+        """``command`` on the trained files with ``model`` or ``data``
+        replaced: exit 1, one JSON stderr line, no --out.  The error."""
+        paths = {"model": trained / "model.json", "data": trained / "align_data.json"}
+        for key, obj in (("model", model), ("data", data)):
+            if obj is not None:
+                paths[key] = tmp_path / f"bad_{key}.json"
+                paths[key].write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        assert main([command, "--model", str(paths["model"]), "--data", str(paths["data"]),
+                     "--out", str(out), "--quiet"]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        return json.loads(err[0])["error"]
+
+    @pytest.mark.parametrize("edit,message", BAD_QUERY_FILES)
+    @pytest.mark.parametrize("command", ["ground", "retrieve", "eval"])
+    def test_bad_data_file_is_a_json_error(self, trained, tmp_path, capsys, command, edit, message):
+        data = json.loads((trained / "align_data.json").read_text())
+        error = self._run_bad(trained, tmp_path, capsys, command, data=edit(data))
+        assert message in error
+        assert error.startswith(str(tmp_path / "bad_data.json"))
+
+    @pytest.mark.parametrize("model,message", [
+        ({}, "missing weight 'w1'"),
+        ([1, 2], "expected a JSON object, got list"),
+    ])
+    @pytest.mark.parametrize("command", ["ground", "retrieve", "eval"])
+    def test_bad_model_file_is_a_json_error(self, trained, tmp_path, capsys, command, model, message):
+        assert message in self._run_bad(trained, tmp_path, capsys, command, model=model)
 
 
 class TestDownstreamCommands:
@@ -461,8 +548,7 @@ class TestDownstreamCommands:
                      "--data", str(trained / "align_data.json"),
                      "--out", str(out), "--quiet"]) == 0
         params = alignment.params_from_json(json.loads((trained / "model.json").read_text()))
-        holdout = [cli._sample_from_json(obj)
-                   for obj in json.loads((trained / "align_data.json").read_text())["holdout"]]
+        holdout = cli._read_holdout(trained / "align_data.json")
         M = alignment.embed_spans([span for s in holdout for span in s.spans], params)
         blocks = np.split(M, np.cumsum([len(s.spans) for s in holdout])[:-1])
         rows = [(i, j, metrics.m2t_retrieve(m, sample.text))

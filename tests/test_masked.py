@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,17 @@ class TestNonFiniteRows:
     def test_residual_decode_rejects_the_row(self, bad):
         with pytest.raises(PredictorContractError, match="^position 2:"):
             residual_decode(None, np.zeros(6, dtype=int), [_one_bad_row(bad)], 1)
+
+    @pytest.mark.parametrize("bad", NON_FINITE_ROWS)
+    def test_rejected_without_a_warning(self, bad):
+        """A row of +inf and -inf sums to NaN; with warnings as errors the
+        caller still gets the contract error, not a RuntimeWarning."""
+        rows = np.full((6, 4), 0.25)
+        rows[2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PredictorContractError, match="^position 2:"):
+                _check_rows(rows, np.arange(6))
 
 
 class TestResidualDecode:
