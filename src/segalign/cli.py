@@ -435,12 +435,22 @@ def _read_holdout(path) -> list[alignment.ToySample]:
 
 
 def _load_query(args):
-    """The trained model and the held-out split of align_data.json."""
+    """The trained model and the held-out split of align_data.json.  A model
+    whose input is not 2 * d_token wide or whose output is not d_embed wide
+    is a CliError naming both files."""
     if not os.path.exists(args.model):
         raise CliError(f"model file not found: {args.model}")
     with open(args.model, "r", encoding="utf-8") as fh:
         params = alignment.params_from_json(json.load(fh))
-    return params, _read_holdout(args.data)
+    holdout = _read_holdout(args.data)
+    # _read_holdout checks every row's width, and every sample has a row
+    d_token, d_embed = holdout[0].spans[0].shape[1], holdout[0].text.shape[1]
+    if params.w1.shape[1] != 2 * d_token or params.w2.shape[0] != d_embed:
+        raise CliError(
+            f"{args.model}: model takes d_token {params.w1.shape[1] / 2:g} to d_embed "
+            f"{params.w2.shape[0]}, but {args.data} has d_token {d_token}, d_embed {d_embed}"
+        )
+    return params, holdout
 
 
 def cmd_ground(args) -> int:

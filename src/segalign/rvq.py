@@ -89,7 +89,7 @@ class TokenSequence:
         return self.layers.shape[1]
 
 
-def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sqdist(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances, (n, d) x (k, d) -> (n, k).
 
     Computed as ``||a||^2 + ||b||^2 - 2 a.b^T`` with one BLAS matmul and
@@ -100,10 +100,14 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     distance that is exactly 0 may come out slightly positive.  On
     integer-valued data whose products and sums are exact in float64 the
     result equals the difference form exactly, so exact ties stay exact.
+
+    ``out``, if given, is a float64 (n, k) array that receives the result
+    and is returned; its prior contents are never read, so one buffer can
+    serve many calls.  The values are the same bits as without it.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    d2 = np.add((a * a).sum(axis=1)[:, None], (b * b).sum(axis=1)[None, :], out=out)
     d2 -= 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0, out=d2)
 
@@ -152,9 +156,10 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
     Each iteration assigns every point to its nearest center by
     :func:`sqdist` (exact ties to the lowest index), then moves each center
     to the mean of its points, summed in row order per cluster; memory is
-    the O(n*k) distance matrix.  Every cluster left empty is reseeded to the
-    single point farthest from its assigned center under the pre-update
-    distances, so the result is deterministic for a fixed seed.
+    one O(n*k) distance buffer, allocated once per run.  Every cluster left
+    empty is reseeded to the single point farthest from its assigned center
+    under the pre-update distances, so the result is deterministic for a
+    fixed seed.
 
     It stops at the fixed point, which gives the same centers: once an
     assignment repeats the previous one with no cluster empty, the centers
@@ -170,19 +175,22 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
     # k-means++ initialization
     centers = np.empty((k, d))
     centers[0] = data[rng.integers(n)]
-    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    diff = np.empty_like(data)    # (data - c) ** 2, one buffer for every center
+    d2 = np.square(np.subtract(data, centers[0], out=diff), out=diff).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[j] = data[rng.integers(n)]
         else:
             centers[j] = data[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((data - centers[j]) ** 2).sum(axis=1))
+        np.square(np.subtract(data, centers[j], out=diff), out=diff)
+        np.minimum(d2, diff.sum(axis=1), out=d2)
 
     bins = np.arange(d)
     prev = None
+    dist = np.empty((n, k))
     for _ in range(iters):
-        dist = sqdist(data, centers)
+        sqdist(data, centers, out=dist)
         assign = np.argmin(dist, axis=1)
         counts = np.bincount(assign, minlength=k)
         filled = counts > 0

@@ -183,8 +183,20 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
     bandwidth "median" uses the median pairwise distance (1 if it is 0).
     Distances come from :func:`sqdist`; the diagonal is set to exactly 0, so
     every k(a, a) is exactly 1.
+
+    The median is found by selection, not by sorting: ``np.partition`` picks
+    the one or two middle squared distances of the upper triangle, and sigma
+    is the square root of the middle one, or the mean of the square roots of
+    the two.  As sqrt is monotone and numpy's mean of two values is one add
+    and one divide, sigma equals ``np.median`` of the upper-triangle
+    distances bit for bit whenever no squared distance is NaN.  So a non-finite ``x`` raises
+    ValueError: no kernel built from it is usable, and ``partition`` sorts
+    NaN last, so selection could give a finite sigma where ``np.median``
+    gave NaN.
     """
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("kernel input contains non-finite values")
     sq = sqdist(x, x)
     np.fill_diagonal(sq, 0.0)
     if bandwidth == "median":
@@ -192,15 +204,29 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
         if n < 2:
             sigma = 1.0
         else:
-            iu = np.triu_indices(n, k=1)
-            sigma = float(np.median(np.sqrt(sq[iu])))
+            sigma = _median_distance(sq[~np.tri(n, dtype=bool)])   # upper triangle
             if sigma == 0.0:
                 sigma = 1.0
     else:
         sigma = float(bandwidth)
         if sigma <= 0:
             raise ValueError("bandwidth must be positive")
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    np.negative(sq, out=sq)
+    sq /= 2.0 * sigma * sigma
+    return np.exp(sq, out=sq)
+
+
+def _median_distance(v: np.ndarray) -> float:
+    """``np.median(np.sqrt(v))`` of squared distances ``v``, by selection.
+
+    Partitions ``v`` in place.
+    """
+    h = v.size // 2
+    if v.size % 2:
+        v.partition(h)
+        return float(np.sqrt(v[h]))
+    v.partition((h - 1, h))
+    return float((np.sqrt(v[h - 1]) + np.sqrt(v[h])) / 2.0)
 
 
 def kernel_span_cost(K: np.ndarray, s: int, e: int) -> float:

@@ -522,6 +522,17 @@ class TestQueryFile:
     def test_bad_model_file_is_a_json_error(self, trained, tmp_path, capsys, command, model, message):
         assert message in self._run_bad(trained, tmp_path, capsys, command, model=model)
 
+    @pytest.mark.parametrize("d_token,d_embed", [(6, 16), (16, 12)])
+    @pytest.mark.parametrize("command", ["ground", "retrieve", "eval"])
+    def test_model_data_mismatch_names_both_files(self, trained, tmp_path, capsys, command, d_token, d_embed):
+        holdout = alignment.make_separable_dataset(4, d_token=16, d_embed=16, seed=3, map_seed=4)
+        data = {"d_token": 16, "d_embed": 16, "holdout": [
+            {"text": cli._hex_rows(s.text), "spans": [cli._hex_rows(sp) for sp in s.spans]} for s in holdout]}
+        model = alignment.params_to_json(alignment.AggregatorParams.init(d_token, d_embed, seed=1))
+        error = self._run_bad(trained, tmp_path, capsys, command, model=model, data=data)
+        assert error == (f"{tmp_path / 'bad_model.json'}: model takes d_token {d_token} to d_embed {d_embed}, "
+                         f"but {tmp_path / 'bad_data.json'} has d_token 16, d_embed 16")
+
 
 class TestDownstreamCommands:
     def test_ground(self, trained, tmp_path):

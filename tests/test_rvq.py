@@ -142,6 +142,16 @@ class TestSqdist:
         expected = np.array([np.flatnonzero(row == row.min())[0] for row in d2])
         np.testing.assert_array_equal(_nearest(codes, vectors), expected)
 
+    def test_out_buffer_returned_with_same_bits(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n, k, d = (int(v) for v in rng.integers(1, 30, size=3))
+            a = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+            b = rng.normal(size=(k, d))
+            buf = np.frombuffer(rng.bytes(8 * n * k), dtype=np.float64).reshape(n, k).copy()
+            assert sqdist(a, b, out=buf) is buf
+            np.testing.assert_array_equal(buf.view(np.uint64), sqdist(a, b).view(np.uint64))
+
     def test_shapes(self):
         rng = np.random.default_rng(4)
         assert sqdist(rng.normal(size=(1, 3)), rng.normal(size=(5, 3))).shape == (1, 5)
@@ -215,9 +225,9 @@ def sqdist_calls(monkeypatch):
     calls = []
     real = rvq.sqdist
 
-    def counting(a, b):
+    def counting(a, b, **kwargs):
         calls.append(a.shape[0])
-        return real(a, b)
+        return real(a, b, **kwargs)
 
     monkeypatch.setattr(rvq, "sqdist", counting)
     return calls

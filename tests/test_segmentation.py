@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,23 @@ from segalign.segmentation import (
     uniform_segment,
     window_cost_matrix,
 )
+from segalign.rvq import sqdist
+
+
+def reference_gaussian_kernel_matrix(x, bandwidth="median"):
+    """The np.median form that the selection median replaces; test-only
+    reference for gaussian_kernel_matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    sq = sqdist(x, x)
+    np.fill_diagonal(sq, 0.0)
+    if bandwidth == "median":
+        n = x.shape[0]
+        sigma = 1.0
+        if n >= 2:
+            sigma = float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)]))) or 1.0
+    else:
+        sigma = float(bandwidth)
+    return np.exp(-sq / (2.0 * sigma * sigma))
 
 
 def reference_dp(C, n, num_segments):
@@ -169,6 +190,55 @@ class TestKernelCpd:
         x = LatentSequence(vectors=np.zeros((3, 1)))
         with pytest.raises(ValueError):
             kernel_cpd_segment(x, 4)
+
+
+class TestGaussianKernelMatrix:
+    @staticmethod
+    def instance(rng, t):
+        # n = 2, 3, 4 give m = 1, 3, 6 pairs: the odd and even medians
+        n = (2, 3, 4)[t % 3] if t % 2 else int(rng.integers(1, 30))
+        d = int(rng.integers(1, 4))
+        kind = t % 5
+        if kind == 0:
+            return rng.integers(-2, 3, size=(n, d)).astype(np.float64)   # tie-heavy
+        if kind == 1:
+            return np.round(rng.normal(size=(n, d)), 1)
+        if kind == 2:
+            return np.repeat(rng.normal(size=(1, d)), n, axis=0)         # sigma = 1
+        return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+
+    def test_selection_median_matches_np_median_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for t in range(1500):
+            x = self.instance(rng, t)
+            bandwidth = "median" if t % 7 else float(rng.uniform(0.1, 3.0))
+            got = gaussian_kernel_matrix(x, bandwidth)
+            want = reference_gaussian_kernel_matrix(x, bandwidth)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bandwidth", ["median", 0.7])
+    def test_non_finite_input_rejected(self, bad, bandwidth):
+        x = np.arange(8.0).reshape(4, 2)
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            gaussian_kernel_matrix(x, bandwidth)
+
+
+def test_segmenters_do_not_import_numpy_ma():
+    # np.median imports numpy.ma on its first call, about 20 ms
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    probe = ("import sys, numpy as np\n"
+             "from segalign.motion import LatentSequence\n"
+             "from segalign.rvq import kmeans\n"
+             "from segalign.segmentation import kernel_cpd_segment\n"
+             "x = np.random.default_rng(0).normal(size=(20, 3))\n"
+             "kernel_cpd_segment(LatentSequence(vectors=x), 3)\n"
+             "kmeans(x, 4, seed=0)\n"
+             "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestClusterDp:
