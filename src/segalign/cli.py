@@ -144,6 +144,27 @@ def _load_corpus(data_dir):
 
 # --- segment ----------------------------------------------------------------
 
+def _load_library(path, latents) -> segmentation.PrimitiveLibrary:
+    """The primitive library at ``path``, checked against the latent width
+    of every sequence before any window is scored; a malformed file is a
+    CliError that starts with ``path``."""
+    if not os.path.exists(path):
+        raise CliError(f"primitive library not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lib = segmentation.library_from_json(json.load(fh))
+    except ValueError as exc:   # json.JSONDecodeError and UnicodeDecodeError included
+        raise CliError(f"{path}: {exc}") from None
+    width = lib.centers.shape[1]
+    for x in latents:
+        if width != lib.window_size * x.dim:
+            raise CliError(
+                f"{path}: field 'centers' has rows of {width} values, but window_size "
+                f"{lib.window_size} x latent dim {x.dim} needs {lib.window_size * x.dim}"
+            )
+    return lib
+
+
 def cmd_segment(args) -> int:
     records, latents, _ = _load_corpus(args.data)
     truth_path = os.path.join(args.data, "truth.json")
@@ -166,10 +187,7 @@ def cmd_segment(args) -> int:
             )
             _write_json(args.library, segmentation.library_to_json(lib))
         else:
-            if not os.path.exists(args.library):
-                raise CliError(f"primitive library not found: {args.library}")
-            with open(args.library, "r", encoding="utf-8") as fh:
-                lib = segmentation.library_from_json(json.load(fh))
+            lib = _load_library(args.library, latents.values())
 
     boundaries = {}
     pairs = []

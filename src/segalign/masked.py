@@ -61,6 +61,13 @@ class TokenPredictor(Protocol):
     ``predict(cond, state)`` returns an (L, K) matrix whose masked-position
     rows are probability vectors: finite, nonnegative and summing to 1
     within 1e-9.
+
+    ``iterative_decode`` passes one ``MaskState`` object to every call of a
+    decode.  Before each call it gives that state a fresh copy of the
+    tokens and a fresh ``masked_set``, so a predictor may keep (or scribble
+    on) ``state.tokens`` and ``state.masked_set`` without affecting the
+    decode or the values a later call sees; one that keeps the state object
+    itself sees the latest iteration's values.
     """
 
     def predict(self, cond, state: MaskState) -> np.ndarray: ...
@@ -172,6 +179,8 @@ def iterative_decode(
         raise ValueError(f"unknown decode mode {mode!r}")
     counts = mask_count_schedule(schedule.total_iters, length)
     tokens = np.full(length, MASK, dtype=np.int64)
+    # validated once; later iterations only swap in the new tokens and set
+    state = MaskState(tokens=tokens, masked_set=frozenset(range(length)), seed=seed)
     rng = np.random.default_rng(seed) if mode == "sample" else None
     for t in range(1, schedule.total_iters + 1):
         masked = np.flatnonzero(tokens == MASK)
@@ -179,7 +188,8 @@ def iterative_decode(
             if trace is not None:
                 trace.append({"iteration": t, "masked_count": 0, "fixed_indices": []})
             continue
-        state = MaskState(tokens=tokens.copy(), masked_set=frozenset(masked.tolist()), seed=seed)
+        state.tokens = tokens.copy()
+        state.masked_set = frozenset(masked.tolist())
         probs = np.asarray(predictor.predict(cond, state), dtype=np.float64)
         if probs.shape[0] != length:
             raise PredictorContractError("predictor returned wrong number of rows")

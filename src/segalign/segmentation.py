@@ -128,6 +128,29 @@ def uniform_segment(n: int, num_segments: int) -> SegmentBoundaries:
 # candidate is the single float add C[s, e] + best[e]; ``argmin`` takes the
 # first minimum, i.e. the lowest end, which is the oracle's strict-< rule over
 # lexicographically ordered cuts, so both return identical boundaries.
+#
+# The cost tables and the DP work on blocks of start rows s0 <= s < s1, so
+# their scratch arrays do not grow with the square of the table: a block
+# holds at most ``_BLOCK`` elements (one row if a row alone is wider).  In
+# every block the entries with e <= s lie in the leading corner, below its
+# diagonal.  _BLOCK is 2^13 float64 values, 64 KiB: in a sweep of 2^12 to
+# 2^16 on the corpus benchmarks, larger blocks ran at most about 6% faster
+# and raised the peak RSS by 0.4 to 2 MB, smaller ones ran slower.
+
+_BLOCK = 1 << 13
+
+
+def _row_blocks(rows: int, width: int, depth: int = 1):
+    """Consecutive (s0, s1) blocks covering range(rows <= width) for a table
+    whose row s is needed from column s0 to ``width``: a block's temporary of
+    (s1 - s0, width - s0) cells, ``depth`` elements each, holds at most
+    ``_BLOCK`` elements, or is a single row.  Blocks grow as rows shorten."""
+    s0 = 0
+    while s0 < rows:
+        s1 = min(rows, s0 + max(1, _BLOCK // (depth * (width - s0))))
+        yield s0, s1
+        s0 = s1
+
 
 def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list[int], float]:
     """Minimize sum of span costs over contiguous partitions into A spans.
@@ -135,18 +158,29 @@ def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list[int], 
     ``C`` is the (n+1, n+1) span-cost table described above.  Returns
     (interior cuts, objective).  Among optimal partitions, the
     lexicographically smallest cut sequence is returned.
+
+    Each step takes the candidates of one block of starts at a time.  The
+    block's columns e <= s0 hold +inf for all its rows, so they are left
+    out: the picks are those of a scan over every end whenever C is finite
+    above its diagonal and no candidate sum overflows.  Working memory
+    beyond C: O(n * A) for the best costs and picks, plus one block of at
+    most ``_BLOCK`` elements (one row if wider).
     """
     A = num_segments
     # best[s]: cost of splitting [s, n) into the current number of spans
     best = C[:n, n]
-    buf = np.empty((n, n + 1))
     choices = []
     for a in range(2, A + 1):
         # a spans over [s, n) need s <= n - a; the first span ends at e <= n-a+1
         rows, hi = n - a + 1, n - a + 2
-        cand = np.add(C[:rows, :hi], best[:hi], out=buf[:rows, :hi])
-        pick = cand.argmin(axis=1)
-        best = cand[np.arange(rows), pick]
+        pick = np.empty(rows, dtype=np.intp)
+        step_best = np.empty(rows)
+        for s0, s1 in _row_blocks(rows, hi):
+            cand = C[s0:s1, s0 + 1 : hi] + best[s0 + 1 : hi]
+            p = cand.argmin(axis=1)
+            step_best[s0:s1] = cand[np.arange(s1 - s0), p]
+            pick[s0:s1] = p + (s0 + 1)
+        best = step_best
         choices.append(pick)
     cuts = []
     s = 0
@@ -243,18 +277,42 @@ def kernel_cost_table(K: np.ndarray) -> np.ndarray:
     2 (P[j, j] - P[s, j]) + 2 K[s, j] - K[j, j], with P = cumsum(K, axis=0).
     Each cost then carries O(eps * n) rounding error (a 2-D cumulative sum
     gives O(eps * n^2)).  Costs are clamped at 0; entries with e <= s are +inf.
+
+    The table is built one block of start rows at a time (``_row_blocks``).
+    A block's increments for columns j >= s0 are zeroed where j < s, then
+    one ``cumsum`` along the row adds them left to right, as a loop adding
+    one column per step to a zero-initialised sum would.  Adding the
+    leading zeros is exact, and a row's first increment, 2 K[s, s] - K[s, s],
+    is never -0.0, so it equals 0.0 plus itself: every cost is the same
+    float bit for bit.  Working
+    memory beyond C is P, O(n^2), plus a few (rows, n - s0) temporaries of
+    at most ``_BLOCK`` elements each (one row if n is larger).
     """
     n = K.shape[0]
     diag = np.diag(K)
     diag_cum = np.concatenate([[0.0], np.cumsum(diag)])
     P = np.cumsum(K, axis=0)
-    lengths = np.arange(n, 0, -1, dtype=np.float64)   # lengths[n-1-j:][s] = j + 1 - s
-    block = np.zeros(n)           # block[s]: sum of K over [s, j) x [s, j)
+    P_diag = np.diag(P)
     C = np.full((n + 1, n + 1), np.inf)
-    for j in range(n):
-        block[: j + 1] += 2.0 * (P[j, j] - P[: j + 1, j] + K[: j + 1, j]) - diag[j]
-        cost = (diag_cum[j + 1] - diag_cum[: j + 1]) - block[: j + 1] / lengths[n - j - 1 :]
-        C[: j + 1, j + 1] = np.maximum(cost, 0.0)
+    for s0, s1 in _row_blocks(n, n):
+        b, w = s1 - s0, n - s0
+        below = np.tri(b, k=-1, dtype=bool)   # j < s in the block's leading corner
+        block = P_diag[s0:] - P[s0:s1, s0:]
+        block += K[s0:s1, s0:]
+        block *= 2.0
+        block -= diag[s0:]
+        np.copyto(block[:, :b], 0.0, where=below)
+        np.cumsum(block, axis=1, out=block)   # block[s, j]: sum of K over [s, j+1)^2
+        # span length j + 1 - s; below the diagonal, where the cost becomes
+        # +inf, any nonzero divisor
+        lengths = np.arange(1.0, w + 1.0) - np.arange(float(b))[:, None]
+        np.maximum(lengths, 1.0, out=lengths)
+        block /= lengths
+        cost = C[s0:s1, s0 + 1 :]
+        np.subtract(diag_cum[s0 + 1 :], diag_cum[s0:s1, None], out=cost)
+        cost -= block
+        np.maximum(cost, 0.0, out=cost)
+        np.copyto(cost[:, :b], np.inf, where=below)
     return C
 
 
@@ -314,24 +372,33 @@ def window_cost_matrix(x: LatentSequence, lib: PrimitiveLibrary) -> CostMatrix:
 
 
 def _run_prefix(costs: np.ndarray) -> np.ndarray:
-    """prefix[e] - prefix[s] is the per-primitive cost sum of windows [s, e)."""
-    return np.vstack([np.zeros(costs.shape[1]), np.cumsum(costs, axis=0)])
+    """(Kp, nw+1) prefix sums: prefix[:, e] - prefix[:, s] is the
+    per-primitive cost sum of windows [s, e)."""
+    prefix = np.zeros((costs.shape[1], costs.shape[0] + 1))
+    np.cumsum(costs.T, axis=1, out=prefix[:, 1:])
+    return prefix
 
 
 def run_cost_tables(costs: np.ndarray) -> np.ndarray:
     """Per-span primitive sums reduced to the cheapest primitive.
 
     C[s, e] is the cost of assigning windows [s, e) to their best single
-    primitive; entries with e <= s are +inf.  The prefix sums are held
-    transposed, (Kp, nw+1), so each start's (Kp, nw - s) block of sums
-    prefix[e] - prefix[s] is reduced over its outer axis: an elementwise
-    minimum of contiguous rows.  Memory is C, O(nw^2), plus one such block.
+    primitive; entries with e <= s are +inf.  For one block of starts at a
+    time (``_row_blocks``), the (Kp, rows, nw - s0) sums
+    prefix[:, e] - prefix[:, s] are reduced over their outer axis, an
+    elementwise minimum of contiguous rows, straight into C; then the
+    block's leading corner below its diagonal (e <= s) is set to +inf.
+    Working memory beyond C: the (Kp, nw+1) prefix plus one block of at
+    most ``_BLOCK`` elements (one start's Kp x nw sums if wider).
     """
     nw = costs.shape[0]
-    prefix_t = _run_prefix(costs).T.copy()
+    prefix = _run_prefix(costs)
     C = np.full((nw + 1, nw + 1), np.inf)
-    for s in range(nw):
-        np.minimum.reduce(prefix_t[:, s + 1 :] - prefix_t[:, s, None], axis=0, out=C[s, s + 1 :])
+    for s0, s1 in _row_blocks(nw, nw, prefix.shape[0]):
+        out = C[s0:s1, s0 + 1 :]
+        np.minimum.reduce(prefix[:, None, s0 + 1 :] - prefix[:, s0:s1, None], axis=0, out=out)
+        if s1 - s0 > 1:   # a single row has no entries below its diagonal
+            np.copyto(out[:, : s1 - s0], np.inf, where=np.tri(s1 - s0, k=-1, dtype=bool))
     return C
 
 
@@ -347,7 +414,7 @@ def segment_cost_matrix_dp(cost: CostMatrix, num_segments: int) -> tuple[list[in
     cuts, obj = _dp_partition(run_cost_tables(cost.costs), nw, num_segments)
     prefix = _run_prefix(cost.costs)
     edges = [0, *cuts, nw]
-    assignments = [int((prefix[e] - prefix[s]).argmin()) for s, e in zip(edges[:-1], edges[1:])]
+    assignments = [int((prefix[:, e] - prefix[:, s]).argmin()) for s, e in zip(edges[:-1], edges[1:])]
     return cuts, assignments, obj
 
 
@@ -394,7 +461,7 @@ def _brute_force_span_cost(costs):
         prefix = _run_prefix(costs.costs)
 
         def span_cost(s, e):
-            sums = prefix[e] - prefix[s]
+            sums = prefix[:, e] - prefix[:, s]
             best = np.inf
             for p in range(sums.shape[0]):
                 if sums[p] < best:
@@ -505,12 +572,25 @@ def library_to_json(lib: PrimitiveLibrary) -> dict:
     }
 
 
-def library_from_json(obj: dict) -> PrimitiveLibrary:
-    return PrimitiveLibrary(
-        centers=np.asarray(obj["centers"], dtype=np.float64),
-        window_size=int(obj["window_size"]),
-        stride=int(obj["stride"]),
-    )
+def library_from_json(obj) -> PrimitiveLibrary:
+    """The library ``library_to_json`` wrote; anything else raises
+    ValueError naming the field at fault."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object with fields 'centers', 'window_size' and 'stride'")
+    for key in ("centers", "window_size", "stride"):
+        if key not in obj:
+            raise ValueError(f"missing field {key!r}")
+    for key in ("window_size", "stride"):
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"field {key!r} must be a positive integer")
+    try:
+        centers = np.array(obj["centers"], dtype=np.float64)
+    except (TypeError, ValueError):
+        centers = None
+    if centers is None or centers.ndim != 2 or centers.size == 0 or not np.isfinite(centers).all():
+        raise ValueError("field 'centers' must be a non-empty list of equal-length lists of finite numbers")
+    return PrimitiveLibrary(centers=centers, window_size=obj["window_size"], stride=obj["stride"])
 
 
 def boundaries_to_json(b: SegmentBoundaries) -> list[list[int]]:

@@ -125,6 +125,36 @@ class TestSegmentCommand:
                      "--library", str(lib), "--out", str(out), "--quiet"]) == 0
         assert (out / "boundaries_cluster.json").exists()
 
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("{}", "missing field 'centers'", id="no-centers"),
+        pytest.param("[[0.0, 1.0]]", "expected a JSON object", id="list"),
+        pytest.param(json.dumps({"centers": [[0.0] * 5], "window_size": 2, "stride": 1}),
+                     "field 'centers' has rows of 5 values, but window_size 2 x latent dim 3 needs 6",
+                     id="width"),
+        pytest.param("centers: [[0.0]]", "Expecting value", id="not-json"),
+        pytest.param(json.dumps({"centers": [[0.0] * 6], "stride": 1}), "missing field 'window_size'",
+                     id="no-window-size"),
+        pytest.param(json.dumps({"centers": [[0.0] * 6], "window_size": "2", "stride": 1}),
+                     "field 'window_size' must be a positive integer", id="string-window-size"),
+        pytest.param(json.dumps({"centers": [[0.0] * 6], "window_size": 2, "stride": 0}),
+                     "field 'stride' must be a positive integer", id="zero-stride"),
+        pytest.param(json.dumps({"centers": [[0.0] * 6, [0.0]], "window_size": 2, "stride": 1}),
+                     "field 'centers' must be", id="ragged-centers"),
+        pytest.param(json.dumps({"centers": [], "window_size": 2, "stride": 1}), "field 'centers' must be",
+                     id="empty-centers"),
+    ])
+    def test_malformed_library_is_a_json_error(self, synth_dir, tmp_path, capsys, text, message):
+        lib = tmp_path / "lib.json"
+        lib.write_text(text)
+        out = tmp_path / "seg"
+        assert main(["segment", "--data", str(synth_dir), "--method", "cluster",
+                     "--library", str(lib), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        error = json.loads(err[0])["error"]
+        assert error.startswith(f"{lib}: ") and message in error
+        assert not out.exists()
+
     def test_same_seed_byte_identical(self, synth_dir, tmp_path):
         outs = []
         for name in ("o1", "o2"):

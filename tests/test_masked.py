@@ -254,6 +254,38 @@ class TestDecodeMatchesReferenceLoop:
         np.testing.assert_array_equal(got, want)
         assert trace == want_trace
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_predictor_sees_the_reference_states(self, seed):
+        class Recording(RandomRows):
+            """Keeps what it is shown; a scribbler then overwrites the state."""
+
+            def __init__(self, num_codes, seed, scribble=False):
+                super().__init__(num_codes, seed)
+                self.scribble = scribble
+                self.seen = []
+
+            def predict(self, cond, state):
+                self.seen.append((state, state.tokens, state.masked_set, state.seed))
+                probs = super().predict(cond, state)
+                if self.scribble:
+                    state.tokens[:] = 0
+                    state.masked_set = frozenset()
+                return probs
+
+        length, codes, schedule = 30 + seed, 7, Schedule(6)
+        want = Recording(codes, seed)
+        ref_tokens, _ = reference_iterative_decode(None, length, want, schedule, seed=seed)
+        for scribble in (False, True):
+            got = Recording(codes, seed, scribble)
+            tokens = iterative_decode(None, length, got, schedule, seed=seed)
+            np.testing.assert_array_equal(tokens, ref_tokens)
+            assert len(got.seen) == len(want.seen)
+            assert all(state is got.seen[0][0] for state, *_ in got.seen)
+            if not scribble:
+                for (_, *kept), (_, *ref_kept) in zip(got.seen, want.seen):
+                    np.testing.assert_array_equal(kept[0], ref_kept[0])
+                    assert kept[1:] == ref_kept[1:]
+
     def test_oracle_rows_are_built_once_and_read_only(self):
         pred = OraclePredictor(np.array([2, 0, 1]), num_codes=3)
         state = mask_random(np.zeros(3, dtype=int), 1.0, seed=0)

@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from segalign import segmentation
 from segalign.motion import LatentSequence
 from segalign.segmentation import (
     CostMatrix,
@@ -17,6 +19,7 @@ from segalign.segmentation import (
     build_primitive_library,
     cluster_dp_segment,
     _dp_partition,
+    _row_blocks,
     cut_errors,
     extract_windows,
     gaussian_kernel_matrix,
@@ -78,6 +81,24 @@ def reference_dp(C, n, num_segments):
     return cuts, float(best[A][0])
 
 
+def reference_kernel_cost_table(K):
+    """Per-column loop growing every start's block sum by one column per
+    step; test-only reference for kernel_cost_table, which adds the same
+    increments along each row of a block with one cumsum."""
+    n = K.shape[0]
+    diag = np.diag(K)
+    diag_cum = np.concatenate([[0.0], np.cumsum(diag)])
+    P = np.cumsum(K, axis=0)
+    lengths = np.arange(n, 0, -1, dtype=np.float64)   # lengths[n-1-j:][s] = j + 1 - s
+    block = np.zeros(n)           # block[s]: sum of K over [s, j) x [s, j)
+    C = np.full((n + 1, n + 1), np.inf)
+    for j in range(n):
+        block[: j + 1] += 2.0 * (P[j, j] - P[: j + 1, j] + K[: j + 1, j]) - diag[j]
+        cost = (diag_cum[j + 1] - diag_cum[: j + 1]) - block[: j + 1] / lengths[n - j - 1 :]
+        C[: j + 1, j + 1] = np.maximum(cost, 0.0)
+    return C
+
+
 def reference_run_cost_tables(costs):
     """Per-start loop reducing over the short primitive axis; test-only
     reference for run_cost_tables, which reduces over the transposed prefix."""
@@ -98,6 +119,49 @@ def random_cost_table(rng, n, kind, ties):
     kp = int(rng.integers(1, 5))
     costs = rng.integers(0, 3, size=(n, kp)) if ties else rng.uniform(0.0, 5.0, size=(n, kp))
     return run_cost_tables(costs.astype(np.float64))
+
+
+# 1 gives single-row blocks; 97 gives blocks of a few rows once a row is
+# narrower than 49, so most last blocks are short; None keeps the default
+BLOCK_SIZES = [1, 97, None]
+
+
+@pytest.fixture(params=BLOCK_SIZES, ids=lambda b: f"block={b}")
+def block(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(segmentation, "_BLOCK", request.param)
+    return segmentation._BLOCK
+
+
+def random_kernel(rng, n, kind):
+    """Symmetric K: Gaussian kernels of real or binary points, integer
+    matrices with zeros and ties, or all-equal rows."""
+    if kind == 0:
+        return gaussian_kernel_matrix(rng.normal(size=(n, 3)))
+    if kind == 1:
+        return gaussian_kernel_matrix(rng.integers(0, 2, size=(n, 2)).astype(np.float64))
+    if kind == 2:
+        a = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+        return a + a.T
+    return np.full((n, n), float(rng.integers(0, 3)))
+
+
+def random_run_costs(rng, n, kind):
+    kp = int(rng.integers(1, 71))
+    if kind == 0:
+        return rng.uniform(0.0, 5.0, size=(n, kp))
+    if kind == 1:
+        return rng.integers(0, 3, size=(n, kp)).astype(np.float64)
+    return np.tile(rng.integers(0, 3, size=kp).astype(np.float64), (n, 1))
+
+
+def table_size(rng, trial):
+    # n = 1 first; every 25th size spans several default blocks
+    if trial == 0:
+        return 1
+    if trial % 25 == 0:
+        return int(rng.integers(95, 260))
+    return int(rng.integers(1, 41))
 
 
 class TestSegmentBoundaries:
@@ -146,6 +210,12 @@ class TestKernelCpd:
         for s in range(9):
             for e in range(s + 1, 10):
                 assert abs(C[s, e] - kernel_span_cost(K, s, e)) < 1e-12
+
+    def test_cost_table_matches_reference_loop(self, block):
+        rng = np.random.default_rng(21)
+        for trial in range(1000):
+            K = random_kernel(rng, table_size(rng, trial), trial % 4)
+            assert kernel_cost_table(K).tobytes() == reference_kernel_cost_table(K).tobytes(), trial
 
     def test_cost_table_error_bound_at_n_1024(self):
         n = 1024
@@ -295,7 +365,7 @@ class TestClusterDp:
 
 
 class TestRunCostTables:
-    def test_matches_reference_loop(self):
+    def test_matches_reference_loop(self, block):
         rng = np.random.default_rng(14)
         shapes = [(1, 1), (1, 5), (7, 1), (2, 32), (30, 64)]
         shapes += [(int(rng.integers(1, 120)), int(rng.integers(1, 33))) for _ in range(60)]
@@ -307,13 +377,17 @@ class TestRunCostTables:
             C = run_cost_tables(costs)
             assert C.shape == (nw + 1, nw + 1)
             assert C.tobytes() == reference_run_cost_tables(costs).tobytes(), (nw, kp)
+        for trial in range(1000):
+            costs = random_run_costs(rng, table_size(rng, trial), trial % 3)
+            assert run_cost_tables(costs).tobytes() == reference_run_cost_tables(costs).tobytes(), trial
 
 
 class TestDpPartition:
-    def test_matches_reference_loop(self):
+    def test_matches_reference_loop(self, block):
         rng = np.random.default_rng(12)
         for trial in range(300):
-            n = int(rng.integers(2, 65))
+            # every 30th size spans several default blocks
+            n = int(rng.integers(95, 130) if trial % 30 == 0 else rng.integers(2, 65))
             a = int(rng.integers(2, min(7, n) + 1))
             kind = ("kernel", "run")[trial % 2]
             C = random_cost_table(rng, n, kind, ties=trial % 3 == 0)
@@ -338,6 +412,46 @@ class TestDpPartition:
         lib = PrimitiveLibrary(centers=np.array([[1.0, 1.0], [0.5, -1.0]]), window_size=1, stride=1)
         assert cluster_dp_segment(x, lib, 1).spans == ((0, 1),)
         assert segment_cost_matrix_dp(window_cost_matrix(x, lib), 1) == ([], [1], 0.0)
+
+
+class TestRowBlocks:
+    def test_blocks_cover_the_rows_within_the_budget(self, block):
+        for rows, width, depth in [(1, 1, 1), (7, 8, 1), (450, 450, 1), (447, 447, 16), (30, 40, 3)]:
+            edges = list(_row_blocks(rows, width, depth))
+            assert edges[0][0] == 0 and edges[-1][1] == rows
+            assert all(s1 == t0 for (_, s1), (t0, _) in zip(edges, edges[1:]))
+            for s0, s1 in edges:
+                assert s1 - s0 == 1 or (s1 - s0) * (width - s0) * depth <= block
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates beyond what is live before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    def test_dp_partition_needs_one_block_beyond_its_input(self):
+        n = 1024
+        rng = np.random.default_rng(24)
+        C = np.full((n + 1, n + 1), np.inf)
+        C[np.triu_indices(n + 1, k=1)] = rng.uniform(size=n * (n + 1) // 2)
+        assert traced_peak(_dp_partition, C, n, 5) < 1 << 20
+
+    @pytest.mark.parametrize("nw", [100, 1024])
+    def test_run_cost_tables_needs_its_table_prefix_and_one_block(self, nw):
+        kp = 64
+        costs = np.random.default_rng(25).uniform(size=(nw, kp))
+        table = (nw + 1) ** 2 * 8
+        prefix = kp * (nw + 1) * 8
+        block = 8 * max(segmentation._BLOCK, kp * nw)
+        # the broadcast subtraction runs through NumPy's two input buffers
+        buffers = 2 * 8 * np.getbufsize()
+        assert traced_peak(run_cost_tables, costs) <= table + prefix + block + buffers + (16 << 10)
 
 
 class TestBruteForceGuards:
