@@ -185,9 +185,14 @@ def cmd_segment(args) -> int:
                 num_primitives=args.primitives,
                 seed=seed_for(args.seed, "segment.library"),
             )
-            _write_json(args.library, segmentation.library_to_json(lib))
+            _write_atomic(args.library, json.dumps(segmentation.library_to_json(lib), sort_keys=True) + "\n")
         else:
             lib = _load_library(args.library, latents.values())
+            for flag, given, field in (("--window", args.window, "window_size"), ("--stride", args.stride, "stride")):
+                if not isinstance(given, _Default) and given != getattr(lib, field):
+                    raise CliError(
+                        f"{args.library}: {flag} {given} disagrees with the library's {field} {getattr(lib, field)}"
+                    )
 
     boundaries = {}
     pairs = []
@@ -217,21 +222,28 @@ def cmd_segment(args) -> int:
 
 def cmd_quantize(args) -> int:
     records, latents, _ = _load_corpus(args.data)
+    stacked = np.vstack([v.vectors for v in latents.values()])
     stack = rvq.train_codebooks(
-        list(latents.values()),
+        stacked,
         layers=args.layers,
         codes_per_layer=args.codes,
         seed=seed_for(args.seed, "rvq.train"),
         iters=args.iters,
     )
     _write_atomic(os.path.join(args.out, "stack.json"), rvq.stack_to_json(stack) + "\n")
-    quantized = {rid: rvq.quantize(v, stack) for rid, v in latents.items()}
+    # one pass over the corpus: quantize treats every row on its own, so the
+    # stacked rows get the bits each sequence would get alone
+    tokens, quantized = rvq.quantize(motion.LatentSequence(vectors=stacked), stack)
+    ends = np.cumsum([v.length for v in latents.values()]).tolist()
+    rows = {rid: slice(end - v.length, end) for (rid, v), end in zip(latents.items(), ends)}
     lines = [
-        json.dumps({"id": r.id, "layers": quantized[r.id][0].layers.tolist()}, sort_keys=True)
+        json.dumps({"id": r.id, "layers": tokens.layers[:, rows[r.id]].tolist()}, sort_keys=True)
         for r in records
     ]
     _write_atomic(os.path.join(args.out, "tokens.jsonl"), "\n".join(lines) + "\n")
-    err = rvq.quantization_mse((v, quantized[rid][1]) for rid, v in latents.items())
+    err = rvq.quantization_mse(
+        (v, motion.LatentSequence(vectors=quantized.vectors[rows[rid]])) for rid, v in latents.items()
+    )
     _write_atomic(
         os.path.join(args.out, "rvq_report.csv"),
         f"metric,value\nreconstruction_error,{err:.10g}\n",
@@ -542,6 +554,12 @@ def cmd_eval(args) -> int:
 
 # --- command table ----------------------------------------------------------
 
+class _Default(int):
+    """A flag's built-in default.  A value given by the flag or by --config is
+    a plain int, so a command can tell a value the user chose from one it
+    was left; it compares, prints and serialises as the int it is."""
+
+
 # flags every command takes; a command's own entry for one of them wins
 _COMMON = {
     "--seed": dict(type=int, default=0),
@@ -574,8 +592,8 @@ COMMANDS = {
         "--bandwidth": dict(default="median"),
         "--library": dict(default=None),
         "--fit-library": dict(action="store_true"),
-        "--window": dict(type=int, default=segmentation.DEFAULT_WINDOW_SIZE),
-        "--stride": dict(type=int, default=segmentation.DEFAULT_WINDOW_STRIDE),
+        "--window": dict(type=int, default=_Default(segmentation.DEFAULT_WINDOW_SIZE)),
+        "--stride": dict(type=int, default=_Default(segmentation.DEFAULT_WINDOW_STRIDE)),
         "--primitives": dict(type=int, default=segmentation.DEFAULT_LIBRARY_SIZE),
     }),
     "train-align": (cmd_train_align, "toy contrastive alignment training", {

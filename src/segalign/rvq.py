@@ -89,7 +89,9 @@ class TokenSequence:
         return self.layers.shape[1]
 
 
-def sqdist(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sqdist(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, a_sq: np.ndarray | None = None
+) -> np.ndarray:
     """Squared Euclidean distances, (n, d) x (k, d) -> (n, k).
 
     Computed as ``||a||^2 + ||b||^2 - 2 a.b^T`` with one BLAS matmul and
@@ -103,11 +105,15 @@ def sqdist(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 
     ``out``, if given, is a float64 (n, k) array that receives the result
     and is returned; its prior contents are never read, so one buffer can
-    serve many calls.  The values are the same bits as without it.
+    serve many calls.  ``a_sq``, if given, is ``(a * a).sum(axis=1)``, so a
+    caller that measures the same ``a`` against many ``b`` computes it once.
+    Either way the values are the same bits.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    d2 = np.add((a * a).sum(axis=1)[:, None], (b * b).sum(axis=1)[None, :], out=out)
+    if a_sq is None:
+        a_sq = (a * a).sum(axis=1)
+    d2 = np.add(a_sq[:, None], (b * b).sum(axis=1)[None, :], out=out)
     d2 -= 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0, out=d2)
 
@@ -156,7 +162,8 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
     Each iteration assigns every point to its nearest center by
     :func:`sqdist` (exact ties to the lowest index), then moves each center
     to the mean of its points, summed in row order per cluster; memory is
-    one O(n*k) distance buffer, allocated once per run.  Every cluster left
+    one O(n*k) distance buffer, allocated once per run, and the squared row
+    norms of ``data`` are computed once per run.  Every cluster left
     empty is reseeded to the single point farthest from its assigned center
     under the pre-update distances, so the result is deterministic for a
     fixed seed.
@@ -189,8 +196,9 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
     bins = np.arange(d)
     prev = None
     dist = np.empty((n, k))
+    data_sq = (data * data).sum(axis=1)
     for _ in range(iters):
-        sqdist(data, centers, out=dist)
+        sqdist(data, centers, out=dist, a_sq=data_sq)
         assign = np.argmin(dist, axis=1)
         counts = np.bincount(assign, minlength=k)
         filled = counts > 0

@@ -170,33 +170,74 @@ def fallback_decompose(raw: str) -> TextSegmentSet:
 
 # --- LLM endpoint with on-disk cache ---------------------------------------
 
+# cache path -> (file state, {(model, input): output}).  llm_decompose is
+# called once per record, so the table outlives a call: the file is parsed
+# once per state rather than once per lookup, and a path keeps one table.
+_cache_tables: dict[str, tuple[tuple[int, int, int], dict[tuple[str, str], str]]] = {}
+
+
+def _file_state(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
 def _cache_lookup(cache_path, model: str, raw: str) -> str | None:
-    """Cached output for (model, raw), or None.  A line that is not a JSON
-    object with string model, input and output is skipped with a warning."""
-    if cache_path is None or not os.path.exists(cache_path):
+    """Cached output for (model, raw), or None.
+
+    The file is parsed once per state (inode, mtime, size), so an appended
+    entry or an outside edit is seen by the next lookup; an edit that keeps
+    all three, within the file system's timestamp granularity, is not.
+    """
+    if cache_path is None:
         return None
-    with open(cache_path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                obj = None
-            if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in ("model", "input", "output"))):
-                warnings.warn(f"{cache_path}:{line_no}: skipping malformed cache line", RuntimeWarning)
-                continue
-            if obj["model"] == model and obj["input"] == raw:
-                return obj["output"]
-    return None
+    path = os.path.abspath(cache_path)
+    try:
+        state = _file_state(os.stat(path))
+    except FileNotFoundError:
+        return None
+    cached = _cache_tables.get(path)
+    if cached is None or cached[0] != state:
+        with open(path, "r", encoding="utf-8") as fh:
+            cached = _cache_tables[path] = (_file_state(os.fstat(fh.fileno())), _parse_cache(fh, cache_path))
+    return cached[1].get((model, raw))
+
+
+def _parse_cache(lines, cache_path) -> dict[tuple[str, str], str]:
+    """{(model, input): output} of a cache file's lines; the first line for a
+    key wins.  A line that is not a JSON object with string model, input and
+    output is skipped with a warning."""
+    table = {}
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            obj = None
+        if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in ("model", "input", "output"))):
+            warnings.warn(f"{cache_path}:{line_no}: skipping malformed cache line", RuntimeWarning)
+            continue
+        table.setdefault((obj["model"], obj["input"]), obj["output"])
+    return table
 
 
 def _cache_append(cache_path, model: str, raw: str, output: str) -> None:
+    """Append one entry line with one write on an O_APPEND descriptor, so
+    concurrent appenders do not interleave; a file that does not end in a
+    newline gets one first, so its last line is not glued to the entry."""
     if cache_path is None:
         return
-    with open(cache_path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"model": model, "input": raw, "output": output}, sort_keys=True) + "\n")
+    line = json.dumps({"model": model, "input": raw, "output": output}, sort_keys=True) + "\n"
+    fd = os.open(cache_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = "\n" + line
+        data = line.encode("utf-8")
+        if os.write(fd, data) != len(data):
+            raise OSError(f"{cache_path}: short write appending a cache entry")
+    finally:
+        os.close(fd)
 
 
 def _default_transport(url: str, payload: dict, timeout: float) -> str:
@@ -223,9 +264,10 @@ def llm_decompose(
     """Decompose via an OpenAI-style chat-completions endpoint.
 
     Results are cached on disk keyed by (model, input), so a warm cache makes
-    the call deterministic and network-free.  ``transport`` may be injected
-    for testing; it receives (url, payload, timeout) and returns the text of
-    the first choice.  An ``OSError`` from it is retried, then raises
+    the call deterministic and network-free; the cache file is parsed once
+    per file state, and the first line for a key wins.  ``transport`` may be
+    injected for testing; it receives (url, payload, timeout) and returns the
+    text of the first choice.  An ``OSError`` from it is retried, then raises
     ``TransportError``; a non-string or off-contract reply raises
     ``MalformedResponseError`` unretried.
     """

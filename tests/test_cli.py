@@ -7,7 +7,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from segalign import alignment, cli, metrics, textseg
+from segalign import alignment, cli, metrics, rvq, textseg
 from segalign.cli import main
 from segalign.motion import DatasetRecord, load_motion, read_dataset, write_dataset
 from segalign.seeds import rng_for, seed_for
@@ -120,10 +120,42 @@ class TestSegmentCommand:
         assert main(["segment", "--data", str(synth_dir), "--method", "cluster",
                      "--library", str(lib), "--fit-library", "--window", "1",
                      "--primitives", "8", "--out", str(out), "--quiet"]) == 0
-        assert lib.exists()
+        text = lib.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"   # compact
         assert main(["segment", "--data", str(synth_dir), "--method", "cluster",
                      "--library", str(lib), "--out", str(out), "--quiet"]) == 0
         assert (out / "boundaries_cluster.json").exists()
+        # flags that repeat the file's values are accepted
+        assert main(["segment", "--data", str(synth_dir), "--method", "cluster", "--library", str(lib),
+                     "--window", "1", "--stride", "1", "--out", str(tmp_path / "again"), "--quiet"]) == 0
+        assert (tmp_path / "again" / "boundaries_cluster.json").read_bytes() == \
+            (out / "boundaries_cluster.json").read_bytes()
+
+    @pytest.mark.parametrize("flags,config,message", [
+        pytest.param(["--window", "8"], None, "--window 8 disagrees with the library's window_size 1", id="window"),
+        pytest.param(["--window", "4"], None, "--window 4 disagrees with the library's window_size 1",
+                     id="window-equal-to-default"),
+        pytest.param(["--stride", "3"], None, "--stride 3 disagrees with the library's stride 1", id="stride"),
+        pytest.param([], {"window": 2}, "--window 2 disagrees with the library's window_size 1", id="config"),
+    ])
+    def test_library_flags_must_match_the_file(self, synth_dir, tmp_path, capsys, flags, config, message):
+        lib = tmp_path / "lib.json"
+        assert main(["segment", "--data", str(synth_dir), "--method", "cluster", "--library", str(lib),
+                     "--fit-library", "--window", "1", "--primitives", "8", "--out", str(tmp_path / "fit"),
+                     "--quiet"]) == 0
+        capsys.readouterr()
+        head = []
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            head = ["--config", str(cfg)]
+        out = tmp_path / "seg"
+        assert main([*head, "segment", "--data", str(synth_dir), "--method", "cluster",
+                     "--library", str(lib), *flags, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == f"{lib}: {message}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text,message", [
         pytest.param("{}", "missing field 'centers'", id="no-centers"),
@@ -182,6 +214,37 @@ class TestQuantizeCommand:
         assert len(tokens[0]["layers"]) == 2
         report = (out / "rvq_report.csv").read_text()
         assert report.startswith("metric,value\nreconstruction_error,")
+
+    # shortest: the length of the shortest sequence at every seed, where pinned
+    @pytest.mark.parametrize("spec,codes,layers,shortest", [
+        pytest.param({"n_samples": 40, "dim": 3, "segments_min": 1, "segments_max": 2,
+                      "tokens_per_segment_min": 1, "tokens_per_segment_max": 3}, 8, 3, 1, id="short"),
+        pytest.param({"n_samples": 12, "dim": 8, "segments_min": 1, "segments_max": 5,
+                      "tokens_per_segment_min": 1, "tokens_per_segment_max": 12}, 16, 2, None, id="ragged"),
+        pytest.param({"n_samples": 6, "dim": 16, "segments_min": 1, "segments_max": 3,
+                      "tokens_per_segment_min": 1, "tokens_per_segment_max": 40, "mean_scale": 30.0},
+                     4, 4, None, id="wide"),
+    ])
+    def test_matches_per_sequence_quantize(self, tmp_path, spec, codes, layers, shortest):
+        """tokens.jsonl and rvq_report.csv come from one quantize over the
+        stacked corpus; they must equal quantizing each sequence alone."""
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        for seed in (1, 2, 3):
+            data, out = tmp_path / f"data{seed}", tmp_path / f"q{seed}"
+            assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--seed", str(seed),
+                         "--out", str(data), "--quiet"]) == 0
+            assert main(["quantize", "--data", str(data), "--codes", str(codes), "--layers", str(layers),
+                         "--seed", str(seed), "--out", str(out), "--quiet"]) == 0
+            records, latents, _ = cli._load_corpus(str(data))
+            lengths = {v.length for v in latents.values()}
+            assert len(lengths) > 1 and shortest in (None, min(lengths))
+            stack = rvq.stack_from_json((out / "stack.json").read_text())
+            alone = {rid: rvq.quantize(v, stack) for rid, v in latents.items()}
+            lines = [json.dumps({"id": r.id, "layers": alone[r.id][0].layers.tolist()}, sort_keys=True)
+                     for r in records]
+            assert (out / "tokens.jsonl").read_text() == "\n".join(lines) + "\n"
+            err = rvq.quantization_mse((v, alone[rid][1]) for rid, v in latents.items())
+            assert (out / "rvq_report.csv").read_text() == f"metric,value\nreconstruction_error,{err:.10g}\n"
 
     def test_seeded_runs_byte_identical(self, synth_dir, tmp_path):
         outs = [tmp_path / "q1", tmp_path / "q2"]

@@ -56,6 +56,44 @@ def reference_kmeans(data, k, seed, iters=25):
     return centers
 
 
+def reference_kmeans_norms_per_iteration(data, k, seed, iters=25):
+    """k-means as it was before the squared row norms of ``data`` were
+    hoisted out of the loop: ``sqdist(data, centers)`` every iteration.
+    Test-only reference for the bits of :func:`kmeans`."""
+    data = np.asarray(data, dtype=np.float64)
+    n, d = data.shape
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, d))
+    centers[0] = data[rng.integers(n)]
+    diff = np.empty_like(data)
+    d2 = np.square(np.subtract(data, centers[0], out=diff), out=diff).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j] = data[rng.integers(n)]
+        else:
+            centers[j] = data[rng.choice(n, p=d2 / total)]
+        np.square(np.subtract(data, centers[j], out=diff), out=diff)
+        np.minimum(d2, diff.sum(axis=1), out=d2)
+    bins = np.arange(d)
+    prev = None
+    for _ in range(iters):
+        dist = sqdist(data, centers)
+        assign = np.argmin(dist, axis=1)
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        if filled.all() and prev is not None and np.array_equal(assign, prev):
+            break
+        prev = assign
+        sums = np.bincount(
+            (assign[:, None] * d + bins).ravel(), weights=data.ravel(), minlength=k * d
+        ).reshape(k, d)
+        centers[filled] = sums[filled] / counts[filled, None]
+        if not filled.all():
+            centers[~filled] = data[np.argmax(dist.min(axis=1))]
+    return centers
+
+
 def two_layer_stack():
     base = Codebook(entries=np.array([[0.0], [1.0]]))
     resid = Codebook(entries=np.array([[-0.25], [0.25]]))
@@ -152,6 +190,15 @@ class TestSqdist:
             assert sqdist(a, b, out=buf) is buf
             np.testing.assert_array_equal(buf.view(np.uint64), sqdist(a, b).view(np.uint64))
 
+    def test_precomputed_norms_give_same_bits(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n, k, d = (int(v) for v in rng.integers(1, 30, size=3))
+            a = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+            b = rng.normal(size=(k, d))
+            got = sqdist(a, b, a_sq=(a * a).sum(axis=1))
+            np.testing.assert_array_equal(got.view(np.uint64), sqdist(a, b).view(np.uint64))
+
     def test_shapes(self):
         rng = np.random.default_rng(4)
         assert sqdist(rng.normal(size=(1, 3)), rng.normal(size=(5, 3))).shape == (1, 5)
@@ -190,6 +237,20 @@ class TestKmeans:
                 kmeans(data, k, seed=seed, iters=10),
                 reference_kmeans(data, k, seed=seed, iters=10),
             )
+
+    def test_same_bits_as_norms_per_iteration(self):
+        rng = np.random.default_rng(12)
+        for seed in range(300):
+            n = int(rng.integers(2, 120))
+            k = int(rng.integers(1, min(n, 20) + 1))
+            d = int(rng.integers(1, 9))
+            data = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2)
+            if seed % 5 == 0:
+                data[: n // 2] = data[0]     # duplicate points: reseeds and early ties
+            iters = int(rng.choice([1, 3, 25]))
+            got = kmeans(data, k, seed=seed, iters=iters)
+            want = reference_kmeans_norms_per_iteration(data, k, seed=seed, iters=iters)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_empty_cluster_reseed_matches_reference(self):
         # k-means++ must place a duplicate center here; the duplicate with the

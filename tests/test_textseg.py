@@ -6,6 +6,7 @@ import subprocess
 import sys
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -184,6 +185,131 @@ class TestLlmDecompose:
         with pytest.raises(MalformedResponseError):
             llm_decompose("a person walks.", self.CFG, cache_path=str(cache), transport=t)
         assert not cache.exists() or cache.read_text() == ""
+
+
+def _entry(raw, output, model="test-model"):
+    return json.dumps({"model": model, "input": raw, "output": output}, sort_keys=True)
+
+
+def _exploding(url, payload, timeout):
+    raise AssertionError("network hit despite warm cache")
+
+
+class TestCacheFile:
+    """The cache file is parsed once per file state and read as a table."""
+
+    CFG = TestLlmDecompose.CFG
+
+    def test_lookups_parse_the_file_once(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        raws = [f"a person does action {i}." for i in range(60)]
+        cache.write_text("".join(_entry(raw, raw) + "\n" for raw in raws))
+        parsed = []
+        loads = json.loads
+
+        def counting(text, *args, **kwargs):
+            parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        for raw in raws:
+            out = llm_decompose(raw, self.CFG, cache_path=str(cache), transport=_exploding)
+            assert out.segments == (raw[:-1],)
+        assert len(parsed) == 60
+
+    def test_first_line_for_a_key_wins(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("\n".join([
+            _entry("a person spins.", "a person spins"),
+            _entry("a person spins.", "a person falls"),
+            _entry("a person spins.", "a person jumps", model="other-model"),
+        ]) + "\n")
+        for _ in range(2):
+            out = llm_decompose("a person spins.", self.CFG, cache_path=str(cache), transport=_exploding)
+            assert out.segments == ("a person spins",)
+        other = LlmEndpointConfig(base_url=self.CFG.base_url, model_name="other-model")
+        out = llm_decompose("a person spins.", other, cache_path=str(cache), transport=_exploding)
+        assert out.segments == ("a person jumps",)
+
+    def test_malformed_line_warns_once_per_parse(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        lines = [_entry("a person spins.", "a person spins"), "{not json", '{"model": 1}',
+                 _entry("a person kicks.", "a person kicks")]
+        cache.write_text("\n".join(lines) + "\n")
+        with pytest.warns(RuntimeWarning) as record:
+            for raw in ("a person kicks.", "a person kicks.", "a person spins."):
+                llm_decompose(raw, self.CFG, cache_path=str(cache), transport=_exploding)
+        assert [str(w.message) for w in record] == [
+            f"{cache}:2: skipping malformed cache line", f"{cache}:3: skipping malformed cache line"]
+        cache.write_text("\n".join(lines[1:]) + "\n")     # a new state is parsed again
+        with pytest.warns(RuntimeWarning) as record:
+            llm_decompose("a person kicks.", self.CFG, cache_path=str(cache), transport=_exploding)
+        assert [str(w.message) for w in record] == [
+            f"{cache}:1: skipping malformed cache line", f"{cache}:2: skipping malformed cache line"]
+
+    def test_fetched_miss_is_served_by_the_next_lookup(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(_entry("a person spins.", "a person spins") + "\n")
+        llm_decompose("a person spins.", self.CFG, cache_path=str(cache), transport=_exploding)
+        t = _ok_transport("a person kicks#a person punches.")
+        for _ in range(3):
+            out = llm_decompose("a person kicks then punches.", self.CFG, cache_path=str(cache), transport=t)
+            assert out.segments == ("a person kicks", "a person punches")
+        assert len(t.calls) == 1
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(_entry("a person spins.", "a person spins") + "\n")
+        out = llm_decompose("a person spins.", self.CFG, cache_path=str(cache), transport=_exploding)
+        assert out.segments == ("a person spins",)
+        # replaced by a file of the same size, as a temp-file-and-rename writer does
+        fresh = tmp_path / "fresh.jsonl"
+        fresh.write_text(_entry("a person spins.", "a person waves") + "\n")
+        os.replace(fresh, cache)
+        out = llm_decompose("a person spins.", self.CFG, cache_path=str(cache), transport=_exploding)
+        assert out.segments == ("a person waves",)
+        # edited in place
+        cache.write_text(_entry("a person spins.", "a person sits down") + "\n")
+        out = llm_decompose("a person spins.", self.CFG, cache_path=str(cache), transport=_exploding)
+        assert out.segments == ("a person sits down",)
+        cache.unlink()
+        t = _ok_transport("a person hops.")
+        out = llm_decompose("a person spins.", self.CFG, cache_path=str(cache), transport=t)
+        assert out.segments == ("a person hops",) and len(t.calls) == 1
+
+    def test_append_after_a_last_line_without_newline(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        first = _entry("a person spins.", "a person spins")
+        cache.write_text(first)
+        t = _ok_transport("a person kicks.")
+        llm_decompose("a person kicks.", self.CFG, cache_path=str(cache), transport=t)
+        assert cache.read_text() == first + "\n" + _entry("a person kicks.", "a person kicks.") + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for raw in ("a person spins.", "a person kicks."):
+                out = llm_decompose(raw, self.CFG, cache_path=str(cache), transport=_exploding)
+                assert out.segments == (raw[:-1],)
+        assert len(t.calls) == 1
+
+    def test_append_is_one_write_on_an_append_descriptor(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(_entry("a person spins.", "a person spins") + "\n")
+        opened, written = [], []
+        real_open, real_write = os.open, os.write
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append(flags)
+            return real_open(path, flags, *args, **kwargs)
+
+        def recording_write(fd, data):
+            written.append(bytes(data))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "write", recording_write)
+        llm_decompose("a person kicks.", self.CFG, cache_path=str(cache), transport=_ok_transport("a person kicks."))
+        assert len(opened) == 1 and opened[0] & os.O_APPEND
+        assert written == [(_entry("a person kicks.", "a person kicks.") + "\n").encode()]
 
 
 class TestDefaultTransport:
