@@ -19,6 +19,8 @@ from itertools import chain
 
 import numpy as np
 
+from .jsonio import json_object, number, numeric_array
+
 NORM_FLOOR = 1e-12
 
 DEFAULT_TEMPERATURE = 0.1
@@ -33,7 +35,6 @@ class DivergenceError(RuntimeError):
 class AlignmentConfig:
     temperature: float = DEFAULT_TEMPERATURE
     lambda_align: float = DEFAULT_LAMBDA_ALIGN
-    a_max: int = 5
     batch_size: int = 32
 
     def __post_init__(self):
@@ -536,26 +537,16 @@ def params_from_json(obj) -> AggregatorParams:
     """The inverse of ``params_to_json``.  A top level that is not an
     object, or a weight that is missing, not numeric or of a shape that does
     not fit the others, is a ValueError naming it."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"model: expected a JSON object, got {type(obj).__name__}")
+    json_object(obj, "w1", "b1", "w2", "b2")
     w = {}
     for name, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1)):
-        if name not in obj:
-            raise ValueError(f"model: missing weight {name!r}")
-        try:
-            arr = np.asarray(obj[name])
-        except ValueError:  # ragged nested lists
-            arr = None
-        if arr is None or arr.dtype.kind not in "iuf":
-            raise ValueError(f"model: weight {name!r} is not numeric")
-        if arr.ndim != ndim:
-            raise ValueError(f"model: weight {name!r} must be {ndim}-D, got shape {arr.shape}")
-        w[name] = arr.astype(np.float64)
+        w[name] = numeric_array(obj[name])
+        if w[name] is None:
+            raise ValueError(f"weight {name!r} is not numeric")
+        if w[name].ndim != ndim:
+            raise ValueError(f"weight {name!r} must be {ndim}-D, got shape {w[name].shape}")
     (h, _), (d_embed, _) = w["w1"].shape, w["w2"].shape
     for name, shape in (("b1", (h,)), ("w2", (d_embed, h)), ("b2", (d_embed,))):
         if w[name].shape != shape:
-            raise ValueError(f"model: weight {name!r} has shape {w[name].shape}, expected {shape}")
-    seed = obj.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"model: seed must be an integer, got {seed!r}")
-    return AggregatorParams(**w, seed=seed)
+            raise ValueError(f"weight {name!r} has shape {w[name].shape}, expected {shape}")
+    return AggregatorParams(**w, seed=number(obj.get("seed", 0), int, "seed"))

@@ -4,10 +4,15 @@ Commands: synth, decompose, quantize, segment, train-align, decode, ground,
 retrieve, eval.  ``main`` builds the parser of the one command it is given;
 ``segalign <command> --help`` lists its flags.  ``--config FILE`` goes before
 the command: its JSON keys are flag dests (``d_token``, ``lambda``), flags
-override them, keys the command does not use are ignored, and a bad file
-exits 1 with a JSON error.  Every stochastic command takes --seed and derives
-all module seeds from it through named streams, so reruns are bit-identical.
-All outputs are written atomically (temp + rename).
+override them, and keys the command does not use are ignored.  Every JSON
+file a command reads (the synth spec, manifest.json, truth.json, a primitive
+library, model.json, align_data.json, --config) goes through one reader: a
+missing, malformed or mistyped file exits 1, before anything is written,
+with one stderr line ``{"error": "<path>: <field> ..."}``.  A spec or config
+value of the wrong JSON type, such as "8" for an int, is refused, not
+converted.  Every stochastic command takes --seed and derives all module
+seeds from it through named streams, so reruns are bit-identical.  All
+outputs are written atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -19,16 +24,17 @@ import json
 import os
 import sys
 import urllib.parse
+import warnings
 
 import numpy as np
 
-from . import alignment, metrics, motion, rvq, segmentation, textseg
+from . import alignment, jsonio, metrics, motion, rvq, segmentation, textseg
 from .atomic import write_atomic
 from .masked import OraclePredictor, Schedule, iterative_decode, trace_to_jsonl
 from .seeds import rng_for, seed_for
 
 
-class CliError(RuntimeError):
+class CliError(ValueError):
     pass
 
 
@@ -56,39 +62,47 @@ def _sha256(path) -> str:
 
 # --- synth ------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    seg_min = int(spec.get("segments_min", 2))
-    seg_max = int(spec.get("segments_max", 3))
-    if seg_max > textseg.A_MAX:
-        raise CliError(f"spec requests up to {seg_max} segments; maximum is {textseg.A_MAX}")
-    if seg_min < 1 or seg_min > seg_max:
-        raise CliError("invalid segment range in spec")
-    n_samples = int(spec.get("n_samples", 20))
-    dim = int(spec.get("dim", 6))
-    ratio = int(spec.get("ratio", motion.DEFAULT_DOWNSAMPLE_RATIO))
-    tok_min = int(spec.get("tokens_per_segment_min", 4))
-    tok_max = int(spec.get("tokens_per_segment_max", 8))
-    mean_scale = float(spec.get("mean_scale", 3.0))
-    noise_std = float(spec.get("noise_std", 0.3))
-    embed_dim = int(spec.get("embed_dim", 16))
+# synth spec fields and their defaults: an int field takes a positive JSON
+# int, a float field a finite JSON number >= 0, and no other key is allowed
+SPEC_DEFAULTS = dict(n_samples=20, dim=6, ratio=motion.DEFAULT_DOWNSAMPLE_RATIO, segments_min=2, segments_max=3,
+                     tokens_per_segment_min=4, tokens_per_segment_max=8, mean_scale=3.0, noise_std=0.3, embed_dim=16)
 
+
+def _synth_params(spec) -> dict:
+    """SPEC_DEFAULTS updated by the spec's fields, each checked."""
+    params = {**SPEC_DEFAULTS, **jsonio.json_object(spec)}
+    for key, value in params.items():
+        if key not in SPEC_DEFAULTS:
+            raise ValueError(f"unknown field {key!r}")
+        if isinstance(SPEC_DEFAULTS[key], int):
+            jsonio.positive_int(value, key)
+        elif jsonio.number(value, float, key) < 0:
+            raise ValueError(f"field {key!r} must not be negative, got {value!r}")
+    if params["segments_max"] > textseg.A_MAX:
+        raise ValueError(f"field 'segments_max' must be at most {textseg.A_MAX}, got {params['segments_max']}")
+    for low, high in (("segments_min", "segments_max"), ("tokens_per_segment_min", "tokens_per_segment_max")):
+        if params[low] > params[high]:
+            raise ValueError(f"field {low!r} {params[low]} exceeds field {high!r} {params[high]}")
+    return params
+
+
+def cmd_synth(args) -> int:
+    spec, p = jsonio.read_json(args.spec, lambda obj: (obj, _synth_params(obj)))
     out = args.out
     os.makedirs(os.path.join(out, "motions"), exist_ok=True)
     records = []
     truth = {}
-    for i in range(n_samples):
+    for i in range(p["n_samples"]):
         rng = rng_for(args.seed, f"synth.{i}")
-        a = int(rng.integers(seg_min, seg_max + 1))
-        tokens_per = rng.integers(tok_min, tok_max + 1, size=a)
-        means = [rng.normal(0.0, mean_scale, size=dim) for _ in range(a)]
+        a = int(rng.integers(p["segments_min"], p["segments_max"] + 1))
+        tokens_per = rng.integers(p["tokens_per_segment_min"], p["tokens_per_segment_max"] + 1, size=a)
+        means = [rng.normal(0.0, p["mean_scale"], size=p["dim"]) for _ in range(a)]
         sspec = motion.SyntheticSpec(
             regime_count=a,
-            frames_per_regime=[int(t) * ratio for t in tokens_per],
-            dim=dim,
+            frames_per_regime=[int(t) * p["ratio"] for t in tokens_per],
+            dim=p["dim"],
             regime_means=means,
-            noise_std=noise_std,
+            noise_std=p["noise_std"],
             seed=seed_for(args.seed, f"synth.noise.{i}"),
         )
         m, _ = motion.synth_motion(sspec)
@@ -96,7 +110,7 @@ def cmd_synth(args) -> int:
         rel = os.path.join("motions", f"{sample_id}.sgmo")
         motion.save_motion(m, os.path.join(out, rel))
         segments = [f"a person performs action {int(k)}" for k in rng.integers(0, 100, size=a)]
-        embeddings = [rng.normal(size=embed_dim).tolist() for _ in range(a)]
+        embeddings = [rng.normal(size=p["embed_dim"]).tolist() for _ in range(a)]
         records.append(
             motion.DatasetRecord(
                 id=sample_id,
@@ -116,7 +130,7 @@ def cmd_synth(args) -> int:
     manifest = {
         "seed": args.seed,
         "spec": spec,
-        "ratio": ratio,
+        "ratio": p["ratio"],
         "files": {
             name: _sha256(os.path.join(out, name))
             for name in sorted(
@@ -126,20 +140,19 @@ def cmd_synth(args) -> int:
         },
     }
     _write_json(os.path.join(out, "manifest.json"), manifest)
-    _log(args, f"synth: wrote {n_samples} samples to {out}")
+    _log(args, f"synth: wrote {p['n_samples']} samples to {out}")
     return 0
 
 
 def _load_corpus(data_dir):
     records = motion.read_dataset(os.path.join(data_dir, "dataset.jsonl"))
-    with open(os.path.join(data_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    ratio = int(manifest["ratio"])
+    path = os.path.join(data_dir, "manifest.json")
+    ratio = jsonio.read_json(path, lambda obj: jsonio.positive_int(jsonio.json_object(obj, "ratio")["ratio"], "ratio"))
     latents = {}
     for r in records:
         m = motion.load_motion(os.path.join(data_dir, r.motion_path))
         latents[r.id] = motion.project_latent(m, ratio)
-    return records, latents, manifest
+    return records, latents, ratio
 
 
 # --- segment ----------------------------------------------------------------
@@ -147,14 +160,8 @@ def _load_corpus(data_dir):
 def _load_library(path, latents) -> segmentation.PrimitiveLibrary:
     """The primitive library at ``path``, checked against the latent width
     of every sequence before any window is scored; a malformed file is a
-    CliError that starts with ``path``."""
-    if not os.path.exists(path):
-        raise CliError(f"primitive library not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lib = segmentation.library_from_json(json.load(fh))
-    except ValueError as exc:   # json.JSONDecodeError and UnicodeDecodeError included
-        raise CliError(f"{path}: {exc}") from None
+    ValueError that starts with ``path``."""
+    lib = jsonio.read_json(path, segmentation.library_from_json)
     width = lib.centers.shape[1]
     for x in latents:
         if width != lib.window_size * x.dim:
@@ -165,13 +172,29 @@ def _load_library(path, latents) -> segmentation.PrimitiveLibrary:
     return lib
 
 
+def _truth_from_json(obj, records, latents) -> dict:
+    """truth.json's boundaries by sample id.  A record's entry must cover
+    exactly [0, n) of its sequence with the record's segment count."""
+    truth = {}
+    for key, spans in jsonio.json_object(obj).items():
+        try:
+            truth[key] = segmentation.boundaries_from_json(spans)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    for r in records:
+        b, want = truth.get(r.id), (len(r.text_segments), latents[r.id].length)
+        if b is not None and (b.num_segments, b.length) != want:
+            raise ValueError(f"{r.id}: {b.num_segments} spans over [0, {b.length}), but the record has "
+                             f"{want[0]} segments over [0, {want[1]})")
+    return truth
+
+
 def cmd_segment(args) -> int:
     records, latents, _ = _load_corpus(args.data)
     truth_path = os.path.join(args.data, "truth.json")
-    truth = None
+    truth = {}
     if os.path.exists(truth_path):
-        with open(truth_path, "r", encoding="utf-8") as fh:
-            truth = {k: segmentation.boundaries_from_json(v) for k, v in json.load(fh).items()}
+        truth = jsonio.read_json(truth_path, lambda obj: _truth_from_json(obj, records, latents))
 
     lib = None
     if args.method == "cluster":
@@ -206,7 +229,7 @@ def cmd_segment(args) -> int:
         else:
             b = segmentation.cluster_dp_segment(x, lib, a)
         boundaries[r.id] = segmentation.boundaries_to_json(b)
-        if truth is not None and r.id in truth:
+        if r.id in truth:
             pairs.append((b, truth[r.id]))
 
     _write_json(os.path.join(args.out, f"boundaries_{args.method}.json"), boundaries)
@@ -362,19 +385,15 @@ def cmd_train_align(args) -> int:
         args.d_token, args.d_embed, seed=seed_for(args.seed, "align.init")
     )
     top1_before = alignment.retrieval_top1(holdout, init)
-    try:
-        params, curve = alignment.toy_train(
-            train_used,
-            cfg,
-            steps=args.steps,
-            lr=args.lr,
-            seed=seed_for(args.seed, "align.sgd"),
-            params=init,
-            variant=variant,
-        )
-    except alignment.DivergenceError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 1
+    params, curve = alignment.toy_train(
+        train_used,
+        cfg,
+        steps=args.steps,
+        lr=args.lr,
+        seed=seed_for(args.seed, "align.sgd"),
+        params=init,
+        variant=variant,
+    )
     top1_after = alignment.retrieval_top1(holdout, params)
 
     # the query commands read only the holdout split; the train split is a
@@ -437,41 +456,33 @@ def cmd_decode(args) -> int:
 def _read_holdout(path) -> list[alignment.ToySample]:
     """The held-out split of an align_data.json: ``text`` rows are d_embed
     wide, span rows d_token wide, each written by ``_hex_rows``.  A file of
-    any other shape is a CliError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise CliError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    missing = [key for key in ("d_embed", "d_token", "holdout") if key not in data]
-    if missing:
-        raise CliError(f"{path}: missing {', '.join(missing)}; rerun train-align")
-    d_embed, d_token, holdout = data["d_embed"], data["d_token"], data["holdout"]
-    for key, d in (("d_embed", d_embed), ("d_token", d_token)):
-        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-            raise CliError(f"{path}: {key} must be a positive integer, got {d!r}")
-    if not isinstance(holdout, list) or not holdout:
-        raise CliError(f"{path}: holdout must be a non-empty list of samples")
-    samples = []
-    for i, s in enumerate(holdout):
-        where = f"{path}: holdout[{i}]"
-        if not isinstance(s, dict) or not isinstance(s.get("spans"), list):
-            raise CliError(f"{where}: expected an object with text and a list of spans")
-        text = _unhex_rows(s.get("text"), d_embed, f"{where}.text")
-        spans = [_unhex_rows(sp, d_token, f"{where}.spans[{j}]") for j, sp in enumerate(s["spans"])]
-        if len(spans) != len(text):
-            raise CliError(f"{where}: {len(text)} text rows but {len(spans)} spans")
-        samples.append(alignment.ToySample(text=text, spans=spans))
-    return samples
+    any other shape is a ValueError that starts with ``path``."""
+
+    def parse(data):
+        jsonio.json_object(data, "d_embed", "d_token", "holdout")
+        d_embed, d_token = (jsonio.positive_int(data[key], key) for key in ("d_embed", "d_token"))
+        if not isinstance(data["holdout"], list) or not data["holdout"]:
+            raise CliError("holdout must be a non-empty list of samples")
+        samples = []
+        for i, s in enumerate(data["holdout"]):
+            where = f"holdout[{i}]"
+            if not isinstance(s, dict) or not isinstance(s.get("spans"), list):
+                raise CliError(f"{where}: expected an object with text and a list of spans")
+            text = _unhex_rows(s.get("text"), d_embed, f"{where}.text")
+            spans = [_unhex_rows(sp, d_token, f"{where}.spans[{j}]") for j, sp in enumerate(s["spans"])]
+            if len(spans) != len(text):
+                raise CliError(f"{where}: {len(text)} text rows but {len(spans)} spans")
+            samples.append(alignment.ToySample(text=text, spans=spans))
+        return samples
+
+    return jsonio.read_json(path, parse)
 
 
 def _load_query(args):
     """The trained model and the held-out split of align_data.json.  A model
     whose input is not 2 * d_token wide or whose output is not d_embed wide
     is a CliError naming both files."""
-    if not os.path.exists(args.model):
-        raise CliError(f"model file not found: {args.model}")
-    with open(args.model, "r", encoding="utf-8") as fh:
-        params = alignment.params_from_json(json.load(fh))
+    params = jsonio.read_json(args.model, alignment.params_from_json)
     holdout = _read_holdout(args.data)
     # _read_holdout checks every row's width, and every sample has a row
     d_token, d_embed = holdout[0].spans[0].shape[1], holdout[0].text.shape[1]
@@ -521,11 +532,27 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
+def _read_features(path) -> np.ndarray:
+    """The rows of a comma-separated feature file, all finite.  A file with
+    no rows is an error, where numpy would only warn."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            X = np.loadtxt(path, delimiter=",", ndmin=2)
+    except UserWarning:  # numpy's "input contained no data"
+        raise CliError(f"{path}: no feature rows") from None
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    if not np.isfinite(X).all():
+        raise CliError(f"{path}: non-finite value")
+    return X
+
+
 def cmd_eval(args) -> int:
     report = metrics.EvalReport(metadata={"seed": args.seed})
     if args.features_a:
-        A = np.loadtxt(args.features_a, delimiter=",", ndmin=2)
-        B = np.loadtxt(args.features_b, delimiter=",", ndmin=2) if args.features_b else A
+        A = _read_features(args.features_a)
+        B = _read_features(args.features_b) if args.features_b else A
         if args.metric in (None, "fid"):
             report.add("fid", metrics.fid(A, B))
         if args.metric in (None, "mm_dist") and A.shape == B.shape:
@@ -648,21 +675,24 @@ def command_parser(name: str):
 def _config_defaults(path, flags: dict) -> dict:
     """The config values for the running command's flags; other keys are
     ignored.  The values are placed in the parse namespace as they are, so
-    argparse never runs a flag's ``type`` on them: a value for an int or
-    float flag must already be a number of that type."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except ValueError as exc:
-        raise CliError(f"config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise CliError(f"config {path}: expected a JSON object, got {type(config).__name__}")
-    config = {key: value for key, value in config.items() if key in flags}
-    for key, value in config.items():
-        kind = flags[key].type
-        if kind in (int, float) and (isinstance(value, bool) or not isinstance(value, (int, kind))):
-            raise CliError(f"config {path}: {key!r} must be {kind.__name__}, got {value!r}")
-    return config
+    argparse never runs a flag's ``type`` or ``choices`` on them: a value
+    must already be what the flag would give, a finite number for an int or
+    float flag, a bool for a switch, and one of a flag's choices or else a
+    string for the rest."""
+
+    def parse(config):
+        config = {key: value for key, value in jsonio.json_object(config).items() if key in flags}
+        for key, value in config.items():
+            action = flags[key]
+            kind = action.type or (bool if action.nargs == 0 else str)
+            if kind in (int, float):
+                jsonio.number(value, kind, key)
+            elif not isinstance(value, kind) or action.choices and value not in action.choices:
+                wanted = f"one of {action.choices}" if action.choices else kind.__name__
+                raise ValueError(f"field {key!r} must be {wanted}, got {value!r}")
+        return config
+
+    return jsonio.read_json(path, parse)
 
 
 @functools.cache
@@ -696,7 +726,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError, alignment.DivergenceError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 1
 

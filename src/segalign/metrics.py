@@ -198,6 +198,8 @@ def fid(feats_a: np.ndarray, feats_b: np.ndarray, eps: float = FID_EPS) -> float
         raise ValueError("non-finite features")
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError("feature sets must be 2-D with matching dimension")
+    if min(len(A), len(B)) < 2:
+        raise ValueError(f"fid needs at least 2 rows in each feature set, got {len(A)} and {len(B)}")
     d = A.shape[1]
     mu_a, mu_b = A.mean(axis=0), B.mean(axis=0)
     cov_a = np.cov(A, rowvar=False).reshape(d, d) + eps * np.eye(d)

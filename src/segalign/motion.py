@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import write_atomic
+from .jsonio import json_object, numeric_array
 
 MAGIC = b"SGMO"
 
@@ -249,39 +250,40 @@ def _list_of(value, kind) -> bool:
     return isinstance(value, list) and all(isinstance(v, kind) for v in value)
 
 
+def _record_from_json(obj) -> DatasetRecord:
+    json_object(obj, "id", "text", "segments", "motion")
+    embeddings = obj.get("embeddings")
+    for name, ok, kind in (
+        ("id", isinstance(obj["id"], str), "a string"),
+        ("text", isinstance(obj["text"], str), "a string"),
+        ("segments", _list_of(obj["segments"], str), "a list of strings"),
+        ("motion", isinstance(obj["motion"], str), "a string"),
+        ("embeddings", embeddings is None or _list_of(embeddings, list), "a list of lists"),
+    ):
+        if not ok:
+            raise ValueError(f"field {name!r} must be {kind}")
+    if embeddings:
+        values = numeric_array(embeddings)
+        if values is None or values.ndim != 2 or not np.isfinite(values).all():
+            raise ValueError("field 'embeddings' must be lists of finite numbers, all of one length")
+    return DatasetRecord(
+        id=obj["id"],
+        raw_text=obj["text"],
+        text_segments=obj["segments"],
+        motion_path=obj["motion"],
+        precomputed_embeddings=embeddings,
+    )
+
+
 def read_dataset(path) -> list[DatasetRecord]:
+    """The records of a dataset JSON-lines file, blank lines skipped; a bad
+    line is a ValueError that starts with ``<path>:<line number>: ``."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{line_no}: expected a JSON object")
-            for name in ("id", "text", "segments", "motion"):
-                if name not in obj:
-                    raise ValueError(f"{path}:{line_no}: missing field {name!r}")
-            embeddings = obj.get("embeddings")
-            for name, ok, kind in (
-                ("id", isinstance(obj["id"], str), "a string"),
-                ("text", isinstance(obj["text"], str), "a string"),
-                ("segments", _list_of(obj["segments"], str), "a list of strings"),
-                ("motion", isinstance(obj["motion"], str), "a string"),
-                ("embeddings", embeddings is None or _list_of(embeddings, list), "a list of lists"),
-            ):
-                if not ok:
-                    raise ValueError(f"{path}:{line_no}: field {name!r} must be {kind}")
-            records.append(
-                DatasetRecord(
-                    id=obj["id"],
-                    raw_text=obj["text"],
-                    text_segments=obj["segments"],
-                    motion_path=obj["motion"],
-                    precomputed_embeddings=embeddings,
-                )
-            )
+                if line.strip():
+                    records.append(_record_from_json(json.loads(line.decode("utf-8"))))
+            except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError included
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return records

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import json_object, numeric_array, positive_int
 from .motion import LatentSequence
 from .rvq import kmeans, sqdist
 
@@ -503,11 +504,7 @@ def seg_error_eval(pred: SegmentBoundaries, truth: SegmentBoundaries) -> tuple[f
         raise ValueError(
             f"segment count mismatch: {pred.num_segments} vs {truth.num_segments}"
         )
-    errors = cut_errors(pred, truth)
-    if not errors:
-        return 0.0, 0.0
-    arr = np.asarray(errors, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
+    return seg_error_corpus([(pred, truth)])
 
 
 def cut_errors(pred: SegmentBoundaries, truth: SegmentBoundaries) -> list[float]:
@@ -575,22 +572,12 @@ def library_to_json(lib: PrimitiveLibrary) -> dict:
 def library_from_json(obj) -> PrimitiveLibrary:
     """The library ``library_to_json`` wrote; anything else raises
     ValueError naming the field at fault."""
-    if not isinstance(obj, dict):
-        raise ValueError("expected a JSON object with fields 'centers', 'window_size' and 'stride'")
-    for key in ("centers", "window_size", "stride"):
-        if key not in obj:
-            raise ValueError(f"missing field {key!r}")
-    for key in ("window_size", "stride"):
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"field {key!r} must be a positive integer")
-    try:
-        centers = np.array(obj["centers"], dtype=np.float64)
-    except (TypeError, ValueError):
-        centers = None
+    json_object(obj, "centers", "window_size", "stride")
+    window_size, stride = (positive_int(obj[key], key) for key in ("window_size", "stride"))
+    centers = numeric_array(obj["centers"])
     if centers is None or centers.ndim != 2 or centers.size == 0 or not np.isfinite(centers).all():
         raise ValueError("field 'centers' must be a non-empty list of equal-length lists of finite numbers")
-    return PrimitiveLibrary(centers=centers, window_size=obj["window_size"], stride=obj["stride"])
+    return PrimitiveLibrary(centers=centers, window_size=window_size, stride=stride)
 
 
 def boundaries_to_json(b: SegmentBoundaries) -> list[list[int]]:
@@ -598,4 +585,9 @@ def boundaries_to_json(b: SegmentBoundaries) -> list[list[int]]:
 
 
 def boundaries_from_json(obj) -> SegmentBoundaries:
-    return SegmentBoundaries(spans=tuple((int(s), int(e)) for s, e in obj))
+    """The boundaries ``boundaries_to_json`` wrote: [start, end] pairs of
+    JSON ints that cover [0, n); anything else raises ValueError."""
+    if not (isinstance(obj, list) and all(isinstance(p, list) and len(p) == 2 for p in obj)
+            and all(type(v) is int for p in obj for v in p)):
+        raise ValueError("expected a list of [start, end] pairs of integers")
+    return SegmentBoundaries(spans=tuple(map(tuple, obj)))

@@ -224,20 +224,28 @@ def _parse_cache(lines, cache_path) -> dict[tuple[str, str], str]:
 def _cache_append(cache_path, model: str, raw: str, output: str) -> None:
     """Append one entry line with one write on an O_APPEND descriptor, so
     concurrent appenders do not interleave; a file that does not end in a
-    newline gets one first, so its last line is not glued to the entry."""
+    newline gets one first, so its last line is not glued to the entry.  If
+    the path's table was current and the file grew by just this write, the
+    entry joins the table and the file's new state is recorded."""
     if cache_path is None:
         return
     line = json.dumps({"model": model, "input": raw, "output": output}, sort_keys=True) + "\n"
     fd = os.open(cache_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
-        size = os.fstat(fd).st_size
-        if size and os.pread(fd, 1, size - 1) != b"\n":
+        before = os.fstat(fd)
+        if before.st_size and os.pread(fd, 1, before.st_size - 1) != b"\n":
             line = "\n" + line
         data = line.encode("utf-8")
         if os.write(fd, data) != len(data):
             raise OSError(f"{cache_path}: short write appending a cache entry")
+        after = os.fstat(fd)
     finally:
         os.close(fd)
+    path = os.path.abspath(cache_path)
+    state, table = _cache_tables.get(path, (None, None))
+    if state == _file_state(before) and after.st_size == before.st_size + len(data):
+        table.setdefault((model, raw), output)
+        _cache_tables[path] = (_file_state(after), table)
 
 
 def _default_transport(url: str, payload: dict, timeout: float) -> str:

@@ -99,7 +99,7 @@ class TestAggregation:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda obj: [1, 2], "expected a JSON object, got list"),
-        (lambda obj: {k: v for k, v in obj.items() if k != "b2"}, "missing weight 'b2'"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "b2"}, "missing field 'b2'"),
         (lambda obj: {**obj, "w1": "weights"}, "weight 'w1' is not numeric"),
         (lambda obj: {**obj, "b1": [None] * len(obj["b1"])}, "weight 'b1' is not numeric"),
         (lambda obj: {**obj, "w2": [[0.5], [0.5, 0.5]]}, "weight 'w2' is not numeric"),
@@ -109,7 +109,7 @@ class TestAggregation:
         (lambda obj: {**obj, "w2": [row[1:] for row in obj["w2"]]},
          "weight 'w2' has shape (5, 5), expected (5, 6)"),
         (lambda obj: {**obj, "b2": obj["b1"]}, "weight 'b2' has shape (6,), expected (5,)"),
-        (lambda obj: {**obj, "seed": [1]}, "seed must be an integer"),
+        (lambda obj: {**obj, "seed": [1]}, "field 'seed' must be int"),
     ])
     def test_params_from_json_names_the_bad_weight(self, edit, message):
         obj = al.params_to_json(al.AggregatorParams.init(3, 5, seed=1))

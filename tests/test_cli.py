@@ -414,8 +414,8 @@ class TestDecomposeCommand:
 
 
 BAD_RECORDS = [
-    ("[1, 2]", "expected a JSON object"),
-    ('"a person walks"', "expected a JSON object"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('"a person walks"', "expected a JSON object, got str"),
     (json.dumps({"id": "a", "segments": ["x"], "motion": "a.sgmo"}), "missing field 'text'"),
     (json.dumps({"text": "t", "segments": ["x"], "motion": "a.sgmo"}), "missing field 'id'"),
     (json.dumps({"id": "a", "text": "t", "motion": "a.sgmo"}), "missing field 'segments'"),
@@ -498,13 +498,14 @@ class TestTrainAlignCommand:
 # a fragment of the error it must give
 BAD_QUERY_FILES = [
     pytest.param(lambda data: [1, 2], "expected a JSON object, got list", id="list"),
-    pytest.param(lambda data: {k: v for k, v in data.items() if k != "holdout"}, "missing holdout",
+    pytest.param(lambda data: {k: v for k, v in data.items() if k != "holdout"}, "missing field 'holdout'",
                  id="no-holdout"),
-    pytest.param(lambda data: {k: v for k, v in data.items() if k != "d_token"}, "missing d_token",
+    pytest.param(lambda data: {k: v for k, v in data.items() if k != "d_token"}, "missing field 'd_token'",
                  id="no-d-token"),
-    pytest.param(lambda data: {k: v for k, v in data.items() if k != "d_embed"}, "missing d_embed",
+    pytest.param(lambda data: {k: v for k, v in data.items() if k != "d_embed"}, "missing field 'd_embed'",
                  id="no-d-embed"),
-    pytest.param(lambda data: {**data, "d_token": "8"}, "d_token must be a positive integer", id="d-token-text"),
+    pytest.param(lambda data: {**data, "d_token": "8"}, "field 'd_token' must be a positive integer",
+                 id="d-token-text"),
     pytest.param(lambda data: {**data, "holdout": []}, "holdout must be a non-empty list", id="empty-holdout"),
     pytest.param(lambda data: _edit_row(data, lambda row: np.frombuffer(bytes.fromhex(row), "<f8").tolist()),
                  "rerun train-align", id="float-list-row"),
@@ -608,7 +609,7 @@ class TestQueryFile:
         assert error.startswith(str(tmp_path / "bad_data.json"))
 
     @pytest.mark.parametrize("model,message", [
-        ({}, "missing weight 'w1'"),
+        ({}, "missing field 'w1'"),
         ([1, 2], "expected a JSON object, got list"),
     ])
     @pytest.mark.parametrize("command", ["ground", "retrieve", "eval"])
@@ -938,3 +939,162 @@ class TestBadConfig:
         out = tmp_path / "d"
         assert main(["--config", str(cfg), "decode", "--out", str(out), "--quiet"]) == 0
         assert len(json.loads((out / "decoded_tokens.json").read_text())["tokens"]) == 6
+
+    def test_float_flag_given_nan_or_infinity(self, tmp_path, capsys):
+        for value in ("NaN", "Infinity"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"lr": %s}' % value)
+            out = tmp_path / "a"
+            assert main(["--config", str(cfg), "train-align", "--out", str(out), "--quiet"]) == 1
+            assert not out.exists()
+            error = json.loads(capsys.readouterr().err.strip())["error"]
+            assert error.startswith(f"{cfg}: ") and "'lr' must be float" in error
+
+
+def _one_error(capsys, argv, out) -> str:
+    """``argv`` run with ``--out out``: exit 1, exactly one JSON stderr
+    line, nothing at ``out``.  The error."""
+    assert main(argv + ["--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert not out.exists()
+    return json.loads(err[0])["error"]
+
+
+class TestCorpusInputFiles:
+    """The spec, manifest.json and truth.json are read by the one JSON
+    reader: a bad file exits 1 with one JSON line that starts with its path,
+    before anything is written."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"n_samples": [3]}', "field 'n_samples' must be a positive integer, got [3]"),
+        ('{"dim": null}', "field 'dim' must be a positive integer, got None"),
+        ('{"n_samples": "8"}', "field 'n_samples' must be a positive integer, got '8'"),
+        ('{"ratio": 2.0}', "field 'ratio' must be a positive integer"),
+        ('{"embed_dim": 0}', "field 'embed_dim' must be a positive integer"),
+        ('{"dim": true}', "field 'dim' must be a positive integer"),
+        ('{"noise_std": "0.3"}', "field 'noise_std' must be float"),
+        ('{"mean_scale": NaN}', "field 'mean_scale' must be float"),
+        ('{"noise_std": -Infinity}', "field 'noise_std' must be float"),
+        ('{"noise_std": -0.1}', "field 'noise_std' must not be negative"),
+        ('{"mean_scale": -1}', "field 'mean_scale' must not be negative"),
+        ('{"n_sample": 3}', "unknown field 'n_sample'"),
+        ('{"segments_max": 6}', "field 'segments_max' must be at most 5, got 6"),
+        ('{"segments_min": 4}', "field 'segments_min' 4 exceeds field 'segments_max' 3"),
+        ('{"tokens_per_segment_min": 9}', "field 'tokens_per_segment_min' 9 exceeds"),
+        ('{"n_samples": 3', "Expecting"),
+    ])
+    def test_bad_spec(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        error = _one_error(capsys, ["synth", "--spec", str(spec)], tmp_path / "data")
+        assert error.startswith(f"{spec}: ") and message in error
+
+    def test_missing_spec(self, tmp_path, capsys):
+        spec = tmp_path / "nope.json"
+        assert _one_error(capsys, ["synth", "--spec", str(spec)], tmp_path / "data") == f"{spec}: file not found"
+
+    def test_float_fields_take_ints(self, tmp_path):
+        """A float field given as a JSON int synthesizes the same corpus."""
+        for name, spec in (("ints", {"mean_scale": 3, "noise_std": 0}),
+                           ("floats", {"mean_scale": 3.0, "noise_std": 0.0})):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"n_samples": 3, "dim": 2, **spec}))
+            assert main(["synth", "--spec", str(tmp_path / f"{name}.json"), "--seed", "2",
+                         "--out", str(tmp_path / name), "--quiet"]) == 0
+        for name in ("dataset.jsonl", "truth.json", "motions/sample_0002.sgmo"):
+            assert (tmp_path / "ints" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: {k: v for k, v in m.items() if k != "ratio"}, "missing field 'ratio'"),
+        (lambda m: {**m, "ratio": "4"}, "field 'ratio' must be a positive integer, got '4'"),
+        (lambda m: {**m, "ratio": 2.5}, "field 'ratio' must be a positive integer, got 2.5"),
+        (lambda m: {**m, "ratio": 0}, "field 'ratio' must be a positive integer, got 0"),
+        (lambda m: [m], "expected a JSON object, got list"),
+    ])
+    @pytest.mark.parametrize("command", ["quantize", "segment --method cpd"])
+    def test_bad_manifest(self, synth_dir, tmp_path, capsys, command, edit, message):
+        manifest = synth_dir / "manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        error = _one_error(capsys, command.split() + ["--data", str(synth_dir)], tmp_path / "o")
+        assert error == f"{manifest}: {message}"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: [1], "expected a JSON object, got list"),
+        (lambda t: {**t, "sample_0000": 5}, "sample_0000: expected a list of [start, end] pairs of integers"),
+        (lambda t: {**t, "sample_0001": [[0, 2.0], [2, t["sample_0001"][-1][1]]]}, "sample_0001: expected a list"),
+        (lambda t: {**t, "sample_0001": [[0, 3], [4, t["sample_0001"][-1][1]]]},
+         "sample_0001: spans must be contiguous"),
+        (lambda t: {**t, "sample_0002": []}, "sample_0002: empty span list"),
+        (lambda t: {**t, "elsewhere": [[0, "3"]]}, "elsewhere: expected a list"),
+        (lambda t: {**t, "sample_0000": [[0, t["sample_0000"][-1][1]]]}, "sample_0000: 1 spans over [0, "),
+    ])
+    @pytest.mark.parametrize("method", ["uniform", "cpd"])
+    def test_bad_truth(self, synth_dir, tmp_path, capsys, method, edit, message):
+        truth_path = synth_dir / "truth.json"
+        truth = json.loads(truth_path.read_text())
+        truth_path.write_text(json.dumps(edit(truth)))
+        error = _one_error(capsys, ["segment", "--data", str(synth_dir), "--method", method], tmp_path / "o")
+        assert error.startswith(f"{truth_path}: {message}")
+
+    def test_truth_must_fit_its_sequence(self, synth_dir, tmp_path, capsys):
+        """An entry whose last span ends past its sequence, or that has
+        another segment count than its record, names both figures."""
+        truth_path = synth_dir / "truth.json"
+        truth = json.loads(truth_path.read_text())
+        spans = truth["sample_0003"]
+        n, a = spans[-1][1], len(spans)
+        truth_path.write_text(json.dumps({**truth, "sample_0003": spans[:-1] + [[spans[-1][0], n + 50]]}))
+        error = _one_error(capsys, ["segment", "--data", str(synth_dir), "--method", "cpd"], tmp_path / "o")
+        assert error == (f"{truth_path}: sample_0003: {a} spans over [0, {n + 50}), but the record has "
+                         f"{a} segments over [0, {n})")
+
+    def test_truth_entry_of_no_record_is_ignored(self, synth_dir, tmp_path):
+        assert main(["segment", "--data", str(synth_dir), "--method", "cpd", "--out", str(tmp_path / "a"),
+                     "--quiet"]) == 0
+        truth_path = synth_dir / "truth.json"
+        truth_path.write_text(json.dumps({**json.loads(truth_path.read_text()), "sample_9999": [[0, 3]]}))
+        assert main(["segment", "--data", str(synth_dir), "--method", "cpd", "--out", str(tmp_path / "b"),
+                     "--quiet"]) == 0
+        for name in ("boundaries_cpd.json", "seg_report_cpd.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_missing_library(self, synth_dir, tmp_path, capsys):
+        lib = tmp_path / "lib.json"
+        error = _one_error(capsys, ["segment", "--data", str(synth_dir), "--method", "cluster",
+                                    "--library", str(lib)], tmp_path / "o")
+        assert error == f"{lib}: file not found"
+
+
+class TestEvalFeatureFiles:
+    @pytest.mark.parametrize("text,flags,message", [
+        ("", [], "no feature rows"),
+        ("\n\n", [], "no feature rows"),
+        ("0.5,1.5,2.5\n", [], "fid needs at least 2 rows in each feature set, got 1 and 1"),
+        ("0.5,1.5\n1,nan\n2,3\n", ["--metric", "diversity"], "non-finite value"),
+        ("0.5,1.5\n1,inf\n2,3\n", ["--metric", "mm_dist"], "non-finite value"),
+        ("0.5,1.5\n1\n", [], "number of columns changed"),
+        ("0.5,1.5\n1,x\n", [], "could not convert"),
+    ])
+    def test_bad_features_file(self, tmp_path, capsys, recwarn, text, flags, message):
+        """One JSON error line and no warning: pytest keeps warnings off
+        stderr, so the recorder is checked as well."""
+        feats = tmp_path / "f.csv"
+        feats.write_text(text)
+        error = _one_error(capsys, ["eval", "--features-a", str(feats), *flags], tmp_path / "e")
+        assert message in error
+        assert error.startswith(f"{feats}: ") or message.startswith("fid")
+        assert [str(w.message) for w in recwarn] == []
+
+
+class TestErrorMapping:
+    def test_cli_error_is_a_value_error(self):
+        assert issubclass(cli.CliError, ValueError)
+
+    def test_divergence_is_one_json_line(self, tmp_path, capsys, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise alignment.DivergenceError("loss became non-finite at step 3")
+
+        monkeypatch.setattr(alignment, "toy_train", diverging)
+        error = _one_error(capsys, ["train-align", "--samples", "10", "--holdout", "4"], tmp_path / "a")
+        assert error == "loss became non-finite at step 3"

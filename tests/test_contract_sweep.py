@@ -1,0 +1,340 @@
+"""Seeded mutation sweep over every input format the CLI reads.
+
+Each format starts from one valid file, written by the command that makes
+it where there is one.  About 50 mutations per format are drawn, with the
+standard library's ``random`` from a fixed seed, from these kinds:
+
+  * a truncation just before or after a piece of JSON punctuation;
+  * a byte flip: punctuation outside strings swapped for a character JSON
+    does not allow there, or a byte replaced by 0xFF, which is never UTF-8;
+  * a required key deleted or renamed;
+  * a value replaced by one of another JSON type;
+  * NaN, Infinity or -Infinity in place of a value;
+  * an empty array in place of a value.
+
+Every mutation makes the file invalid.  A key whose absence is valid (a spec
+or config field, which has a default, or a truth entry, which only scores
+its record) is not deleted; a renamed config key is ignored by design, so it
+is not renamed either.  Each mutated file goes through the command that
+consumes it, in process, which must exit 1 with exactly one JSON line on
+stderr, record no warning, and leave nothing under ``--out``.
+"""
+
+import copy
+import json
+import random
+import shutil
+import warnings
+
+import numpy as np
+import pytest
+
+from segalign.cli import main
+
+SEED = 15
+PER_FORMAT = 50
+
+# replacement values of another JSON type, by the kind a field holds
+WRONG_TYPES = {
+    "int": ["2", 2.5, None, True, {}],
+    "float": ["0.5", None, False, {}],
+    "str": [3, None, True, {}],
+    "bool": ["true", 1, None, {}],
+    "list": ["x", 3, None, True, {}],
+    "object": ["x", 3, None, True, []],
+}
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+# punctuation outside strings, and a character that cannot stand in for it
+SWAPS = {"{": "(", "}": ")", "[": "(", "]": ")", ":": "=", ",": ";", '"': "'"}
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _edited(obj, path, edit):
+    """A deep copy of ``obj`` with ``edit(parent, key)`` applied at ``path``."""
+    obj = copy.deepcopy(obj)
+    edit(_at(obj, path[:-1]), path[-1])
+    return obj
+
+
+def _replace(value):
+    def edit(parent, key):
+        parent[key] = value
+    return edit
+
+
+def _delete(parent, key):
+    del parent[key]
+
+
+def _rename(parent, key):
+    parent[key + "_renamed"] = parent.pop(key)
+
+
+def _punctuation(text):
+    """Offsets of JSON punctuation in ``text``, string quotes included,
+    but not characters inside strings."""
+    marks, in_string, escaped = [], False, False
+    for i, ch in enumerate(text):
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+                marks.append(i)
+        elif ch in SWAPS:
+            in_string = ch == '"'
+            marks.append(i)
+    return marks
+
+
+def json_mutations(obj, sites, dumps):
+    """Candidate mutations of the JSON value ``obj``, grouped by kind, each
+    a (label, bytes) pair.  ``sites`` lists (path, kind, key_edits) for the
+    fields to mutate; ``key_edits`` names which of delete and rename make
+    the file invalid."""
+    text = dumps(obj)
+    body = len(text.rstrip())
+    marks = _punctuation(text)
+    cuts = sorted({c for i in marks for c in (i, i + 1) if 0 < c < body})
+    raw = text.encode()
+    groups = {
+        "truncate": [(f"truncate {c}", raw[:c]) for c in cuts],
+        "flip": [(f"swap {i}", (text[:i] + SWAPS[text[i]] + text[i + 1:]).encode()) for i in marks]
+        + [(f"0xff {i}", raw[:i] + b"\xff" + raw[i + 1:]) for i in range(0, len(raw), 7)],
+        "key": [],
+        "type": [(f"document {v!r}", dumps(v).encode()) for v in ([], "x", 1, None)],
+        "non-finite": [],
+        "empty": [],
+    }
+    for path, kind, key_edits in sites:
+        for name, edit in (("delete", _delete), ("rename", _rename)):
+            if name in key_edits:
+                groups["key"].append((f"{name} {path}", dumps(_edited(obj, path, edit)).encode()))
+        for value in WRONG_TYPES[kind]:
+            groups["type"].append((f"{path} = {value!r}", dumps(_edited(obj, path, _replace(value))).encode()))
+        for value in NON_FINITE:
+            groups["non-finite"].append((f"{path} = {value}", dumps(_edited(obj, path, _replace(value))).encode()))
+        groups["empty"].append((f"{path} = []", dumps(_edited(obj, path, _replace([]))).encode()))
+    return text.encode(), groups
+
+
+def draw(groups, name):
+    """About PER_FORMAT mutations, taken from every kind in turn."""
+    rng = random.Random(f"{SEED}/{name}")
+    pools = {kind: rng.sample(items, len(items)) for kind, items in groups.items()}
+    picked = []
+    while len(picked) < PER_FORMAT and any(pools.values()):
+        for pool in pools.values():
+            if pool and len(picked) < PER_FORMAT:
+                picked.append(pool.pop())
+    return picked
+
+
+def _compact(obj):
+    return json.dumps(obj, sort_keys=True)
+
+
+def _indented(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """A small valid corpus, primitive library and trained model."""
+    root = tmp_path_factory.mktemp("sweep")
+    spec = {"n_samples": 3, "dim": 2, "segments_min": 2, "segments_max": 3, "tokens_per_segment_min": 3,
+            "tokens_per_segment_max": 4, "embed_dim": 2, "mean_scale": 2.5, "noise_std": 0.2}
+    (root / "spec.json").write_text(json.dumps(spec))
+    for argv in (
+        ["synth", "--spec", str(root / "spec.json"), "--seed", "3", "--out", str(root / "data")],
+        ["segment", "--data", str(root / "data"), "--method", "cluster", "--fit-library", "--library",
+         str(root / "lib.json"), "--window", "2", "--primitives", "3", "--out", str(root / "seg")],
+        ["train-align", "--samples", "8", "--holdout", "3", "--steps", "2", "--d-token", "2", "--d-embed", "3",
+         "--out", str(root / "align")],
+    ):
+        assert main(argv + ["--quiet"]) == 0
+    return root
+
+
+def _corpus_copy(base, work):
+    data = work / "data"
+    if not data.exists():
+        shutil.copytree(base / "data", data)
+    return data
+
+
+def _spec(base, work):
+    spec = json.loads((base / "spec.json").read_text())
+    spec.update(ratio=2)
+    sites = [((key,), "float" if isinstance(value, float) else "int", {"rename"}) for key, value in spec.items()]
+    return (*json_mutations(spec, sites, _compact), work / "spec.json", ["synth", "--spec", str(work / "spec.json")])
+
+
+def _manifest(base, work):
+    data = _corpus_copy(base, work)
+    manifest = json.loads((base / "data" / "manifest.json").read_text())
+    sites = [(("ratio",), "int", {"delete", "rename"})]
+    return (*json_mutations(manifest, sites, _indented), data / "manifest.json", ["quantize", "--data", str(data)])
+
+
+def _truth(base, work):
+    data = _corpus_copy(base, work)
+    truth = json.loads((base / "data" / "truth.json").read_text())
+    sites = []
+    for sid, spans in truth.items():
+        sites.append(((sid,), "list", set()))
+        for i, span in enumerate(spans):
+            sites.append(((sid, i), "list", {"delete"}))
+            sites += [((sid, i, j), "int", {"delete"}) for j in range(len(span))]
+    argv = ["segment", "--data", str(data), "--method", "uniform"]
+    return (*json_mutations(truth, sites, _indented), data / "truth.json", argv)
+
+
+def _library(base, work):
+    lib = json.loads((base / "lib.json").read_text())
+    sites = [(("centers",), "list", {"delete", "rename"}), (("centers", 1), "list", set()),
+             (("centers", 2, 3), "float", set()), (("window_size",), "int", {"delete", "rename"}),
+             (("stride",), "int", {"delete", "rename"})]
+    argv = ["segment", "--data", str(base / "data"), "--method", "cluster", "--library", str(work / "lib.json")]
+    return (*json_mutations(lib, sites, _compact), work / "lib.json", argv)
+
+
+def _model(base, work):
+    model = json.loads((base / "align" / "model.json").read_text())
+    sites = [((name,), "list", {"delete", "rename"}) for name in ("w1", "b1", "w2", "b2")]
+    sites += [(("w1", 1), "list", set()), (("w2", 0, 2), "float", set()), (("b1", 3), "float", set()),
+              (("seed",), "int", set())]
+    argv = ["ground", "--model", str(work / "model.json"), "--data", str(base / "align" / "align_data.json")]
+    return (*json_mutations(model, sites, _indented), work / "model.json", argv)
+
+
+def _align_data(base, work):
+    data = json.loads((base / "align" / "align_data.json").read_text())
+    sites = [((key,), "int", {"delete", "rename"}) for key in ("d_embed", "d_token")]
+    sites += [(("holdout",), "list", {"delete", "rename"}), (("holdout", 1), "object", set()),
+              (("holdout", 1, "text"), "list", {"delete", "rename"}), (("holdout", 0, "text", 1), "str", set()),
+              (("holdout", 2, "spans"), "list", {"delete", "rename"}), (("holdout", 2, "spans", 0), "list", set()),
+              (("holdout", 0, "spans", 1, 0), "str", set())]
+    argv = ["retrieve", "--model", str(base / "align" / "model.json"), "--data", str(work / "align_data.json")]
+    return (*json_mutations(data, sites, _compact), work / "align_data.json", argv)
+
+
+def _config(base, work):
+    config = {"steps": 2, "samples": 6, "holdout": 3, "lr": 0.5, "temperature": 0.1, "loss": "batch",
+              "d_token": 2, "seed": 4, "quiet": True}
+    kinds = {"lr": "float", "temperature": "float", "loss": "str", "quiet": "bool"}
+    sites = [((key,), kinds.get(key, "int"), set()) for key in config]
+    argv = ["--config", str(work / "cfg.json"), "train-align"]
+    return (*json_mutations(config, sites, _compact), work / "cfg.json", argv)
+
+
+def _dataset_line(base, work):
+    first, second = (base / "data" / "dataset.jsonl").read_text().splitlines()[:2]
+    record = json.loads(second)
+    sites = [((key,), "str", {"delete", "rename"}) for key in ("id", "text", "motion")]
+    sites += [(("segments",), "list", {"delete", "rename"}), (("segments", 0), "str", set()),
+              (("embeddings", 1), "list", set()), (("embeddings", 0, 1), "float", set())]
+    valid, groups = json_mutations(record, sites, _compact)
+    # the mutated record is the second line of a two-line file
+    lines = {kind: [(label, first.encode() + b"\n" + line + b"\n") for label, line in items]
+             for kind, items in groups.items()}
+    argv = ["decompose", "--fallback", "--data", str(work / "dataset.jsonl")]
+    return first.encode() + b"\n" + valid + b"\n", lines, work / "dataset.jsonl", argv
+
+
+def _features(base, work):
+    rows = np.random.default_rng(SEED).normal(size=(6, 3))
+    lines = [",".join(f"{v:.6f}" for v in row) for row in rows]
+    text = "\n".join(lines) + "\n"
+    commas = [i for i, ch in enumerate(text) if ch == ","]
+    groups = {
+        "truncate": [(f"truncate {c}", text[:c].encode()) for c in [0, 1, len(lines[0]) + 1] + [i + 1 for i in commas]],
+        "flip": [(f"0xff {i}", text[:i].encode() + b"\xff" + text[i + 1:].encode()) for i in range(0, len(text), 5)]
+        + [(f"x at {i}", (text[:i] + "x" + text[i + 1:]).encode()) for i in range(0, len(text), 3) if text[i] != "\n"],
+        "key": [(f"drop row {r} column {c}", "\n".join(
+            lines[:r] + [",".join(v for k, v in enumerate(lines[r].split(",")) if k != c)] + lines[r + 1:]).encode())
+            for r in range(1, 6) for c in range(3)],
+        "type": [(f"cell {value}", text.replace(lines[2].split(",")[1], value, 1).encode())
+                 for value in ("true", "null", "[]", "{}", '"0.5"', "abc")],
+        "non-finite": [(f"cell {value}", text.replace(lines[r].split(",")[c], value, 1).encode())
+                       for value in ("nan", "inf", "-inf", "NaN") for r, c in ((0, 0), (3, 2), (5, 1))],
+        "empty": [("empty", b""), ("blank lines", b"\n\n\n"), ("empty cell", text.replace(",", ",,", 1).encode()),
+                  ("one row", (lines[4] + "\n").encode())],
+    }
+    return text.encode(), groups, work / "features.csv", ["eval", "--features-a", str(work / "features.csv")]
+
+
+FORMATS = {
+    "spec": _spec,
+    "manifest": _manifest,
+    "truth": _truth,
+    "library": _library,
+    "model": _model,
+    "align_data": _align_data,
+    "config": _config,
+    "dataset_line": _dataset_line,
+    "features": _features,
+}
+
+
+def _is_json_error(line):
+    try:
+        return set(json.loads(line)) == {"error"}
+    except (ValueError, TypeError):
+        return False
+
+
+def _problems(capsys, argv):
+    """What is wrong with how ``argv`` failed, as a list of strings."""
+    problems = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:  # a traceback or an argparse exit breaks the contract
+            problems.append(f"{type(exc).__name__} escaped: {exc}")
+            code = None
+    err = capsys.readouterr().err.splitlines()
+    if code != 1:
+        problems.append(f"exit {code}")
+    if len(err) != 1 or not _is_json_error(err[0]):
+        problems.append(f"stderr {err!r}")
+    return problems + [f"warning {w.message}" for w in caught]
+
+
+def _out_arg(name, out):
+    return out / "decomposed.jsonl" if name == "dataset_line" else out
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_the_unmutated_file_is_valid(base, tmp_path, name):
+    """The sweep's starting point passes, so each failure below is the
+    mutation's doing."""
+    valid, _, target, argv = FORMATS[name](base, tmp_path)
+    target.write_bytes(valid)
+    assert main(argv + ["--out", str(_out_arg(name, tmp_path / "out")), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_every_mutation_fails_cleanly(base, tmp_path, capsys, name):
+    _, groups, target, argv = FORMATS[name](base, tmp_path)
+    mutations = draw(groups, name)
+    assert len(mutations) == min(PER_FORMAT, sum(map(len, groups.values())))
+    assert len(mutations) >= 40
+    failures = []
+    for label, content in mutations:
+        target.write_bytes(content)
+        out = tmp_path / "out"
+        problems = _problems(capsys, argv + ["--out", str(_out_arg(name, out)), "--quiet"])
+        if out.exists():
+            problems.append(f"wrote {sorted(p.name for p in out.rglob('*'))}")
+            shutil.rmtree(out)
+        failures += [f"{label}: {p}" for p in problems]
+    assert failures == []

@@ -166,6 +166,13 @@ class TestFid:
         with pytest.raises(ValueError):
             mx.fid(X, Y)
 
+    @pytest.mark.parametrize("rows_a,rows_b", [(1, 5), (5, 1), (0, 5), (1, 1)])
+    def test_fewer_than_two_rows_rejected_without_warning(self, recwarn, rows_a, rows_b):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            mx.fid(rng.normal(size=(rows_a, 3)), rng.normal(size=(rows_b, 3)))
+        assert len(recwarn) == 0
+
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         A = rng.normal(size=(60, 4))

@@ -277,6 +277,51 @@ class TestCacheFile:
         out = llm_decompose("a person spins.", self.CFG, cache_path=str(cache), transport=t)
         assert out.segments == ("a person hops",) and len(t.calls) == 1
 
+    def test_cold_misses_parse_each_line_at_most_once(self, tmp_path, monkeypatch):
+        """A fetched miss joins the table when the file grew by just its
+        entry, so 60 misses into a fresh file parse at most 60 lines (the
+        whole file again after every append parsed 1,770)."""
+        cache = tmp_path / "cache.jsonl"
+        parsed = []
+        loads = json.loads
+
+        def counting(text, *args, **kwargs):
+            parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        raws = [f"a person does action {i}." for i in range(60)]
+        for raw in raws:
+            t = _ok_transport(raw)
+            assert llm_decompose(raw, self.CFG, cache_path=str(cache), transport=t).segments == (raw[:-1],)
+            assert len(t.calls) == 1
+        for raw in raws:
+            assert llm_decompose(raw, self.CFG, cache_path=str(cache), transport=_exploding).segments == (raw[:-1],)
+        assert len(parsed) <= 60
+        assert cache.read_text() == "".join(_entry(raw, raw) + "\n" for raw in raws)
+
+    def test_outside_writes_around_appends_are_seen(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        for raw in ("a person spins.", "a person kicks."):
+            llm_decompose(raw, self.CFG, cache_path=str(cache), transport=_ok_transport(raw))
+        with cache.open("a") as fh:     # another writer appends after ours
+            fh.write(_entry("a person hops.", "a person hops") + "\n")
+        out = llm_decompose("a person hops.", self.CFG, cache_path=str(cache), transport=_exploding)
+        assert out.segments == ("a person hops",)
+
+        def racing(url, payload, timeout):   # another writer appends during our fetch
+            with cache.open("a") as fh:
+                fh.write(_entry("a person sits.", "a person sits") + "\n")
+            return "a person waves"
+
+        llm_decompose("a person waves.", self.CFG, cache_path=str(cache), transport=racing)
+        for raw in ("a person sits.", "a person waves."):
+            out = llm_decompose(raw, self.CFG, cache_path=str(cache), transport=_exploding)
+            assert out.segments == (raw[:-1],)
+        cache.write_text(_entry("a person spins.", "a person falls") + "\n")   # rewritten in place
+        out = llm_decompose("a person spins.", self.CFG, cache_path=str(cache), transport=_exploding)
+        assert out.segments == ("a person falls",)
+
     def test_append_after_a_last_line_without_newline(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         first = _entry("a person spins.", "a person spins")
