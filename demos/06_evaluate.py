@@ -10,8 +10,8 @@ import numpy as np
 from segalign.alignment import (
     AlignmentConfig,
     aggregate_mean_max,
+    embed_spans,
     make_separable_dataset,
-    motion_embeddings,
     toy_train,
 )
 from segalign.metrics import diversity, fid, isc_score, mm_dist, r_precision
@@ -23,7 +23,7 @@ params, _ = toy_train(train, cfg, steps=400, lr=0.5, seed=3)
 
 pairs, text_rows, motion_rows = [], [], []
 for sample in holdout:
-    M = motion_embeddings(sample, params)
+    M = embed_spans(sample.spans, params)
     for j in range(M.shape[0]):
         pairs.append((sample.text[j], M[j]))
         text_rows.append(sample.text[j])

@@ -42,7 +42,6 @@ from .segmentation import (
     build_primitive_library,
     cluster_dp_segment,
     brute_force_segment,
-    seg_error_eval,
 )
 from .alignment import (
     AlignmentConfig,
@@ -52,13 +51,10 @@ from .alignment import (
     cosine_sim,
     embed_spans,
     aggregate_mean_max,
-    aggregate_mean,
-    aggregate_max,
     loss_per_sample,
     loss_batch,
     loss_global,
     loss_token,
-    total_loss,
     grad_alignment,
     toy_train,
 )
@@ -67,7 +63,6 @@ from .masked import (
     Schedule,
     mask_random,
     mask_loss,
-    cosine_mask_count,
     iterative_decode,
     residual_decode,
 )

@@ -74,14 +74,6 @@ class SegmentEmbeddings:
             motion=[motion[i, :a] for i, a in enumerate(valid_counts)],
         )
 
-    @property
-    def num_samples(self) -> int:
-        return len(self.text)
-
-    @property
-    def total_pairs(self) -> int:
-        return sum(t.shape[0] for t in self.text)
-
 
 @dataclass
 class TokenEmbeddings:
@@ -103,7 +95,8 @@ class TokenEmbeddings:
 # --- similarity -------------------------------------------------------------
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity with norms floored at 1e-12; underflow gives 0."""
+    """Cosine similarity with norms floored at 1e-12; underflow gives 0.  The
+    per-pair reference tests check ``cosine_matrix`` and ``isc_score`` against."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -152,36 +145,21 @@ class AggregatorParams:
             raise ValueError("inconsistent aggregator shapes")
 
     @classmethod
-    def init(cls, d_token: int, d_embed: int, hidden: int | None = None, seed: int = 0) -> "AggregatorParams":
-        """Seeded uniform init in +-1/sqrt(fan_in); hidden defaults to 2*d_token."""
-        h = 2 * d_token if hidden is None else hidden
+    def init(cls, d_token: int, d_embed: int, seed: int = 0) -> "AggregatorParams":
+        """Seeded uniform init in +-1/sqrt(fan_in), with 2*d_token hidden units."""
+        h = 2 * d_token   # both layers have fan-in h
+        lim = 1.0 / np.sqrt(h)
         rng = np.random.default_rng(seed)
-        lim1 = 1.0 / np.sqrt(2 * d_token)
-        lim2 = 1.0 / np.sqrt(h)
         return cls(
-            w1=rng.uniform(-lim1, lim1, size=(h, 2 * d_token)),
-            b1=rng.uniform(-lim1, lim1, size=h),
-            w2=rng.uniform(-lim2, lim2, size=(d_embed, h)),
-            b2=rng.uniform(-lim2, lim2, size=d_embed),
+            w1=rng.uniform(-lim, lim, size=(h, h)),
+            b1=rng.uniform(-lim, lim, size=h),
+            w2=rng.uniform(-lim, lim, size=(d_embed, h)),
+            b2=rng.uniform(-lim, lim, size=d_embed),
             seed=seed,
         )
 
     def copy(self) -> "AggregatorParams":
         return AggregatorParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(), self.seed)
-
-
-def aggregate_mean(span: np.ndarray) -> np.ndarray:
-    span = np.asarray(span, dtype=np.float64)
-    if span.ndim != 2 or span.shape[0] < 1:
-        raise ValueError("span must be a non-empty (m, d) matrix")
-    return span.mean(axis=0)
-
-
-def aggregate_max(span: np.ndarray) -> np.ndarray:
-    span = np.asarray(span, dtype=np.float64)
-    if span.ndim != 2 or span.shape[0] < 1:
-        raise ValueError("span must be a non-empty (m, d) matrix")
-    return span.max(axis=0)
 
 
 @dataclass
@@ -331,10 +309,6 @@ def loss_token(tok: TokenEmbeddings, text: list[np.ndarray], cfg: AlignmentConfi
     return float(acc / total_tokens)
 
 
-def total_loss(mask_loss: float, align_loss: float, cfg: AlignmentConfig) -> float:
-    return float(mask_loss + cfg.lambda_align * align_loss)
-
-
 # --- gradients through the aggregator ---------------------------------------
 
 def _per_sample(variant: str) -> bool:
@@ -402,10 +376,6 @@ class ToySample:
     def __post_init__(self):
         if self.text.shape[0] != len(self.spans):
             raise ValueError("one span per text segment required")
-
-
-def motion_embeddings(sample: ToySample, params: AggregatorParams) -> np.ndarray:
-    return embed_spans(sample.spans, params)
 
 
 def unit_blocks(samples: list[ToySample], params: AggregatorParams) -> list[tuple[np.ndarray, np.ndarray]]:

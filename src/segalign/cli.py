@@ -10,7 +10,8 @@ library, model.json, align_data.json, --config) goes through one reader: a
 missing, malformed or mistyped file exits 1, before anything is written,
 with one stderr line ``{"error": "<path>: <field> ..."}``.  A spec or config
 value of the wrong JSON type, such as "8" for an int, is refused, not
-converted.  Every stochastic command takes --seed and derives all module
+converted.  A float overflow, NaN or division by zero in a command exits 1
+the same way.  Every stochastic command takes --seed and derives all module
 seeds from it through named streams, so reruns are bit-identical.  All
 outputs are written atomically (temp + rename).
 """
@@ -555,7 +556,8 @@ def cmd_eval(args) -> int:
         B = _read_features(args.features_b) if args.features_b else A
         if args.metric in (None, "fid"):
             report.add("fid", metrics.fid(A, B))
-        if args.metric in (None, "mm_dist") and A.shape == B.shape:
+        # unpaired sets skip mm_dist unless it is asked for, which then fails
+        if args.metric == "mm_dist" or (args.metric is None and A.shape == B.shape):
             report.add("mm_dist", metrics.mm_dist(A, B))
         if args.metric in (None, "diversity"):
             report.add("diversity", metrics.diversity(A, seed=seed_for(args.seed, "eval.diversity")))
@@ -656,7 +658,7 @@ COMMANDS = {
         "--data": dict(default=None),
         "--features-a": dict(default=None),
         "--features-b": dict(default=None),
-        "--metric": dict(default=None),
+        "--metric": dict(choices=["fid", "mm_dist", "diversity"], default=None),
     }),
 }
 
@@ -725,8 +727,9 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-        return args.func(args)
-    except (ValueError, OSError, alignment.DivergenceError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (ValueError, OSError, FloatingPointError, alignment.DivergenceError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 1
 

@@ -109,21 +109,10 @@ def mask_loss(pred: np.ndarray, truth: np.ndarray, state: MaskState) -> float:
     return total
 
 
-def cosine_mask_count(t: int, total_iters: int, length: int) -> int:
-    """Masked-token count after iteration t of T under the cosine schedule.
-
-    m_0 = L and m_T = 0; in between, floor(L * cos(pi t / 2T)) clamped to
-    strictly decrease by at least one per iteration (never below zero).
-    """
-    if total_iters < 1:
-        raise ValueError("schedule needs at least one iteration")
-    if not (0 <= t <= total_iters):
-        raise ValueError("iteration index out of range")
-    return mask_count_schedule(total_iters, length)[t]
-
-
 def mask_count_schedule(total_iters: int, length: int) -> list[int]:
-    """The full [m_0, ..., m_T] sequence."""
+    """Masked-token counts [m_0, ..., m_T] under the cosine schedule: m_0 = L,
+    m_T = 0, and in between floor(L * cos(pi t / 2T)), clamped to strictly
+    decrease by at least one per iteration (never below zero)."""
     out = [length]
     for t in range(1, total_iters + 1):
         if t == total_iters:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import AggregatorParams, cosine_matrix, cosine_sim, embed_spans
+from .alignment import NORM_FLOOR, AggregatorParams, cosine_matrix, embed_spans
 from .rvq import sqdist
 
 DEFAULT_DIVERSITY_PAIRS = 300
@@ -69,7 +69,8 @@ def motion_grounding(
 
 
 def m2t_retrieve(m_q: np.ndarray, candidates: np.ndarray) -> int:
-    """Index of the candidate text embedding most similar to the query motion."""
+    """Index of the candidate text embedding most similar to the query motion:
+    the per-query reference tests check ``segalign retrieve`` against."""
     candidates = np.asarray(candidates, dtype=np.float64)
     if candidates.ndim != 2 or candidates.shape[0] < 1:
         raise ValueError("need at least one candidate")
@@ -78,11 +79,19 @@ def m2t_retrieve(m_q: np.ndarray, candidates: np.ndarray) -> int:
 
 
 def isc_score(pairs) -> float:
-    """Mean cosine similarity over (text segment, motion segment) pairs."""
-    sims = [cosine_sim(t, m) for t, m in pairs]
-    if not sims:
+    """Mean cosine similarity over (text segment, motion segment) pairs, in one
+    pass.  The dots are one-row ``matmul``s, which round as the 1-D products
+    in :func:`cosine_sim` do, so each similarity equals its, bit for bit."""
+    pairs = list(pairs)
+    if not pairs:
         raise ValueError("no pairs")
-    return float(np.mean(sims))
+    T, M = (np.array(side, dtype=np.float64) for side in zip(*pairs))
+    if T.ndim != 2 or T.shape != M.shape:
+        raise ValueError(f"dimension mismatch: {T.shape} vs {M.shape}")
+    tt, mm, tm = ((A[:, None, :] @ B[:, :, None])[:, 0, 0] for A, B in ((T, T), (M, M), (T, M)))
+    na, nb = np.sqrt(tt), np.sqrt(mm)
+    floored = (na < NORM_FLOOR) | (nb < NORM_FLOOR)
+    return float(np.mean(np.where(floored, 0.0, tm / np.where(floored, 1.0, na * nb))))
 
 
 def isc_cv(isc_values) -> float:
@@ -142,7 +151,7 @@ def mm_dist(text_embs: np.ndarray, motion_embs: np.ndarray) -> float:
     T = np.asarray(text_embs, dtype=np.float64)
     M = np.asarray(motion_embs, dtype=np.float64)
     if T.shape != M.shape:
-        raise ValueError("paired lists must have identical shapes")
+        raise ValueError(f"paired lists must have identical shapes, got {T.shape} and {M.shape}")
     return float(np.linalg.norm(T - M, axis=1).mean())
 
 
@@ -186,11 +195,11 @@ def fid_from_stats(mu_a, cov_a, mu_b, cov_b) -> float:
     return max(val, 0.0)
 
 
-def fid(feats_a: np.ndarray, feats_b: np.ndarray, eps: float = FID_EPS) -> float:
+def fid(feats_a: np.ndarray, feats_b: np.ndarray) -> float:
     """FID between two feature sets via fitted Gaussians.
 
-    Covariances get +eps*I regularization; desk-scale sample covariances are
-    near-singular without it.
+    Covariances get +FID_EPS*I regularization; desk-scale sample covariances
+    are near-singular without it.
     """
     A = np.asarray(feats_a, dtype=np.float64)
     B = np.asarray(feats_b, dtype=np.float64)
@@ -202,8 +211,8 @@ def fid(feats_a: np.ndarray, feats_b: np.ndarray, eps: float = FID_EPS) -> float
         raise ValueError(f"fid needs at least 2 rows in each feature set, got {len(A)} and {len(B)}")
     d = A.shape[1]
     mu_a, mu_b = A.mean(axis=0), B.mean(axis=0)
-    cov_a = np.cov(A, rowvar=False).reshape(d, d) + eps * np.eye(d)
-    cov_b = np.cov(B, rowvar=False).reshape(d, d) + eps * np.eye(d)
+    cov_a = np.cov(A, rowvar=False).reshape(d, d) + FID_EPS * np.eye(d)
+    cov_b = np.cov(B, rowvar=False).reshape(d, d) + FID_EPS * np.eye(d)
     return fid_from_stats(mu_a, cov_a, mu_b, cov_b)
 
 

@@ -62,12 +62,9 @@ class MotionSequence:
     """Continuous motion, frame-major: frames[i] is the pose at frame i."""
 
     frames: np.ndarray
-    frame_rate: float = 20.0
 
     def __post_init__(self):
         object.__setattr__(self, "frames", _as_finite_matrix(self.frames, "frames"))
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
 
     @property
     def num_frames(self) -> int:

@@ -232,23 +232,25 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("kernel input contains non-finite values")
+    sigma = _fixed_bandwidth(bandwidth)
     sq = sqdist(x, x)
     np.fill_diagonal(sq, 0.0)
-    if bandwidth == "median":
+    if sigma is None:   # the median over the upper triangle, or 1 if it is 0 or there is none
         n = x.shape[0]
-        if n < 2:
-            sigma = 1.0
-        else:
-            sigma = _median_distance(sq[~np.tri(n, dtype=bool)])   # upper triangle
-            if sigma == 0.0:
-                sigma = 1.0
-    else:
-        sigma = float(bandwidth)
-        if sigma <= 0:
-            raise ValueError("bandwidth must be positive")
+        sigma = (_median_distance(sq[~np.tri(n, dtype=bool)]) if n > 1 else 0.0) or 1.0
     np.negative(sq, out=sq)
     sq /= 2.0 * sigma * sigma
     return np.exp(sq, out=sq)
+
+
+def _fixed_bandwidth(bandwidth) -> float | None:
+    """None for "median", else the bandwidth as a finite positive float."""
+    if bandwidth == "median":
+        return None
+    sigma = float(bandwidth)
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}")
+    return sigma
 
 
 def _median_distance(v: np.ndarray) -> float:
@@ -265,7 +267,8 @@ def _median_distance(v: np.ndarray) -> float:
 
 
 def kernel_span_cost(K: np.ndarray, s: int, e: int) -> float:
-    """Within-segment kernel cost of the half-open span [s, e)."""
+    """Within-segment kernel cost of the half-open span [s, e): the per-span
+    reference tests check ``kernel_cost_table`` against."""
     block = K[s:e, s:e]
     return float(np.trace(block) - block.sum() / (e - s))
 
@@ -324,6 +327,7 @@ def kernel_cpd_segment(x: LatentSequence, num_segments: int, bandwidth="median")
         raise ValueError("need at least one segment")
     if n < num_segments:
         raise ValueError(f"{n} tokens cannot form {num_segments} segments")
+    _fixed_bandwidth(bandwidth)   # checked even where there is nothing to cut
     if num_segments == 1:
         return SegmentBoundaries(spans=((0, n),))
     C = kernel_cost_table(gaussian_kernel_matrix(x.vectors, bandwidth))
@@ -494,28 +498,16 @@ def _brute_force_solve(costs, num_segments: int):
 
 # --- evaluation -------------------------------------------------------------
 
-def seg_error_eval(pred: SegmentBoundaries, truth: SegmentBoundaries) -> tuple[float, float]:
-    """Mean and population std of |predicted cut - true cut| over interior cuts.
-
-    Cuts are matched in order; counts must agree.  Single-segment inputs have
-    no interior cuts and evaluate to (0, 0) by convention.
-    """
-    if pred.num_segments != truth.num_segments:
-        raise ValueError(
-            f"segment count mismatch: {pred.num_segments} vs {truth.num_segments}"
-        )
-    return seg_error_corpus([(pred, truth)])
-
-
 def cut_errors(pred: SegmentBoundaries, truth: SegmentBoundaries) -> list[float]:
     """Per-cut absolute errors, for pooling across a corpus."""
     if pred.num_segments != truth.num_segments:
-        raise ValueError("segment count mismatch")
+        raise ValueError(f"segment count mismatch: {pred.num_segments} vs {truth.num_segments}")
     return [abs(p - t) for p, t in zip(pred.cuts, truth.cuts)]
 
 
 def seg_error_corpus(pairs) -> tuple[float, float]:
-    """Pool cut errors over (pred, truth) pairs; returns (mean, population std)."""
+    """Mean and population std of |predicted cut - true cut| over the interior
+    cuts of (pred, truth) pairs, matched in order; (0, 0) if there are none."""
     pooled = []
     for pred, truth in pairs:
         pooled.extend(cut_errors(pred, truth))

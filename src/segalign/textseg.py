@@ -62,7 +62,6 @@ Now process the following input:
 class SegmentSource(str, Enum):
     LLM = "llm"
     FALLBACK = "fallback"
-    DATASET = "dataset"
 
 
 class SegmentValidationError(ValueError):

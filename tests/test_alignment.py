@@ -35,15 +35,6 @@ class TestCosine:
 
 
 class TestAggregation:
-    def test_mean_and_max(self):
-        span = np.array([[1.0, 5.0], [3.0, 1.0]])
-        np.testing.assert_allclose(al.aggregate_mean(span), [2.0, 3.0])
-        np.testing.assert_allclose(al.aggregate_max(span), [3.0, 5.0])
-
-    def test_empty_span_rejected(self):
-        with pytest.raises(ValueError):
-            al.aggregate_mean(np.zeros((0, 3)))
-
     def test_mean_max_identity_network(self):
         # w1 = [I; -I] stacked to pass concat(mean,max) through ReLU twice,
         # w2 recombines: output equals mean + max exactly for this setup
@@ -55,7 +46,7 @@ class TestAggregation:
             b2=np.zeros(d),
         )
         span = np.array([[1.0, -2.0], [3.0, 4.0]])
-        expected = al.aggregate_mean(span) + al.aggregate_max(span)
+        expected = span.mean(axis=0) + span.max(axis=0)
         np.testing.assert_allclose(al.aggregate_mean_max(span, params), expected)
 
     def test_embed_spans_matches_per_span_reference(self):
@@ -66,7 +57,7 @@ class TestAggregation:
             out = al.embed_spans(spans, params)
             assert out.shape == (9, 6)
             for span, row in zip(spans, out):
-                feat = np.concatenate([al.aggregate_mean(span), al.aggregate_max(span)])
+                feat = np.concatenate([span.mean(axis=0), span.max(axis=0)])
                 ref = params.w2 @ np.maximum(params.w1 @ feat + params.b1, 0.0) + params.b2
                 np.testing.assert_allclose(row, ref, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(al.aggregate_mean_max(span, params), ref, rtol=1e-12, atol=1e-12)
@@ -79,7 +70,7 @@ class TestAggregation:
         spans[position] = np.zeros((0, 3))
         text = rng.normal(size=(3, 4))
         with pytest.raises(ValueError, match="empty"):
-            al.motion_embeddings(al.ToySample(text=text, spans=spans), params)
+            al.embed_spans(spans, params)
         other = [rng.normal(size=(2, 4)), text]
         with pytest.raises(ValueError, match="empty"):
             al.grad_alignment(other, [[rng.normal(size=(3, 3))] * 2, spans], params, CFG)
@@ -175,12 +166,6 @@ class TestLosses:
         with pytest.raises(ValueError):
             al.loss_token(tok, [np.zeros((2, 3))], CFG)
 
-    def test_total_loss_weighting(self):
-        cfg = al.AlignmentConfig(lambda_align=0.1)
-        assert al.total_loss(2.0, 3.0, cfg) == pytest.approx(2.3)
-        cfg0 = al.AlignmentConfig(lambda_align=0.0)
-        assert al.total_loss(2.0, 3.0, cfg0) == 2.0
-
     def test_temperature_sharpens(self):
         rng = np.random.default_rng(5)
         t = rng.normal(size=(3, 4))
@@ -216,12 +201,13 @@ class TestGradients:
             motion[trial % 3][0] = 0.0
             e = al.SegmentEmbeddings(text=text, motion=motion)
             loss, grads = al.grad_loss_per_sample(e, CFG)
-            parts = [reference_block(t, m, CFG.temperature, 2 * e.total_pairs) for t, m in zip(text, motion)]
+            pairs = sum(map(len, text))
+            parts = [reference_block(t, m, CFG.temperature, 2 * pairs) for t, m in zip(text, motion)]
             assert loss == pytest.approx(sum(l for l, _ in parts), rel=1e-12)
             for g, (_, ref) in zip(grads, parts):
                 np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-15)
             loss, grads = al.grad_loss_batch(e, CFG)
-            ref_loss, ref = reference_block(np.vstack(text), np.vstack(motion), CFG.temperature, 2 * e.total_pairs)
+            ref_loss, ref = reference_block(np.vstack(text), np.vstack(motion), CFG.temperature, 2 * pairs)
             assert loss == pytest.approx(ref_loss, rel=1e-12)
             np.testing.assert_allclose(np.vstack(grads), ref, rtol=1e-12, atol=1e-15)
 
@@ -433,7 +419,7 @@ class TestSplitRetrieval:
             blocks = al.unit_blocks(samples, params)
             assert len(blocks) == len(samples)
             for sample, (Ut, Um) in zip(samples, blocks):
-                expected = al.motion_embeddings(sample, params)
+                expected = al.embed_spans(sample.spans, params)
                 np.testing.assert_array_equal(Ut, al._unit_rows(sample.text))
                 np.testing.assert_allclose(Um, al._unit_rows(expected), rtol=1e-13, atol=1e-15)
                 S = al.cosine_matrix(sample.text, expected)

@@ -109,6 +109,19 @@ class TestSegmentCommand:
         mean_error = float(line.split(",")[1])
         assert mean_error == 0.0
 
+    @pytest.mark.parametrize("segments", [1, 3])
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_bandwidth_is_a_json_error(self, tmp_path, capsys, recwarn, segments, bandwidth):
+        """Also on a corpus of one-segment records, where no kernel is built."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 3, "dim": 3, "segments_min": segments, "segments_max": segments}))
+        data = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec), "--out", str(data), "--quiet"]) == 0
+        error = _one_error(capsys, ["segment", "--data", str(data), "--method", "cpd",
+                                    f"--bandwidth={bandwidth}"], tmp_path / "seg")
+        assert error == f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}"
+        assert [str(w.message) for w in recwarn] == []
+
     def test_cluster_requires_library(self, synth_dir, tmp_path, capsys):
         assert main(["segment", "--data", str(synth_dir), "--method", "cluster",
                      "--out", str(tmp_path / "s"), "--quiet"]) == 1
@@ -616,6 +629,14 @@ class TestQueryFile:
     def test_bad_model_file_is_a_json_error(self, trained, tmp_path, capsys, command, model, message):
         assert message in self._run_bad(trained, tmp_path, capsys, command, model=model)
 
+    @pytest.mark.parametrize("command", ["ground", "retrieve", "eval"])
+    def test_overflowing_model_is_a_json_error(self, trained, tmp_path, capsys, recwarn, command):
+        model = json.loads((trained / "model.json").read_text())
+        for name in ("w1", "w2"):
+            model[name] = (np.array(model[name]) * 1e300).tolist()
+        assert self._run_bad(trained, tmp_path, capsys, command, model=model).startswith("overflow encountered")
+        assert [str(w.message) for w in recwarn] == []
+
     @pytest.mark.parametrize("d_token,d_embed", [(6, 16), (16, 12)])
     @pytest.mark.parametrize("command", ["ground", "retrieve", "eval"])
     def test_model_data_mismatch_names_both_files(self, trained, tmp_path, capsys, command, d_token, d_embed):
@@ -841,7 +862,7 @@ PARSER_SURFACE = {
               (("--data",), "data", None, None, None, False),
               (("--features-a",), "features_a", None, None, None, False),
               (("--features-b",), "features_b", None, None, None, False),
-              (("--metric",), "metric", None, None, None, False)]),
+              (("--metric",), "metric", None, None, ("fid", "mm_dist", "diversity"), False)]),
 }
 
 
@@ -1086,6 +1107,31 @@ class TestEvalFeatureFiles:
         assert error.startswith(f"{feats}: ") or message.startswith("fid")
         assert [str(w.message) for w in recwarn] == []
 
+    def test_unknown_metric_is_refused(self, tmp_path, capsys):
+        feats = tmp_path / "f.csv"
+        feats.write_text("0,1\n1,0\n2,2\n")
+        argv = ["eval", "--features-a", str(feats), "--out", str(tmp_path / "e"), "--quiet"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--metric", "foo"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'foo'" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"metric": "foo"}')
+        error = _one_error(capsys, ["--config", str(cfg)] + argv[:-3], tmp_path / "e")
+        assert error == f"{cfg}: field 'metric' must be one of ['fid', 'mm_dist', 'diversity'], got 'foo'"
+
+    def test_mm_dist_of_unequal_shapes_names_both(self, tmp_path, capsys, recwarn):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("0,1\n1,0\n2,2\n")
+        b.write_text("0,1\n1,0\n")
+        argv = ["eval", "--features-a", str(a), "--features-b", str(b)]
+        error = _one_error(capsys, argv + ["--metric", "mm_dist"], tmp_path / "e")
+        assert error == "paired lists must have identical shapes, got (3, 2) and (2, 2)"
+        # asked for no metric in particular, unpaired sets are scored without it
+        assert main(argv + ["--out", str(tmp_path / "all"), "--quiet"]) == 0
+        assert set(json.loads((tmp_path / "all" / "eval.json").read_text())["metrics"]) == {"fid", "diversity"}
+        assert [str(w.message) for w in recwarn] == []
+
 
 class TestErrorMapping:
     def test_cli_error_is_a_value_error(self):
@@ -1098,3 +1144,12 @@ class TestErrorMapping:
         monkeypatch.setattr(alignment, "toy_train", diverging)
         error = _one_error(capsys, ["train-align", "--samples", "10", "--holdout", "4"], tmp_path / "a")
         assert error == "loss became non-finite at step 3"
+
+    @pytest.mark.parametrize("steps", ["1", "40"])
+    def test_overflow_is_one_json_line(self, tmp_path, capsys, recwarn, steps):
+        """A learning rate that blows the weights up stops train-align before
+        it writes a model, with no numpy warning."""
+        error = _one_error(capsys, ["train-align", "--samples", "20", "--holdout", "8",
+                                    "--lr", "1e300", "--steps", steps], tmp_path / "a")
+        assert error.startswith("overflow encountered")
+        assert [str(w.message) for w in recwarn] == []

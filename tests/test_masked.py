@@ -13,7 +13,6 @@ from segalign.masked import (
     ProtocolError,
     Schedule,
     SoftmaxRegressionPredictor,
-    cosine_mask_count,
     iterative_decode,
     mask_count_schedule,
     mask_loss,
@@ -85,15 +84,8 @@ class TestSchedule:
     def test_reference_sequence(self):
         assert mask_count_schedule(5, 10) == [10, 9, 8, 5, 3, 0]
 
-    def test_recursive_matches_iterative(self):
-        for total in (1, 3, 7):
-            for length in (1, 5, 33):
-                seq = mask_count_schedule(total, length)
-                assert seq == [cosine_mask_count(t, total, length) for t in range(total + 1)]
-
     def test_long_schedule_needs_no_recursion(self):
-        count = cosine_mask_count(1500, 2000, 4096)
-        assert count == mask_count_schedule(2000, 4096)[1500]
+        count = mask_count_schedule(2000, 4096)[1500]
         assert count == math.floor(4096 * math.cos(math.pi * 1500 / 4000))
 
     def test_endpoints_and_monotonic(self):
@@ -108,10 +100,6 @@ class TestSchedule:
         assert mask_count_schedule(1, 9) == [9, 0]
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
-            cosine_mask_count(0, 0, 5)
-        with pytest.raises(ValueError):
-            cosine_mask_count(6, 5, 5)
         with pytest.raises(ValueError):
             Schedule(total_iters=0)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from segalign import metrics as mx
-from segalign.alignment import AggregatorParams
+from segalign.alignment import AggregatorParams, cosine_sim
 from segalign.rvq import sqdist
 
 
@@ -64,6 +64,22 @@ class TestIsc:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mx.isc_score([])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_per_pair_cosine_mean(self, seed):
+        """Bit for bit, with rows on both sides below the norm floor."""
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 600)), int(rng.integers(1, 65))
+        T = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        M = T + rng.normal(size=(n, d))
+        T[::7] *= 1e-16
+        M[3::11] = 0.0
+        want = float(np.mean([cosine_sim(t, m) for t, m in zip(T, M)]))
+        assert mx.isc_score(zip(T, M)) == want
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mx.isc_score([(np.ones(3), np.ones(2))])
 
     def test_cv_population_std(self):
         assert mx.isc_cv([0.4, 0.6]) == pytest.approx(0.1 / 0.5)

@@ -30,7 +30,6 @@ from segalign.segmentation import (
     library_to_json,
     run_cost_tables,
     seg_error_corpus,
-    seg_error_eval,
     segment_cost_matrix_dp,
     uniform_segment,
     window_cost_matrix,
@@ -251,6 +250,19 @@ class TestKernelCpd:
             K = gaussian_kernel_matrix(x.vectors)
             assert kernel_cpd_segment(x, a) == brute_force_segment(K, a)
 
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, -np.inf, 0.0, -1.0, "nan", "-inf"])
+    @pytest.mark.parametrize("segments", [1, 2])
+    def test_bad_bandwidth_rejected(self, bandwidth, segments):
+        """Before any kernel is built, so also for a single segment."""
+        x = LatentSequence(vectors=np.random.default_rng(0).normal(size=(6, 2)))
+        message = f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}"
+        with pytest.raises(ValueError) as exc:
+            kernel_cpd_segment(x, segments, bandwidth=bandwidth)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            gaussian_kernel_matrix(x.vectors, bandwidth)
+        assert str(exc.value) == message
+
     def test_identical_points_bandwidth_fallback(self):
         x = LatentSequence(vectors=np.zeros((6, 2)))
         b = kernel_cpd_segment(x, 2)
@@ -467,25 +479,25 @@ class TestBruteForceGuards:
 class TestSegError:
     def test_exact_match_zero(self):
         b = SegmentBoundaries.from_cuts(10, [4])
-        assert seg_error_eval(b, b) == (0.0, 0.0)
+        assert seg_error_corpus([(b, b)]) == (0.0, 0.0)
 
     def test_mean_and_population_std(self):
         pred = SegmentBoundaries.from_cuts(12, [3, 9])
         truth = SegmentBoundaries.from_cuts(12, [4, 6])
-        mean, std = seg_error_eval(pred, truth)
+        mean, std = seg_error_corpus([(pred, truth)])
         assert mean == 2.0   # errors 1 and 3
         assert std == 1.0
 
     def test_single_segment_convention(self):
         b = SegmentBoundaries(spans=((0, 5),))
-        assert seg_error_eval(b, b) == (0.0, 0.0)
+        assert seg_error_corpus([(b, b)]) == (0.0, 0.0)
 
     def test_count_mismatch(self):
-        with pytest.raises(ValueError):
-            seg_error_eval(
+        with pytest.raises(ValueError, match="segment count mismatch: 2 vs 3"):
+            seg_error_corpus([(
                 SegmentBoundaries.from_cuts(10, [5]),
                 SegmentBoundaries.from_cuts(10, [3, 7]),
-            )
+            )])
 
     def test_corpus_pooling(self):
         p1 = (SegmentBoundaries.from_cuts(10, [4]), SegmentBoundaries.from_cuts(10, [5]))
