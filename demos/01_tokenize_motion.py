@@ -27,9 +27,7 @@ rng = np.random.default_rng(0)
 corpus = []
 for i in range(40):
     spec = SyntheticSpec(
-        regime_count=2,
         frames_per_regime=[64, 64],
-        dim=6,
         regime_means=[rng.normal(0, 2, size=6) for _ in range(2)],
         noise_std=0.3,
         seed=i,

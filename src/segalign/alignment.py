@@ -38,10 +38,10 @@ class AlignmentConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.lambda_align < 0:
-            raise ValueError("lambda_align must be nonnegative")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be a finite positive number, got {self.temperature!r}")
+        if not (np.isfinite(self.lambda_align) and self.lambda_align >= 0):
+            raise ValueError(f"lambda_align must be a finite nonnegative number, got {self.lambda_align!r}")
 
 
 @dataclass
@@ -49,8 +49,8 @@ class SegmentEmbeddings:
     """Paired text / motion segment embeddings, ragged across samples.
 
     ``text[i]`` and ``motion[i]`` are (A_i, d_e) matrices; row j of each is a
-    matched pair.  Padded-array input goes through :meth:`from_padded`, which
-    drops the invalid slots entirely so they can never act as negatives.
+    matched pair.  The lists are ragged, not padded, so there is no padding
+    slot that could act as a negative.
     """
 
     text: list[np.ndarray]
@@ -66,13 +66,6 @@ class SegmentEmbeddings:
                 raise ValueError(f"sample {i}: text shape {t.shape} != motion shape {m.shape}")
             if t.ndim != 2 or t.shape[0] < 1:
                 raise ValueError(f"sample {i}: expected (A_i, d_e) matrices")
-
-    @classmethod
-    def from_padded(cls, text: np.ndarray, motion: np.ndarray, valid_counts) -> "SegmentEmbeddings":
-        return cls(
-            text=[text[i, :a] for i, a in enumerate(valid_counts)],
-            motion=[motion[i, :a] for i, a in enumerate(valid_counts)],
-        )
 
 
 @dataclass
@@ -394,12 +387,12 @@ def make_separable_dataset(
     d_embed: int = 16,
     seg_choices=(2, 3),
     tokens_per_segment: int = 4,
-    noise_std: float = 0.05,
     seed: int = 0,
     map_seed: int | None = None,
 ) -> list[ToySample]:
-    """Motion token spans are noisy linear images of their paired text
-    embeddings, so an aggregator that inverts the map solves the task.
+    """Motion token spans are linear images of their paired text embeddings
+    plus Gaussian noise of std 0.05, so an aggregator that inverts the map
+    solves the task.
 
     ``map_seed`` fixes the hidden linear map; give train and held-out splits
     the same map_seed (but different seeds) so they share one task.
@@ -415,7 +408,7 @@ def make_separable_dataset(
         spans = []
         for j in range(a):
             base = w_true @ text[j]
-            tokens = base[None, :] + rng.normal(0.0, noise_std, size=(tokens_per_segment, d_token))
+            tokens = base[None, :] + rng.normal(0.0, 0.05, size=(tokens_per_segment, d_token))
             spans.append(tokens)
         samples.append(ToySample(text=text, spans=spans))
     return samples
@@ -451,6 +444,10 @@ def toy_train(
     """
     if not dataset:
         raise ValueError("empty dataset")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    if not np.isfinite(lr):
+        raise ValueError(f"lr must be a finite number, got {lr!r}")
     per_sample = _per_sample(variant)
     d_token = dataset[0].spans[0].shape[1]
     d_embed = dataset[0].text.shape[1]

@@ -99,9 +99,7 @@ def cmd_synth(args) -> int:
         tokens_per = rng.integers(p["tokens_per_segment_min"], p["tokens_per_segment_max"] + 1, size=a)
         means = [rng.normal(0.0, p["mean_scale"], size=p["dim"]) for _ in range(a)]
         sspec = motion.SyntheticSpec(
-            regime_count=a,
             frames_per_regime=[int(t) * p["ratio"] for t in tokens_per],
-            dim=p["dim"],
             regime_means=means,
             noise_std=p["noise_std"],
             seed=seed_for(args.seed, f"synth.noise.{i}"),

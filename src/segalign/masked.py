@@ -37,18 +37,17 @@ class ProtocolError(RuntimeError):
 
 @dataclass
 class MaskState:
-    """Token vector with MASK sentinels; masked_set mirrors the sentinels."""
+    """Token vector with MASK sentinels at the masked positions."""
 
     tokens: np.ndarray
-    masked_set: frozenset
-    seed: int = 0
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
-        sentinel_positions = frozenset(np.flatnonzero(self.tokens == MASK).tolist())
-        if frozenset(self.masked_set) != sentinel_positions:
-            raise ValueError("masked_set must equal the sentinel positions")
-        self.masked_set = sentinel_positions
+
+    @property
+    def masked_set(self) -> frozenset:
+        """The positions that hold MASK."""
+        return frozenset(np.flatnonzero(self.tokens == MASK).tolist())
 
     @property
     def length(self) -> int:
@@ -64,10 +63,9 @@ class TokenPredictor(Protocol):
 
     ``iterative_decode`` passes one ``MaskState`` object to every call of a
     decode.  Before each call it gives that state a fresh copy of the
-    tokens and a fresh ``masked_set``, so a predictor may keep (or scribble
-    on) ``state.tokens`` and ``state.masked_set`` without affecting the
-    decode or the values a later call sees; one that keeps the state object
-    itself sees the latest iteration's values.
+    tokens, so a predictor may keep (or scribble on) ``state.tokens``
+    without affecting the decode or the values a later call sees; one that
+    keeps the state object itself sees the latest iteration's values.
     """
 
     def predict(self, cond, state: MaskState) -> np.ndarray: ...
@@ -86,7 +84,7 @@ def mask_random(tokens: np.ndarray, ratio: float, seed: int) -> MaskState:
     chosen = rng.choice(length, size=count, replace=False)
     masked = tokens.copy()
     masked[chosen] = MASK
-    return MaskState(tokens=masked, masked_set=frozenset(int(i) for i in chosen), seed=seed)
+    return MaskState(tokens=masked)
 
 
 def mask_loss(pred: np.ndarray, truth: np.ndarray, state: MaskState) -> float:
@@ -168,8 +166,7 @@ def iterative_decode(
         raise ValueError(f"unknown decode mode {mode!r}")
     counts = mask_count_schedule(schedule.total_iters, length)
     tokens = np.full(length, MASK, dtype=np.int64)
-    # validated once; later iterations only swap in the new tokens and set
-    state = MaskState(tokens=tokens, masked_set=frozenset(range(length)), seed=seed)
+    state = MaskState(tokens=tokens)
     rng = np.random.default_rng(seed) if mode == "sample" else None
     for t in range(1, schedule.total_iters + 1):
         masked = np.flatnonzero(tokens == MASK)
@@ -178,7 +175,6 @@ def iterative_decode(
                 trace.append({"iteration": t, "masked_count": 0, "fixed_indices": []})
             continue
         state.tokens = tokens.copy()
-        state.masked_set = frozenset(masked.tolist())
         probs = np.asarray(predictor.predict(cond, state), dtype=np.float64)
         if probs.shape[0] != length:
             raise PredictorContractError("predictor returned wrong number of rows")

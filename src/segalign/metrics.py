@@ -17,8 +17,8 @@ import numpy as np
 from .alignment import NORM_FLOOR, AggregatorParams, cosine_matrix, embed_spans
 from .rvq import sqdist
 
-DEFAULT_DIVERSITY_PAIRS = 300
-DEFAULT_POOL_SIZE = 32
+DIVERSITY_PAIRS = 300
+POOL_SIZE = 32
 
 FID_EPS = 1e-6
 FID_EIG_TOL = -1e-8
@@ -105,19 +105,14 @@ def isc_cv(isc_values) -> float:
     return float(vals.std() / mean)
 
 
-def r_precision(
-    text_embs: np.ndarray,
-    motion_embs: np.ndarray,
-    topk: int = 1,
-    pool_size: int = DEFAULT_POOL_SIZE,
-) -> float:
+def r_precision(text_embs: np.ndarray, motion_embs: np.ndarray, topk: int = 1) -> float:
     """Pooled retrieval accuracy by Euclidean distance.
 
     Motions are ranked by squared distance (:func:`segalign.rvq.sqdist`,
     which orders the same as the distance) with a stable sort, so exact
     ties keep the lower index.
 
-    Samples are chunked into pools of ``pool_size`` (drop-last); each text
+    Samples are chunked into pools of ``POOL_SIZE`` (drop-last); each text
     ranks the motions in its pool, and the fraction whose true pair lands in
     the top k is returned.  Fewer samples than one pool fall back to a single
     smaller pool, with a warning.
@@ -129,14 +124,14 @@ def r_precision(
     n = T.shape[0]
     if n <= topk:
         raise ValueError(f"need more than topk={topk} samples")
-    if n < pool_size:
+    if n < POOL_SIZE:
         warnings.warn(
-            f"only {n} samples; evaluating a single pool smaller than {pool_size}",
+            f"only {n} samples; evaluating a single pool smaller than {POOL_SIZE}",
             RuntimeWarning,
         )
         pools = [np.arange(n)]
     else:
-        pools = [np.arange(i, i + pool_size) for i in range(0, n - pool_size + 1, pool_size)]
+        pools = [np.arange(i, i + POOL_SIZE) for i in range(0, n - POOL_SIZE + 1, POOL_SIZE)]
     hits = 0
     total = 0
     for pool in pools:
@@ -155,8 +150,9 @@ def mm_dist(text_embs: np.ndarray, motion_embs: np.ndarray) -> float:
     return float(np.linalg.norm(T - M, axis=1).mean())
 
 
-def diversity(motion_embs: np.ndarray, pairs: int = DEFAULT_DIVERSITY_PAIRS, seed: int = 0) -> float:
-    """Mean Euclidean distance over seeded random pairs of distinct indices.
+def diversity(motion_embs: np.ndarray, seed: int = 0) -> float:
+    """Mean Euclidean distance over ``DIVERSITY_PAIRS`` seeded random pairs
+    of distinct indices.
 
     Indices within a pair are distinct; pairs may repeat across draws.
     """
@@ -165,10 +161,10 @@ def diversity(motion_embs: np.ndarray, pairs: int = DEFAULT_DIVERSITY_PAIRS, see
         raise ValueError("need at least two embeddings")
     rng = np.random.default_rng(seed)
     total = 0.0
-    for _ in range(pairs):
+    for _ in range(DIVERSITY_PAIRS):
         i, j = rng.choice(M.shape[0], size=2, replace=False)
         total += float(np.linalg.norm(M[i] - M[j]))
-    return total / pairs
+    return total / DIVERSITY_PAIRS
 
 
 def _sym_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,25 +116,23 @@ class DatasetRecord:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Piecewise-constant regimes plus Gaussian noise, with known boundaries."""
+    """Piecewise-constant regimes plus Gaussian noise, with known boundaries:
+    regime i holds ``regime_means[i]`` for ``frames_per_regime[i]`` frames."""
 
-    regime_count: int
     frames_per_regime: list[int]
-    dim: int
-    regime_means: list[np.ndarray] = field(default_factory=list)
+    regime_means: list[np.ndarray]
     noise_std: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.regime_count != len(self.frames_per_regime) or self.regime_count != len(self.regime_means):
-            raise ValueError("regime_count must match frames_per_regime and regime_means lengths")
+        if not self.frames_per_regime or len(self.frames_per_regime) != len(self.regime_means):
+            raise ValueError("need at least one regime, and one mean per regime")
         if any(f < 1 for f in self.frames_per_regime):
             raise ValueError("every regime needs at least one frame")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
-        for m in self.regime_means:
-            if len(np.atleast_1d(m)) != self.dim:
-                raise ValueError("regime mean dimension mismatch")
+        if len({len(np.atleast_1d(m)) for m in self.regime_means}) != 1:
+            raise ValueError("regime means must all have the same dimension")
 
 
 def save_motion(m: MotionSequence, path) -> None:

@@ -175,8 +175,8 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
     """
     data = np.asarray(data, dtype=np.float64)
     n, d = data.shape
-    if n < k:
-        raise ValueError(f"k-means needs at least k={k} points, got {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k-means needs 1 <= k <= {n}, the number of points, got k={k}")
     rng = np.random.default_rng(seed)
 
     # k-means++ initialization

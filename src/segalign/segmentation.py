@@ -239,17 +239,23 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
         n = x.shape[0]
         sigma = (_median_distance(sq[~np.tri(n, dtype=bool)]) if n > 1 else 0.0) or 1.0
     np.negative(sq, out=sq)
-    sq /= 2.0 * sigma * sigma
+    # a tiny bandwidth overflows the quotient to -inf, and exp(-inf) = 0 is
+    # the kernel value; every finite quotient keeps its bits
+    with np.errstate(over="ignore"):
+        sq /= 2.0 * sigma * sigma
     return np.exp(sq, out=sq)
 
 
 def _fixed_bandwidth(bandwidth) -> float | None:
-    """None for "median", else the bandwidth as a finite positive float."""
+    """None for "median", else the bandwidth as a finite positive float
+    whose 2 sigma^2 does not underflow to 0."""
     if bandwidth == "median":
         return None
     sigma = float(bandwidth)
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}")
+    if 2.0 * sigma * sigma == 0.0:
+        raise ValueError(f"bandwidth {bandwidth!r} is too small: 2 * bandwidth^2 underflows to 0")
     return sigma
 
 
@@ -517,23 +523,16 @@ def seg_error_corpus(pairs) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def jittered_boundary_corpus(
-    seed: int,
-    n_sequences: int = 500,
-    length: int = 24,
-    dim: int = 4,
-    jitter: int = 3,
-    mean_scale: float = 1.1,
-    noise_std: float = 1.2,
-    segment_range=(2, 3),
-) -> list[tuple[LatentSequence, SegmentBoundaries]]:
-    """Synthetic evaluation corpus: regime boundaries sit near the uniform
-    positions but jittered by up to ``jitter`` tokens, with Gaussian regime
-    means and per-token noise.  Returns (sequence, true boundaries) pairs."""
+def jittered_boundary_corpus(seed: int, n_sequences: int = 500) -> list[tuple[LatentSequence, SegmentBoundaries]]:
+    """Synthetic evaluation corpus of 24-token, 4-dim sequences of 2 or 3
+    regimes.  Regime boundaries sit near the uniform positions but jittered
+    by up to 3 tokens; regime means are N(0, 1.1^2) and per-token noise
+    N(0, 1.2^2).  Returns (sequence, true boundaries) pairs."""
+    length, dim, jitter = 24, 4, 3
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_sequences):
-        a = int(rng.integers(segment_range[0], segment_range[1] + 1))
+        a = int(rng.integers(2, 4))
         cuts = []
         prev = 0
         for k in range(1, a):
@@ -542,10 +541,10 @@ def jittered_boundary_corpus(
             cuts.append(max(c, prev + 1))
             prev = cuts[-1]
         truth = SegmentBoundaries.from_cuts(length, cuts)
-        means = rng.normal(0.0, mean_scale, size=(a, dim))
+        means = rng.normal(0.0, 1.1, size=(a, dim))
         x = np.vstack(
             [
-                means[i] + rng.normal(0.0, noise_std, size=(e - s, dim))
+                means[i] + rng.normal(0.0, 1.2, size=(e - s, dim))
                 for i, (s, e) in enumerate(truth.spans)
             ]
         )

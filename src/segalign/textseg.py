@@ -17,7 +17,6 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 A_MAX = 5
 
@@ -59,11 +58,6 @@ Now process the following input:
 """
 
 
-class SegmentSource(str, Enum):
-    LLM = "llm"
-    FALLBACK = "fallback"
-
-
 class SegmentValidationError(ValueError):
     pass
 
@@ -82,9 +76,7 @@ class MalformedResponseError(ValueError):
 
 @dataclass(frozen=True)
 class TextSegmentSet:
-    raw_text: str
     segments: tuple[str, ...]
-    source: SegmentSource
 
     def __post_init__(self):
         if not (1 <= len(self.segments) <= A_MAX):
@@ -110,7 +102,7 @@ class LlmEndpointConfig:
             raise ValueError("timeout must be positive")
 
 
-def parse_segment_string(s: str, source: SegmentSource = SegmentSource.LLM) -> TextSegmentSet:
+def parse_segment_string(s: str) -> TextSegmentSet:
     """Split a '#'-joined segment string into a validated segment set.
 
     Each piece is whitespace-trimmed and loses a single trailing period; the
@@ -128,7 +120,7 @@ def parse_segment_string(s: str, source: SegmentSource = SegmentSource.LLM) -> T
         pieces.append(part)
     if len(pieces) > A_MAX:
         raise SegmentValidationError(f"{len(pieces)} segments exceed the maximum of {A_MAX}")
-    return TextSegmentSet(raw_text=s, segments=tuple(pieces), source=source)
+    return TextSegmentSet(segments=tuple(pieces))
 
 
 _SUBJECT_PREFIXES = ("a person", "the person", "a man", "a woman", "someone", "he ", "she ")
@@ -164,7 +156,7 @@ def fallback_decompose(raw: str) -> TextSegmentSet:
             parts = [p for chunk in parts for p in chunk.split(connective)]
 
     segments = tuple(_with_subject(p) for p in parts if p.strip())
-    return TextSegmentSet(raw_text=raw, segments=segments, source=SegmentSource.FALLBACK)
+    return TextSegmentSet(segments=segments)
 
 
 # --- LLM endpoint with on-disk cache ---------------------------------------
@@ -283,7 +275,7 @@ def llm_decompose(
 
     cached = _cache_lookup(cache_path, cfg.model_name, raw)
     if cached is not None:
-        return parse_segment_string(cached, source=SegmentSource.LLM)
+        return parse_segment_string(cached)
 
     url = os.environ.get(LLM_URL_ENV_VAR, cfg.base_url)
     payload = {
@@ -310,7 +302,7 @@ def llm_decompose(
     if stripped.lower().startswith("output:") or stripped.startswith(('"', "'", "`")):
         raise MalformedResponseError("response carries extra text forbidden by the prompt", text)
     try:
-        result = parse_segment_string(stripped, source=SegmentSource.LLM)
+        result = parse_segment_string(stripped)
     except SegmentValidationError as exc:
         raise MalformedResponseError(f"response failed segment parsing ({exc})", text) from exc
 

@@ -110,7 +110,7 @@ class TestSegmentCommand:
         assert mean_error == 0.0
 
     @pytest.mark.parametrize("segments", [1, 3])
-    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "-inf", "0", "-1", "1e-200"])
     def test_bad_bandwidth_is_a_json_error(self, tmp_path, capsys, recwarn, segments, bandwidth):
         """Also on a corpus of one-segment records, where no kernel is built."""
         spec = tmp_path / "spec.json"
@@ -119,7 +119,16 @@ class TestSegmentCommand:
         assert main(["synth", "--spec", str(spec), "--out", str(data), "--quiet"]) == 0
         error = _one_error(capsys, ["segment", "--data", str(data), "--method", "cpd",
                                     f"--bandwidth={bandwidth}"], tmp_path / "seg")
-        assert error == f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}"
+        assert error == {"1e-200": "bandwidth '1e-200' is too small: 2 * bandwidth^2 underflows to 0"}.get(
+            bandwidth, f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}")
+        assert [str(w.message) for w in recwarn] == []
+
+    @pytest.mark.parametrize("primitives", ["0", "-2"])
+    def test_bad_primitive_count_is_a_json_error(self, synth_dir, tmp_path, capsys, recwarn, primitives):
+        out = tmp_path / "seg"
+        error = _one_error(capsys, ["segment", "--data", str(synth_dir), "--method", "cluster", "--fit-library",
+                                    "--library", str(out / "library.json"), "--primitives", primitives], out)
+        assert error.startswith("k-means needs 1 <= k <= ") and error.endswith(f"got k={primitives}")
         assert [str(w.message) for w in recwarn] == []
 
     def test_cluster_requires_library(self, synth_dir, tmp_path, capsys):
@@ -258,6 +267,12 @@ class TestQuantizeCommand:
             assert (out / "tokens.jsonl").read_text() == "\n".join(lines) + "\n"
             err = rvq.quantization_mse((v, alone[rid][1]) for rid, v in latents.items())
             assert (out / "rvq_report.csv").read_text() == f"metric,value\nreconstruction_error,{err:.10g}\n"
+
+    @pytest.mark.parametrize("codes", ["0", "-1"])
+    def test_bad_code_count_is_a_json_error(self, synth_dir, tmp_path, capsys, recwarn, codes):
+        error = _one_error(capsys, ["quantize", "--data", str(synth_dir), "--codes", codes], tmp_path / "q")
+        assert error.startswith("k-means needs 1 <= k <= ") and error.endswith(f"got k={codes}")
+        assert [str(w.message) for w in recwarn] == []
 
     def test_seeded_runs_byte_identical(self, synth_dir, tmp_path):
         outs = [tmp_path / "q1", tmp_path / "q2"]
@@ -496,6 +511,32 @@ class TestTrainAlignCommand:
                          "--out", str(tmp_path / run), "--quiet"]) == 0
         for name in ("curve.csv", "model.json", "train_report.json"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+    @pytest.mark.parametrize("flags,message", [
+        pytest.param(["--steps", "0"], "steps must be at least 1, got 0", id="steps-0"),
+        pytest.param(["--lr", "nan"], "lr must be a finite number, got nan", id="lr-nan"),
+        pytest.param(["--lr=-inf"], "lr must be a finite number, got -inf", id="lr-inf"),
+        pytest.param(["--temperature", "nan"], "temperature must be a finite positive number, got nan",
+                     id="temperature-nan"),
+        pytest.param(["--temperature", "inf"], "temperature must be a finite positive number, got inf",
+                     id="temperature-inf"),
+        pytest.param(["--temperature", "0"], "temperature must be a finite positive number, got 0.0",
+                     id="temperature-0"),
+        pytest.param(["--lambda", "nan"], "lambda_align must be a finite nonnegative number, got nan",
+                     id="lambda-nan"),
+        pytest.param(["--lambda", "inf"], "lambda_align must be a finite nonnegative number, got inf",
+                     id="lambda-inf"),
+        pytest.param(["--lambda", "-1"], "lambda_align must be a finite nonnegative number, got -1.0",
+                     id="lambda-negative"),
+    ])
+    def test_bad_hyperparameter_is_a_json_error(self, tmp_path, capsys, recwarn, flags, message):
+        """Refused before any file is written: a NaN rate would write a
+        model.json of bare NaN tokens, which is not JSON, and zero steps
+        leave no loss to report."""
+        error = _one_error(capsys, ["train-align", "--samples", "10", "--holdout", "4", "--steps", "1", *flags],
+                           tmp_path / "a")
+        assert error == message
+        assert [str(w.message) for w in recwarn] == []
 
     def test_lambda_zero_trains_nothing(self, tmp_path):
         out = tmp_path / "lz"
@@ -1152,4 +1193,15 @@ class TestErrorMapping:
         error = _one_error(capsys, ["train-align", "--samples", "20", "--holdout", "8",
                                     "--lr", "1e300", "--steps", steps], tmp_path / "a")
         assert error.startswith("overflow encountered")
+        assert [str(w.message) for w in recwarn] == []
+
+    def test_tiny_bandwidth_is_not_an_overflow(self, synth_dir, tmp_path, capsys, recwarn):
+        """A subnormal 2 sigma^2 overflows the kernel quotient to -inf, whose
+        exp is the kernel value 0, so segment runs under the CLI's overflow
+        check."""
+        out = tmp_path / "seg"
+        assert main(["segment", "--data", str(synth_dir), "--method", "cpd", "--bandwidth", "1e-160",
+                     "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "boundaries_cpd.json").exists()
         assert [str(w.message) for w in recwarn] == []

@@ -42,9 +42,13 @@ class TestMaskRandom:
         with pytest.raises(ValueError):
             mask_random(np.arange(5), 0.0, seed=0)
 
-    def test_state_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            MaskState(tokens=np.array([0, MASK, 2]), masked_set=frozenset({0}))
+    def test_masked_set_follows_the_tokens(self):
+        state = MaskState(tokens=np.array([0, MASK, 2]))
+        assert state.masked_set == frozenset({1})
+        state.tokens[0] = MASK
+        assert state.masked_set == frozenset({0, 1})
+        state.tokens = np.array([5, 6, 7])
+        assert state.masked_set == frozenset()
 
 
 class TestMaskLoss:
@@ -73,7 +77,7 @@ class TestMaskLoss:
         truth = np.array([0, 1, 0])
         tokens = truth.copy()
         tokens[1] = MASK
-        state = MaskState(tokens=tokens, masked_set=frozenset({1}))
+        state = MaskState(tokens=tokens)
         pred = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])  # wrong everywhere
         with pytest.warns(RuntimeWarning):
             loss = mask_loss(pred, truth, state)
@@ -200,7 +204,7 @@ def reference_iterative_decode(cond, length, predictor, schedule, seed=0, mode="
         if masked.size == 0:
             trace.append({"iteration": t, "masked_count": 0, "fixed_indices": []})
             continue
-        state = MaskState(tokens=tokens.copy(), masked_set=frozenset(int(i) for i in masked), seed=seed)
+        state = MaskState(tokens=tokens.copy())
         probs = np.asarray(predictor.predict(cond, state), dtype=np.float64)
         if mode == "argmax":
             chosen = np.argmax(probs[masked], axis=1)
@@ -253,11 +257,10 @@ class TestDecodeMatchesReferenceLoop:
                 self.seen = []
 
             def predict(self, cond, state):
-                self.seen.append((state, state.tokens, state.masked_set, state.seed))
+                self.seen.append((state, state.tokens, state.masked_set))
                 probs = super().predict(cond, state)
                 if self.scribble:
                     state.tokens[:] = 0
-                    state.masked_set = frozenset()
                 return probs
 
         length, codes, schedule = 30 + seed, 7, Schedule(6)

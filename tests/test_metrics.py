@@ -116,16 +116,18 @@ class TestRPrecision:
         with pytest.raises(ValueError):
             mx.r_precision(np.zeros((4, 2)), np.zeros((5, 2)))
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_the_per_row_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        n, d, pool, topk = (int(v) for v in rng.integers((4, 1, 3, 1), (120, 6, 40, 4)))
+    # fewer samples than one pool, exactly one, and several with a partial last pool
+    @pytest.mark.parametrize("n", [4, 17, 31, 32, 33, 63, 64, 70, 97, 119])
+    def test_matches_the_per_row_loop(self, n):
+        rng = np.random.default_rng(n)
+        d, topk = (int(v) for v in rng.integers((1, 1), (6, 4)))
+        pool = mx.POOL_SIZE
         T = rng.normal(size=(n, d))
         M = T + rng.normal(0.0, 1.0, size=T.shape)
         M[::5] = T[::5]                      # exact hits among noisy ones
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = mx.r_precision(T, M, topk=topk, pool_size=pool)
+            got = mx.r_precision(T, M, topk=topk)
         pools = [np.arange(n)] if n < pool else [np.arange(i, i + pool) for i in range(0, n - pool + 1, pool)]
         hits = total = 0
         for p in pools:
@@ -148,7 +150,7 @@ class TestMmDistDiversity:
 
     def test_diversity_two_points(self):
         M = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert mx.diversity(M, pairs=10, seed=0) == pytest.approx(5.0)
+        assert mx.diversity(M, seed=0) == pytest.approx(5.0)
 
     def test_diversity_seeded(self):
         M = np.random.default_rng(0).normal(size=(50, 3))

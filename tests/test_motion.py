@@ -130,9 +130,7 @@ class TestMotionIO:
 class TestSynthMotion:
     def test_zero_noise_exact_means(self):
         spec = SyntheticSpec(
-            regime_count=2,
             frames_per_regime=[3, 3],
-            dim=1,
             regime_means=[np.array([0.0]), np.array([5.0])],
             noise_std=0.0,
             seed=1,
@@ -142,29 +140,29 @@ class TestSynthMotion:
         assert bounds == [3]
 
     def test_single_regime_no_boundaries(self):
-        spec = SyntheticSpec(
-            regime_count=1, frames_per_regime=[4], dim=2,
-            regime_means=[np.zeros(2)], seed=0,
-        )
+        spec = SyntheticSpec(frames_per_regime=[4], regime_means=[np.zeros(2)], seed=0)
         _, bounds = synth_motion(spec)
         assert bounds == []
 
     def test_deterministic(self):
         spec = SyntheticSpec(
-            regime_count=2, frames_per_regime=[5, 5], dim=3,
-            regime_means=[np.zeros(3), np.ones(3)], noise_std=0.5, seed=42,
+            frames_per_regime=[5, 5], regime_means=[np.zeros(3), np.ones(3)], noise_std=0.5, seed=42,
         )
         m1, b1 = synth_motion(spec)
         m2, b2 = synth_motion(spec)
         np.testing.assert_array_equal(m1.frames, m2.frames)
         assert b1 == b2
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(
-                regime_count=2, frames_per_regime=[3], dim=1,
-                regime_means=[np.zeros(1)], seed=0,
-            )
+    @pytest.mark.parametrize("frames,means,message", [
+        pytest.param([], [], "at least one regime", id="no-regime"),
+        pytest.param([3], [np.zeros(1), np.ones(1)], "one mean per regime", id="extra-mean"),
+        pytest.param([3, 3], [np.zeros(1)], "one mean per regime", id="missing-mean"),
+        pytest.param([3, 3], [np.zeros(2), np.ones(3)], "same dimension", id="mixed-dims"),
+        pytest.param([3, 0], [np.zeros(2), np.ones(2)], "at least one frame", id="empty-regime"),
+    ])
+    def test_spec_validation(self, frames, means, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(frames_per_regime=frames, regime_means=means, seed=0)
 
 
 class TestLatentProjection:

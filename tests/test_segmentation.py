@@ -263,6 +263,25 @@ class TestKernelCpd:
             gaussian_kernel_matrix(x.vectors, bandwidth)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("bandwidth", [1e-200, "1e-170"])
+    @pytest.mark.parametrize("segments", [1, 2])
+    def test_underflowing_bandwidth_rejected(self, bandwidth, segments):
+        x = LatentSequence(vectors=np.random.default_rng(0).normal(size=(6, 2)))
+        message = f"bandwidth {bandwidth!r} is too small: 2 * bandwidth^2 underflows to 0"
+        with pytest.raises(ValueError) as exc:
+            kernel_cpd_segment(x, segments, bandwidth=bandwidth)
+        assert str(exc.value) == message
+
+    def test_tiny_bandwidth_gives_the_identity_kernel(self):
+        """2 sigma^2 is subnormal: each off-diagonal quotient overflows to
+        -inf, whose exp is the exact kernel value 0, with no warning."""
+        x = LatentSequence(vectors=np.random.default_rng(4).normal(size=(9, 2)))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            K = gaussian_kernel_matrix(x.vectors, 1e-160)
+            np.testing.assert_array_equal(K, np.eye(9))
+            for a in (2, 3, 4):
+                assert kernel_cpd_segment(x, a, bandwidth=1e-160) == brute_force_segment(K, a)
+
     def test_identical_points_bandwidth_fallback(self):
         x = LatentSequence(vectors=np.zeros((6, 2)))
         b = kernel_cpd_segment(x, 2)

@@ -17,7 +17,6 @@ from segalign.textseg import (
     LLM_URL_ENV_VAR,
     LlmEndpointConfig,
     MalformedResponseError,
-    SegmentSource,
     SegmentValidationError,
     TransportError,
     fallback_decompose,
@@ -60,7 +59,6 @@ class TestFallbackDecompose:
     def test_then_connective(self):
         out = fallback_decompose("a person walks forward, then turns around.")
         assert out.segments == ("a person walks forward", "a person turns around")
-        assert out.source is SegmentSource.FALLBACK
 
     def test_after_swaps_order(self):
         out = fallback_decompose("a person runs quickly after walking in a circle.")
@@ -98,7 +96,6 @@ class TestLlmDecompose:
         t = _ok_transport("a person walks#a person runs.")
         out = llm_decompose("a person walks then runs.", self.CFG, transport=t)
         assert out.segments == ("a person walks", "a person runs")
-        assert out.source is SegmentSource.LLM
         url, payload, timeout = t.calls[0]
         assert url == self.CFG.base_url
         assert payload["model"] == "test-model"
