@@ -13,12 +13,16 @@ value of the wrong JSON type, such as "8" for an int, is refused, not
 converted.  A float overflow, NaN or division by zero in a command exits 1
 the same way.  Every stochastic command takes --seed and derives all module
 seeds from it through named streams, so reruns are bit-identical.  All
-outputs are written atomically (temp + rename).
+outputs are written atomically (temp + rename).  A count flag below 1, such
+as ``--holdout 0``, exits 1 the same way, naming the flag.  On glibc,
+quantize and segment keep freed scratch memory in the heap for the next
+sequence or k-means iteration (see ``_keep_freed_memory``).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import hashlib
 import json
@@ -51,6 +55,44 @@ def _write_atomic(path, text: str) -> None:
 
 def _write_json(path, obj) -> None:
     _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _at_least_one(args, *dests: str) -> None:
+    """Each of the ``dests`` counts, set by flag or by --config, is at least
+    1; the first that is not is a CliError naming its flag."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value < 1:
+            raise CliError(f"--{dest.replace('_', '-')} must be at least 1, got {value}")
+
+
+# glibc's mallopt parameter numbers (malloc.h), and the environment settings
+# through which an operator tunes the same thresholds
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep the scratch memory a corpus command frees in the heap.
+
+    With glibc's default thresholds, the n^2 kernel tables of one sequence and
+    the (n, k) buffers of one k-means iteration are unmapped or trimmed when
+    freed, and the next sequence or iteration page-faults them in again.
+    Blocks up to 32 MiB (the 64-bit ceiling of glibc's own dynamic mmap
+    threshold) come from the heap, and the heap is trimmed only above
+    64 MiB free (the trim threshold glibc's dynamic rule would set).  Runs
+    once per process; changes no output.  Does nothing off POSIX or where
+    there is no mallopt (macOS), and mallopt is a stub on musl.  Any of
+    ``_MALLOC_ENV`` set in the environment leaves the allocator as the
+    operator tuned it."""
+    if os.name != "posix" or any(name in os.environ for name in _MALLOC_ENV):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _sha256(path) -> str:
@@ -189,6 +231,8 @@ def _truth_from_json(obj, records, latents) -> dict:
 
 
 def cmd_segment(args) -> int:
+    _at_least_one(args, "window", "stride", "primitives")
+    _keep_freed_memory()
     records, latents, _ = _load_corpus(args.data)
     truth_path = os.path.join(args.data, "truth.json")
     truth = {}
@@ -243,6 +287,8 @@ def cmd_segment(args) -> int:
 # --- quantize ---------------------------------------------------------------
 
 def cmd_quantize(args) -> int:
+    _at_least_one(args, "layers", "codes")
+    _keep_freed_memory()
     records, latents, _ = _load_corpus(args.data)
     stacked = np.vstack([v.vectors for v in latents.values()])
     stack = rvq.train_codebooks(
@@ -353,6 +399,7 @@ def _unhex_rows(rows, d: int, where: str) -> np.ndarray:
 
 
 def cmd_train_align(args) -> int:
+    _at_least_one(args, "samples", "holdout", "batch", "d_token", "d_embed")
     cfg = alignment.AlignmentConfig(
         temperature=args.temperature,
         lambda_align=getattr(args, "lambda"),
@@ -429,6 +476,7 @@ def cmd_train_align(args) -> int:
 # --- decode -----------------------------------------------------------------
 
 def cmd_decode(args) -> int:
+    _at_least_one(args, "length", "iters", "codes")
     rng = rng_for(args.seed, "decode.target")
     target = rng.integers(0, args.codes, size=args.length)
     predictor = OraclePredictor(target, num_codes=args.codes)

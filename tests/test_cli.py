@@ -2,6 +2,10 @@ import argparse
 import io
 import json
 import os
+import platform
+import subprocess
+import sys
+import types
 import urllib.request
 
 import numpy as np
@@ -123,12 +127,17 @@ class TestSegmentCommand:
             bandwidth, f"bandwidth must be 'median' or a finite positive number, got {bandwidth!r}")
         assert [str(w.message) for w in recwarn] == []
 
-    @pytest.mark.parametrize("primitives", ["0", "-2"])
+    @pytest.mark.parametrize("primitives", ["0", "-2", "9999"])
     def test_bad_primitive_count_is_a_json_error(self, synth_dir, tmp_path, capsys, recwarn, primitives):
+        """A count below 1 is refused by its flag, more primitives than
+        windows by the library builder."""
         out = tmp_path / "seg"
         error = _one_error(capsys, ["segment", "--data", str(synth_dir), "--method", "cluster", "--fit-library",
                                     "--library", str(out / "library.json"), "--primitives", primitives], out)
-        assert error.startswith("k-means needs 1 <= k <= ") and error.endswith(f"got k={primitives}")
+        if int(primitives) < 1:
+            assert error == f"--primitives must be at least 1, got {primitives}"
+        else:
+            assert error == f"only 74 windows for Kp={primitives}"
         assert [str(w.message) for w in recwarn] == []
 
     def test_cluster_requires_library(self, synth_dir, tmp_path, capsys):
@@ -268,10 +277,15 @@ class TestQuantizeCommand:
             err = rvq.quantization_mse((v, alone[rid][1]) for rid, v in latents.items())
             assert (out / "rvq_report.csv").read_text() == f"metric,value\nreconstruction_error,{err:.10g}\n"
 
-    @pytest.mark.parametrize("codes", ["0", "-1"])
+    @pytest.mark.parametrize("codes", ["0", "-1", "9999"])
     def test_bad_code_count_is_a_json_error(self, synth_dir, tmp_path, capsys, recwarn, codes):
+        """A count below 1 is refused by its flag, more codes than latents
+        by the codebook trainer."""
         error = _one_error(capsys, ["quantize", "--data", str(synth_dir), "--codes", codes], tmp_path / "q")
-        assert error.startswith("k-means needs 1 <= k <= ") and error.endswith(f"got k={codes}")
+        if int(codes) < 1:
+            assert error == f"--codes must be at least 1, got {codes}"
+        else:
+            assert error == f"insufficient data: 98 vectors for K={codes}"
         assert [str(w.message) for w in recwarn] == []
 
     def test_seeded_runs_byte_identical(self, synth_dir, tmp_path):
@@ -1205,3 +1219,132 @@ class TestErrorMapping:
         assert capsys.readouterr().err == ""
         assert (out / "boundaries_cpd.json").exists()
         assert [str(w.message) for w in recwarn] == []
+
+
+# command argv without --out, and the count flag whose bad value it takes;
+# quantize --codes and segment --primitives have their own tests above
+COUNT_FLAGS = [
+    *((["train-align", "--samples", "10", "--holdout", "4", "--steps", "1"], flag)
+      for flag in ("--samples", "--holdout", "--batch", "--d-token", "--d-embed")),
+    (["quantize"], "--layers"),
+    *((["segment", "--method", "cluster", "--fit-library"], flag) for flag in ("--window", "--stride")),
+    *((["decode"], flag) for flag in ("--length", "--iters", "--codes")),
+]
+
+
+class TestCountFlags:
+    """A count below 1, given by flag or by --config, exits 1 with one JSON
+    line naming the flag, before anything is written."""
+
+    def _argv(self, argv, synth_dir, tmp_path):
+        if argv[0] == "quantize":
+            return argv + ["--data", str(synth_dir)]
+        if argv[0] == "segment":
+            return argv + ["--data", str(synth_dir), "--library", str(tmp_path / "lib" / "library.json")]
+        return argv
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("argv,flag", COUNT_FLAGS, ids=[f"{a[0]}{f}" for a, f in COUNT_FLAGS])
+    def test_flag(self, synth_dir, tmp_path, capsys, recwarn, argv, flag, value):
+        error = _one_error(capsys, self._argv(argv, synth_dir, tmp_path) + [f"{flag}={value}"], tmp_path / "o")
+        assert error == f"{flag} must be at least 1, got {value}"
+        assert not (tmp_path / "lib").exists()
+        assert [str(w.message) for w in recwarn] == []
+
+    @pytest.mark.parametrize("argv,flag", COUNT_FLAGS, ids=[f"{a[0]}{f}" for a, f in COUNT_FLAGS])
+    def test_config(self, synth_dir, tmp_path, capsys, argv, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): 0}))
+        if flag in argv:  # the flag would win over the config
+            i = argv.index(flag)
+            argv = argv[:i] + argv[i + 2:]
+        error = _one_error(capsys, ["--config", str(cfg)] + self._argv(argv, synth_dir, tmp_path), tmp_path / "o")
+        assert error == f"{flag} must be at least 1, got 0"
+        assert not (tmp_path / "lib").exists()
+
+
+class _FakeMallopt:
+    """A C library's mallopt that records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestFreedMemoryPolicy:
+    """quantize and segment set glibc's mmap and trim thresholds once per
+    process, unless the environment already tunes the allocator."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self, monkeypatch):
+        for name in cli._MALLOC_ENV:
+            monkeypatch.delenv(name, raising=False)
+        cli._keep_freed_memory.cache_clear()
+        yield
+        cli._keep_freed_memory.cache_clear()
+
+    def _patch(self, monkeypatch, lib):
+        opened = []
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or lib)
+        return opened
+
+    def test_two_calls_across_two_corpus_commands(self, synth_dir, tmp_path, monkeypatch):
+        lib = types.SimpleNamespace(mallopt=_FakeMallopt())
+        opened = self._patch(monkeypatch, lib)
+        assert main(["quantize", "--data", str(synth_dir), "--codes", "4", "--out", str(tmp_path / "q"),
+                     "--quiet"]) == 0
+        assert main(["segment", "--data", str(synth_dir), "--method", "cpd", "--out", str(tmp_path / "s"),
+                     "--quiet"]) == 0
+        assert opened == [None]
+        assert lib.mallopt.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_query_command_leaves_the_allocator(self, tmp_path, monkeypatch):
+        opened = self._patch(monkeypatch, types.SimpleNamespace(mallopt=_FakeMallopt()))
+        assert main(["decode", "--length", "4", "--iters", "2", "--out", str(tmp_path / "d"), "--quiet"]) == 0
+        assert opened == []
+
+    @pytest.mark.parametrize("name", cli._MALLOC_ENV)
+    def test_environment_wins(self, monkeypatch, name):
+        monkeypatch.setenv(name, "131072")
+        lib = types.SimpleNamespace(mallopt=_FakeMallopt())
+        opened = self._patch(monkeypatch, lib)
+        cli._keep_freed_memory()
+        assert opened == [] and lib.mallopt.calls == []
+
+    def test_no_mallopt_is_silent(self, synth_dir, tmp_path, monkeypatch, capsys):
+        self._patch(monkeypatch, object())
+        assert main(["segment", "--data", str(synth_dir), "--method", "cpd", "--out", str(tmp_path / "s"),
+                     "--quiet"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+    def test_fewer_page_faults(self, tmp_path):
+        """segment --method cpd on 4 sequences of 450 tokens: each sequence's
+        n^2 tables reuse the last one's freed memory."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 4, "dim": 16, "segments_min": 5, "segments_max": 5,
+                                    "tokens_per_segment_min": 90, "tokens_per_segment_max": 90}))
+        data = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec), "--out", str(data), "--quiet"]) == 0
+        probe = ("import resource, sys\n"
+                 "from segalign import cli\n"
+                 "if sys.argv[1] == 'off':\n"
+                 "    cli._keep_freed_memory = lambda: None\n"
+                 "argv = ['segment', '--data', sys.argv[2], '--method', 'cpd', '--out', sys.argv[3], '--quiet']\n"
+                 "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                 "assert cli.main(argv) == 0\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = {key: value for key, value in os.environ.items() if key not in cli._MALLOC_ENV}
+        faults = {
+            mode: int(subprocess.run([sys.executable, "-c", probe, mode, str(data), str(tmp_path / mode)],
+                                     env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
+                                     check=True).stdout)
+            for mode in ("on", "off")
+        }
+        assert (tmp_path / "on" / "boundaries_cpd.json").read_bytes() == \
+               (tmp_path / "off" / "boundaries_cpd.json").read_bytes()
+        assert faults["on"] < faults["off"] / 2, faults
