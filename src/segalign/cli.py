@@ -287,7 +287,7 @@ def cmd_segment(args) -> int:
 # --- quantize ---------------------------------------------------------------
 
 def cmd_quantize(args) -> int:
-    _at_least_one(args, "layers", "codes")
+    _at_least_one(args, "layers", "codes", "iters")
     _keep_freed_memory()
     records, latents, _ = _load_corpus(args.data)
     stacked = np.vstack([v.vectors for v in latents.values()])

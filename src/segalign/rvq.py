@@ -95,7 +95,8 @@ def sqdist(
     """Squared Euclidean distances, (n, d) x (k, d) -> (n, k).
 
     Computed as ``||a||^2 + ||b||^2 - 2 a.b^T`` with one BLAS matmul and
-    clamped at 0, so memory is O(n*k): no (n, k, d) difference array is built.
+    clamped at 0, so memory is O(n*k), the result and one (n, k) temporary
+    for the product: no (n, k, d) difference array is built.
     The absolute rounding error of an entry is a small multiple of
     ``eps * (||a_i||^2 + ||b_j||^2)``, under 8x on random data.  So near-equal
     distances may order differently than under the difference form, and a
@@ -114,7 +115,9 @@ def sqdist(
     if a_sq is None:
         a_sq = (a * a).sum(axis=1)
     d2 = np.add(a_sq[:, None], (b * b).sum(axis=1)[None, :], out=out)
-    d2 -= 2.0 * (a @ b.T)
+    ab = a @ b.T   # a @ a.T stays one symmetric BLAS product (syrk)
+    ab *= 2.0
+    d2 -= ab
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -192,6 +195,7 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
             centers[j] = data[rng.choice(n, p=d2 / total)]
         np.square(np.subtract(data, centers[j], out=diff), out=diff)
         np.minimum(d2, diff.sum(axis=1), out=d2)
+    del diff   # freed before the (n, k) distance buffer is allocated
 
     bins = np.arange(d)
     prev = None

@@ -212,15 +212,18 @@ def _brute_force_partition(span_cost, n: int, num_segments: int) -> tuple[list[i
 
 # --- kernel change-point detection -----------------------------------------
 
-def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
+def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median", out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise Gaussian kernel k(a,b) = exp(-||a-b||^2 / (2 sigma^2)).
 
     bandwidth "median" uses the median pairwise distance (1 if it is 0).
     Distances come from :func:`sqdist`; the diagonal is set to exactly 0, so
-    every k(a, a) is exactly 1.
+    every k(a, a) is exactly 1.  ``out``, if given, is an (n, n) float64
+    array or view that receives the kernel and is returned; every step after
+    :func:`sqdist` works in place in it, so the values are the same bits.
 
-    The median is found by selection, not by sorting: ``np.partition`` picks
-    the one or two middle squared distances of the upper triangle, and sigma
+    The median is found by selection, not by sorting: one ``np.partition``
+    picks the one or two middle squared distances of the upper triangle
+    (the lower of two is the largest value left of the upper), and sigma
     is the square root of the middle one, or the mean of the square roots of
     the two.  As sqrt is monotone and numpy's mean of two values is one add
     and one divide, sigma equals ``np.median`` of the upper-triangle
@@ -233,7 +236,7 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("kernel input contains non-finite values")
     sigma = _fixed_bandwidth(bandwidth)
-    sq = sqdist(x, x)
+    sq = sqdist(x, x, out=out)
     np.fill_diagonal(sq, 0.0)
     if sigma is None:   # the median over the upper triangle, or 1 if it is 0 or there is none
         n = x.shape[0]
@@ -265,11 +268,10 @@ def _median_distance(v: np.ndarray) -> float:
     Partitions ``v`` in place.
     """
     h = v.size // 2
+    v.partition(h)
     if v.size % 2:
-        v.partition(h)
         return float(np.sqrt(v[h]))
-    v.partition((h - 1, h))
-    return float((np.sqrt(v[h - 1]) + np.sqrt(v[h])) / 2.0)
+    return float((np.sqrt(v[:h].max()) + np.sqrt(v[h])) / 2.0)
 
 
 def kernel_span_cost(K: np.ndarray, s: int, e: int) -> float:
@@ -279,7 +281,7 @@ def kernel_span_cost(K: np.ndarray, s: int, e: int) -> float:
     return float(np.trace(block) - block.sum() / (e - s))
 
 
-def kernel_cost_table(K: np.ndarray) -> np.ndarray:
+def kernel_cost_table(K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """C[s, e] = within-segment kernel cost of [s, e), for all spans at once.
 
     K must be symmetric.  The block sums of K over [s, e) x [s, e) grow one
@@ -294,21 +296,33 @@ def kernel_cost_table(K: np.ndarray) -> np.ndarray:
     one column per step to a zero-initialised sum would.  Adding the
     leading zeros is exact, and a row's first increment, 2 K[s, s] - K[s, s],
     is never -0.0, so it equals 0.0 plus itself: every cost is the same
-    float bit for bit.  Working
-    memory beyond C is P, O(n^2), plus a few (rows, n - s0) temporaries of
-    at most ``_BLOCK`` elements each (one row if n is larger).
+    float bit for bit.
+
+    ``out``, if given, is an (n+1, n+1) float64 array that receives C and is
+    returned.  Its ``[:n, :n]`` block may be K itself: a block's increments
+    read its K rows before its C rows are written, and later blocks read
+    only later rows, so C is built over K with the same bits.  Any other
+    overlap of ``out`` and K is a ValueError.  Without ``out``, K is left
+    untouched.  Working memory beyond K and C is P, n^2 float64 values,
+    plus a few (rows, n - s0) temporaries of at most ``_BLOCK`` elements
+    each (one row if n is larger): with ``out`` over K, two n^2 tables in
+    all, about 1.6 GB at n = 10,000.
     """
     n = K.shape[0]
-    diag = np.diag(K)
+    C = np.empty((n + 1, n + 1)) if out is None else out
+    if C.shape != (n + 1, n + 1) or C.dtype != np.float64:
+        raise ValueError(f"out must be a ({n + 1}, {n + 1}) float64 array, got {C.shape} {C.dtype}")
+    if np.may_share_memory(C, K) and (K.ctypes.data, K.strides) != (C.ctypes.data, C.strides):
+        raise ValueError("out may share memory with K only as out[:n, :n]")
+    diag = np.diag(K).copy()   # a view of K, which C overwrites
     diag_cum = np.concatenate([[0.0], np.cumsum(diag)])
     P = np.cumsum(K, axis=0)
     P_diag = np.diag(P)
-    C = np.full((n + 1, n + 1), np.inf)
     for s0, s1 in _row_blocks(n, n):
         b, w = s1 - s0, n - s0
         below = np.tri(b, k=-1, dtype=bool)   # j < s in the block's leading corner
         block = P_diag[s0:] - P[s0:s1, s0:]
-        block += K[s0:s1, s0:]
+        block += K[s0:s1, s0:]   # the last read of these K rows
         block *= 2.0
         block -= diag[s0:]
         np.copyto(block[:, :b], 0.0, where=below)
@@ -318,16 +332,24 @@ def kernel_cost_table(K: np.ndarray) -> np.ndarray:
         lengths = np.arange(1.0, w + 1.0) - np.arange(float(b))[:, None]
         np.maximum(lengths, 1.0, out=lengths)
         block /= lengths
+        C[s0:s1, : s0 + 1] = np.inf
         cost = C[s0:s1, s0 + 1 :]
         np.subtract(diag_cum[s0 + 1 :], diag_cum[s0:s1, None], out=cost)
         cost -= block
         np.maximum(cost, 0.0, out=cost)
         np.copyto(cost[:, :b], np.inf, where=below)
+    C[n] = np.inf
     return C
 
 
 def kernel_cpd_segment(x: LatentSequence, num_segments: int, bandwidth="median") -> SegmentBoundaries:
-    """Exact DP minimization of total within-segment kernel cost."""
+    """Exact DP minimization of total within-segment kernel cost.
+
+    Working memory is two n^2 float64 tables per sequence, about 1.6 GB at
+    n = 10,000: one (n+1, n+1) buffer holds K in its leading block and then
+    the cost table C built over it, and ``kernel_cost_table`` adds P.  The
+    DP needs O(n * A) more.
+    """
     n = x.length
     if num_segments < 1:
         raise ValueError("need at least one segment")
@@ -336,7 +358,9 @@ def kernel_cpd_segment(x: LatentSequence, num_segments: int, bandwidth="median")
     _fixed_bandwidth(bandwidth)   # checked even where there is nothing to cut
     if num_segments == 1:
         return SegmentBoundaries(spans=((0, n),))
-    C = kernel_cost_table(gaussian_kernel_matrix(x.vectors, bandwidth))
+    buf = np.empty((n + 1, n + 1))
+    K = gaussian_kernel_matrix(x.vectors, bandwidth, out=buf[:n, :n])
+    C = kernel_cost_table(K, out=buf)
     cuts, _ = _dp_partition(C, n, num_segments)
     return SegmentBoundaries.from_cuts(n, cuts)
 

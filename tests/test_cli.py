@@ -1226,7 +1226,7 @@ class TestErrorMapping:
 COUNT_FLAGS = [
     *((["train-align", "--samples", "10", "--holdout", "4", "--steps", "1"], flag)
       for flag in ("--samples", "--holdout", "--batch", "--d-token", "--d-embed")),
-    (["quantize"], "--layers"),
+    *((["quantize"], flag) for flag in ("--layers", "--iters")),
     *((["segment", "--method", "cluster", "--fit-library"], flag) for flag in ("--window", "--stride")),
     *((["decode"], flag) for flag in ("--length", "--iters", "--codes")),
 ]

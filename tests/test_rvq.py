@@ -190,6 +190,18 @@ class TestSqdist:
             assert sqdist(a, b, out=buf) is buf
             np.testing.assert_array_equal(buf.view(np.uint64), sqdist(a, b).view(np.uint64))
 
+    def test_self_distances_are_symmetric_and_match_the_scaled_product(self):
+        """sqdist(x, x) takes a @ a.T as one symmetric product: the table is
+        exactly symmetric, with the bits of ``2.0 * (a @ a.T)`` subtracted."""
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            x = rng.normal(size=(int(rng.integers(1, 120)), int(rng.integers(1, 9))))
+            sq = (x * x).sum(axis=1)
+            want = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+            got = sqdist(x, x)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(got, got.T)
+
     def test_precomputed_norms_give_same_bits(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

@@ -216,6 +216,45 @@ class TestKernelCpd:
             K = random_kernel(rng, table_size(rng, trial), trial % 4)
             assert kernel_cost_table(K).tobytes() == reference_kernel_cost_table(K).tobytes(), trial
 
+    def test_cost_table_built_over_K_matches_the_fresh_table(self, block):
+        """The instances of the reference-loop test, with C built in the
+        buffer whose leading block holds K; the rest of the buffer starts
+        as NaN, so every entry C needs is written."""
+        rng = np.random.default_rng(21)
+        for trial in range(1000):
+            K = random_kernel(rng, table_size(rng, trial), trial % 4)
+            n = K.shape[0]
+            K_before = K.copy()
+            want = kernel_cost_table(K)
+            assert K.tobytes() == K_before.tobytes(), trial
+            buf = np.full((n + 1, n + 1), np.nan)
+            buf[:n, :n] = K
+            assert kernel_cost_table(buf[:n, :n], out=buf) is buf
+            assert buf.tobytes() == want.tobytes(), trial
+
+    @pytest.mark.parametrize("view", [
+        lambda buf, n: buf[1:, 1:],
+        lambda buf, n: buf[:n, 1:],
+        lambda buf, n: buf[1:, :n],
+        lambda buf, n: buf[:n, :n].T,
+        lambda buf, n: buf[:n, :n][::-1, ::-1],
+    ], ids=["shifted", "right", "down", "transposed", "reversed"])
+    def test_other_overlap_of_out_and_K_rejected(self, view):
+        n = 6
+        buf = np.zeros((n + 1, n + 1))
+        K = view(buf, n)
+        K[...] = gaussian_kernel_matrix(np.random.default_rng(3).normal(size=(n, 2)))
+        before = buf.copy()
+        with pytest.raises(ValueError, match="share memory"):
+            kernel_cost_table(K, out=buf)
+        assert buf.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("shape,dtype", [((6, 6), np.float64), ((8, 8), np.float64), ((7, 7), np.float32)])
+    def test_out_of_wrong_shape_or_dtype_rejected(self, shape, dtype):
+        K = gaussian_kernel_matrix(np.random.default_rng(3).normal(size=(6, 2)))
+        with pytest.raises(ValueError, match=r"out must be a \(7, 7\) float64 array"):
+            kernel_cost_table(K, out=np.zeros(shape, dtype=dtype))
+
     def test_cost_table_error_bound_at_n_1024(self):
         n = 1024
         rng = np.random.default_rng(8)
@@ -316,6 +355,24 @@ class TestGaussianKernelMatrix:
             got = gaussian_kernel_matrix(x, bandwidth)
             want = reference_gaussian_kernel_matrix(x, bandwidth)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # n = 448 gives 100,128 pairs: an even count, near the long corpus's n = 450
+        for x in (rng.normal(size=(448, 8)), rng.integers(-2, 3, size=(448, 3)).astype(np.float64)):
+            got = gaussian_kernel_matrix(x)
+            want = reference_gaussian_kernel_matrix(x)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("bandwidth", ["median", 0.7])
+    def test_out_view_gives_the_same_bits(self, bandwidth):
+        rng = np.random.default_rng(32)
+        for t in range(200):
+            x = self.instance(rng, t)
+            n = x.shape[0]
+            buf = np.full((n + 1, n + 1), np.nan)
+            got = gaussian_kernel_matrix(x, bandwidth, out=buf[:n, :n])
+            assert np.shares_memory(got, buf)
+            want = gaussian_kernel_matrix(x, bandwidth)
+            np.testing.assert_array_equal(buf[:n, :n].view(np.uint64), want.view(np.uint64))
+            assert np.isnan(buf[n]).all() and np.isnan(buf[:, n]).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("bandwidth", ["median", 0.7])
@@ -483,6 +540,13 @@ class TestWorkingMemory:
         # the broadcast subtraction runs through NumPy's two input buffers
         buffers = 2 * 8 * np.getbufsize()
         assert traced_peak(run_cost_tables, costs) <= table + prefix + block + buffers + (16 << 10)
+
+    def test_kernel_cpd_segment_needs_two_tables(self):
+        """The cost table is built over the kernel matrix, so K, P and C
+        never live at once: two n^2 tables, not three."""
+        n = 600
+        x = LatentSequence(vectors=np.random.default_rng(26).normal(size=(n, 8)))
+        assert traced_peak(kernel_cpd_segment, x, 5) <= 2.3 * n * n * 8
 
 
 class TestBruteForceGuards:
