@@ -16,7 +16,7 @@ from segalign.alignment import (
     retrieval_top1,
     toy_train,
 )
-from segalign.metrics import GroundingQuery, motion_grounding
+from segalign.metrics import motion_grounding
 
 cfg = AlignmentConfig(temperature=0.1, batch_size=8)
 train = make_separable_dataset(200, seed=100, map_seed=7)
@@ -34,8 +34,7 @@ sample = holdout[0]
 tokens = np.vstack(sample.spans)
 true_start = 0
 for j in range(sample.text.shape[0]):
-    q = GroundingQuery(text_embedding=sample.text[j], window_size=sample.spans[j].shape[0])
-    best, sims = motion_grounding(q, tokens, params)
+    (best,), sims = motion_grounding(sample.text[j][None], tokens, params, window_size=sample.spans[j].shape[0])
     marker = "<-- true span start" if best == true_start else ""
     print(f"segment {j}: best window starts at token {best} "
           f"(true {true_start}) {marker}")

@@ -59,7 +59,6 @@ from .alignment import (
     toy_train,
 )
 from .masked import (
-    MaskState,
     Schedule,
     mask_random,
     mask_loss,
@@ -67,7 +66,6 @@ from .masked import (
     residual_decode,
 )
 from .metrics import (
-    GroundingQuery,
     EvalReport,
     motion_grounding,
     m2t_retrieve,

@@ -35,44 +35,25 @@ class ProtocolError(RuntimeError):
     """Layer-by-layer decoding was queried out of order."""
 
 
-@dataclass
-class MaskState:
-    """Token vector with MASK sentinels at the masked positions."""
-
-    tokens: np.ndarray
-
-    def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.int64)
-
-    @property
-    def masked_set(self) -> frozenset:
-        """The positions that hold MASK."""
-        return frozenset(np.flatnonzero(self.tokens == MASK).tolist())
-
-    @property
-    def length(self) -> int:
-        return self.tokens.shape[0]
-
-
 class TokenPredictor(Protocol):
     """Behavioral contract: probability rows over the base codebook.
 
-    ``predict(cond, state)`` returns an (L, K) matrix whose masked-position
+    ``predict(cond, tokens)`` takes the (L,) int64 tokens, ``MASK`` at the
+    masked positions, and returns an (L, K) matrix whose masked-position
     rows are probability vectors: finite, nonnegative and summing to 1
     within 1e-9.
 
-    ``iterative_decode`` passes one ``MaskState`` object to every call of a
-    decode.  Before each call it gives that state a fresh copy of the
-    tokens, so a predictor may keep (or scribble on) ``state.tokens``
-    without affecting the decode or the values a later call sees; one that
-    keeps the state object itself sees the latest iteration's values.
+    ``iterative_decode`` passes each call a fresh copy of its tokens, so a
+    predictor may keep (or scribble on) the array it is given without
+    affecting the decode or the values a later call sees.
     """
 
-    def predict(self, cond, state: MaskState) -> np.ndarray: ...
+    def predict(self, cond, tokens: np.ndarray) -> np.ndarray: ...
 
 
-def mask_random(tokens: np.ndarray, ratio: float, seed: int) -> MaskState:
-    """Mask ceil(ratio * L) uniformly chosen positions, seeded."""
+def mask_random(tokens: np.ndarray, ratio: float, seed: int) -> np.ndarray:
+    """A copy of the tokens with ceil(ratio * L) uniformly chosen positions,
+    seeded, set to MASK."""
     tokens = np.asarray(tokens, dtype=np.int64)
     length = tokens.shape[0]
     if length < 1:
@@ -84,27 +65,20 @@ def mask_random(tokens: np.ndarray, ratio: float, seed: int) -> MaskState:
     chosen = rng.choice(length, size=count, replace=False)
     masked = tokens.copy()
     masked[chosen] = MASK
-    return MaskState(tokens=masked)
+    return masked
 
 
-def mask_loss(pred: np.ndarray, truth: np.ndarray, state: MaskState) -> float:
-    """Negative log-likelihood of the true tokens, summed over masked positions.
+def mask_loss(pred: np.ndarray, truth: np.ndarray, masked: np.ndarray) -> float:
+    """Negative log-likelihood of the true tokens, summed in ascending order
+    over the positions where ``masked`` holds MASK.
 
     Zero probabilities are floored at 1e-12 with a warning.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.int64)
-    total = 0.0
-    floored = False
-    for i in sorted(state.masked_set):
-        p = float(pred[i, truth[i]])
-        if p < PROB_FLOOR:
-            p = PROB_FLOOR
-            floored = True
-        total += -math.log(p)
-    if floored:
+    at = np.flatnonzero(np.asarray(masked) == MASK)
+    probs = np.asarray(pred, dtype=np.float64)[at, np.asarray(truth, dtype=np.int64)[at]].tolist()
+    if any(p < PROB_FLOOR for p in probs):
         warnings.warn("mask_loss: target probability floored at 1e-12", RuntimeWarning)
-    return total
+    return sum((-math.log(max(p, PROB_FLOOR)) for p in probs), 0.0)
 
 
 def mask_count_schedule(total_iters: int, length: int) -> list[int]:
@@ -166,7 +140,6 @@ def iterative_decode(
         raise ValueError(f"unknown decode mode {mode!r}")
     counts = mask_count_schedule(schedule.total_iters, length)
     tokens = np.full(length, MASK, dtype=np.int64)
-    state = MaskState(tokens=tokens)
     rng = np.random.default_rng(seed) if mode == "sample" else None
     for t in range(1, schedule.total_iters + 1):
         masked = np.flatnonzero(tokens == MASK)
@@ -174,8 +147,7 @@ def iterative_decode(
             if trace is not None:
                 trace.append({"iteration": t, "masked_count": 0, "fixed_indices": []})
             continue
-        state.tokens = tokens.copy()
-        probs = np.asarray(predictor.predict(cond, state), dtype=np.float64)
+        probs = np.asarray(predictor.predict(cond, tokens.copy()), dtype=np.float64)
         if probs.shape[0] != length:
             raise PredictorContractError("predictor returned wrong number of rows")
         rows = probs[masked]
@@ -261,7 +233,7 @@ class OraclePredictor:
         self._probs[np.arange(self.target.shape[0]), self.target] = 1.0
         self._probs.flags.writeable = False
 
-    def predict(self, cond, state: MaskState) -> np.ndarray:
+    def predict(self, cond, tokens: np.ndarray) -> np.ndarray:
         return self._probs
 
 
@@ -278,33 +250,44 @@ class SoftmaxRegressionPredictor:
         self.b = np.zeros(num_codes)
         self.num_codes = num_codes
 
-    def _dist(self, cond) -> np.ndarray:
-        logits = self.w @ np.asarray(cond, dtype=np.float64) + self.b
-        logits -= logits.max()
+    def _probs(self, X: np.ndarray) -> np.ndarray:
+        """The code distribution of each (S, F) condition row."""
+        logits = X @ self.w.T + self.b
+        logits -= logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
-        return e / e.sum()
+        return e / e.sum(axis=1, keepdims=True)
 
-    def predict(self, cond, state: MaskState) -> np.ndarray:
-        return np.tile(self._dist(cond), (state.length, 1))
+    def predict(self, cond, tokens: np.ndarray) -> np.ndarray:
+        return np.repeat(self._probs(np.asarray(cond, dtype=np.float64)[None]), len(tokens), axis=0)
+
+    def _loss_and_grads(self, X: np.ndarray, N: np.ndarray):
+        """(summed loss, dL/dw, dL/db) of the token cross-entropy over every
+        token, given the (S, F) condition rows and the (S, K) count of each
+        code in each sample's tokens; a probability is floored at 1e-12 in
+        the loss only."""
+        P = self._probs(X)
+        loss = -(N * np.log(np.maximum(P, PROB_FLOOR))).sum()
+        # each token of sample s adds P[s] - onehot(token)
+        G = N.sum(axis=1, keepdims=True) * P - N
+        return float(loss), G.T @ X, G.sum(axis=0)
 
     def fit(self, conds, token_seqs, steps: int = 200, lr: float = 0.5) -> list[float]:
-        """SGD on the token unigram cross-entropy given the condition."""
+        """Full-batch gradient descent on the token unigram cross-entropy
+        given the condition, averaged over all tokens; returns the loss
+        before each step."""
+        X = np.asarray(list(conds), dtype=np.float64)
+        seqs = [np.asarray(seq, dtype=np.int64) for seq in token_seqs]
+        if X.shape != (len(seqs), self.w.shape[1]):
+            raise ValueError(f"need one condition of {self.w.shape[1]} features per token sequence, got {X.shape}")
+        if any(((seq < 0) | (seq >= self.num_codes)).any() for seq in seqs):
+            raise ValueError(f"token outside [0, {self.num_codes})")
+        N = np.array([np.bincount(seq, minlength=self.num_codes) for seq in seqs], dtype=np.float64)
+        count = N.sum()
+        if count == 0:
+            raise ValueError("no tokens to fit")
         curve = []
         for _ in range(steps):
-            gw = np.zeros_like(self.w)
-            gb = np.zeros_like(self.b)
-            loss = 0.0
-            count = 0
-            for cond, seq in zip(conds, token_seqs):
-                cond = np.asarray(cond, dtype=np.float64)
-                dist = self._dist(cond)
-                for tok in np.asarray(seq, dtype=np.int64):
-                    loss += -math.log(max(dist[tok], PROB_FLOOR))
-                    g = dist.copy()
-                    g[tok] -= 1.0
-                    gw += np.outer(g, cond)
-                    gb += g
-                    count += 1
+            loss, gw, gb = self._loss_and_grads(X, N)
             self.w -= lr * gw / count
             self.b -= lr * gb / count
             curve.append(loss / count)

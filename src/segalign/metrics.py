@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import NORM_FLOOR, AggregatorParams, cosine_matrix, embed_spans
+from .alignment import NORM_FLOOR, AggregatorParams, _unit_rows, cosine_matrix, embed_spans
 from .rvq import sqdist
 
 DIVERSITY_PAIRS = 300
@@ -22,18 +22,6 @@ POOL_SIZE = 32
 
 FID_EPS = 1e-6
 FID_EIG_TOL = -1e-8
-
-
-@dataclass(frozen=True)
-class GroundingQuery:
-    text_embedding: np.ndarray
-    window_size: int = 5
-    stride: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "text_embedding", np.asarray(self.text_embedding, dtype=np.float64))
-        if self.window_size < 1 or self.stride < 1:
-            raise ValueError("window_size and stride must be >= 1")
 
 
 @dataclass
@@ -54,18 +42,23 @@ class EvalReport:
 
 
 def motion_grounding(
-    q: GroundingQuery, motion_tokens: np.ndarray, model: AggregatorParams
-) -> tuple[int, np.ndarray]:
-    """Embed every window of the motion tokens in one batch and return
-    (best start index, full similarity vector).  Ties -> lowest start index."""
+    text: np.ndarray, motion_tokens: np.ndarray, model: AggregatorParams, window_size: int = 5, stride: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """(best start (A,), similarities (A, n_windows)) of the (A, d_embed)
+    text rows against each ``window_size`` window of the motion tokens, one
+    every ``stride`` tokens; ties -> lowest start.  The windows are embedded
+    and normalized once, and each text row takes its own one-row product:
+    the bits of ``cosine_matrix(text[j][None], windows)[0]``."""
+    if window_size < 1 or stride < 1:
+        raise ValueError("window_size and stride must be >= 1")
     tokens = np.asarray(motion_tokens, dtype=np.float64)
     n = tokens.shape[0]
-    if n < q.window_size:
-        raise ValueError(f"motion of {n} tokens is shorter than window {q.window_size}")
-    windows = np.lib.stride_tricks.sliding_window_view(tokens, q.window_size, axis=0)[:: q.stride]
-    embs = embed_spans(windows.transpose(0, 2, 1), model)
-    sims = cosine_matrix(q.text_embedding[None], embs)[0]
-    return int(np.argmax(sims)) * q.stride, sims
+    if n < window_size:
+        raise ValueError(f"motion of {n} tokens is shorter than window {window_size}")
+    windows = np.lib.stride_tricks.sliding_window_view(tokens, window_size, axis=0)[::stride]
+    unit_windows = _unit_rows(embed_spans(windows.transpose(0, 2, 1), model))
+    sims = np.vstack([_unit_rows(t[None]) @ unit_windows.T for t in np.asarray(text, dtype=np.float64)])
+    return sims.argmax(axis=1) * stride, sims
 
 
 def m2t_retrieve(m_q: np.ndarray, candidates: np.ndarray) -> int:

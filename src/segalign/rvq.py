@@ -9,11 +9,11 @@ left by the preceding layers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import json_object, numeric_array, positive_int
 from .motion import LatentSequence
 
 DEFAULT_RESIDUAL_LAYERS = 5
@@ -276,20 +276,21 @@ def truncate_stack(stack: CodebookStack, num_layers: int) -> CodebookStack:
     return CodebookStack(books=stack.books[:num_layers])
 
 
-def stack_to_json(stack: CodebookStack) -> str:
-    return json.dumps(
-        {"dim": stack.dim, "books": [b.entries.tolist() for b in stack.books]},
-        sort_keys=True,
-    )
+def stack_to_json(stack: CodebookStack) -> dict:
+    return {"dim": stack.dim, "books": [b.entries.tolist() for b in stack.books]}
 
 
-def stack_from_json(text: str) -> CodebookStack:
-    obj = json.loads(text)
-    dim = obj["dim"]
+def stack_from_json(obj) -> CodebookStack:
+    """The stack ``stack_to_json`` wrote; anything else raises ValueError
+    naming the field or the book at fault."""
+    json_object(obj, "dim", "books")
+    dim = positive_int(obj["dim"], "dim")
+    if not isinstance(obj["books"], list) or not obj["books"]:
+        raise ValueError("field 'books' must be a non-empty list of codebooks")
     books = []
-    for raw in obj["books"]:
-        book = Codebook(entries=np.asarray(raw, dtype=np.float64))
-        if book.dim != dim:
-            raise ValueError(f"codebook dim {book.dim} != declared dim {dim}")
-        books.append(book)
+    for j, raw in enumerate(obj["books"]):
+        entries = numeric_array(raw)
+        if entries is None or entries.ndim != 2 or entries.shape[1] != dim or not np.isfinite(entries).all():
+            raise ValueError(f"books[{j}] must be a non-empty list of rows of {dim} finite numbers")
+        books.append(Codebook(entries=entries))
     return CodebookStack(books=tuple(books))

@@ -269,7 +269,7 @@ class TestQuantizeCommand:
             records, latents, _ = cli._load_corpus(str(data))
             lengths = {v.length for v in latents.values()}
             assert len(lengths) > 1 and shortest in (None, min(lengths))
-            stack = rvq.stack_from_json((out / "stack.json").read_text())
+            stack = rvq.stack_from_json(json.loads((out / "stack.json").read_text()))
             alone = {rid: rvq.quantize(v, stack) for rid, v in latents.items()}
             lines = [json.dumps({"id": r.id, "layers": alone[r.id][0].layers.tolist()}, sort_keys=True)
                      for r in records]
@@ -743,9 +743,10 @@ class TestDownstreamCommands:
         assert main(["eval", "--model", str(trained / "model.json"),
                      "--data", str(trained / "align_data.json"),
                      "--out", str(out), "--quiet"]) == 0
-        metrics = json.loads((out / "eval.json").read_text())["metrics"]
+        report = json.loads((out / "eval.json").read_text())
         for key in ("isc", "r_precision_top1", "mm_dist", "diversity", "fid"):
-            assert key in metrics
+            assert key in report["metrics"]
+        assert report["metadata"] == {"seed": 0}  # a full R-Precision pool adds no warnings note
 
     def test_eval_fid_identical_feature_files(self, tmp_path):
         feats = tmp_path / "f.csv"
@@ -770,6 +771,47 @@ class TestDownstreamCommands:
                      "--data", str(trained / "align_data.json"),
                      "--out", str(tmp_path / "g"), "--quiet"]) == 1
         assert "not found" in capsys.readouterr().err
+
+
+class TestEvalSmallHoldout:
+    """R-Precision's warning about a holdout smaller than one pool is a note
+    in eval.json, never a line on stderr, also in a process of its own."""
+
+    @staticmethod
+    def _query(tmp_path, holdout):
+        out = tmp_path / f"align{holdout}"
+        assert main(["train-align", "--samples", "10", "--holdout", str(holdout), "--steps", "5",
+                     "--out", str(out), "--quiet"]) == 0
+        return ["--model", str(out / "model.json"), "--data", str(out / "align_data.json")]
+
+    @staticmethod
+    def _eval_process(query, out, *python_flags):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        return subprocess.run([sys.executable, *python_flags, "-m", "segalign.cli", "eval", *query,
+                               "--out", str(out), "--quiet"],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+
+    def test_warning_is_noted_not_printed(self, tmp_path, capsys, recwarn):
+        query = self._query(tmp_path, 5)
+        assert main(["eval", *query, "--out", str(tmp_path / "e"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert [str(w.message) for w in recwarn] == []
+        n = sum(len(s.text) for s in cli._read_holdout(query[3]))
+        assert n < metrics.POOL_SIZE
+        metadata = json.loads((tmp_path / "e" / "eval.json").read_text())["metadata"]
+        assert metadata == {"seed": 0, "warnings": [
+            f"only {n} samples; evaluating a single pool smaller than {metrics.POOL_SIZE}"]}
+
+    def test_no_traceback_when_warnings_are_errors(self, tmp_path):
+        proc = self._eval_process(self._query(tmp_path, 5), tmp_path / "e", "-W", "error::RuntimeWarning")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "warnings" in json.loads((tmp_path / "e" / "eval.json").read_text())["metadata"]
+
+    def test_too_small_for_top_3_is_one_error_line(self, tmp_path):
+        proc = self._eval_process(self._query(tmp_path, 1), tmp_path / "e")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [json.dumps({"error": "need more than topk=2 samples"})]
+        assert not (tmp_path / "e").exists()
 
 
 class TestDecodeCommand:
@@ -1229,6 +1271,8 @@ COUNT_FLAGS = [
     *((["quantize"], flag) for flag in ("--layers", "--iters")),
     *((["segment", "--method", "cluster", "--fit-library"], flag) for flag in ("--window", "--stride")),
     *((["decode"], flag) for flag in ("--length", "--iters", "--codes")),
+    # the files do not exist: the flag is checked before any file is read
+    *((["ground", "--model", "x.json", "--data", "y.json"], flag) for flag in ("--window", "--stride")),
 ]
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from segalign.masked import (
     MASK,
-    MaskState,
     OraclePredictor,
     OrderedLayerPredictors,
     PredictorContractError,
@@ -25,63 +24,76 @@ from segalign.masked import (
 
 class TestMaskRandom:
     def test_count_is_ceiling(self):
-        state = mask_random(np.arange(10), 0.45, seed=0)
-        assert len(state.masked_set) == 5
+        masked = mask_random(np.arange(10), 0.45, seed=0)
+        assert np.count_nonzero(masked == MASK) == 5
 
     def test_full_mask(self):
-        state = mask_random(np.arange(4), 1.0, seed=0)
-        assert state.masked_set == frozenset(range(4))
-        assert np.all(state.tokens == MASK)
+        masked = mask_random(np.arange(4), 1.0, seed=0)
+        assert masked.dtype == np.int64
+        assert np.all(masked == MASK)
 
     def test_seeded_determinism(self):
         s1 = mask_random(np.arange(20), 0.5, seed=7)
         s2 = mask_random(np.arange(20), 0.5, seed=7)
-        assert s1.masked_set == s2.masked_set
+        np.testing.assert_array_equal(s1, s2)
+
+    def test_input_untouched_and_kept_where_unmasked(self):
+        tokens = np.arange(20)
+        masked = mask_random(tokens, 0.5, seed=3)
+        np.testing.assert_array_equal(tokens, np.arange(20))
+        keep = masked != MASK
+        np.testing.assert_array_equal(masked[keep], tokens[keep])
 
     def test_bad_ratio(self):
         with pytest.raises(ValueError):
             mask_random(np.arange(5), 0.0, seed=0)
 
-    def test_masked_set_follows_the_tokens(self):
-        state = MaskState(tokens=np.array([0, MASK, 2]))
-        assert state.masked_set == frozenset({1})
-        state.tokens[0] = MASK
-        assert state.masked_set == frozenset({0, 1})
-        state.tokens = np.array([5, 6, 7])
-        assert state.masked_set == frozenset()
-
 
 class TestMaskLoss:
     def test_perfect_prediction_zero(self):
         truth = np.array([1, 0, 2])
-        state = mask_random(truth, 1.0, seed=0)
+        masked = mask_random(truth, 1.0, seed=0)
         pred = np.zeros((3, 3))
         pred[np.arange(3), truth] = 1.0
-        assert mask_loss(pred, truth, state) == 0.0
+        assert mask_loss(pred, truth, masked) == 0.0
 
     def test_uniform_prediction(self):
         truth = np.array([0, 1])
-        state = mask_random(truth, 1.0, seed=0)
+        masked = mask_random(truth, 1.0, seed=0)
         pred = np.full((2, 2), 0.5)
-        assert mask_loss(pred, truth, state) == pytest.approx(2 * np.log(2))
+        assert mask_loss(pred, truth, masked) == pytest.approx(2 * np.log(2))
 
     def test_zero_probability_floored_with_warning(self):
         truth = np.array([0])
-        state = mask_random(truth, 1.0, seed=0)
+        masked = mask_random(truth, 1.0, seed=0)
         pred = np.array([[0.0, 1.0]])
         with pytest.warns(RuntimeWarning):
-            loss = mask_loss(pred, truth, state)
+            loss = mask_loss(pred, truth, masked)
         assert loss == pytest.approx(-np.log(1e-12))
 
     def test_unmasked_positions_ignored(self):
         truth = np.array([0, 1, 0])
         tokens = truth.copy()
         tokens[1] = MASK
-        state = MaskState(tokens=tokens)
         pred = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])  # wrong everywhere
         with pytest.warns(RuntimeWarning):
-            loss = mask_loss(pred, truth, state)
+            loss = mask_loss(pred, truth, tokens)
         assert loss == pytest.approx(-np.log(1e-12))  # only position 1 counted
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sums_the_masked_positions_in_ascending_order(self, seed):
+        rng = np.random.default_rng(seed)
+        length, codes = int(rng.integers(1, 40)), int(rng.integers(2, 9))
+        pred = rng.dirichlet(np.ones(codes), size=length)
+        truth = rng.integers(0, codes, size=length)
+        masked = mask_random(truth, float(rng.uniform(0.1, 1.0)), seed=seed)
+        total = 0.0
+        for i in sorted(np.flatnonzero(masked == MASK).tolist()):
+            total += -math.log(float(pred[i, truth[i]]))
+        assert mask_loss(pred, truth, masked) == total
+
+    def test_nothing_masked_is_zero(self):
+        assert mask_loss(np.full((2, 2), 0.5), np.array([0, 1]), np.array([0, 1])) == 0.0
 
 
 class TestSchedule:
@@ -133,8 +145,8 @@ class TestIterativeDecode:
 
     def test_sample_mode_seeded(self):
         class Uniform:
-            def predict(self, cond, state):
-                return np.full((state.length, 4), 0.25)
+            def predict(self, cond, tokens):
+                return np.full((len(tokens), 4), 0.25)
 
         a = iterative_decode(None, 12, Uniform(), Schedule(3), seed=5, mode="sample")
         b = iterative_decode(None, 12, Uniform(), Schedule(3), seed=5, mode="sample")
@@ -147,16 +159,16 @@ class TestIterativeDecode:
 
     def test_invalid_probability_rows_rejected(self):
         class Broken:
-            def predict(self, cond, state):
-                return np.full((state.length, 3), 0.5)  # rows sum to 1.5
+            def predict(self, cond, tokens):
+                return np.full((len(tokens), 3), 0.5)  # rows sum to 1.5
 
         with pytest.raises(PredictorContractError):
             iterative_decode(None, 4, Broken(), Schedule(2))
 
     def test_first_bad_masked_row_is_named(self):
         class TwoBad:
-            def predict(self, cond, state):
-                p = np.full((state.length, 2), 0.5)
+            def predict(self, cond, tokens):
+                p = np.full((len(tokens), 2), 0.5)
                 p[1] = [1.5, -0.5]      # second masked position: negative entry
                 p[3] = [0.5, 0.6]       # fourth masked position: sums to 1.1
                 return p
@@ -182,8 +194,8 @@ class TestIterativeDecode:
     def test_confidence_tie_prefers_lowest_index(self):
         class TwoPeaks:
             # equal confidence everywhere; commits must take lowest indices first
-            def predict(self, cond, state):
-                p = np.zeros((state.length, 2))
+            def predict(self, cond, tokens):
+                p = np.zeros((len(tokens), 2))
                 p[:, 1] = 1.0
                 return p
 
@@ -204,8 +216,7 @@ def reference_iterative_decode(cond, length, predictor, schedule, seed=0, mode="
         if masked.size == 0:
             trace.append({"iteration": t, "masked_count": 0, "fixed_indices": []})
             continue
-        state = MaskState(tokens=tokens.copy())
-        probs = np.asarray(predictor.predict(cond, state), dtype=np.float64)
+        probs = np.asarray(predictor.predict(cond, tokens.copy()), dtype=np.float64)
         if mode == "argmax":
             chosen = np.argmax(probs[masked], axis=1)
         else:
@@ -227,8 +238,8 @@ class RandomRows:
         self.num_codes = num_codes
         self.rng = np.random.default_rng(seed)
 
-    def predict(self, cond, state):
-        p = self.rng.integers(1, 4, size=(state.length, self.num_codes)).astype(np.float64)
+    def predict(self, cond, tokens):
+        p = self.rng.integers(1, 4, size=(len(tokens), self.num_codes)).astype(np.float64)
         return p / p.sum(axis=1, keepdims=True)
 
 
@@ -247,20 +258,21 @@ class TestDecodeMatchesReferenceLoop:
         assert trace == want_trace
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_predictor_sees_the_reference_states(self, seed):
+    def test_predictor_sees_the_reference_tokens(self, seed):
         class Recording(RandomRows):
-            """Keeps what it is shown; a scribbler then overwrites the state."""
+            """Keeps the array it is given and a copy; a scribbler then
+            overwrites the array."""
 
             def __init__(self, num_codes, seed, scribble=False):
                 super().__init__(num_codes, seed)
                 self.scribble = scribble
                 self.seen = []
 
-            def predict(self, cond, state):
-                self.seen.append((state, state.tokens, state.masked_set))
-                probs = super().predict(cond, state)
+            def predict(self, cond, tokens):
+                self.seen.append((tokens, tokens.copy()))
+                probs = super().predict(cond, tokens)
                 if self.scribble:
-                    state.tokens[:] = 0
+                    tokens[:] = 0
                 return probs
 
         length, codes, schedule = 30 + seed, 7, Schedule(6)
@@ -271,24 +283,26 @@ class TestDecodeMatchesReferenceLoop:
             tokens = iterative_decode(None, length, got, schedule, seed=seed)
             np.testing.assert_array_equal(tokens, ref_tokens)
             assert len(got.seen) == len(want.seen)
-            assert all(state is got.seen[0][0] for state, *_ in got.seen)
-            if not scribble:
-                for (_, *kept), (_, *ref_kept) in zip(got.seen, want.seen):
-                    np.testing.assert_array_equal(kept[0], ref_kept[0])
-                    assert kept[1:] == ref_kept[1:]
+            kept = [given for given, _ in got.seen]
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(kept) for b in kept[i + 1:])
+            for (given, at_call), (_, ref_at_call) in zip(got.seen, want.seen):
+                assert given.dtype == np.int64
+                np.testing.assert_array_equal(at_call, ref_at_call)
+                if not scribble:
+                    np.testing.assert_array_equal(given, ref_at_call)
 
     def test_oracle_rows_are_built_once_and_read_only(self):
         pred = OraclePredictor(np.array([2, 0, 1]), num_codes=3)
-        state = mask_random(np.zeros(3, dtype=int), 1.0, seed=0)
-        rows = pred.predict(None, state)
-        assert rows is pred.predict(None, state)
+        masked = mask_random(np.zeros(3, dtype=int), 1.0, seed=0)
+        rows = pred.predict(None, masked)
+        assert rows is pred.predict(None, masked)
         with pytest.raises(ValueError):
             rows[0, 0] = 0.5
 
 
 def _one_bad_row(bad):
     """A predictor of 6x4 uniform rows with row 2 replaced by ``bad``."""
-    def predict(cond, state):
+    def predict(cond, tokens):
         p = np.full((6, 4), 0.25)
         p[2] = bad
         return p
@@ -358,6 +372,32 @@ class TestResidualDecode:
             residual_decode(None, np.array([0]), [], 1)
 
 
+def reference_fit(pred, conds, token_seqs, steps, lr):
+    """SoftmaxRegressionPredictor.fit as a loop over every token."""
+    curve = []
+    for _ in range(steps):
+        gw = np.zeros_like(pred.w)
+        gb = np.zeros_like(pred.b)
+        loss = 0.0
+        count = 0
+        for cond, seq in zip(conds, token_seqs):
+            cond = np.asarray(cond, dtype=np.float64)
+            logits = pred.w @ cond + pred.b
+            dist = np.exp(logits - logits.max())
+            dist /= dist.sum()
+            for tok in np.asarray(seq, dtype=np.int64):
+                loss += -math.log(max(dist[tok], 1e-12))
+                g = dist.copy()
+                g[tok] -= 1.0
+                gw += np.outer(g, cond)
+                gb += g
+                count += 1
+        pred.w -= lr * gw / count
+        pred.b -= lr * gb / count
+        curve.append(loss / count)
+    return curve
+
+
 class TestSoftmaxRegressionPredictor:
     def test_fit_reduces_loss(self):
         rng = np.random.default_rng(0)
@@ -369,7 +409,52 @@ class TestSoftmaxRegressionPredictor:
 
     def test_predict_rows_are_distributions(self):
         pred = SoftmaxRegressionPredictor(feat_dim=3, num_codes=5, seed=1)
-        state = mask_random(np.zeros(7, dtype=int), 1.0, seed=0)
-        probs = pred.predict(np.ones(3), state)
+        probs = pred.predict(np.ones(3), mask_random(np.zeros(7, dtype=int), 1.0, seed=0))
         assert probs.shape == (7, 5)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fit_matches_the_per_token_loop(self, seed):
+        """The count-matrix products sum in another order than the loop, so
+        the two agree to 1e-12 relative, not bit for bit."""
+        rng = np.random.default_rng(seed)
+        feat, codes = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+        conds = [rng.normal(size=feat) for _ in range(int(rng.integers(1, 10)))]
+        seqs = [rng.integers(0, codes, size=int(rng.integers(0, 12))) for _ in conds]
+        seqs[0] = np.append(seqs[0], 0)
+        got, want = (SoftmaxRegressionPredictor(feat, codes, seed=seed) for _ in range(2))
+        curve = got.fit(conds, seqs, steps=60, lr=0.7)
+        ref_curve = reference_fit(want, conds, seqs, steps=60, lr=0.7)
+        np.testing.assert_allclose(curve, ref_curve, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.w, want.w, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.b, want.b, rtol=1e-12, atol=1e-15)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(3)
+        pred = SoftmaxRegressionPredictor(feat_dim=3, num_codes=4, seed=2)
+        pred.w = rng.normal(size=pred.w.shape)
+        pred.b = rng.normal(size=pred.b.shape)
+        X = rng.normal(size=(5, 3))
+        N = rng.integers(0, 4, size=(5, 4)).astype(np.float64)
+        _, gw, gb = pred._loss_and_grads(X, N)
+        h = 1e-6
+        for param, grad in ((pred.w, gw), (pred.b, gb)):
+            for idx in np.ndindex(param.shape):
+                keep = param[idx]
+                param[idx] = keep + h
+                up = pred._loss_and_grads(X, N)[0]
+                param[idx] = keep - h
+                down = pred._loss_and_grads(X, N)[0]
+                param[idx] = keep
+                assert (up - down) / (2 * h) == pytest.approx(grad[idx], rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("conds,seqs,message", [
+        ([np.ones(3)], [np.array([0]), np.array([1])], "need one condition of 3 features"),
+        ([np.ones(2)], [np.array([0])], "need one condition of 3 features"),
+        ([np.ones(3)], [np.array([5])], "token outside"),
+        ([np.ones(3)], [np.array([-1])], "token outside"),
+        ([np.ones(3)], [np.array([], dtype=int)], "no tokens"),
+    ])
+    def test_bad_fit_input(self, conds, seqs, message):
+        with pytest.raises(ValueError, match=message):
+            SoftmaxRegressionPredictor(feat_dim=3, num_codes=5).fit(conds, seqs, steps=1)

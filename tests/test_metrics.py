@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from segalign import metrics as mx
-from segalign.alignment import AggregatorParams, cosine_sim
+from segalign.alignment import AggregatorParams, cosine_matrix, cosine_sim, embed_spans
 from segalign.rvq import sqdist
 
 
@@ -20,23 +20,51 @@ class TestGrounding:
             b2=np.zeros(2),
         )
         tokens = np.vstack([np.tile([1.0, 0.0], (5, 1)), np.tile([0.0, 1.0], (5, 1))])
-        q = mx.GroundingQuery(text_embedding=np.array([0.0, 1.0]), window_size=3)
-        best, sims = mx.motion_grounding(q, tokens, params)
+        (best,), (sims,) = mx.motion_grounding(np.array([[0.0, 1.0]]), tokens, params, window_size=3)
         assert len(sims) == 8
         assert best >= 5
 
     def test_window_count(self):
         params = AggregatorParams.init(3, 4, seed=0)
         tokens = np.random.default_rng(0).normal(size=(49, 3))
-        q = mx.GroundingQuery(text_embedding=np.zeros(4), window_size=5)
-        _, sims = mx.motion_grounding(q, tokens, params)
-        assert len(sims) == 45
+        _, sims = mx.motion_grounding(np.zeros((1, 4)), tokens, params, window_size=5)
+        assert sims.shape == (1, 45)
 
     def test_too_short_motion(self):
         params = AggregatorParams.init(2, 3, seed=0)
-        q = mx.GroundingQuery(text_embedding=np.zeros(3), window_size=5)
         with pytest.raises(ValueError):
-            mx.motion_grounding(q, np.zeros((3, 2)), params)
+            mx.motion_grounding(np.zeros((1, 3)), np.zeros((3, 2)), params, window_size=5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_row_is_its_own_cosine_row_bit_for_bit(self, seed):
+        """Every text row against windows built one by one: the same bits as
+        a one-row cosine_matrix, so embedding the windows once changes no
+        output of ``segalign ground``."""
+        rng = np.random.default_rng(seed)
+        d_token, d_embed = int(rng.integers(2, 9)), int(rng.integers(2, 17))
+        n, window, stride = int(rng.integers(6, 60)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        params = AggregatorParams.init(d_token, d_embed, seed=seed)
+        tokens = rng.normal(size=(n, d_token))
+        text = rng.normal(size=(int(rng.integers(1, 5)), d_embed))
+        starts, sims = mx.motion_grounding(text, tokens, params, window_size=window, stride=stride)
+        windows = embed_spans([tokens[s:s + window] for s in range(0, n - window + 1, stride)], params)
+        assert sims.shape == (len(text), len(windows))
+        for j, t in enumerate(text):
+            want = cosine_matrix(t[None], windows)[0]
+            np.testing.assert_array_equal(sims[j], want)
+            assert starts[j] == int(np.argmax(want)) * stride
+
+    def test_ties_take_the_lowest_start(self):
+        params = AggregatorParams.init(2, 3, seed=0)
+        starts, sims = mx.motion_grounding(np.ones((2, 3)), np.ones((9, 2)), params, window_size=3, stride=2)
+        assert np.all(sims == sims[0, 0])
+        assert starts.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("window,stride", [(0, 1), (3, 0), (-1, -1)])
+    def test_window_and_stride_at_least_one(self, window, stride):
+        params = AggregatorParams.init(2, 3, seed=0)
+        with pytest.raises(ValueError, match="window_size and stride must be >= 1"):
+            mx.motion_grounding(np.ones((1, 3)), np.ones((9, 2)), params, window_size=window, stride=stride)
 
     def test_m2t_retrieve_picks_nearest(self):
         cands = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -379,14 +381,42 @@ class TestTrainCodebooks:
 class TestSerialization:
     def test_round_trip(self):
         stack = two_layer_stack()
-        back = stack_from_json(stack_to_json(stack))
+        back = stack_from_json(json.loads(json.dumps(stack_to_json(stack))))
         assert back.num_layers == 2
         for b1, b2 in zip(stack.books, back.books):
             np.testing.assert_array_equal(b1.entries, b2.entries)
 
-    def test_dim_mismatch_detected(self):
-        with pytest.raises(ValueError):
-            stack_from_json('{"dim": 3, "books": [[[1.0, 2.0]]]}')
+    # the valid object is two books of width 1; each edit breaks one thing
+    BAD_BOOK = "books[1] must be a non-empty list of rows of 1 finite numbers"
+    MALFORMED = {
+        "not-an-object": (lambda obj: [1], "expected a JSON object, got list"),
+        "no-books": (lambda obj: {"dim": 1}, "missing field 'books'"),
+        "no-dim": (lambda obj: {"books": obj["books"]}, "missing field 'dim'"),
+        "dim-zero": (lambda obj: {**obj, "dim": 0}, "field 'dim' must be a positive integer, got 0"),
+        "dim-string": (lambda obj: {**obj, "dim": "1"}, "field 'dim' must be a positive integer, got '1'"),
+        "dim-bool": (lambda obj: {**obj, "dim": True}, "field 'dim' must be a positive integer, got True"),
+        "dim-float": (lambda obj: {**obj, "dim": 1.0}, "field 'dim' must be a positive integer, got 1.0"),
+        "books-empty": (lambda obj: {**obj, "books": []}, "field 'books' must be a non-empty list of codebooks"),
+        "books-object": (lambda obj: {**obj, "books": {"0": obj["books"][0]}}, "field 'books' must be a non-empty"),
+        "dim-disagrees": (lambda obj: {**obj, "dim": 3}, "books[0] must be a non-empty list of rows of 3 finite"),
+        "book-empty": (lambda obj: {**obj, "books": [obj["books"][0], []]}, BAD_BOOK),
+        "book-empty-row": (lambda obj: {**obj, "books": [obj["books"][0], [[]]]}, BAD_BOOK),
+        "book-flat": (lambda obj: {**obj, "books": [obj["books"][0], [1.0, 2.0]]}, BAD_BOOK),
+        "book-wide": (lambda obj: {**obj, "books": [obj["books"][0], [[1.0, 2.0]]]}, BAD_BOOK),
+        "book-ragged": (lambda obj: {**obj, "books": [obj["books"][0], [[1.0], [2.0, 3.0]]]}, BAD_BOOK),
+        "book-string": (lambda obj: {**obj, "books": [obj["books"][0], [["2"]]]}, BAD_BOOK),
+        "book-bool": (lambda obj: {**obj, "books": [obj["books"][0], [[True]]]}, BAD_BOOK),
+        "book-nan": (lambda obj: {**obj, "books": [obj["books"][0], [[float("nan")]]]}, BAD_BOOK),
+        "book-huge-int": (lambda obj: {**obj, "books": [obj["books"][0], [[10 ** 400]]]}, BAD_BOOK),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_stack_names_the_field(self, case):
+        edit, message = self.MALFORMED[case]
+        obj = edit(stack_to_json(two_layer_stack()))
+        with pytest.raises(ValueError) as info:
+            stack_from_json(obj)
+        assert str(info.value).startswith(message)
 
     def test_truncate_bounds(self):
         with pytest.raises(ValueError):
