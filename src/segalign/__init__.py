@@ -47,14 +47,12 @@ from .alignment import (
     AlignmentConfig,
     AggregatorParams,
     SegmentEmbeddings,
-    TokenEmbeddings,
     cosine_sim,
     embed_spans,
     aggregate_mean_max,
     loss_per_sample,
     loss_batch,
     loss_global,
-    loss_token,
     grad_alignment,
     toy_train,
 )

@@ -6,10 +6,8 @@ batched aggregator pass over all spans.  Three symmetric InfoNCE losses are
 one kernel call on the stacked block and differ only in the negatives:
 per-sample (the default; a group mask keeps them in the same sample),
 batch-level and global sequence-level.  Their gradients are
-hand-derived so they can be audited against finite differences.  A
-one-directional token-level loss (each token against its sample's segments)
-is provided without a gradient.  A toy SGD loop demonstrates the mechanism
-end to end.
+hand-derived so they can be audited against finite differences.  A toy SGD
+loop demonstrates the mechanism end to end.
 """
 
 from __future__ import annotations
@@ -66,23 +64,6 @@ class SegmentEmbeddings:
                 raise ValueError(f"sample {i}: text shape {t.shape} != motion shape {m.shape}")
             if t.ndim != 2 or t.shape[0] < 1:
                 raise ValueError(f"sample {i}: expected (A_i, d_e) matrices")
-
-
-@dataclass
-class TokenEmbeddings:
-    """Per-sample token features with their text-segment assignments."""
-
-    tokens: list[np.ndarray]          # sample i: (L_i, d_e)
-    assignments: list[np.ndarray]     # sample i: (L_i,) ints into that sample's segments
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.assignments):
-            raise ValueError("tokens and assignments sample counts differ")
-        self.tokens = [np.asarray(x, dtype=np.float64) for x in self.tokens]
-        self.assignments = [np.asarray(a, dtype=np.int64) for a in self.assignments]
-        for i, (x, a) in enumerate(zip(self.tokens, self.assignments)):
-            if x.shape[0] != a.shape[0]:
-                raise ValueError(f"sample {i}: token/assignment length mismatch")
 
 
 # --- similarity -------------------------------------------------------------
@@ -203,7 +184,7 @@ def _agg_backward(cache, p: AggregatorParams, G: np.ndarray) -> AggregatorGrads:
 
 # --- contrastive losses -----------------------------------------------------
 
-def _softmax(z: np.ndarray, axis: int, where=True) -> np.ndarray:
+def _softmax(z: np.ndarray, axis: int, where) -> np.ndarray:
     """Softmax over the entries ``where`` selects; the others come out 0, as
     they would from a -inf logit, without computing their exp."""
     z = z - z.max(axis=axis, keepdims=True, where=where, initial=-np.inf)
@@ -283,23 +264,6 @@ def loss_global(text_embs, motion_embs, cfg: AlignmentConfig) -> float:
     if T.shape[0] != M.shape[0]:
         raise ValueError("text and motion lists differ in length")
     return _info_nce(T, M, cfg.temperature, 2 * T.shape[0])[0]
-
-
-def loss_token(tok: TokenEmbeddings, text: list[np.ndarray], cfg: AlignmentConfig) -> float:
-    """Cross-entropy of each motion token against its assigned text segment,
-    softmaxed over that sample's segments, averaged over all valid tokens."""
-    total_tokens = sum(x.shape[0] for x in tok.tokens)
-    if total_tokens == 0:
-        raise ValueError("no tokens")
-    acc = 0.0
-    for X, assign, T in zip(tok.tokens, tok.assignments, text):
-        T = np.asarray(T, dtype=np.float64)
-        if np.any(assign < 0) or np.any(assign >= T.shape[0]):
-            raise ValueError("token assignment indexes an invalid text segment")
-        S = cosine_matrix(T, X) / cfg.temperature     # (A, L)
-        p = _softmax(S, axis=0)                       # softmax over segments per token
-        acc += -np.log(p[assign, np.arange(X.shape[0])]).sum()
-    return float(acc / total_tokens)
 
 
 # --- gradients through the aggregator ---------------------------------------

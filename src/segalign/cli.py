@@ -486,7 +486,6 @@ def cmd_decode(args) -> int:
         length=args.length,
         predictor=predictor,
         schedule=Schedule(total_iters=args.iters),
-        seed=seed_for(args.seed, "decode.sampling"),
         trace=trace,
     )
     _write_json(
@@ -605,6 +604,11 @@ def cmd_eval(args) -> int:
             raise CliError("eval needs --features-a, or both --model and --data")
         params, holdout = _load_query(args)
         T = np.vstack([s.text for s in holdout])
+        if len(T) < 4:  # r_precision's top-3 needs more than 3
+            raise CliError(
+                f"{args.data}: {len(T)} held-out segments, but eval needs at least 4 "
+                "(a larger train-align --holdout gives more segments)"
+            )
         M = alignment.embed_spans([span for s in holdout for span in s.spans], params)
         report.add("isc", metrics.isc_score(zip(T, M)))
         # a holdout smaller than one pool is noted in eval.json, not on stderr

@@ -3,10 +3,10 @@
 Training-time random masking, the masked-position negative-log-likelihood
 loss, the cosine unmasking schedule, confidence-based iterative decoding with
 a pluggable predictor, and the layer-by-layer residual decoding protocol.
-Decoding is deterministic under argmax with a fixed tie rule (lowest index
-wins), so traces are bit-stable.  Predictors must return finite probability
-rows; a row with a NaN or infinite entry is rejected like any other row that
-is not a distribution.
+Decoding is argmax only and takes no seed: ties go to the lowest code, then
+to the lowest position, so decodes and traces are bit-stable.  Predictors
+must return finite probability rows; a row with a NaN or infinite entry is
+rejected like any other row that is not a distribution.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ PROB_SUM_TOL = 1e-9
 
 class PredictorContractError(ValueError):
     """A predictor returned something other than valid probability rows."""
-
-
-class ProtocolError(RuntimeError):
-    """Layer-by-layer decoding was queried out of order."""
 
 
 class TokenPredictor(Protocol):
@@ -123,24 +119,18 @@ def iterative_decode(
     length: int,
     predictor: TokenPredictor,
     schedule: Schedule,
-    seed: int = 0,
-    mode: str = "argmax",
     trace: list | None = None,
 ) -> np.ndarray:
     """Confidence-based iterative unmasking from a fully masked sequence.
 
-    At every iteration all masked positions are predicted; the highest
-    confidence predictions are committed so that exactly m_t positions remain
-    masked.  Committed tokens are never re-masked.  ``mode`` "argmax" is the
-    deterministic default; "sample" draws tokens with the given seed.
-    Confidence ties break toward the lowest index.  ``trace``, when given,
-    receives one dict per iteration.
+    At every iteration all masked positions are predicted and each takes its
+    argmax token (ties toward the lowest code); the most confident
+    predictions are committed so that exactly m_t positions remain masked.
+    Committed tokens are never re-masked.  Confidence ties break toward the
+    lowest position.  ``trace``, when given, receives one dict per iteration.
     """
-    if mode not in ("argmax", "sample"):
-        raise ValueError(f"unknown decode mode {mode!r}")
     counts = mask_count_schedule(schedule.total_iters, length)
     tokens = np.full(length, MASK, dtype=np.int64)
-    rng = np.random.default_rng(seed) if mode == "sample" else None
     for t in range(1, schedule.total_iters + 1):
         masked = np.flatnonzero(tokens == MASK)
         if masked.size == 0:
@@ -152,10 +142,7 @@ def iterative_decode(
             raise PredictorContractError("predictor returned wrong number of rows")
         rows = probs[masked]
         _check_rows(rows, masked)
-        if rng is None:
-            chosen = rows.argmax(axis=1)
-        else:
-            chosen = np.array([rng.choice(rows.shape[1], p=row / row.sum()) for row in rows])
+        chosen = rows.argmax(axis=1)
         conf = rows[np.arange(masked.size), chosen]
         # confidence descending, index ascending on ties
         commit = np.lexsort((masked, -conf))[: masked.size - counts[t]]
@@ -179,8 +166,8 @@ def residual_decode(cond, base_tokens: np.ndarray, layer_predictors, num_residua
 
     ``layer_predictors[i-1]`` handles layer i and is called with
     (cond, layers_so_far) where layers_so_far is the (i, L) matrix of all
-    preceding layers; it returns (L, K_i) probability rows.  Layers are
-    always queried in order 1..k.
+    preceding layers; it returns (L, K_i) probability rows.  One loop queries
+    the layers in order 1..k, so layer i always sees exactly layers 0..i-1.
     """
     base = np.asarray(base_tokens, dtype=np.int64)
     if num_residual_layers < 0:
@@ -198,24 +185,6 @@ def residual_decode(cond, base_tokens: np.ndarray, layer_predictors, num_residua
         _check_rows(probs, np.arange(probs.shape[0]))
         layers.append(np.argmax(probs, axis=1).astype(np.int64))
     return TokenSequence(layers=np.stack(layers))
-
-
-class OrderedLayerPredictors:
-    """Wraps per-layer callables and enforces the 1..k query order."""
-
-    def __init__(self, fns):
-        self._fns = list(fns)
-        self._next = 1
-
-    def __len__(self):
-        return len(self._fns)
-
-    def __getitem__(self, idx):
-        layer = idx + 1
-        if layer != self._next:
-            raise ProtocolError(f"layer {layer} queried before layer {self._next}")
-        self._next += 1
-        return self._fns[idx]
 
 
 class OraclePredictor:

@@ -134,21 +134,6 @@ class TestLosses:
         e = al.SegmentEmbeddings(text=text, motion=motion)
         assert al.loss_batch(e, CFG) >= al.loss_per_sample(e, CFG) - 1e-9
 
-    def test_token_loss_perfect_assignment(self):
-        # tokens exactly at their assigned text embedding, far-apart segments
-        T = np.eye(3) * 10
-        X = np.repeat(T, 4, axis=0)
-        assign = np.repeat(np.arange(3), 4)
-        tok = al.TokenEmbeddings(tokens=[X], assignments=[assign])
-        loss = al.loss_token(tok, [T], CFG)
-        # sim with own segment 1, others 0 at tau=0.1 -> tiny but positive
-        assert 0.0 < loss < 1e-3
-
-    def test_token_loss_invalid_assignment(self):
-        tok = al.TokenEmbeddings(tokens=[np.zeros((2, 3))], assignments=[np.array([0, 5])])
-        with pytest.raises(ValueError):
-            al.loss_token(tok, [np.zeros((2, 3))], CFG)
-
     def test_temperature_sharpens(self):
         rng = np.random.default_rng(5)
         t = rng.normal(size=(3, 4))

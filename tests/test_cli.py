@@ -807,10 +807,34 @@ class TestEvalSmallHoldout:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert "warnings" in json.loads((tmp_path / "e" / "eval.json").read_text())["metadata"]
 
+    @staticmethod
+    def _too_small(data, n):
+        return (f"{data}: {n} held-out segments, but eval needs at least 4 "
+                "(a larger train-align --holdout gives more segments)")
+
     def test_too_small_for_top_3_is_one_error_line(self, tmp_path):
-        proc = self._eval_process(self._query(tmp_path, 1), tmp_path / "e")
+        query = self._query(tmp_path, 1)
+        proc = self._eval_process(query, tmp_path / "e")
         assert proc.returncode == 1
-        assert proc.stderr.splitlines() == [json.dumps({"error": "need more than topk=2 samples"})]
+        assert proc.stderr.splitlines() == [json.dumps({"error": self._too_small(query[3], 2)})]
+        assert not (tmp_path / "e").exists()
+
+    def test_exactly_four_segments_is_evaluated(self, tmp_path, capsys):
+        query = self._query(tmp_path, 2)
+        assert sum(len(s.text) for s in cli._read_holdout(query[3])) == 4
+        assert main(["eval", *query, "--out", str(tmp_path / "e"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "e" / "eval.json").exists()
+
+    def test_segment_count_is_checked_before_any_metric(self, tmp_path, capsys, monkeypatch):
+        """The refusal names --data and its segment count, not r_precision's
+        sample count, and comes before any metric runs."""
+        query = self._query(tmp_path, 1)
+        n = sum(len(s.text) for s in cli._read_holdout(query[3]))
+        assert n < 4
+        monkeypatch.setattr(metrics, "isc_score", lambda pairs: pytest.fail("a metric ran"))
+        assert main(["eval", *query, "--out", str(tmp_path / "e"), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [json.dumps({"error": self._too_small(query[3], n)})]
         assert not (tmp_path / "e").exists()
 
 

@@ -17,13 +17,19 @@ or config field, which has a default, or a truth entry, which only scores
 its record) is not deleted; a renamed config key is ignored by design, so it
 is not renamed either.  Each mutated file goes through the command that
 consumes it, in process, which must exit 1 with exactly one JSON line on
-stderr, record no warning, and leave nothing under ``--out``.
+stderr that names the file (see ``UNNAMED`` for the exception), record no
+warning, and leave nothing under ``--out``.
+
+SGMO motion files are mutated as bytes: a truncation at any offset, trailing
+bytes, a bad magic byte, a zero or oversized N or D in the header, and a
+NaN or infinite float32 in the payload.
 """
 
 import copy
 import json
 import random
 import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -271,6 +277,33 @@ def _features(base, work):
     return text.encode(), groups, work / "features.csv", ["eval", "--features-a", str(work / "features.csv")]
 
 
+def _sgmo(base, work):
+    """A motion file of the corpus, as bytes: its header is the magic
+    "SGMO", uint32 N and uint32 D, and its payload N * D float32 values."""
+    data = _corpus_copy(base, work)
+    rel = json.loads((base / "data" / "dataset.jsonl").read_text().splitlines()[1])["motion"]
+    valid = (base / "data" / rel).read_bytes()
+    n, d = struct.unpack_from("<II", valid, 4)
+
+    def header(rows, dims):
+        return valid[:4] + struct.pack("<II", rows, dims) + valid[12:]
+
+    def at(offset, new):
+        return valid[:offset] + new + valid[offset + len(new):]
+
+    groups = {
+        "truncate": [(f"truncate {c}", valid[:c]) for c in range(len(valid))],
+        "trailing": [(f"{len(extra)} trailing bytes", valid + extra)
+                     for extra in (b"\0", b"\0" * 3, b"\0" * 4, valid[12:12 + 4 * d], valid)],
+        "magic": [(f"magic[{i}] = {b:#04x}", at(i, bytes([b]))) for i in range(4) for b in (0, 0xFF, valid[i] ^ 0x20)],
+        "header": [(f"N = {v}", header(v, d)) for v in (0, n + 1, 2 * n, 2**32 - 1)]
+        + [(f"D = {v}", header(n, v)) for v in (0, d + 1, 2 * d, 2**32 - 1)],
+        "non-finite": [(f"float {(i - 12) // 4} = {v}", at(i, struct.pack("<f", v)))
+                       for i in range(12, len(valid), 4) for v in NON_FINITE],
+    }
+    return valid, groups, data / rel, ["quantize", "--data", str(data)]
+
+
 FORMATS = {
     "spec": _spec,
     "manifest": _manifest,
@@ -281,7 +314,13 @@ FORMATS = {
     "config": _config,
     "dataset_line": _dataset_line,
     "features": _features,
+    "sgmo": _sgmo,
 }
+
+
+# formats whose every refusal need not name the file: a features CSV of one
+# row is refused by the metric, which does not know the file's name
+UNNAMED = {"features"}
 
 
 def _is_json_error(line):
@@ -291,8 +330,9 @@ def _is_json_error(line):
         return False
 
 
-def _problems(capsys, argv):
-    """What is wrong with how ``argv`` failed, as a list of strings."""
+def _problems(capsys, argv, target):
+    """What is wrong with how ``argv`` failed, as a list of strings; the
+    error must name ``target`` unless it is None."""
     problems = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -306,6 +346,8 @@ def _problems(capsys, argv):
         problems.append(f"exit {code}")
     if len(err) != 1 or not _is_json_error(err[0]):
         problems.append(f"stderr {err!r}")
+    elif target is not None and str(target) not in json.loads(err[0])["error"]:
+        problems.append(f"file not named: {err!r}")
     return problems + [f"warning {w.message}" for w in caught]
 
 
@@ -332,7 +374,8 @@ def test_every_mutation_fails_cleanly(base, tmp_path, capsys, name):
     for label, content in mutations:
         target.write_bytes(content)
         out = tmp_path / "out"
-        problems = _problems(capsys, argv + ["--out", str(_out_arg(name, out)), "--quiet"])
+        named = None if name in UNNAMED else target
+        problems = _problems(capsys, argv + ["--out", str(_out_arg(name, out)), "--quiet"], named)
         if out.exists():
             problems.append(f"wrote {sorted(p.name for p in out.rglob('*'))}")
             shutil.rmtree(out)

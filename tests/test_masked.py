@@ -7,9 +7,7 @@ import pytest
 from segalign.masked import (
     MASK,
     OraclePredictor,
-    OrderedLayerPredictors,
     PredictorContractError,
-    ProtocolError,
     Schedule,
     SoftmaxRegressionPredictor,
     iterative_decode,
@@ -143,20 +141,6 @@ class TestIterativeDecode:
         iterative_decode(None, 6, OraclePredictor(target, 6), Schedule(3), trace=t2)
         assert trace_to_jsonl(t1) == trace_to_jsonl(t2)
 
-    def test_sample_mode_seeded(self):
-        class Uniform:
-            def predict(self, cond, tokens):
-                return np.full((len(tokens), 4), 0.25)
-
-        a = iterative_decode(None, 12, Uniform(), Schedule(3), seed=5, mode="sample")
-        b = iterative_decode(None, 12, Uniform(), Schedule(3), seed=5, mode="sample")
-        np.testing.assert_array_equal(a, b)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            iterative_decode(None, 4, OraclePredictor(np.zeros(4, dtype=int), 2),
-                             Schedule(2), mode="greedy")
-
     def test_invalid_probability_rows_rejected(self):
         class Broken:
             def predict(self, cond, tokens):
@@ -204,12 +188,11 @@ class TestIterativeDecode:
         assert trace[0]["fixed_indices"] == list(range(len(trace[0]["fixed_indices"])))
 
 
-def reference_iterative_decode(cond, length, predictor, schedule, seed=0, mode="argmax"):
+def reference_iterative_decode(cond, length, predictor, schedule):
     """iterative_decode as a per-position loop that gathers the masked rows
     for each use; returns (tokens, trace)."""
     counts = mask_count_schedule(schedule.total_iters, length)
     tokens = np.full(length, MASK, dtype=np.int64)
-    rng = np.random.default_rng(seed)
     trace = []
     for t in range(1, schedule.total_iters + 1):
         masked = np.flatnonzero(tokens == MASK)
@@ -217,10 +200,7 @@ def reference_iterative_decode(cond, length, predictor, schedule, seed=0, mode="
             trace.append({"iteration": t, "masked_count": 0, "fixed_indices": []})
             continue
         probs = np.asarray(predictor.predict(cond, tokens.copy()), dtype=np.float64)
-        if mode == "argmax":
-            chosen = np.argmax(probs[masked], axis=1)
-        else:
-            chosen = np.array([rng.choice(probs.shape[1], p=probs[i] / probs[i].sum()) for i in masked])
+        chosen = np.argmax(probs[masked], axis=1)
         conf = probs[masked, chosen]
         order = np.lexsort((masked, -conf))
         fixed = []
@@ -245,15 +225,13 @@ class RandomRows:
 
 class TestDecodeMatchesReferenceLoop:
     @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("mode", ["argmax", "sample"])
-    def test_tokens_and_trace(self, seed, mode):
+    def test_tokens_and_trace(self, seed):
         rng = np.random.default_rng(seed)
         length, codes = int(rng.integers(1, 60)), int(rng.integers(2, 40))
         schedule = Schedule(int(rng.integers(1, 12)))
         trace = []
-        got = iterative_decode(None, length, RandomRows(codes, seed), schedule, seed=seed, mode=mode, trace=trace)
-        want, want_trace = reference_iterative_decode(None, length, RandomRows(codes, seed), schedule,
-                                                      seed=seed, mode=mode)
+        got = iterative_decode(None, length, RandomRows(codes, seed), schedule, trace=trace)
+        want, want_trace = reference_iterative_decode(None, length, RandomRows(codes, seed), schedule)
         np.testing.assert_array_equal(got, want)
         assert trace == want_trace
 
@@ -277,10 +255,10 @@ class TestDecodeMatchesReferenceLoop:
 
         length, codes, schedule = 30 + seed, 7, Schedule(6)
         want = Recording(codes, seed)
-        ref_tokens, _ = reference_iterative_decode(None, length, want, schedule, seed=seed)
+        ref_tokens, _ = reference_iterative_decode(None, length, want, schedule)
         for scribble in (False, True):
             got = Recording(codes, seed, scribble)
-            tokens = iterative_decode(None, length, got, schedule, seed=seed)
+            tokens = iterative_decode(None, length, got, schedule)
             np.testing.assert_array_equal(tokens, ref_tokens)
             assert len(got.seen) == len(want.seen)
             kept = [given for given, _ in got.seen]
@@ -290,6 +268,25 @@ class TestDecodeMatchesReferenceLoop:
                 np.testing.assert_array_equal(at_call, ref_at_call)
                 if not scribble:
                     np.testing.assert_array_equal(given, ref_at_call)
+
+    @pytest.mark.parametrize("length,iters", [(1, 1), (1, 5), (2, 1), (5, 5), (7, 3), (8, 12),
+                                              (10, 4), (16, 2), (23, 6), (31, 8), (40, 11), (64, 10)])
+    def test_oracle_trace_depends_only_on_length_and_iters(self, length, iters):
+        """Every oracle confidence is 1, so each iteration commits the lowest
+        masked positions, whatever the target: the trace is the reference
+        loop's for any target, and the decode returns the target."""
+        trace = None
+        for seed in range(3):
+            target = np.random.default_rng(seed).integers(0, 9, size=length)
+            got = []
+            tokens = iterative_decode(None, length, OraclePredictor(target, 9), Schedule(iters), trace=got)
+            np.testing.assert_array_equal(tokens, target)
+            _, want = reference_iterative_decode(None, length, OraclePredictor(target, 9), Schedule(iters))
+            assert got == want
+            assert trace is None or got == trace
+            trace = got
+        committed = [i for entry in trace for i in entry["fixed_indices"]]
+        assert committed == list(range(length))
 
     def test_oracle_rows_are_built_once_and_read_only(self):
         pred = OraclePredictor(np.array([2, 0, 1]), num_codes=3)
@@ -351,16 +348,28 @@ class TestResidualDecode:
                 return probs
             return fn
 
-        out = residual_decode(None, base, OrderedLayerPredictors([layer(1), layer(2)]), 2)
+        out = residual_decode(None, base, [layer(1), layer(2)], 2)
         assert out.num_layers == 3
         np.testing.assert_array_equal(out.layers[1], [1, 1, 1])
         np.testing.assert_array_equal(out.layers[2], [2, 2, 2])
         assert seen == [1, 2]  # layer i sees exactly the preceding i layers
 
-    def test_out_of_order_query_raises(self):
-        preds = OrderedLayerPredictors([lambda c, s: None, lambda c, s: None])
-        with pytest.raises(ProtocolError):
-            preds[1]  # layer 2 before layer 1
+    def test_each_layer_is_queried_once_and_extra_predictors_never(self):
+        calls = []
+
+        def layer(i):
+            def fn(cond, so_far):
+                calls.append(i)
+                return np.eye(2)[so_far[-1]]
+            return fn
+
+        out = residual_decode(None, np.array([0, 1]), [layer(i) for i in range(1, 5)], 2)
+        assert calls == [1, 2]
+        assert out.num_layers == 3
+
+    def test_negative_layer_count(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            residual_decode(None, np.array([0]), [], -1)
 
     def test_zero_layers_passthrough(self):
         base = np.array([5, 6])
