@@ -5,9 +5,10 @@ a small MLP) into a segment embedding in the text embedding space, in one
 batched aggregator pass over all spans.  Three symmetric InfoNCE losses are
 one kernel call on the stacked block and differ only in the negatives:
 per-sample (the default; a group mask keeps them in the same sample),
-batch-level and global sequence-level.  Their gradients are
-hand-derived so they can be audited against finite differences.  A toy SGD
-loop demonstrates the mechanism end to end.
+batch-level and global sequence-level (batch negatives over one
+whole-sequence pair per sample).  Their gradients are hand-derived so they
+can be audited against finite differences.  A toy SGD loop demonstrates the
+mechanism end to end.
 """
 
 from __future__ import annotations
@@ -220,27 +221,22 @@ def _info_nce(T: np.ndarray, M: np.ndarray, tau: float, denom: int, groups=None)
     return float(loss), g_m
 
 
-def _sample_groups(sizes) -> np.ndarray:
-    """The sample index of each stacked row, given each sample's row count."""
-    return np.repeat(np.arange(len(sizes)), sizes)
+def _groups(variant: str, sizes):
+    """The negatives of a loss variant, as :func:`_info_nce` takes them: the
+    sample index of each stacked row for "sample" (each sample has
+    ``sizes[i]`` rows), None (the whole block) for "batch"."""
+    if variant == "sample":
+        return np.repeat(np.arange(len(sizes)), sizes)
+    if variant == "batch":
+        return None
+    raise ValueError(f"unknown loss variant {variant!r}")
 
 
-def _grad_stacked(e: SegmentEmbeddings, cfg: AlignmentConfig, per_sample: bool):
-    """One kernel call on the stacked pairs; the gradient is split per sample."""
+def _stacked_loss(e: SegmentEmbeddings, cfg: AlignmentConfig, variant: str) -> float:
+    """One kernel call on the stacked pairs of ``e``."""
     sizes = list(map(len, e.text))
-    groups = _sample_groups(sizes) if per_sample else None
-    loss, g = _info_nce(np.vstack(e.text), np.vstack(e.motion), cfg.temperature, 2 * sum(sizes), groups)
-    return loss, np.split(g, np.cumsum(sizes)[:-1])
-
-
-def grad_loss_per_sample(e: SegmentEmbeddings, cfg: AlignmentConfig):
-    """(loss_per_sample, per-sample gradients w.r.t. motion segment embeddings)."""
-    return _grad_stacked(e, cfg, per_sample=True)
-
-
-def grad_loss_batch(e: SegmentEmbeddings, cfg: AlignmentConfig):
-    """(loss_batch, per-sample gradients w.r.t. motion segment embeddings)."""
-    return _grad_stacked(e, cfg, per_sample=False)
+    T, M = np.vstack(e.text), np.vstack(e.motion)
+    return _info_nce(T, M, cfg.temperature, 2 * sum(sizes), _groups(variant, sizes))[0]
 
 
 def loss_per_sample(e: SegmentEmbeddings, cfg: AlignmentConfig) -> float:
@@ -249,12 +245,12 @@ def loss_per_sample(e: SegmentEmbeddings, cfg: AlignmentConfig) -> float:
     Normalized by the number of valid (sample, segment) pairs, so padding
     never influences the loss scale.
     """
-    return grad_loss_per_sample(e, cfg)[0]
+    return _stacked_loss(e, cfg, "sample")
 
 
 def loss_batch(e: SegmentEmbeddings, cfg: AlignmentConfig) -> float:
     """As loss_per_sample, but negatives range over every segment in the batch."""
-    return grad_loss_batch(e, cfg)[0]
+    return _stacked_loss(e, cfg, "batch")
 
 
 def loss_global(text_embs, motion_embs, cfg: AlignmentConfig) -> float:
@@ -267,13 +263,6 @@ def loss_global(text_embs, motion_embs, cfg: AlignmentConfig) -> float:
 
 
 # --- gradients through the aggregator ---------------------------------------
-
-def _per_sample(variant: str) -> bool:
-    """Whether a gradient variant keeps the negatives within each sample."""
-    if variant not in ("sample", "batch"):
-        raise ValueError(f"unknown gradient variant {variant!r}")
-    return variant == "sample"
-
 
 def _stack_text(text, sizes, d_embed: int) -> np.ndarray:
     """All samples' text rows stacked, once sample i is checked to be a
@@ -309,14 +298,13 @@ def grad_alignment(
     ``spans[i][j]`` is the token span feeding motion segment j of sample i.
     ``variant`` is "sample" (negatives within each sample) or "batch"
     (negatives across the batch; with one segment per sample this is the
-    global whole-sequence loss).  Returns (loss, AggregatorGrads, per-sample
-    motion-embedding gradients).
+    global whole-sequence loss, as :func:`toy_train` trains it).
+    Returns (loss, AggregatorGrads, per-sample motion-embedding gradients).
     """
-    per_sample = _per_sample(variant)
     sizes = list(map(len, spans))
+    groups = _groups(variant, sizes)
     feat = _pool(list(chain.from_iterable(spans)))
     T = _stack_text(text, sizes, params.w2.shape[0])
-    groups = _sample_groups(sizes) if per_sample else None
     loss, pgrads, g = _pooled_step(T, feat, groups, params, cfg)
     return loss, pgrads, np.split(g, np.cumsum(sizes)[:-1])
 
@@ -399,8 +387,10 @@ def toy_train(
     variant: str = "sample",
 ) -> tuple[AggregatorParams, list[float]]:
     """Seeded minibatch SGD on the weighted alignment loss through the
-    aggregator; ``variant`` is as in :func:`grad_alignment`, whose step
-    this runs on rows gathered from spans pooled once.
+    aggregator, running :func:`grad_alignment`'s step on rows gathered from
+    spans pooled once.  ``variant`` is "sample" or "batch" as there, or
+    "global": each sample becomes one whole-sequence pair, its mean text row
+    against its spans concatenated, trained with batch negatives.
 
     The objective is ``lambda_align * loss``, so a zero weight leaves the
     parameters untouched.  Returns the trained parameters and the per-step
@@ -412,7 +402,9 @@ def toy_train(
         raise ValueError(f"steps must be at least 1, got {steps}")
     if not np.isfinite(lr):
         raise ValueError(f"lr must be a finite number, got {lr!r}")
-    per_sample = _per_sample(variant)
+    if variant == "global":
+        dataset = [ToySample(text=s.text.mean(axis=0, keepdims=True), spans=[np.vstack(s.spans)]) for s in dataset]
+        variant = "batch"
     d_token = dataset[0].spans[0].shape[1]
     d_embed = dataset[0].text.shape[1]
     if params is None:
@@ -437,8 +429,7 @@ def toy_train(
         pos += cfg.batch_size
         sizes = counts[batch]
         rows = np.repeat(offsets[batch] - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-        groups = _sample_groups(sizes) if per_sample else None
-        loss, pgrads, _ = _pooled_step(T[rows], feat[rows], groups, params, cfg)
+        loss, pgrads, _ = _pooled_step(T[rows], feat[rows], _groups(variant, sizes), params, cfg)
         lam = cfg.lambda_align
         loss *= lam
         if not np.isfinite(loss):

@@ -399,7 +399,7 @@ def _unhex_rows(rows, d: int, where: str) -> np.ndarray:
 
 
 def cmd_train_align(args) -> int:
-    _at_least_one(args, "samples", "holdout", "batch", "d_token", "d_embed")
+    _at_least_one(args, "samples", "holdout", "batch", "d_token", "d_embed", "steps")
     cfg = alignment.AlignmentConfig(
         temperature=args.temperature,
         lambda_align=getattr(args, "lambda"),
@@ -416,29 +416,18 @@ def cmd_train_align(args) -> int:
         for n, split in ((args.samples, "train"), (args.holdout, "holdout"))
     )
 
-    if args.loss == "global":
-        # one whole-sequence segment per sample: batch gradients reduce to
-        # the global whole-sequence objective
-        train_used = [
-            alignment.ToySample(text=s.text.mean(axis=0, keepdims=True), spans=[np.vstack(s.spans)])
-            for s in train
-        ]
-        variant = "batch"
-    else:
-        train_used, variant = train, args.loss
-
     init = alignment.AggregatorParams.init(
         args.d_token, args.d_embed, seed=seed_for(args.seed, "align.init")
     )
     top1_before = alignment.retrieval_top1(holdout, init)
     params, curve = alignment.toy_train(
-        train_used,
+        train,
         cfg,
         steps=args.steps,
         lr=args.lr,
         seed=seed_for(args.seed, "align.sgd"),
         params=init,
-        variant=variant,
+        variant=args.loss,
     )
     top1_after = alignment.retrieval_top1(holdout, params)
 
@@ -592,13 +581,17 @@ def cmd_eval(args) -> int:
     if args.features_a:
         A = _read_features(args.features_a)
         B = _read_features(args.features_b) if args.features_b else A
-        if args.metric in (None, "fid"):
-            report.add("fid", metrics.fid(A, B))
-        # unpaired sets skip mm_dist unless it is asked for, which then fails
-        if args.metric == "mm_dist" or (args.metric is None and A.shape == B.shape):
-            report.add("mm_dist", metrics.mm_dist(A, B))
-        if args.metric in (None, "diversity"):
-            report.add("diversity", metrics.diversity(A, seed=seed_for(args.seed, "eval.diversity")))
+        try:
+            if args.metric in (None, "fid"):
+                report.add("fid", metrics.fid(A, B))
+            # unpaired sets skip mm_dist unless it is asked for, which then fails
+            if args.metric == "mm_dist" or (args.metric is None and A.shape == B.shape):
+                report.add("mm_dist", metrics.mm_dist(A, B))
+            if args.metric in (None, "diversity"):
+                report.add("diversity", metrics.diversity(A, seed=seed_for(args.seed, "eval.diversity")))
+        except ValueError as exc:  # a metric's refusal, such as too few rows
+            paths = ", ".join(filter(None, (args.features_a, args.features_b)))
+            raise CliError(f"{paths}: {exc}") from None
     else:
         if not (args.model and args.data):
             raise CliError("eval needs --features-a, or both --model and --data")

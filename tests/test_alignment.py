@@ -160,6 +160,18 @@ def reference_block(T, M, tau, denom):
     return loss, g_m
 
 
+def stacked_info_nce(text, motion, variant):
+    """(loss, per-sample motion gradients) of one kernel call on the stacked
+    rows, with the negatives of ``variant``."""
+    sizes = list(map(len, text))
+    loss, g = al._info_nce(np.vstack(text), np.vstack(motion), CFG.temperature, 2 * sum(sizes),
+                           al._groups(variant, sizes))
+    return loss, np.split(g, np.cumsum(sizes)[:-1])
+
+
+LOSSES = {"sample": al.loss_per_sample, "batch": al.loss_batch}
+
+
 class TestGradients:
     def test_matches_per_row_reference(self):
         rng = np.random.default_rng(10)
@@ -167,14 +179,13 @@ class TestGradients:
             text = [rng.normal(size=(int(a), 4)) for a in rng.integers(1, 5, size=3)]
             motion = [rng.normal(size=t.shape) for t in text]
             motion[trial % 3][0] = 0.0
-            e = al.SegmentEmbeddings(text=text, motion=motion)
-            loss, grads = al.grad_loss_per_sample(e, CFG)
+            loss, grads = stacked_info_nce(text, motion, "sample")
             pairs = sum(map(len, text))
             parts = [reference_block(t, m, CFG.temperature, 2 * pairs) for t, m in zip(text, motion)]
             assert loss == pytest.approx(sum(l for l, _ in parts), rel=1e-12)
             for g, (_, ref) in zip(grads, parts):
                 np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-15)
-            loss, grads = al.grad_loss_batch(e, CFG)
+            loss, grads = stacked_info_nce(text, motion, "batch")
             ref_loss, ref = reference_block(np.vstack(text), np.vstack(motion), CFG.temperature, 2 * pairs)
             assert loss == pytest.approx(ref_loss, rel=1e-12)
             np.testing.assert_allclose(np.vstack(grads), ref, rtol=1e-12, atol=1e-15)
@@ -200,43 +211,46 @@ class TestGradients:
         assert l1 == pytest.approx(l2, abs=1e-12)
         np.testing.assert_allclose(g1.w1, g2.w1, atol=1e-12)
 
-    @pytest.mark.parametrize("grad_fn", [al.grad_loss_per_sample, al.grad_loss_batch])
-    def test_zero_motion_row_gets_zero_gradient(self, grad_fn):
+    @pytest.mark.parametrize("variant", LOSSES)
+    def test_zero_motion_row_gets_zero_gradient(self, variant):
         rng = np.random.default_rng(8)
         motion = [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))]
         motion[0][1] = 0.0
-        e = al.SegmentEmbeddings(text=[rng.normal(size=(3, 4)), rng.normal(size=(2, 4))],
-                                 motion=motion)
+        text = [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            loss, grads = grad_fn(e, CFG)
+            loss, grads = stacked_info_nce(text, motion, variant)
         assert np.isfinite(loss)
         np.testing.assert_array_equal(grads[0][1], np.zeros(4))
         assert np.all(np.isfinite(grads[0])) and np.any(grads[0][0] != 0.0)
 
-    @pytest.mark.parametrize("grad_fn", [al.grad_loss_per_sample, al.grad_loss_batch])
-    def test_motion_gradient_matches_finite_differences(self, grad_fn):
+    @pytest.mark.parametrize("variant", LOSSES)
+    def test_motion_gradient_matches_finite_differences(self, variant):
+        """The kernel's gradient against central differences of the public loss."""
         rng = np.random.default_rng(9)
         shapes = [(3, 5), (1, 5), (2, 5)]
         text = [rng.normal(size=s) for s in shapes]
         motion = [rng.normal(size=s) for s in shapes]
-        _, grads = grad_fn(al.SegmentEmbeddings(text=text, motion=motion), CFG)
+        _, grads = stacked_info_nce(text, motion, variant)
+        loss = LOSSES[variant]
         h = 1e-6
         for i, m in enumerate(motion):
             for idx in np.ndindex(m.shape):
                 orig = m[idx]
                 m[idx] = orig + h
-                up = grad_fn(al.SegmentEmbeddings(text=text, motion=motion), CFG)[0]
+                up = loss(al.SegmentEmbeddings(text=text, motion=motion), CFG)
                 m[idx] = orig - h
-                dn = grad_fn(al.SegmentEmbeddings(text=text, motion=motion), CFG)[0]
+                dn = loss(al.SegmentEmbeddings(text=text, motion=motion), CFG)
                 m[idx] = orig
                 fd = (up - dn) / (2 * h)
                 assert abs(grads[i][idx] - fd) / max(abs(fd), 1e-3) < 1e-6
 
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("variant", ["bogus", "global"])
+    def test_unknown_variant(self, variant):
+        # global is a variant of toy_train's data, not of the gradient
+        with pytest.raises(ValueError, match=f"unknown loss variant '{variant}'"):
             al.grad_alignment([np.zeros((1, 2))], [[np.zeros((1, 2))]],
-                              al.AggregatorParams.init(2, 2), CFG, variant="bogus")
+                              al.AggregatorParams.init(2, 2), CFG, variant=variant)
 
 
 class TestToyTraining:
@@ -299,7 +313,8 @@ def reference_toy_train(dataset, cfg, steps, lr, seed, params, variant):
 
 
 def _global_data(data):
-    """One whole-sequence segment per sample, as train-align --loss global builds."""
+    """One whole-sequence pair per sample: its mean text row against its
+    spans concatenated, as toy_train(variant="global") trains on."""
     return [al.ToySample(text=s.text.mean(axis=0, keepdims=True), spans=[np.vstack(s.spans)]) for s in data]
 
 
@@ -312,12 +327,12 @@ class TestPooledTraining:
             int(rng.integers(7, 20)), d_token=5, d_embed=6, seg_choices=(1, 2, 3),
             tokens_per_segment=int(rng.integers(1, 5)), seed=seed, map_seed=seed,
         )
-        if variant == "global":
-            data, variant = _global_data(data), "batch"
         # lambda 0 on every third seed; batch sizes 3..6 rarely divide the dataset
         cfg = al.AlignmentConfig(lambda_align=(0.0, 1.0, 0.7)[seed % 3], batch_size=int(rng.integers(3, 7)))
         init = al.AggregatorParams.init(5, 6, seed=seed)
         params, curve = al.toy_train(data, cfg, steps=17, lr=0.4, seed=seed, params=init, variant=variant)
+        if variant == "global":  # the reference trains the reduced data as batch
+            data, variant = _global_data(data), "batch"
         ref_params, ref_curve = reference_toy_train(data, cfg, 17, 0.4, seed, init, variant)
         assert curve == ref_curve
         for name in ("w1", "b1", "w2", "b2"):
@@ -335,6 +350,13 @@ class TestPooledTraining:
         calls = self._count_steps(monkeypatch)
         with pytest.raises(ValueError, match="empty"):
             al.toy_train(data, al.AlignmentConfig(batch_size=2), steps=3, seed=0)
+        assert calls == []
+
+    def test_unknown_variant_raises_before_any_step(self, monkeypatch):
+        data = al.make_separable_dataset(9, d_token=4, d_embed=5, seed=1, map_seed=1)
+        calls = self._count_steps(monkeypatch)
+        with pytest.raises(ValueError, match="unknown loss variant 'token'"):
+            al.toy_train(data, al.AlignmentConfig(batch_size=2), steps=3, seed=0, variant="token")
         assert calls == []
 
     def test_params_of_another_embedding_size_raise_before_any_step(self, monkeypatch):

@@ -527,7 +527,6 @@ class TestTrainAlignCommand:
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
     @pytest.mark.parametrize("flags,message", [
-        pytest.param(["--steps", "0"], "steps must be at least 1, got 0", id="steps-0"),
         pytest.param(["--lr", "nan"], "lr must be a finite number, got nan", id="lr-nan"),
         pytest.param(["--lr=-inf"], "lr must be a finite number, got -inf", id="lr-inf"),
         pytest.param(["--temperature", "nan"], "temperature must be a finite positive number, got nan",
@@ -545,8 +544,7 @@ class TestTrainAlignCommand:
     ])
     def test_bad_hyperparameter_is_a_json_error(self, tmp_path, capsys, recwarn, flags, message):
         """Refused before any file is written: a NaN rate would write a
-        model.json of bare NaN tokens, which is not JSON, and zero steps
-        leave no loss to report."""
+        model.json of bare NaN tokens, which is not JSON."""
         error = _one_error(capsys, ["train-align", "--samples", "10", "--holdout", "4", "--steps", "1", *flags],
                            tmp_path / "a")
         assert error == message
@@ -1213,6 +1211,7 @@ class TestEvalFeatureFiles:
         ("", [], "no feature rows"),
         ("\n\n", [], "no feature rows"),
         ("0.5,1.5,2.5\n", [], "fid needs at least 2 rows in each feature set, got 1 and 1"),
+        ("0.5,1.5,2.5\n", ["--metric", "diversity"], "need at least two embeddings"),
         ("0.5,1.5\n1,nan\n2,3\n", ["--metric", "diversity"], "non-finite value"),
         ("0.5,1.5\n1,inf\n2,3\n", ["--metric", "mm_dist"], "non-finite value"),
         ("0.5,1.5\n1\n", [], "number of columns changed"),
@@ -1225,7 +1224,7 @@ class TestEvalFeatureFiles:
         feats.write_text(text)
         error = _one_error(capsys, ["eval", "--features-a", str(feats), *flags], tmp_path / "e")
         assert message in error
-        assert error.startswith(f"{feats}: ") or message.startswith("fid")
+        assert error.startswith(f"{feats}: ")
         assert [str(w.message) for w in recwarn] == []
 
     def test_unknown_metric_is_refused(self, tmp_path, capsys):
@@ -1241,13 +1240,20 @@ class TestEvalFeatureFiles:
         error = _one_error(capsys, ["--config", str(cfg)] + argv[:-3], tmp_path / "e")
         assert error == f"{cfg}: field 'metric' must be one of ['fid', 'mm_dist', 'diversity'], got 'foo'"
 
+    def test_one_row_is_refused_only_by_a_metric_that_needs_more(self, tmp_path):
+        feats = tmp_path / "one-row.csv"
+        feats.write_text("0.5,1.5,2.5\n")
+        out = tmp_path / "e"
+        assert main(["eval", "--features-a", str(feats), "--metric", "mm_dist", "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "eval.json").read_text())["metrics"] == {"mm_dist": 0.0}
+
     def test_mm_dist_of_unequal_shapes_names_both(self, tmp_path, capsys, recwarn):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("0,1\n1,0\n2,2\n")
         b.write_text("0,1\n1,0\n")
         argv = ["eval", "--features-a", str(a), "--features-b", str(b)]
         error = _one_error(capsys, argv + ["--metric", "mm_dist"], tmp_path / "e")
-        assert error == "paired lists must have identical shapes, got (3, 2) and (2, 2)"
+        assert error == f"{a}, {b}: paired lists must have identical shapes, got (3, 2) and (2, 2)"
         # asked for no metric in particular, unpaired sets are scored without it
         assert main(argv + ["--out", str(tmp_path / "all"), "--quiet"]) == 0
         assert set(json.loads((tmp_path / "all" / "eval.json").read_text())["metrics"]) == {"fid", "diversity"}
@@ -1291,7 +1297,7 @@ class TestErrorMapping:
 # quantize --codes and segment --primitives have their own tests above
 COUNT_FLAGS = [
     *((["train-align", "--samples", "10", "--holdout", "4", "--steps", "1"], flag)
-      for flag in ("--samples", "--holdout", "--batch", "--d-token", "--d-embed")),
+      for flag in ("--samples", "--holdout", "--batch", "--d-token", "--d-embed", "--steps")),
     *((["quantize"], flag) for flag in ("--layers", "--iters")),
     *((["segment", "--method", "cluster", "--fit-library"], flag) for flag in ("--window", "--stride")),
     *((["decode"], flag) for flag in ("--length", "--iters", "--codes")),

@@ -17,8 +17,8 @@ or config field, which has a default, or a truth entry, which only scores
 its record) is not deleted; a renamed config key is ignored by design, so it
 is not renamed either.  Each mutated file goes through the command that
 consumes it, in process, which must exit 1 with exactly one JSON line on
-stderr that names the file (see ``UNNAMED`` for the exception), record no
-warning, and leave nothing under ``--out``.
+stderr that names the file, record no warning, and leave nothing under
+``--out``.
 
 SGMO motion files are mutated as bytes: a truncation at any offset, trailing
 bytes, a bad magic byte, a zero or oversized N or D in the header, and a
@@ -318,11 +318,6 @@ FORMATS = {
 }
 
 
-# formats whose every refusal need not name the file: a features CSV of one
-# row is refused by the metric, which does not know the file's name
-UNNAMED = {"features"}
-
-
 def _is_json_error(line):
     try:
         return set(json.loads(line)) == {"error"}
@@ -332,7 +327,7 @@ def _is_json_error(line):
 
 def _problems(capsys, argv, target):
     """What is wrong with how ``argv`` failed, as a list of strings; the
-    error must name ``target`` unless it is None."""
+    error must name ``target``."""
     problems = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -346,7 +341,7 @@ def _problems(capsys, argv, target):
         problems.append(f"exit {code}")
     if len(err) != 1 or not _is_json_error(err[0]):
         problems.append(f"stderr {err!r}")
-    elif target is not None and str(target) not in json.loads(err[0])["error"]:
+    elif str(target) not in json.loads(err[0])["error"]:
         problems.append(f"file not named: {err!r}")
     return problems + [f"warning {w.message}" for w in caught]
 
@@ -374,8 +369,7 @@ def test_every_mutation_fails_cleanly(base, tmp_path, capsys, name):
     for label, content in mutations:
         target.write_bytes(content)
         out = tmp_path / "out"
-        named = None if name in UNNAMED else target
-        problems = _problems(capsys, argv + ["--out", str(_out_arg(name, out)), "--quiet"], named)
+        problems = _problems(capsys, argv + ["--out", str(_out_arg(name, out)), "--quiet"], target)
         if out.exists():
             problems.append(f"wrote {sorted(p.name for p in out.rglob('*'))}")
             shutil.rmtree(out)
