@@ -37,12 +37,14 @@ for i in range(40):
 
 print(f"corpus: {len(corpus)} sequences of {corpus[0].length} tokens, dim {corpus[0].dim}")
 
-stack = train_codebooks(corpus, layers=4, codes_per_layer=32, seed=0)
+# the trainer takes one (n, d) array: every sequence's latent rows, stacked
+vectors = np.vstack([seq.vectors for seq in corpus])
+stack = train_codebooks(vectors, layers=4, codes_per_layer=32, seed=0)
 print(f"trained stack: {stack.num_layers} codebooks of {stack.books[0].size} codes")
 
 print("\nreconstruction error by quantizer depth:")
 for depth in range(1, stack.num_layers + 1):
-    err = reconstruction_error(corpus, truncate_stack(stack, depth))
+    err = reconstruction_error(vectors, truncate_stack(stack, depth))
     print(f"  {depth} layer(s): {err:.5f}")
 
 # round-trip one sequence through tokens

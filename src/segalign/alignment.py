@@ -23,7 +23,6 @@ from .jsonio import json_object, number, numeric_array
 NORM_FLOOR = 1e-12
 
 DEFAULT_TEMPERATURE = 0.1
-DEFAULT_LAMBDA_ALIGN = 1.0
 
 
 class DivergenceError(RuntimeError):
@@ -33,14 +32,11 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class AlignmentConfig:
     temperature: float = DEFAULT_TEMPERATURE
-    lambda_align: float = DEFAULT_LAMBDA_ALIGN
     batch_size: int = 32
 
     def __post_init__(self):
         if not (np.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError(f"temperature must be a finite positive number, got {self.temperature!r}")
-        if not (np.isfinite(self.lambda_align) and self.lambda_align >= 0):
-            raise ValueError(f"lambda_align must be a finite nonnegative number, got {self.lambda_align!r}")
 
 
 @dataclass
@@ -386,15 +382,15 @@ def toy_train(
     params: AggregatorParams | None = None,
     variant: str = "sample",
 ) -> tuple[AggregatorParams, list[float]]:
-    """Seeded minibatch SGD on the weighted alignment loss through the
+    """Seeded minibatch SGD on the alignment loss through the
     aggregator, running :func:`grad_alignment`'s step on rows gathered from
     spans pooled once.  ``variant`` is "sample" or "batch" as there, or
     "global": each sample becomes one whole-sequence pair, its mean text row
     against its spans concatenated, trained with batch negatives.
 
-    The objective is ``lambda_align * loss``, so a zero weight leaves the
-    parameters untouched.  Returns the trained parameters and the per-step
-    loss curve.  Raises DivergenceError if the loss goes non-finite.
+    A zero ``lr`` leaves the parameters untouched.  Returns the trained
+    parameters and the per-step loss curve.  Raises DivergenceError if the
+    loss goes non-finite.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -430,15 +426,13 @@ def toy_train(
         sizes = counts[batch]
         rows = np.repeat(offsets[batch] - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
         loss, pgrads, _ = _pooled_step(T[rows], feat[rows], _groups(variant, sizes), params, cfg)
-        lam = cfg.lambda_align
-        loss *= lam
         if not np.isfinite(loss):
             raise DivergenceError(f"loss became non-finite at step {len(curve)}")
-        params.w1 -= lr * lam * pgrads.w1
-        params.b1 -= lr * lam * pgrads.b1
-        params.w2 -= lr * lam * pgrads.w2
-        params.b2 -= lr * lam * pgrads.b2
-        curve.append(float(loss))
+        params.w1 -= lr * pgrads.w1
+        params.b1 -= lr * pgrads.b1
+        params.w2 -= lr * pgrads.w2
+        params.b2 -= lr * pgrads.b2
+        curve.append(loss)
     return params, curve
 
 

@@ -3,7 +3,7 @@
 Commands: synth, decompose, quantize, segment, train-align, decode, ground,
 retrieve, eval.  ``main`` builds the parser of the one command it is given;
 ``segalign <command> --help`` lists its flags.  ``--config FILE`` goes before
-the command: its JSON keys are flag dests (``d_token``, ``lambda``), flags
+the command: its JSON keys are flag dests (``d_token``, ``lr``), flags
 override them, and keys the command does not use are ignored.  Every JSON
 file a command reads (the synth spec, manifest.json, truth.json, a primitive
 library, model.json, align_data.json, --config) goes through one reader: a
@@ -11,7 +11,8 @@ missing, malformed or mistyped file exits 1, before anything is written,
 with one stderr line ``{"error": "<path>: <field> ..."}``.  A spec or config
 value of the wrong JSON type, such as "8" for an int, is refused, not
 converted.  A float overflow, NaN or division by zero in a command exits 1
-the same way.  Every stochastic command takes --seed and derives all module
+the same way, and so does a record that ``segment`` cannot cut, named by its
+id.  Every stochastic command takes --seed and derives all module
 seeds from it through named streams, so reruns are bit-identical.  All
 outputs are written atomically (temp + rename).  A count flag below 1, such
 as ``--holdout 0``, exits 1 the same way, naming the flag.  On glibc,
@@ -232,6 +233,8 @@ def _truth_from_json(obj, records, latents) -> dict:
 
 def cmd_segment(args) -> int:
     _at_least_one(args, "window", "stride", "primitives")
+    if args.method == "cpd":
+        segmentation.fixed_bandwidth(args.bandwidth)   # a flag's refusal, not a record's
     _keep_freed_memory()
     records, latents, _ = _load_corpus(args.data)
     truth_path = os.path.join(args.data, "truth.json")
@@ -251,10 +254,10 @@ def cmd_segment(args) -> int:
                 num_primitives=args.primitives,
                 seed=seed_for(args.seed, "segment.library"),
             )
-            _write_atomic(args.library, json.dumps(segmentation.library_to_json(lib), sort_keys=True) + "\n")
         else:
             lib = _load_library(args.library, latents.values())
-            for flag, given, field in (("--window", args.window, "window_size"), ("--stride", args.stride, "stride")):
+            for flag, given, field in (("--window", args.window, "window_size"), ("--stride", args.stride, "stride"),
+                                       ("--primitives", args.primitives, "size")):
                 if not isinstance(given, _Default) and given != getattr(lib, field):
                     raise CliError(
                         f"{args.library}: {flag} {given} disagrees with the library's {field} {getattr(lib, field)}"
@@ -265,16 +268,22 @@ def cmd_segment(args) -> int:
     for r in records:
         x = latents[r.id]
         a = len(r.text_segments)
-        if args.method == "uniform":
-            b = segmentation.uniform_segment(x.length, a)
-        elif args.method == "cpd":
-            b = segmentation.kernel_cpd_segment(x, a, bandwidth=args.bandwidth)
-        else:
-            b = segmentation.cluster_dp_segment(x, lib, a)
+        try:
+            if args.method == "uniform":
+                b = segmentation.uniform_segment(x.length, a)
+            elif args.method == "cpd":
+                b = segmentation.kernel_cpd_segment(x, a, bandwidth=args.bandwidth)
+            else:
+                b = segmentation.cluster_dp_segment(x, lib, a)
+        except ValueError as exc:
+            raise CliError(f"{r.id}: {exc}") from None
         boundaries[r.id] = segmentation.boundaries_to_json(b)
         if r.id in truth:
             pairs.append((b, truth[r.id]))
 
+    # written only once every record is segmented, so a refusal writes nothing
+    if lib is not None and args.fit_library:
+        _write_atomic(args.library, json.dumps(segmentation.library_to_json(lib), sort_keys=True) + "\n")
     _write_json(os.path.join(args.out, f"boundaries_{args.method}.json"), boundaries)
     if pairs:
         mean, std = segmentation.seg_error_corpus(pairs)
@@ -400,11 +409,7 @@ def _unhex_rows(rows, d: int, where: str) -> np.ndarray:
 
 def cmd_train_align(args) -> int:
     _at_least_one(args, "samples", "holdout", "batch", "d_token", "d_embed", "steps")
-    cfg = alignment.AlignmentConfig(
-        temperature=args.temperature,
-        lambda_align=getattr(args, "lambda"),
-        batch_size=args.batch,
-    )
+    cfg = alignment.AlignmentConfig(temperature=args.temperature, batch_size=args.batch)
     train, holdout = (
         alignment.make_separable_dataset(
             n,
@@ -664,7 +669,7 @@ COMMANDS = {
         "--fit-library": dict(action="store_true"),
         "--window": dict(type=int, default=_Default(segmentation.DEFAULT_WINDOW_SIZE)),
         "--stride": dict(type=int, default=_Default(segmentation.DEFAULT_WINDOW_STRIDE)),
-        "--primitives": dict(type=int, default=segmentation.DEFAULT_LIBRARY_SIZE),
+        "--primitives": dict(type=int, default=_Default(segmentation.DEFAULT_LIBRARY_SIZE)),
     }),
     "train-align": (cmd_train_align, "toy contrastive alignment training", {
         "--samples": dict(type=int, default=200),
@@ -675,7 +680,6 @@ COMMANDS = {
         "--lr": dict(type=float, default=0.5),
         "--batch": dict(type=int, default=8),
         "--loss": dict(choices=["sample", "batch", "global"], default="sample"),
-        "--lambda": dict(type=float, default=alignment.DEFAULT_LAMBDA_ALIGN),
         "--temperature": dict(type=float, default=alignment.DEFAULT_TEMPERATURE),
     }),
     "decode": (cmd_decode, "iterative masked decoding demo", {

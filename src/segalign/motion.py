@@ -184,13 +184,9 @@ def synth_motion(spec: SyntheticSpec) -> tuple[MotionSequence, list[int]]:
     chunks = []
     for count, mean in zip(spec.frames_per_regime, spec.regime_means):
         mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-        block = np.tile(mean, (count, 1))
-        if spec.noise_std > 0:
-            block = block + rng.normal(0.0, spec.noise_std, size=block.shape)
-        else:
-            # keep the rng stream position independent of noise_std
-            rng.normal(0.0, 1.0, size=block.shape)
-        chunks.append(block)
+        # one draw at any std, so the rng stream position does not depend on
+        # it; a zero std adds only zeros
+        chunks.append(np.tile(mean, (count, 1)) + rng.normal(0.0, spec.noise_std, size=(count, mean.size)))
     frames = np.vstack(chunks)
     boundaries = list(np.cumsum(spec.frames_per_regime)[:-1].astype(int))
     return MotionSequence(frames=frames), boundaries

@@ -220,23 +220,17 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
 
 
 def train_codebooks(
-    data: list[LatentSequence] | np.ndarray,
+    data: np.ndarray,
     layers: int = DEFAULT_RESIDUAL_LAYERS + 1,
     codes_per_layer: int = DEFAULT_CODES_PER_LAYER,
     seed: int = 0,
     iters: int = 25,
 ) -> CodebookStack:
-    """Layer-wise k-means on residuals: layer 0 fits the data, layer j fits
-    what layers < j leave behind."""
-    if isinstance(data, np.ndarray):
-        vectors = np.asarray(data, dtype=np.float64)
-    else:
-        vectors = np.vstack([s.vectors for s in data]).astype(np.float64)
-    if vectors.shape[0] < codes_per_layer:
-        raise ValueError(
-            f"insufficient data: {vectors.shape[0]} vectors for K={codes_per_layer}"
-        )
-    residual = vectors.copy()
+    """Layer-wise k-means on the (n, d) rows of ``data``: layer 0 fits the
+    data, layer j fits what layers < j leave behind."""
+    residual = np.array(data, dtype=np.float64)
+    if residual.shape[0] < codes_per_layer:
+        raise ValueError(f"insufficient data: {residual.shape[0]} vectors for K={codes_per_layer}")
     books = []
     for j in range(layers):
         centers = kmeans(residual, codes_per_layer, seed=seed + j, iters=iters)
@@ -247,13 +241,11 @@ def train_codebooks(
     return CodebookStack(books=tuple(books))
 
 
-def reconstruction_error(data: list[LatentSequence] | np.ndarray, stack: CodebookStack) -> float:
-    """Mean squared Euclidean distance between latents and their quantization."""
-    if isinstance(data, np.ndarray):
-        seqs = [LatentSequence(vectors=np.asarray(data, dtype=np.float64))]
-    else:
-        seqs = data
-    return quantization_mse((s, quantize(s, stack)[1]) for s in seqs)
+def reconstruction_error(data: np.ndarray, stack: CodebookStack) -> float:
+    """Mean squared Euclidean distance between the (n, d) rows of ``data``
+    and their quantization."""
+    s = LatentSequence(vectors=np.asarray(data, dtype=np.float64))
+    return quantization_mse([(s, quantize(s, stack)[1])])
 
 
 def quantization_mse(pairs) -> float:

@@ -235,7 +235,7 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median", out: np.ndarray | 
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("kernel input contains non-finite values")
-    sigma = _fixed_bandwidth(bandwidth)
+    sigma = fixed_bandwidth(bandwidth)
     sq = sqdist(x, x, out=out)
     np.fill_diagonal(sq, 0.0)
     if sigma is None:   # the median over the upper triangle, or 1 if it is 0 or there is none
@@ -249,7 +249,7 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median", out: np.ndarray | 
     return np.exp(sq, out=sq)
 
 
-def _fixed_bandwidth(bandwidth) -> float | None:
+def fixed_bandwidth(bandwidth) -> float | None:
     """None for "median", else the bandwidth as a finite positive float
     whose 2 sigma^2 does not underflow to 0."""
     if bandwidth == "median":
@@ -355,7 +355,7 @@ def kernel_cpd_segment(x: LatentSequence, num_segments: int, bandwidth="median")
         raise ValueError("need at least one segment")
     if n < num_segments:
         raise ValueError(f"{n} tokens cannot form {num_segments} segments")
-    _fixed_bandwidth(bandwidth)   # checked even where there is nothing to cut
+    fixed_bandwidth(bandwidth)   # checked even where there is nothing to cut
     if num_segments == 1:
         return SegmentBoundaries(spans=((0, n),))
     buf = np.empty((n + 1, n + 1))

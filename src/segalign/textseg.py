@@ -100,6 +100,8 @@ class LlmEndpointConfig:
     def __post_init__(self):
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must not be negative, got {self.max_retries}")
 
 
 def parse_segment_string(s: str) -> TextSegmentSet:

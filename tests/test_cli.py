@@ -140,6 +140,30 @@ class TestSegmentCommand:
             assert error == f"only 74 windows for Kp={primitives}"
         assert [str(w.message) for w in recwarn] == []
 
+    @pytest.mark.parametrize("method,flags,message", [
+        pytest.param("cluster", ["--fit-library", "--primitives", "1"], "sample_0000: 1 windows cannot form 2 runs",
+                     id="cluster"),
+        pytest.param("uniform", [], "sample_0001: cannot split 4 tokens into 5 segments", id="uniform"),
+        pytest.param("cpd", [], "sample_0001: 4 tokens cannot form 5 segments", id="cpd"),
+    ])
+    def test_refused_record_is_named(self, tmp_path, capsys, method, flags, message):
+        """A record its segmenter refuses is named, and nothing is written:
+        not the boundaries and not a library fitted before the refusal."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 3, "dim": 3, "segments_min": 2, "segments_max": 2,
+                                    "tokens_per_segment_min": 2, "tokens_per_segment_max": 2}))
+        data = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec), "--out", str(data), "--quiet"]) == 0
+        if method != "cluster":  # more segments than the record has tokens, where no truth.json refuses first
+            (data / "truth.json").unlink()
+            records = [json.loads(line) for line in (data / "dataset.jsonl").read_text().splitlines()]
+            records[1]["segments"] = [f"a person acts {i}" for i in range(5)]
+            (data / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "seg"
+        error = _one_error(capsys, ["segment", "--data", str(data), "--method", method,
+                                    "--library", str(out / "library.json"), *flags], out)
+        assert error == message
+
     def test_cluster_requires_library(self, synth_dir, tmp_path, capsys):
         assert main(["segment", "--data", str(synth_dir), "--method", "cluster",
                      "--out", str(tmp_path / "s"), "--quiet"]) == 1
@@ -158,7 +182,8 @@ class TestSegmentCommand:
         assert (out / "boundaries_cluster.json").exists()
         # flags that repeat the file's values are accepted
         assert main(["segment", "--data", str(synth_dir), "--method", "cluster", "--library", str(lib),
-                     "--window", "1", "--stride", "1", "--out", str(tmp_path / "again"), "--quiet"]) == 0
+                     "--window", "1", "--stride", "1", "--primitives", "8", "--out", str(tmp_path / "again"),
+                     "--quiet"]) == 0
         assert (tmp_path / "again" / "boundaries_cluster.json").read_bytes() == \
             (out / "boundaries_cluster.json").read_bytes()
 
@@ -168,6 +193,12 @@ class TestSegmentCommand:
                      id="window-equal-to-default"),
         pytest.param(["--stride", "3"], None, "--stride 3 disagrees with the library's stride 1", id="stride"),
         pytest.param([], {"window": 2}, "--window 2 disagrees with the library's window_size 1", id="config"),
+        pytest.param(["--primitives", "3"], None, "--primitives 3 disagrees with the library's size 8",
+                     id="primitives"),
+        pytest.param(["--primitives", "64"], None, "--primitives 64 disagrees with the library's size 8",
+                     id="primitives-equal-to-default"),
+        pytest.param([], {"primitives": 3}, "--primitives 3 disagrees with the library's size 8",
+                     id="primitives-config"),
     ])
     def test_library_flags_must_match_the_file(self, synth_dir, tmp_path, capsys, flags, config, message):
         lib = tmp_path / "lib.json"
@@ -535,12 +566,6 @@ class TestTrainAlignCommand:
                      id="temperature-inf"),
         pytest.param(["--temperature", "0"], "temperature must be a finite positive number, got 0.0",
                      id="temperature-0"),
-        pytest.param(["--lambda", "nan"], "lambda_align must be a finite nonnegative number, got nan",
-                     id="lambda-nan"),
-        pytest.param(["--lambda", "inf"], "lambda_align must be a finite nonnegative number, got inf",
-                     id="lambda-inf"),
-        pytest.param(["--lambda", "-1"], "lambda_align must be a finite nonnegative number, got -1.0",
-                     id="lambda-negative"),
     ])
     def test_bad_hyperparameter_is_a_json_error(self, tmp_path, capsys, recwarn, flags, message):
         """Refused before any file is written: a NaN rate would write a
@@ -550,14 +575,31 @@ class TestTrainAlignCommand:
         assert error == message
         assert [str(w.message) for w in recwarn] == []
 
-    def test_lambda_zero_trains_nothing(self, tmp_path):
+    def test_lr_zero_trains_nothing(self, tmp_path):
+        """A zero step leaves the model as initialized; the curve still
+        reports the loss it was not trained on."""
         out = tmp_path / "lz"
         assert main(["train-align", "--seed", "0", "--samples", "40",
-                     "--holdout", "10", "--steps", "30", "--lambda", "0",
+                     "--holdout", "10", "--steps", "30", "--lr", "0",
                      "--out", str(out), "--quiet"]) == 0
         report = json.loads((out / "train_report.json").read_text())
-        assert report["final_loss"] == 0.0
+        assert report["initial_loss"] > 0.0
         assert report["holdout_top1_after"] == report["holdout_top1_before"]
+
+    def test_lambda_is_not_a_flag(self, tmp_path):
+        """The loss is trained alone, so a weight on it would only rescale
+        --lr; the parser refuses the flag with its usage error, and a config
+        key of that name is ignored like any key no flag uses."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train-align", "--lambda", "0.5", "--out", str(tmp_path / "l"), "--quiet"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "l").exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lambda": 0.5}')
+        argv = ["train-align", "--samples", "20", "--holdout", "4", "--steps", "5", "--quiet"]
+        assert main(["--config", str(cfg), *argv, "--out", str(tmp_path / "c")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "n")]) == 0
+        assert (tmp_path / "c" / "model.json").read_bytes() == (tmp_path / "n" / "model.json").read_bytes()
 
 
 # an edit of the parsed align_data.json, returning the object to write, and
@@ -926,7 +968,7 @@ PARSER_SURFACE = {
     "train-align": ([],
                     {"config": None, "command": "train-align", "seed": 0, "out": "out",
                      "quiet": False, "samples": 200, "holdout": 50, "d_token": 8, "d_embed": 16,
-                     "steps": 300, "lr": 0.5, "batch": 8, "loss": "sample", "lambda": 1.0,
+                     "steps": 300, "lr": 0.5, "batch": 8, "loss": "sample",
                      "temperature": 0.1, "func": "cmd_train_align"},
                     [(("--seed",), "seed", 0, "int", None, False),
                      (("--out",), "out", "out", None, None, False),
@@ -939,7 +981,6 @@ PARSER_SURFACE = {
                      (("--lr",), "lr", 0.5, "float", None, False),
                      (("--batch",), "batch", 8, "int", None, False),
                      (("--loss",), "loss", "sample", None, ("sample", "batch", "global"), False),
-                     (("--lambda",), "lambda", 1.0, "float", None, False),
                      (("--temperature",), "temperature", 0.1, "float", None, False)]),
     "decode": ([],
                {"config": None, "command": "decode", "seed": 0, "out": "out", "quiet": False,

@@ -370,13 +370,6 @@ class TestTrainCodebooks:
         with pytest.raises(ValueError):
             train_codebooks(np.zeros((3, 2)), layers=1, codes_per_layer=8)
 
-    def test_accepts_latent_sequences(self):
-        rng = np.random.default_rng(1)
-        seqs = [LatentSequence(vectors=rng.normal(size=(30, 2))) for _ in range(3)]
-        stack = train_codebooks(seqs, layers=2, codes_per_layer=4, seed=0, iters=5)
-        assert stack.num_layers == 2
-        assert reconstruction_error(seqs, stack) >= 0.0
-
 
 class TestSerialization:
     def test_round_trip(self):

@@ -176,6 +176,16 @@ class TestLlmDecompose:
         with pytest.raises(TransportError):
             llm_decompose("a person walks.", self.CFG, transport=dead)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("timeout", 0.0, "timeout must be positive"),
+        ("max_retries", -1, "max_retries must not be negative, got -1"),
+    ], ids=["timeout", "max_retries"])
+    def test_bad_config_is_refused(self, field, value, message):
+        """Refused when built, not on the first call: a negative retry count
+        would report an endpoint unreachable after 0 attempts, never called."""
+        with pytest.raises(ValueError, match=message):
+            LlmEndpointConfig(base_url=self.CFG.base_url, model_name="m", **{field: value})
+
     def test_malformed_not_cached(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         t = _ok_transport("Output: nope")
