@@ -8,18 +8,20 @@ added.
 
 import numpy as np
 
-from segalign import (
+from segalign.motion import (
     LatentSequence,
     SyntheticSpec,
-    dequantize,
     project_latent,
-    quantize,
     reconstruct_motion,
-    reconstruction_error,
     synth_motion,
-    train_codebooks,
 )
-from segalign.rvq import truncate_stack
+from segalign.rvq import (
+    dequantize,
+    quantize,
+    reconstruction_error,
+    train_codebooks,
+    truncate_stack,
+)
 
 rng = np.random.default_rng(0)
 

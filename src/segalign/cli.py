@@ -29,7 +29,6 @@ import hashlib
 import json
 import os
 import sys
-import urllib.parse
 import warnings
 
 import numpy as np
@@ -194,7 +193,7 @@ def _load_corpus(data_dir):
     for r in records:
         m = motion.load_motion(os.path.join(data_dir, r.motion_path))
         latents[r.id] = motion.project_latent(m, ratio)
-    return records, latents, ratio
+    return records, latents
 
 
 # --- segment ----------------------------------------------------------------
@@ -236,7 +235,7 @@ def cmd_segment(args) -> int:
     if args.method == "cpd":
         segmentation.fixed_bandwidth(args.bandwidth)   # a flag's refusal, not a record's
     _keep_freed_memory()
-    records, latents, _ = _load_corpus(args.data)
+    records, latents = _load_corpus(args.data)
     truth_path = os.path.join(args.data, "truth.json")
     truth = {}
     if os.path.exists(truth_path):
@@ -298,7 +297,7 @@ def cmd_segment(args) -> int:
 def cmd_quantize(args) -> int:
     _at_least_one(args, "layers", "codes", "iters")
     _keep_freed_memory()
-    records, latents, _ = _load_corpus(args.data)
+    records, latents = _load_corpus(args.data)
     stacked = np.vstack([v.vectors for v in latents.values()])
     stack = rvq.train_codebooks(
         stacked,
@@ -331,17 +330,19 @@ def cmd_quantize(args) -> int:
 
 # --- decompose --------------------------------------------------------------
 
+LLM_URL_ENV_VAR = "SEGALIGN_LLM_URL"
+
+
 def cmd_decompose(args) -> int:
     records = motion.read_dataset(args.data)
     cfg = None
     if not args.fallback:
-        url = os.environ.get(textseg.LLM_URL_ENV_VAR, args.endpoint)
+        # an empty variable counts as unset, so it cannot mask --endpoint
+        url = os.environ.get(LLM_URL_ENV_VAR) or args.endpoint
         if not url:
             raise CliError(
-                "no endpoint: pass --endpoint, set SEGALIGN_LLM_URL, or use --fallback"
+                f"no endpoint: pass --endpoint, set {LLM_URL_ENV_VAR}, or use --fallback"
             )
-        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
-            raise CliError(f"endpoint {url!r} is not an http:// or https:// URL")
         cfg = textseg.LlmEndpointConfig(base_url=url, model_name=args.model_name)
     statuses = {}
     report_path = os.path.splitext(args.out)[0] + "_report.json"

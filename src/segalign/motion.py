@@ -268,13 +268,20 @@ def _record_from_json(obj) -> DatasetRecord:
 
 def read_dataset(path) -> list[DatasetRecord]:
     """The records of a dataset JSON-lines file, blank lines skipped; a bad
-    line is a ValueError that starts with ``<path>:<line number>: ``."""
+    line, or one whose id an earlier line took, is a ValueError that starts
+    with ``<path>:<line number>: ``."""
     records = []
+    first_line = {}  # id -> line number
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
             try:
-                if line.strip():
-                    records.append(_record_from_json(json.loads(line.decode("utf-8"))))
+                record = _record_from_json(json.loads(line.decode("utf-8")))
             except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError included
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if record.id in first_line:
+                raise ValueError(f"{path}:{line_no}: duplicate id {record.id!r} (first on line {first_line[record.id]})")
+            first_line[record.id] = line_no
+            records.append(record)
     return records

@@ -13,14 +13,14 @@ answers wrongly raises ``MalformedResponseError`` at once and is not cached.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
+import urllib.parse
 import warnings
 from dataclasses import dataclass
 
 A_MAX = 5
-
-LLM_URL_ENV_VAR = "SEGALIGN_LLM_URL"
 
 DECOMPOSE_PROMPT = """\
 You are a helpful assistant. Your task is to extract and temporally order human actions from a sentence describing a person performing one or more actions.
@@ -92,14 +92,20 @@ class TextSegmentSet:
 
 @dataclass(frozen=True)
 class LlmEndpointConfig:
+    """Where ``llm_decompose`` sends: an http:// or https:// URL, a model
+    name, a finite positive per-attempt timeout in seconds, and a retry
+    count.  Nothing else, the environment included, changes the URL."""
+
     base_url: str
     model_name: str
     timeout: float = 30.0
     max_retries: int = 2
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if urllib.parse.urlsplit(self.base_url).scheme not in ("http", "https"):
+            raise ValueError(f"endpoint {self.base_url!r} is not an http:// or https:// URL")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be positive and finite, got {self.timeout!r}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must not be negative, got {self.max_retries}")
 
@@ -279,7 +285,6 @@ def llm_decompose(
     if cached is not None:
         return parse_segment_string(cached)
 
-    url = os.environ.get(LLM_URL_ENV_VAR, cfg.base_url)
     payload = {
         "model": cfg.model_name,
         "messages": [{"role": "user", "content": DECOMPOSE_PROMPT + raw}],
@@ -289,14 +294,14 @@ def llm_decompose(
     last_exc = None
     for attempt in range(cfg.max_retries + 1):
         try:
-            text = send(url, payload, cfg.timeout)
+            text = send(cfg.base_url, payload, cfg.timeout)
             break
         except OSError as exc:
             last_exc = exc
             if attempt < cfg.max_retries:
                 time.sleep(min(0.2 * (attempt + 1), 1.0))
     else:
-        raise TransportError(f"endpoint {url} unreachable after {cfg.max_retries + 1} attempts: {last_exc}")
+        raise TransportError(f"endpoint {cfg.base_url} unreachable after {cfg.max_retries + 1} attempts: {last_exc}")
 
     if not isinstance(text, str):
         raise MalformedResponseError("reply content is not a string", repr(text))

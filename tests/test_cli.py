@@ -297,7 +297,7 @@ class TestQuantizeCommand:
                          "--out", str(data), "--quiet"]) == 0
             assert main(["quantize", "--data", str(data), "--codes", str(codes), "--layers", str(layers),
                          "--seed", str(seed), "--out", str(out), "--quiet"]) == 0
-            records, latents, _ = cli._load_corpus(str(data))
+            records, latents = cli._load_corpus(str(data))
             lengths = {v.length for v in latents.values()}
             assert len(lengths) > 1 and shortest in (None, min(lengths))
             stack = rvq.stack_from_json(json.loads((out / "stack.json").read_text()))
@@ -326,6 +326,17 @@ class TestQuantizeCommand:
                          "--seed", "3", "--out", str(out), "--quiet"]) == 0
         for name in ("stack.json", "tokens.jsonl", "rvq_report.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_duplicate_record_id_is_a_json_error(self, synth_dir, tmp_path, capsys):
+        """A second record under the first one's id would otherwise give two
+        token lines of one id, both from the second record's motion."""
+        path = synth_dir / "dataset.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        first, second = json.loads(lines[0]), json.loads(lines[1])
+        lines[1] = json.dumps({**second, "id": first["id"]}, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+        error = _one_error(capsys, ["quantize", "--data", str(synth_dir)], tmp_path / "q")
+        assert error == f"{path}:2: duplicate id {first['id']!r} (first on line 1)"
 
 
 class TestDecomposeCommand:
@@ -463,12 +474,38 @@ class TestDecomposeCommand:
                      "--out", str(tmp_path / "o.jsonl"), "--quiet"]) == 1
         assert "endpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value,sent_to", [
+        ("http://other.example/chat", "http://other.example/chat"),
+        ("", "http://127.0.0.1:9"),
+    ], ids=["set", "empty"])
+    def test_env_var_overrides_the_endpoint_unless_empty(self, tmp_path, monkeypatch, value, sent_to):
+        asked = []
+
+        def answer(url, payload, timeout):
+            asked.append(url)
+            return "a person jumps"
+
+        monkeypatch.setattr(textseg, "_default_transport", answer)
+        monkeypatch.setenv("SEGALIGN_LLM_URL", value)
+        data = tmp_path / "in.jsonl"
+        write_dataset([DatasetRecord(id="a", raw_text="a person jumps.",
+                                     text_segments=["x"], motion_path="a.sgmo")], data)
+        out = tmp_path / "seg.jsonl"
+        assert main(["decompose", "--data", str(data), "--endpoint", "http://127.0.0.1:9",
+                     "--model-name", "m", "--out", str(out), "--quiet"]) == 0
+        assert asked == [sent_to]
+        assert read_dataset(out)[0].text_segments == ["a person jumps"]
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
     @pytest.mark.parametrize("url", ["llm.example/v1", "ftp://llm.example/v1"])
     def test_endpoint_without_http_scheme_fails_before_any_record(self, tmp_path, capsys,
-                                                                  monkeypatch, url):
+                                                                  monkeypatch, url, source):
         asked = []
         monkeypatch.setattr(textseg, "_default_transport", lambda *a: asked.append(a) or "x")
-        monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
+        if source == "env":
+            monkeypatch.setenv("SEGALIGN_LLM_URL", url)
+        else:
+            monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
         cache = tmp_path / "cache.jsonl"
         cache.write_text(json.dumps({"model": "m", "input": "a person waves.",
                                      "output": "a person waves"}) + "\n")
@@ -478,7 +515,8 @@ class TestDecomposeCommand:
             for name, raw in (("hit", "a person waves."), ("miss", "a person jumps."))
         ], data)
         out = tmp_path / "seg.jsonl"
-        assert main(["decompose", "--data", str(data), "--endpoint", url, "--model-name", "m",
+        endpoint = url if source == "flag" else "http://127.0.0.1:9"
+        assert main(["decompose", "--data", str(data), "--endpoint", endpoint, "--model-name", "m",
                      "--cache", str(cache), "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and url in json.loads(err[0])["error"]

@@ -10,7 +10,8 @@ standard library's ``random`` from a fixed seed, from these kinds:
   * a required key deleted or renamed;
   * a value replaced by one of another JSON type;
   * NaN, Infinity or -Infinity in place of a value;
-  * an empty array in place of a value.
+  * an empty array in place of a value;
+  * for a dataset line, the id of the line before it.
 
 Every mutation makes the file invalid.  A key whose absence is valid (a spec
 or config field, which has a default, or a truth entry, which only scores
@@ -249,6 +250,7 @@ def _dataset_line(base, work):
               (("embeddings", 1), "list", set()), (("embeddings", 0, 1), "float", set())]
     valid, groups = json_mutations(record, sites, _compact)
     # the mutated record is the second line of a two-line file
+    groups["duplicate"] = [("id = the first record's id", _compact({**record, "id": json.loads(first)["id"]}).encode())]
     lines = {kind: [(label, first.encode() + b"\n" + line + b"\n") for label, line in items]
              for kind, items in groups.items()}
     argv = ["decompose", "--fallback", "--data", str(work / "dataset.jsonl")]

@@ -233,6 +233,14 @@ class TestDatasetIO:
         write_dataset(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        line = '{{"id": "{}", "text": "t", "segments": ["t"], "motion": "m.sgmo"}}\n'
+        path.write_text(line.format("r0") + line.format("r1") + "\n" + line.format("r0"), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"{path}:4: duplicate id 'r0' (first on line 1)"
+
     def test_mixed_embedding_dims_rejected(self):
         with pytest.raises(ValueError):
             DatasetRecord(

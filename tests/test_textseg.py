@@ -14,7 +14,6 @@ from segalign import textseg
 from segalign.textseg import (
     A_MAX,
     DECOMPOSE_PROMPT,
-    LLM_URL_ENV_VAR,
     LlmEndpointConfig,
     MalformedResponseError,
     SegmentValidationError,
@@ -103,11 +102,14 @@ class TestLlmDecompose:
         assert payload["messages"][0]["content"] == DECOMPOSE_PROMPT + "a person walks then runs."
         assert timeout == self.CFG.timeout
 
-    def test_env_var_overrides_url(self, monkeypatch):
-        monkeypatch.setenv(LLM_URL_ENV_VAR, "http://other.example/chat")
+    @pytest.mark.parametrize("value", ["", "http://other.example/chat"])
+    def test_sends_to_the_config_url_whatever_the_environment(self, monkeypatch, value):
+        """The environment variable is the CLI's to read; an API caller's
+        config is the only source of the URL."""
+        monkeypatch.setenv("SEGALIGN_LLM_URL", value)
         t = _ok_transport("a person waves.")
         llm_decompose("a person waves.", self.CFG, transport=t)
-        assert t.calls[0][0] == "http://other.example/chat"
+        assert t.calls[0][0] == self.CFG.base_url
 
     def test_warm_cache_skips_network(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -177,14 +179,27 @@ class TestLlmDecompose:
             llm_decompose("a person walks.", self.CFG, transport=dead)
 
     @pytest.mark.parametrize("field,value,message", [
-        ("timeout", 0.0, "timeout must be positive"),
+        ("timeout", 0.0, "timeout must be positive and finite, got 0.0"),
+        ("timeout", float("nan"), "timeout must be positive and finite, got nan"),
+        ("timeout", float("inf"), "timeout must be positive and finite, got inf"),
+        ("timeout", float("-inf"), "timeout must be positive and finite, got -inf"),
         ("max_retries", -1, "max_retries must not be negative, got -1"),
-    ], ids=["timeout", "max_retries"])
+    ], ids=["timeout", "timeout-nan", "timeout-inf", "timeout-neg-inf", "max_retries"])
     def test_bad_config_is_refused(self, field, value, message):
         """Refused when built, not on the first call: a negative retry count
-        would report an endpoint unreachable after 0 attempts, never called."""
-        with pytest.raises(ValueError, match=message):
+        would report an endpoint unreachable after 0 attempts, never called,
+        and a NaN or infinite timeout would reach urllib on every attempt."""
+        with pytest.raises(ValueError) as err:
             LlmEndpointConfig(base_url=self.CFG.base_url, model_name="m", **{field: value})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("url", ["", "llm.example/v1", "ftp://llm.example/v1", "file:///reply.json"])
+    def test_non_http_url_is_refused(self, url):
+        """Refused when built, so no caller can make llm_decompose read a
+        local file or hand urllib an empty URL."""
+        with pytest.raises(ValueError) as err:
+            LlmEndpointConfig(base_url=url, model_name="m")
+        assert str(err.value) == f"endpoint {url!r} is not an http:// or https:// URL"
 
     def test_malformed_not_cached(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -382,7 +397,6 @@ class TestDefaultTransport:
 
             monkeypatch.setattr(urllib.request, "urlopen", fake)
             monkeypatch.setattr(textseg.time, "sleep", lambda s: None)
-            monkeypatch.delenv(LLM_URL_ENV_VAR, raising=False)
             return calls
 
         return install
