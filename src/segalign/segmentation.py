@@ -121,17 +121,20 @@ def uniform_segment(n: int, num_segments: int) -> SegmentBoundaries:
 
 # --- exact DP over span costs ----------------------------------------------
 #
-# Both DP and the brute-force oracle read span costs from the same
-# precomputed (n+1, n+1) table C, where C[s, e] is the cost of the half-open
-# span [s, e) and every entry with e <= s is +inf, so an empty or reversed
-# span can never win.  Both accumulate segment costs right-associatively
-# (last span first), so optimal objectives compare bit-for-bit.  Each DP
-# candidate is the single float add C[s, e] + best[e]; ``argmin`` takes the
-# first minimum, i.e. the lowest end, which is the oracle's strict-< rule over
-# lexicographically ordered cuts, so both return identical boundaries.
+# The DPs and the brute-force oracle fold span costs right to left (last
+# span first) with the same float steps.  Kernel CPD reads a precomputed
+# (n+1, n+1) table C, C[s, e] the cost of span [s, e) and +inf where e <= s:
+# a step is C[s, e] + acc.  Clustering builds no table: over the (Kp, nw+1)
+# prefix P of window costs, a step is min_p ((P[p, e] + acc) - P[p, s]).
+# A step is monotone in acc, the cost of what follows, so the minimum over
+# suffixes commutes with it and the objectives agree bit for bit.  The DPs
+# end a span at the lowest end whose candidate equals the optimum, and the
+# oracle keeps the first optimum of its lexicographic enumeration (strict
+# <): the same cuts unless rounding lets a worse suffix give the same
+# candidate, which no exact (integer) tie does.
 #
-# The cost tables and the DP work on blocks of start rows s0 <= s < s1, so
-# their scratch arrays do not grow with the square of the table: a block
+# The kernel cost table and its DP work on blocks of start rows s0 <= s < s1,
+# so their scratch arrays do not grow with the square of the table: a block
 # holds at most ``_BLOCK`` elements (one row if a row alone is wider).  In
 # every block the entries with e <= s lie in the leading corner, below its
 # diagonal.  _BLOCK is 2^13 float64 values, 64 KiB: in a sweep of 2^12 to
@@ -141,14 +144,14 @@ def uniform_segment(n: int, num_segments: int) -> SegmentBoundaries:
 _BLOCK = 1 << 13
 
 
-def _row_blocks(rows: int, width: int, depth: int = 1):
+def _row_blocks(rows: int, width: int):
     """Consecutive (s0, s1) blocks covering range(rows <= width) for a table
     whose row s is needed from column s0 to ``width``: a block's temporary of
-    (s1 - s0, width - s0) cells, ``depth`` elements each, holds at most
-    ``_BLOCK`` elements, or is a single row.  Blocks grow as rows shorten."""
+    (s1 - s0, width - s0) cells holds at most ``_BLOCK`` elements, or is a
+    single row.  Blocks grow as rows shorten."""
     s0 = 0
     while s0 < rows:
-        s1 = min(rows, s0 + max(1, _BLOCK // (depth * (width - s0))))
+        s1 = min(rows, s0 + max(1, _BLOCK // (width - s0)))
         yield s0, s1
         s0 = s1
 
@@ -196,14 +199,14 @@ def _enumerate_partitions(n: int, num_segments: int):
     return itertools.combinations(range(1, n), num_segments - 1)
 
 
-def _brute_force_partition(span_cost, n: int, num_segments: int) -> tuple[list[int], float]:
+def _brute_force_partition(span_step, n: int, num_segments: int) -> tuple[list[int], float]:
     best_cuts = None
     best_obj = np.inf
     for cuts in _enumerate_partitions(n, num_segments):
         edges = [0, *cuts, n]
-        acc = 0.0
+        acc = -0.0   # the empty suffix: x + -0.0 is x for every float x, -0.0 included
         for s, e in reversed(list(zip(edges[:-1], edges[1:]))):
-            acc = span_cost(s, e) + acc
+            acc = span_step(s, e, acc)
         if acc < best_obj:
             best_obj = acc
             best_cuts = list(cuts)
@@ -408,49 +411,48 @@ def window_cost_matrix(x: LatentSequence, lib: PrimitiveLibrary) -> CostMatrix:
 
 def _run_prefix(costs: np.ndarray) -> np.ndarray:
     """(Kp, nw+1) prefix sums: prefix[:, e] - prefix[:, s] is the
-    per-primitive cost sum of windows [s, e)."""
+    per-primitive cost sum of windows [s, e).  A non-finite total, the last
+    column, is a ValueError: the DP's sums rely on it being finite."""
     prefix = np.zeros((costs.shape[1], costs.shape[0] + 1))
-    np.cumsum(costs.T, axis=1, out=prefix[:, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+        np.cumsum(costs.T, axis=1, out=prefix[:, 1:])
+    if not np.isfinite(prefix[:, -1]).all():
+        raise ValueError(f"a primitive's total cost is beyond the float64 limit of {np.finfo(float).max:.6g}")
     return prefix
-
-
-def run_cost_tables(costs: np.ndarray) -> np.ndarray:
-    """Per-span primitive sums reduced to the cheapest primitive.
-
-    C[s, e] is the cost of assigning windows [s, e) to their best single
-    primitive; entries with e <= s are +inf.  For one block of starts at a
-    time (``_row_blocks``), the (Kp, rows, nw - s0) sums
-    prefix[:, e] - prefix[:, s] are reduced over their outer axis, an
-    elementwise minimum of contiguous rows, straight into C; then the
-    block's leading corner below its diagonal (e <= s) is set to +inf.
-    Working memory beyond C: the (Kp, nw+1) prefix plus one block of at
-    most ``_BLOCK`` elements (one start's Kp x nw sums if wider).
-    """
-    nw = costs.shape[0]
-    prefix = _run_prefix(costs)
-    C = np.full((nw + 1, nw + 1), np.inf)
-    for s0, s1 in _row_blocks(nw, nw, prefix.shape[0]):
-        out = C[s0:s1, s0 + 1 :]
-        np.minimum.reduce(prefix[:, None, s0 + 1 :] - prefix[:, s0:s1, None], axis=0, out=out)
-        if s1 - s0 > 1:   # a single row has no entries below its diagonal
-            np.copyto(out[:, : s1 - s0], np.inf, where=np.tri(s1 - s0, k=-1, dtype=bool))
-    return C
 
 
 def segment_cost_matrix_dp(cost: CostMatrix, num_segments: int) -> tuple[list[int], list[int], float]:
     """DP over windows: returns (window cuts, per-run primitive, objective).
 
-    Each run's primitive is the cheapest one over the run (lowest index on
-    ties), from the same prefix sums the cost table reduces.
+    best_a[s], the cost of windows [s, nw) in a runs, is min_p (M[p, s+1] -
+    P[p, s]), where M[p, j] is the minimum of P[p, e] + best_{a-1}[e] over
+    e >= j: one reversed running minimum per run count.  Each run's
+    primitive is the cheapest over the run (lowest index on ties).  Working
+    memory is P, one (Kp, nw) buffer and A rows of best costs.
     """
     nw = cost.costs.shape[0]
     if num_segments < 1 or num_segments > nw:
         raise ValueError(f"{nw} windows cannot form {num_segments} runs")
-    cuts, obj = _dp_partition(run_cost_tables(cost.costs), nw, num_segments)
-    prefix = _run_prefix(cost.costs)
+    P = _run_prefix(cost.costs)
+    buf = np.empty((P.shape[0], nw))
+    best = [np.subtract(P[:, nw:], P[:, :nw], out=buf).min(axis=0)]   # best[a - 1] is best_a
+    for a in range(2, num_segments + 1):
+        hi = nw - a + 2   # the first of a runs ends at e < hi
+        M = np.add(P[:, 1:hi], best[-1][1:hi], out=buf[:, : hi - 1])
+        np.minimum.accumulate(M[:, ::-1], axis=1, out=M[:, ::-1])   # M[:, s]: minimum over e > s
+        M -= P[:, : hi - 1]
+        best.append(M.min(axis=0))
+    cuts = []
+    s = 0
+    for a in range(num_segments, 1, -1):   # each run ends at the lowest e that attains best_a[s]
+        hi = nw - a + 2
+        ends = np.add(P[:, s + 1 : hi], best[a - 2][s + 1 : hi], out=buf[:, : hi - s - 1])
+        ends -= P[:, s : s + 1]
+        s += 1 + int((ends == best[a - 1][s]).any(axis=0).argmax())
+        cuts.append(s)
     edges = [0, *cuts, nw]
-    assignments = [int((prefix[:, e] - prefix[:, s]).argmin()) for s, e in zip(edges[:-1], edges[1:])]
-    return cuts, assignments, obj
+    assignments = [int((P[:, e] - P[:, s]).argmin()) for s, e in zip(edges[:-1], edges[1:])]
+    return cuts, assignments, float(best[-1][0])
 
 
 def cluster_dp_segment(x: LatentSequence, lib: PrimitiveLibrary, num_segments: int) -> SegmentBoundaries:
@@ -485,34 +487,30 @@ def brute_force_objective(costs, num_segments: int) -> float:
 
 
 def _brute_force_span_cost(costs):
-    """Span-cost callable for enumeration, sharing the DP's arithmetic.
+    """Fold step for enumeration, sharing the DP's arithmetic: (s, e, acc)
+    gives the cost of span [s, e) followed by a suffix costing acc.
 
-    For a CostMatrix, the min over primitives is enumerated explicitly over
-    the same per-primitive prefix sums the DP reduces; for a kernel matrix,
-    the shared cost table is read directly.
+    For a CostMatrix, the step is min_p ((P[p, e] + acc) - P[p, s]) over the
+    DP's prefix sums P, the minimum taken in Python; for a kernel matrix, it
+    is C[s, e] + acc over the shared cost table.
     """
     if isinstance(costs, CostMatrix):
         n = costs.costs.shape[0]
         prefix = _run_prefix(costs.costs)
 
-        def span_cost(s, e):
-            sums = prefix[:, e] - prefix[:, s]
-            best = np.inf
-            for p in range(sums.shape[0]):
-                if sums[p] < best:
-                    best = sums[p]
-            return best
+        def span_step(s, e, acc):   # Python's min keeps the first of equal values
+            return min(((prefix[:, e] + acc) - prefix[:, s]).tolist())
 
-        return span_cost, n
+        return span_step, n
     K = np.asarray(costs, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("kernel costs must be a square matrix")
     C = kernel_cost_table(K)
-    return (lambda s, e: C[s, e]), K.shape[0]
+    return (lambda s, e, acc: C[s, e] + acc), K.shape[0]
 
 
 def _brute_force_solve(costs, num_segments: int):
-    span_cost, n = _brute_force_span_cost(costs)
+    span_step, n = _brute_force_span_cost(costs)
     if n > BRUTE_FORCE_MAX_N or num_segments > BRUTE_FORCE_MAX_A:
         raise ValueError(
             f"instance too large for enumeration (n={n} > {BRUTE_FORCE_MAX_N} "
@@ -520,9 +518,7 @@ def _brute_force_solve(costs, num_segments: int):
         )
     if num_segments < 1 or num_segments > n:
         raise ValueError(f"cannot split {n} items into {num_segments} segments")
-    if num_segments == 1:
-        return [], float(span_cost(0, n)), n
-    cuts, obj = _brute_force_partition(span_cost, n, num_segments)
+    cuts, obj = _brute_force_partition(span_step, n, num_segments)
     return cuts, obj, n
 
 

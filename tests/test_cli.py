@@ -164,6 +164,16 @@ class TestSegmentCommand:
                                     "--library", str(out / "library.json"), *flags], out)
         assert error == message
 
+    def test_cluster_cost_overflow_is_a_json_error(self, synth_dir, tmp_path, capsys, recwarn):
+        """Each window's cost to a far center is finite, but a sequence's
+        total is not: the first record is named and nothing is written."""
+        lib = tmp_path / "lib.json"
+        lib.write_text(json.dumps({"centers": [[5e153] * 3], "window_size": 1, "stride": 1}))
+        error = _one_error(capsys, ["segment", "--data", str(synth_dir), "--method", "cluster",
+                                    "--library", str(lib)], tmp_path / "seg")
+        assert error == "sample_0000: a primitive's total cost is beyond the float64 limit of 1.79769e+308"
+        assert [str(w.message) for w in recwarn] == []
+
     def test_cluster_requires_library(self, synth_dir, tmp_path, capsys):
         assert main(["segment", "--data", str(synth_dir), "--method", "cluster",
                      "--out", str(tmp_path / "s"), "--quiet"]) == 1

@@ -28,7 +28,6 @@ from segalign.segmentation import (
     kernel_span_cost,
     library_from_json,
     library_to_json,
-    run_cost_tables,
     seg_error_corpus,
     segment_cost_matrix_dp,
     uniform_segment,
@@ -99,8 +98,10 @@ def reference_kernel_cost_table(K):
 
 
 def reference_run_cost_tables(costs):
-    """Per-start loop reducing over the short primitive axis; test-only
-    reference for run_cost_tables, which reduces over the transposed prefix."""
+    """C[s, e]: the cost of windows [s, e) under their cheapest primitive,
+    +inf where e <= s.  The span table the clustering DP does without; test
+    input for _dp_partition, and with reference_dp the table DP that
+    segment_cost_matrix_dp replaces."""
     nw = costs.shape[0]
     prefix = np.vstack([np.zeros(costs.shape[1]), np.cumsum(costs, axis=0)])
     C = np.full((nw + 1, nw + 1), np.inf)
@@ -117,7 +118,7 @@ def random_cost_table(rng, n, kind, ties):
         return kernel_cost_table(gaussian_kernel_matrix(x.astype(np.float64)))
     kp = int(rng.integers(1, 5))
     costs = rng.integers(0, 3, size=(n, kp)) if ties else rng.uniform(0.0, 5.0, size=(n, kp))
-    return run_cost_tables(costs.astype(np.float64))
+    return reference_run_cost_tables(costs.astype(np.float64))
 
 
 # 1 gives single-row blocks; 97 gives blocks of a few rows once a row is
@@ -418,6 +419,51 @@ class TestClusterDp:
             assert SegmentBoundaries.from_cuts(n, cuts) == brute_force_segment(cost, a)
             assert obj == brute_force_objective(cost, a)
 
+    @pytest.mark.parametrize("kind", ["integer", "zero", "one-primitive"])
+    def test_matches_oracle_on_ties(self, kind, monkeypatch):
+        """Costs in {0, 1, 2}, all zero, or one primitive, so many partitions
+        share the optimum: every run count from 1 to nw, nw <= 11."""
+        monkeypatch.setattr(segmentation, "BRUTE_FORCE_MAX_A", 11)
+        rng = np.random.default_rng(("integer", "zero", "one-primitive").index(kind) + 40)
+        for trial in range(25):
+            nw = 11 if trial == 0 else int(rng.integers(1, 10))
+            kp = 1 if kind == "one-primitive" else int(rng.integers(1, 5))
+            costs = np.zeros((nw, kp)) if kind == "zero" else rng.integers(0, 3, size=(nw, kp)).astype(np.float64)
+            cost = CostMatrix(costs=costs)
+            for a in range(1, nw + 1):
+                cuts, _, obj = segment_cost_matrix_dp(cost, a)
+                assert SegmentBoundaries.from_cuts(nw, cuts) == brute_force_segment(cost, a), (trial, a)
+                assert obj == brute_force_objective(cost, a), (trial, a)
+
+    def test_adjacent_runs_sharing_a_primitive_end_lowest(self):
+        # windows 0-3 fit primitive 0 and 4-5 primitive 1; a third run must
+        # split the first block, and every split costs 0: the lowest end wins
+        costs = np.array([[0.0, 9.0]] * 4 + [[9.0, 0.0]] * 2)
+        cost = CostMatrix(costs=costs)
+        assert segment_cost_matrix_dp(cost, 3) == ([1, 4], [0, 0, 1], 0.0)
+        assert brute_force_segment(cost, 3).cuts == (1, 4)
+
+    def test_matches_table_dp_on_integer_costs(self):
+        """Beyond the oracle's sizes: small integer sums are exact in either
+        association, so the DP over the (nw+1)^2 table of cheapest-primitive
+        run costs gives the same cuts and objective."""
+        rng = np.random.default_rng(14)
+        for trial in range(200):
+            nw = table_size(rng, trial)
+            costs = random_run_costs(rng, nw, 1 + trial % 2)
+            a = int(rng.integers(1, min(7, nw) + 1))
+            cuts, assigns, obj = segment_cost_matrix_dp(CostMatrix(costs=costs), a)
+            assert (cuts, obj) == _dp_partition(reference_run_cost_tables(costs), nw, a), trial
+            edges = [0, *cuts, nw]
+            sums = [costs[s:e].sum(axis=0) for s, e in zip(edges[:-1], edges[1:])]
+            assert assigns == [int(run.argmin()) for run in sums]
+
+    def test_overflowing_total_is_refused(self):
+        cost = CostMatrix(costs=np.full((6, 2), 1e308))
+        for solve in (segment_cost_matrix_dp, brute_force_segment):
+            with pytest.raises(ValueError, match="total cost is beyond the float64 limit of 1.79769e"):
+                solve(cost, 3)
+
     def test_library_fit_and_segment(self):
         rng = np.random.default_rng(6)
         corpus = []
@@ -450,24 +496,6 @@ class TestClusterDp:
         back = library_from_json(library_to_json(lib))
         np.testing.assert_array_equal(back.centers, lib.centers)
         assert (back.window_size, back.stride) == (2, 1)
-
-
-class TestRunCostTables:
-    def test_matches_reference_loop(self, block):
-        rng = np.random.default_rng(14)
-        shapes = [(1, 1), (1, 5), (7, 1), (2, 32), (30, 64)]
-        shapes += [(int(rng.integers(1, 120)), int(rng.integers(1, 33))) for _ in range(60)]
-        for i, (nw, kp) in enumerate(shapes):
-            if i % 2:
-                costs = rng.integers(0, 3, size=(nw, kp)).astype(np.float64)
-            else:
-                costs = rng.uniform(0.0, 5.0, size=(nw, kp))
-            C = run_cost_tables(costs)
-            assert C.shape == (nw + 1, nw + 1)
-            assert C.tobytes() == reference_run_cost_tables(costs).tobytes(), (nw, kp)
-        for trial in range(1000):
-            costs = random_run_costs(rng, table_size(rng, trial), trial % 3)
-            assert run_cost_tables(costs).tobytes() == reference_run_cost_tables(costs).tobytes(), trial
 
 
 class TestDpPartition:
@@ -504,12 +532,12 @@ class TestDpPartition:
 
 class TestRowBlocks:
     def test_blocks_cover_the_rows_within_the_budget(self, block):
-        for rows, width, depth in [(1, 1, 1), (7, 8, 1), (450, 450, 1), (447, 447, 16), (30, 40, 3)]:
-            edges = list(_row_blocks(rows, width, depth))
+        for rows, width in [(1, 1), (7, 8), (450, 450), (30, 40)]:
+            edges = list(_row_blocks(rows, width))
             assert edges[0][0] == 0 and edges[-1][1] == rows
             assert all(s1 == t0 for (_, s1), (t0, _) in zip(edges, edges[1:]))
             for s0, s1 in edges:
-                assert s1 - s0 == 1 or (s1 - s0) * (width - s0) * depth <= block
+                assert s1 - s0 == 1 or (s1 - s0) * (width - s0) <= block
 
 
 def traced_peak(fn, *args):
@@ -530,16 +558,13 @@ class TestWorkingMemory:
         C[np.triu_indices(n + 1, k=1)] = rng.uniform(size=n * (n + 1) // 2)
         assert traced_peak(_dp_partition, C, n, 5) < 1 << 20
 
-    @pytest.mark.parametrize("nw", [100, 1024])
-    def test_run_cost_tables_needs_its_table_prefix_and_one_block(self, nw):
-        kp = 64
-        costs = np.random.default_rng(25).uniform(size=(nw, kp))
-        table = (nw + 1) ** 2 * 8
-        prefix = kp * (nw + 1) * 8
-        block = 8 * max(segmentation._BLOCK, kp * nw)
-        # the broadcast subtraction runs through NumPy's two input buffers
-        buffers = 2 * 8 * np.getbufsize()
-        assert traced_peak(run_cost_tables, costs) <= table + prefix + block + buffers + (16 << 10)
+    def test_segment_cost_matrix_dp_needs_no_span_table(self):
+        """The prefix and one (Kp, nw) buffer, 4.9 MiB at nw = 5,000, plus the
+        A best-cost rows and one boolean (Kp, nw) mask: under 8 MiB, where
+        an (nw+1)^2 table alone was 200 MB."""
+        nw, kp = 5000, 64
+        cost = CostMatrix(costs=np.random.default_rng(25).uniform(size=(nw, kp)))
+        assert traced_peak(segment_cost_matrix_dp, cost, 5) < 8 << 20
 
     def test_kernel_cpd_segment_needs_two_tables(self):
         """The cost table is built over the kernel matrix, so K, P and C
