@@ -159,48 +159,73 @@ def dequantize(t: TokenSequence, stack: CodebookStack) -> LatentSequence:
     return LatentSequence(vectors=out)
 
 
+def _seed_lower_bound(data: np.ndarray, data_sq: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per-row lower bound on ``np.square(data - c).sum(axis=1)``; :func:`kmeans` proves it."""
+    d = c.size
+    return (data_sq + c @ c) * (1.0 - (d + 2) * 1e-12) - (d + 3) * 2.0**-1022 - data @ (c + c)
+
+
+def _seed_draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    """``rng.choice(len(p), p=p)`` by the steps it takes after validating p."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(), side="right")
+
+
 def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
     """Seeded k-means with k-means++ init and at most ``iters`` iterations.
 
     Each iteration assigns every point to its nearest center by
-    :func:`sqdist` (exact ties to the lowest index), then moves each center
-    to the mean of its points, summed in row order per cluster; memory is
-    one O(n*k) distance buffer, allocated once per run, and the squared row
-    norms of ``data`` are computed once per run.  Every cluster left
-    empty is reseeded to the single point farthest from its assigned center
-    under the pre-update distances, so the result is deterministic for a
-    fixed seed.
+    :func:`sqdist` (exact ties to the lowest index), then moves each center to
+    the mean of its points, summed in row order per cluster.  Every cluster
+    left empty is reseeded to the single point farthest from its assigned
+    center under the pre-update distances, so the result is deterministic for
+    a fixed seed.  Memory is O(n) plus one draw's gathered rows (all n for the
+    first center) in seeding, then one O(n*k) distance buffer.
 
     It stops at the fixed point, which gives the same centers: once an
     assignment repeats the previous one with no cluster empty, the centers
     were already computed from it without a reseed, and every further
     iteration would recompute the same means by the same arithmetic.
+
+    Seeding keeps each row's squared distance d2 to its nearest center in the
+    difference form ``np.square(x - c).sum()``, but measures only the rows
+    whose bound L = (|x|^2 + |c|^2)(1 - r) - t - 2x.c, r = (d + 2)1e-12,
+    t = (d + 3)2^-1022, is not >= d2 for the newest center c; elsewhere
+    ``minimum`` would keep d2, and a gathered row sums as in a full pass, so
+    no bit changes.  Proof: for A = |x|^2 + |c|^2 and u = 2^-53, both forms
+    lie within 2(d + 2)uA of the exact distance (<= 2A) plus < 2d underflows
+    of 2^-1075; rA tops 10^3 times their gap (and L's rounding), t the
+    underflows.  A row with |x|^2 > max / 8 could overflow, so it stops pruning.
     """
     data = np.asarray(data, dtype=np.float64)
     n, d = data.shape
     if not 1 <= k <= n:
         raise ValueError(f"k-means needs 1 <= k <= {n}, the number of points, got k={k}")
+    if not np.isfinite(data).all():
+        raise ValueError("k-means input contains non-finite values")
     rng = np.random.default_rng(seed)
+    data_sq = (data * data).sum(axis=1)
+    prune = data_sq.max() <= np.finfo(np.float64).max / 8
 
     # k-means++ initialization
     centers = np.empty((k, d))
-    centers[0] = data[rng.integers(n)]
-    diff = np.empty_like(data)    # (data - c) ** 2, one buffer for every center
-    d2 = np.square(np.subtract(data, centers[0], out=diff), out=diff).sum(axis=1)
+    c = centers[0] = data[rng.integers(n)]
+    d2 = np.full(n, np.inf)   # so the first center measures every row
     for j in range(1, k):
+        near = np.flatnonzero(~(_seed_lower_bound(data, data_sq, c) >= d2)) if prune else np.arange(n)
+        diff = data[near]
+        diff -= c
+        d2[near] = np.minimum(d2[near], np.square(diff, out=diff).sum(axis=1))
+        del diff
         total = d2.sum()
-        if total <= 0:
-            centers[j] = data[rng.integers(n)]
-        else:
-            centers[j] = data[rng.choice(n, p=d2 / total)]
-        np.square(np.subtract(data, centers[j], out=diff), out=diff)
-        np.minimum(d2, diff.sum(axis=1), out=d2)
-    del diff   # freed before the (n, k) distance buffer is allocated
+        if not total < np.inf:
+            raise ValueError("k-means++ distance total is not finite")
+        c = centers[j] = data[rng.integers(n) if total <= 0 else _seed_draw(rng, d2 / total)]
 
     bins = np.arange(d)
     prev = None
     dist = np.empty((n, k))
-    data_sq = (data * data).sum(axis=1)
     for _ in range(iters):
         sqdist(data, centers, out=dist, a_sq=data_sq)
         assign = np.argmin(dist, axis=1)

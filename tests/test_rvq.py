@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segalign import rvq
-from segalign.motion import LatentSequence
+from segalign.motion import LatentSequence, SyntheticSpec, project_latent, synth_motion
 from segalign.rvq import (
     Codebook,
     CodebookStack,
@@ -20,6 +20,7 @@ from segalign.rvq import (
     train_codebooks,
     truncate_stack,
 )
+from segalign.segmentation import extract_windows
 
 EPS = np.finfo(np.float64).eps
 
@@ -348,6 +349,129 @@ class TestKmeansFixedPoint:
         assign = np.argmin(sqdist(data, centers), axis=1)
         means = np.stack([data[assign == j].mean(axis=0) for j in range(16)])
         np.testing.assert_allclose(means, centers, rtol=0, atol=1e-12)
+
+
+def synth_latents(seed, samples=60, segments=3, tokens=8, dim=16):
+    """Per-sample latents shaped as ``synth`` makes them by default: regimes
+    with N(0, 3^2) means, each held for ``tokens`` latents of 4 frames with
+    N(0, 0.3^2) frame noise, block-averaged by ``project_latent``."""
+    rng = np.random.default_rng(seed)
+    return [
+        project_latent(synth_motion(SyntheticSpec(
+            frames_per_regime=[4 * tokens] * segments,
+            regime_means=[rng.normal(0.0, 3.0, size=dim) for _ in range(segments)],
+            noise_std=0.3,
+            seed=1000 * seed + i,
+        ))[0]).vectors
+        for i in range(samples)
+    ]
+
+
+def lattice_with_duplicates():
+    rows = np.random.default_rng(4).integers(-2, 3, size=(40, 3)).astype(np.float64)
+    return np.vstack([rows, rows[:25]])
+
+
+# (data, k) where skipping rows by the seeding bound could go wrong
+PRUNE_CASES = {
+    "quantize-shape": (lambda: np.vstack(synth_latents(7)), 64),
+    "library-shape": (lambda: np.vstack([extract_windows(s, 4, 1) for s in synth_latents(7)]), 32),
+    "near-1e150": (lambda: np.random.default_rng(1).normal(size=(300, 8)) * 1e150, 24),
+    "near-1e-160": (lambda: np.random.default_rng(2).normal(size=(300, 8)) * 1e-160, 24),
+    "offset-dominated": (lambda: 1e8 + np.random.default_rng(3).normal(0.0, 1e-3, size=(300, 8)), 24),
+    "lattice-duplicates": (lattice_with_duplicates, 20),
+    "all-equal": (lambda: np.full((30, 4), 2.5), 6),
+    "d-1": (lambda: np.random.default_rng(5).normal(size=(400, 1)), 32),
+    "k-equals-n": (lambda: np.random.default_rng(6).normal(size=(40, 5)), 40),
+}
+
+
+class TestKmeansSeedingPrune:
+    @pytest.mark.parametrize("case", PRUNE_CASES)
+    def test_same_bits_as_measuring_every_row(self, case):
+        make, k = PRUNE_CASES[case]
+        data = make()
+        for seed in range(2):
+            got = kmeans(data, k, seed=seed)
+            want = reference_kmeans_norms_per_iteration(data, k, seed=seed)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_first_layer_residual_same_bits(self):
+        data = np.vstack(synth_latents(3))
+        centers = kmeans(data, 64, seed=0)
+        residual = data - centers[_nearest(centers, data)]
+        got = kmeans(residual, 64, seed=1)
+        want = reference_kmeans_norms_per_iteration(residual, 64, seed=1)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_rows_whose_squared_norm_overflows_turn_pruning_off(self):
+        # the first row's squared norm overflows, so the bound's terms can:
+        # for the second row as center the first row's bound reads inf, while
+        # its difference form (1.04e308) is finite and may be below its d2
+        data = np.array([[1e154, 1e154], [0.8e154, 0.0], [0.1e154, -0.2e154], [0.5e154, 0.3e154]])
+        for seed in range(20):
+            for k in (3, 4):
+                outcomes = []
+                for fit in (kmeans, reference_kmeans_norms_per_iteration):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        try:
+                            outcomes.append(fit(data, k, seed=seed).tobytes())
+                        except ValueError:
+                            outcomes.append("refused")
+                assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("d", [1, 2, 16, 64, 256])
+    def test_lower_bound_never_exceeds_difference_form(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(200):   # 200 centers x 100 rows per d
+            scale = 10.0 ** rng.uniform(-160, 150)
+            c = rng.normal(size=d) * scale
+            # rows at every distance from c, down to c itself, where the norm
+            # form cancels; a few at other scales and one at -c
+            x = c + rng.normal(size=(100, d)) * scale * 10.0 ** rng.uniform(-17, 1, size=(100, 1))
+            x[:10] = rng.normal(size=(10, d)) * 10.0 ** rng.uniform(-160, 150, size=(10, 1))
+            x[10], x[11] = c, -c
+            x_sq = (x * x).sum(axis=1)
+            bound = rvq._seed_lower_bound(x, x_sq, c)
+            exact = np.square(x - c).sum(axis=1)
+            assert np.all(bound <= exact)
+            # and the bound is tight: it falls short by about its margin
+            slack = 2 * (d + 2) * 1e-12 * (x_sq + c @ c) + (d + 3) * 2.0**-1021
+            assert np.all(bound >= exact - slack)
+
+    def test_draw_equals_choice(self):
+        rng = np.random.default_rng(11)
+        for s in range(1000):
+            n = int(rng.integers(1, 200))
+            w = rng.random(n) * 10.0 ** rng.uniform(-300, 300)
+            if s % 3 == 0:
+                w[rng.random(n) < 0.6] = 0.0
+            if s % 100 == 1 or not w.any():
+                w[:] = 0.0
+                w[rng.integers(n)] = 1.0
+            p = w / w.sum()
+            mine, theirs = np.random.default_rng(s), np.random.default_rng(s)
+            assert rvq._seed_draw(mine, p) == theirs.choice(n, p=p)
+            assert mine.random() == theirs.random()   # the same state afterwards
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_non_finite_input_is_refused(self, value, k):
+        data = np.random.default_rng(0).normal(size=(20, 3))
+        data[7, 1] = value
+        with pytest.raises(ValueError, match="^k-means input contains non-finite values$"):
+            kmeans(data, k, seed=0)
+
+    @pytest.mark.parametrize("data", [
+        np.repeat([[0.0], [1e154]], 10, axis=0),   # each distance finite, their sum not
+        np.repeat([[-4e153], [4e153]], 5, axis=0),   # the same with every |x|^2 low enough to prune
+        np.random.default_rng(9).normal(size=(20, 2)) * 1e154,
+    ], ids=["sum-overflows", "sum-overflows-pruned", "distances-overflow"])
+    def test_overflowing_total_is_refused(self, data):
+        for seed in range(4):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="^k-means\\+\\+ distance total is not finite$"):
+                    kmeans(data, 3, seed=seed)
 
 
 class TestTrainCodebooks:
