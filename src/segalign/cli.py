@@ -262,23 +262,29 @@ def cmd_segment(args) -> int:
                         f"{args.library}: {flag} {given} disagrees with the library's {field} {getattr(lib, field)}"
                     )
 
-    boundaries = {}
-    pairs = []
+    segment = {
+        "uniform": lambda xs, a: [segmentation.uniform_segment(x.length, a) for x in xs],
+        "cpd": lambda xs, a: segmentation.kernel_cpd_stack(xs, a, bandwidth=args.bandwidth),
+        "cluster": lambda xs, a: segmentation.cluster_dp_stack(xs, lib, a),
+    }[args.method]
+    # records of one token count and segment count are segmented together
+    groups = {}
     for r in records:
-        x = latents[r.id]
-        a = len(r.text_segments)
-        try:
-            if args.method == "uniform":
-                b = segmentation.uniform_segment(x.length, a)
-            elif args.method == "cpd":
-                b = segmentation.kernel_cpd_segment(x, a, bandwidth=args.bandwidth)
-            else:
-                b = segmentation.cluster_dp_segment(x, lib, a)
-        except ValueError as exc:
-            raise CliError(f"{r.id}: {exc}") from None
-        boundaries[r.id] = segmentation.boundaries_to_json(b)
-        if r.id in truth:
-            pairs.append((b, truth[r.id]))
+        groups.setdefault((latents[r.id].length, len(r.text_segments)), []).append(r.id)
+    found = {}
+    try:
+        for (_, a), ids in groups.items():
+            found.update(zip(ids, segment([latents[i] for i in ids], a)))
+    except (ValueError, FloatingPointError):
+        # a refusal names the first refused record: each alone, in record order
+        for r in records:
+            try:
+                segment([latents[r.id]], len(r.text_segments))
+            except ValueError as exc:
+                raise CliError(f"{r.id}: {exc}") from None
+        raise
+    boundaries = {r.id: segmentation.boundaries_to_json(found[r.id]) for r in records}
+    pairs = [(found[r.id], truth[r.id]) for r in records if r.id in truth]
 
     # written only once every record is segmented, so a refusal writes nothing
     if lib is not None and args.fit_library:
@@ -299,7 +305,7 @@ def cmd_quantize(args) -> int:
     _keep_freed_memory()
     records, latents = _load_corpus(args.data)
     stacked = np.vstack([v.vectors for v in latents.values()])
-    stack = rvq.train_codebooks(
+    stack, tokens = rvq.train_and_tokenize(
         stacked,
         layers=args.layers,
         codes_per_layer=args.codes,
@@ -307,9 +313,9 @@ def cmd_quantize(args) -> int:
         iters=args.iters,
     )
     _write_atomic(os.path.join(args.out, "stack.json"), json.dumps(rvq.stack_to_json(stack), sort_keys=True) + "\n")
-    # one pass over the corpus: quantize treats every row on its own, so the
-    # stacked rows get the bits each sequence would get alone
-    tokens, quantized = rvq.quantize(motion.LatentSequence(vectors=stacked), stack)
+    # the training rows' tokens are what quantize gives each sequence alone,
+    # row by row, and dequantize sums their codes as quantize does
+    quantized = rvq.dequantize(tokens, stack)
     ends = np.cumsum([v.length for v in latents.values()]).tolist()
     rows = {rid: slice(end - v.length, end) for (rid, v), end in zip(latents.items(), ends)}
     lines = [

@@ -172,8 +172,13 @@ def _seed_draw(rng: np.random.Generator, p: np.ndarray) -> int:
     return cdf.searchsorted(rng.random(), side="right")
 
 
-def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
+def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> tuple[np.ndarray, np.ndarray | None]:
     """Seeded k-means with k-means++ init and at most ``iters`` iterations.
+
+    Returns (centers, assignment).  At a fixed point the assignment is the
+    last iteration's, the index of each row's nearest center, which equals
+    ``_nearest(centers, data)`` bit for bit (the same :func:`sqdist` of the
+    same arrays); a run that stops at ``iters`` returns None in its place.
 
     Each iteration assigns every point to its nearest center by
     :func:`sqdist` (exact ties to the lowest index), then moves each center to
@@ -232,7 +237,7 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
         counts = np.bincount(assign, minlength=k)
         filled = counts > 0
         if filled.all() and prev is not None and np.array_equal(assign, prev):
-            break
+            return centers, assign
         prev = assign
         # bin (cluster, dim) receives its points in row order, as np.add.at would
         sums = np.bincount(
@@ -241,7 +246,7 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> np.ndarray:
         centers[filled] = sums[filled] / counts[filled, None]
         if not filled.all():
             centers[~filled] = data[np.argmax(dist.min(axis=1))]
-    return centers
+    return centers, None
 
 
 def train_codebooks(
@@ -253,17 +258,37 @@ def train_codebooks(
 ) -> CodebookStack:
     """Layer-wise k-means on the (n, d) rows of ``data``: layer 0 fits the
     data, layer j fits what layers < j leave behind."""
+    return train_and_tokenize(data, layers, codes_per_layer, seed, iters)[0]
+
+
+def train_and_tokenize(
+    data: np.ndarray,
+    layers: int = DEFAULT_RESIDUAL_LAYERS + 1,
+    codes_per_layer: int = DEFAULT_CODES_PER_LAYER,
+    seed: int = 0,
+    iters: int = 25,
+) -> tuple[CodebookStack, TokenSequence]:
+    """:func:`train_codebooks`, with the tokens of ``data``'s rows.
+
+    Each layer's tokens are the nearest codes to the residual it fitted:
+    its k-means assignment at a fixed point, else one ``_nearest`` pass.
+    So the tokens, and each residual, are those :func:`quantize` gives the
+    rows, bit for bit.
+    """
     residual = np.array(data, dtype=np.float64)
     if residual.shape[0] < codes_per_layer:
         raise ValueError(f"insufficient data: {residual.shape[0]} vectors for K={codes_per_layer}")
     books = []
+    rows = []
     for j in range(layers):
-        centers = kmeans(residual, codes_per_layer, seed=seed + j, iters=iters)
+        centers, idx = kmeans(residual, codes_per_layer, seed=seed + j, iters=iters)
         book = Codebook(entries=centers)
-        idx = _nearest(book.entries, residual)
+        if idx is None:
+            idx = _nearest(book.entries, residual)
         residual = residual - book.entries[idx]
         books.append(book)
-    return CodebookStack(books=tuple(books))
+        rows.append(idx)
+    return CodebookStack(books=tuple(books)), TokenSequence(layers=np.stack(rows))
 
 
 def reconstruction_error(data: np.ndarray, stack: CodebookStack) -> float:

@@ -13,6 +13,7 @@ and comparable against the exhaustive oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +91,15 @@ class PrimitiveLibrary:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Window-to-primitive cost matrix, Nw rows x Kp columns."""
+    """Window-to-primitive cost matrix, Nw rows x Kp columns, or a stack
+    (B, Nw, Kp) of such matrices for B sequences of one length."""
 
     costs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.costs, dtype=np.float64)
-        if c.ndim != 2:
-            raise ValueError("cost matrix must be 2-D")
+        if c.ndim not in (2, 3):
+            raise ValueError("cost matrix must be 2-D, or 3-D for a stack")
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite cost entry")
         object.__setattr__(self, "costs", c)
@@ -140,58 +142,73 @@ def uniform_segment(n: int, num_segments: int) -> SegmentBoundaries:
 # diagonal.  _BLOCK is 2^13 float64 values, 64 KiB: in a sweep of 2^12 to
 # 2^16 on the corpus benchmarks, larger blocks ran at most about 6% faster
 # and raised the peak RSS by 0.4 to 2 MB, smaller ones ran slower.
+#
+# Sequences of one length are segmented as a stack: every array from the
+# kernel matrix on, and each DP step, carries a leading stack axis, so a
+# corpus of short sequences costs a few numpy calls per stack rather than
+# per sequence.  Each element sees the same float operations as alone, so a
+# stack member gets the bits it gets alone.  Only BLAS products stay one per
+# sequence: a product over several sequences' rows may round differently.
+# A stack holds as many sequences as fit one _BLOCK with their tables, (n+1)^2
+# elements each for kernel CPD and Kp (nw+1) for clustering, or one sequence
+# if its tables alone are larger; then the row blocks split its tables.
 
 _BLOCK = 1 << 13
 
 
-def _row_blocks(rows: int, width: int):
-    """Consecutive (s0, s1) blocks covering range(rows <= width) for a table
-    whose row s is needed from column s0 to ``width``: a block's temporary of
-    (s1 - s0, width - s0) cells holds at most ``_BLOCK`` elements, or is a
-    single row.  Blocks grow as rows shorten."""
+def _row_blocks(rows: int, width: int, stack: int):
+    """Consecutive (s0, s1) blocks covering range(rows <= width) for
+    ``stack`` tables whose row s is needed from column s0 to ``width``: a
+    block's temporary of (stack, s1 - s0, width - s0) cells holds at most
+    ``_BLOCK`` elements, or is a single row of each table.  Blocks grow as
+    rows shorten."""
     s0 = 0
     while s0 < rows:
-        s1 = min(rows, s0 + max(1, _BLOCK // (width - s0)))
+        s1 = min(rows, s0 + max(1, _BLOCK // (stack * (width - s0))))
         yield s0, s1
         s0 = s1
 
 
-def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list[int], float]:
+def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list, float | list]:
     """Minimize sum of span costs over contiguous partitions into A spans.
 
     ``C`` is the (n+1, n+1) span-cost table described above.  Returns
     (interior cuts, objective).  Among optimal partitions, the
-    lexicographically smallest cut sequence is returned.
+    lexicographically smallest cut sequence is returned.  A stack of B
+    tables, (B, n+1, n+1), is solved in one pass with a leading stack axis
+    and gives a list of B cut lists and a list of B objectives, each the
+    bits its table gives alone.
 
     Each step takes the candidates of one block of starts at a time.  The
     block's columns e <= s0 hold +inf for all its rows, so they are left
     out: the picks are those of a scan over every end whenever C is finite
     above its diagonal and no candidate sum overflows.  Working memory
-    beyond C: O(n * A) for the best costs and picks, plus one block of at
-    most ``_BLOCK`` elements (one row if wider).
+    beyond C: O(B * n * A) for the best costs and picks, plus one block of
+    at most ``_BLOCK`` elements (one row of each table if wider).
     """
     A = num_segments
-    # best[s]: cost of splitting [s, n) into the current number of spans
-    best = C[:n, n]
+    one = C.ndim == 2
+    if one:
+        C = C[None]
+    member = np.arange(C.shape[0])[:, None]
+    # best[b, s]: cost of splitting [s, n) into the current number of spans
+    best = C[:, :n, n]
     choices = []
     for a in range(2, A + 1):
         # a spans over [s, n) need s <= n - a; the first span ends at e <= n-a+1
         rows, hi = n - a + 1, n - a + 2
-        pick = np.empty(rows, dtype=np.intp)
-        step_best = np.empty(rows)
-        for s0, s1 in _row_blocks(rows, hi):
-            cand = C[s0:s1, s0 + 1 : hi] + best[s0 + 1 : hi]
-            p = cand.argmin(axis=1)
-            step_best[s0:s1] = cand[np.arange(s1 - s0), p]
-            pick[s0:s1] = p + (s0 + 1)
-        best = step_best
+        pick = np.empty((C.shape[0], rows), dtype=np.intp)
+        for s0, s1 in _row_blocks(rows, hi, C.shape[0]):
+            cand = C[:, s0:s1, s0 + 1 : hi] + best[:, None, s0 + 1 : hi]
+            np.add(cand.argmin(axis=2), s0 + 1, out=pick[:, s0:s1])
+        # the picked candidates, added again: the same sum of the same terms
+        best = C[member, np.arange(rows), pick] + best[member, pick]
         choices.append(pick)
-    cuts = []
-    s = 0
-    for pick in reversed(choices):
-        s = int(pick[s])
-        cuts.append(s)
-    return cuts, float(best[0])
+    cuts = np.zeros((C.shape[0], A), dtype=np.intp)   # column 0: every partition starts at 0
+    for i, pick in enumerate(reversed(choices), 1):
+        cuts[:, i] = pick[member[:, 0], cuts[:, i - 1]]
+    cuts, objective = cuts[:, 1:].tolist(), best[:, 0].tolist()
+    return (cuts[0], objective[0]) if one else (cuts, objective)
 
 
 def _enumerate_partitions(n: int, num_segments: int):
@@ -224,6 +241,11 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median", out: np.ndarray | 
     array or view that receives the kernel and is returned; every step after
     :func:`sqdist` works in place in it, so the values are the same bits.
 
+    ``x`` may be a stack (B, n, d) of sequences of one length; ``out`` is
+    then (B, n, n).  The distances are one :func:`sqdist` per sequence, and
+    every later step runs once over the stack, each sequence with its own
+    median: every kernel is the bits it gets alone.
+
     The median is found by selection, not by sorting: one ``np.partition``
     picks the one or two middle squared distances of the upper triangle
     (the lower of two is the largest value left of the upper), and sigma
@@ -239,16 +261,23 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median", out: np.ndarray | 
     if not np.all(np.isfinite(x)):
         raise ValueError("kernel input contains non-finite values")
     sigma = fixed_bandwidth(bandwidth)
-    sq = sqdist(x, x, out=out)
-    np.fill_diagonal(sq, 0.0)
-    if sigma is None:   # the median over the upper triangle, or 1 if it is 0 or there is none
-        n = x.shape[0]
-        sigma = (_median_distance(sq[~np.tri(n, dtype=bool)]) if n > 1 else 0.0) or 1.0
+    n = x.shape[-2]
+    sq = np.empty(x.shape[:-1] + (n,)) if out is None else out
+    for xb, sb in zip(x.reshape(-1, n, x.shape[-1]), sq.reshape(-1, n, n)):
+        sqdist(xb, xb, out=sb)
+    diag = np.arange(n)
+    sq[..., diag, diag] = 0.0
+    if sigma is None:   # the median over each upper triangle, or 1 if it is 0 or there is none
+        # a mask of the full shape selects without index arrays, row after row
+        upper = np.broadcast_to(~np.tri(n, dtype=bool), sq.shape)
+        sigma = _median_distance(sq[upper].reshape(sq.shape[:-2] + (-1,))) if n > 1 else np.zeros(sq.shape[:-2])
+        sigma = np.where(sigma == 0.0, 1.0, sigma)
+    scale = np.asarray(2.0 * sigma * sigma)
     np.negative(sq, out=sq)
     # a tiny bandwidth overflows the quotient to -inf, and exp(-inf) = 0 is
     # the kernel value; every finite quotient keeps its bits
     with np.errstate(over="ignore"):
-        sq /= 2.0 * sigma * sigma
+        sq /= scale[..., None, None]
     return np.exp(sq, out=sq)
 
 
@@ -265,16 +294,18 @@ def fixed_bandwidth(bandwidth) -> float | None:
     return sigma
 
 
-def _median_distance(v: np.ndarray) -> float:
-    """``np.median(np.sqrt(v))`` of squared distances ``v``, by selection.
+def _median_distance(v: np.ndarray) -> np.ndarray:
+    """``np.median(np.sqrt(v), axis=-1)`` of squared distances ``v``, by
+    selection along the last axis.
 
     Partitions ``v`` in place.
     """
-    h = v.size // 2
-    v.partition(h)
-    if v.size % 2:
-        return float(np.sqrt(v[h]))
-    return float((np.sqrt(v[:h].max()) + np.sqrt(v[h])) / 2.0)
+    m = v.shape[-1]
+    h = m // 2
+    v.partition(h, axis=-1)
+    if m % 2:
+        return np.sqrt(v[..., h])
+    return (np.sqrt(v[..., :h].max(axis=-1)) + np.sqrt(v[..., h])) / 2.0
 
 
 def kernel_span_cost(K: np.ndarray, s: int, e: int) -> float:
@@ -310,38 +341,44 @@ def kernel_cost_table(K: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     plus a few (rows, n - s0) temporaries of at most ``_BLOCK`` elements
     each (one row if n is larger): with ``out`` over K, two n^2 tables in
     all, about 1.6 GB at n = 10,000.
+
+    K may be a stack (B, n, n), and ``out`` then (B, n+1, n+1): every step
+    runs once over the stack, with blocks of rows of all B tables within
+    ``_BLOCK``, and each table is the bits it gets alone.
     """
-    n = K.shape[0]
-    C = np.empty((n + 1, n + 1)) if out is None else out
-    if C.shape != (n + 1, n + 1) or C.dtype != np.float64:
-        raise ValueError(f"out must be a ({n + 1}, {n + 1}) float64 array, got {C.shape} {C.dtype}")
+    n = K.shape[-1]
+    shape = K.shape[:-2] + (n + 1, n + 1)
+    C = np.empty(shape) if out is None else out
+    if C.shape != shape or C.dtype != np.float64:
+        raise ValueError(f"out must be a {shape} float64 array, got {C.shape} {C.dtype}")
     if np.may_share_memory(C, K) and (K.ctypes.data, K.strides) != (C.ctypes.data, C.strides):
         raise ValueError("out may share memory with K only as out[:n, :n]")
-    diag = np.diag(K).copy()   # a view of K, which C overwrites
-    diag_cum = np.concatenate([[0.0], np.cumsum(diag)])
-    P = np.cumsum(K, axis=0)
-    P_diag = np.diag(P)
-    for s0, s1 in _row_blocks(n, n):
+    diag = np.diagonal(K, axis1=-2, axis2=-1).copy()   # a view of K, which C overwrites
+    diag_cum = np.zeros(K.shape[:-2] + (n + 1,))
+    np.cumsum(diag, axis=-1, out=diag_cum[..., 1:])
+    P = np.cumsum(K, axis=-2)
+    P_diag = np.diagonal(P, axis1=-2, axis2=-1)[..., None, :]
+    for s0, s1 in _row_blocks(n, n, math.prod(K.shape[:-2])):
         b, w = s1 - s0, n - s0
         below = np.tri(b, k=-1, dtype=bool)   # j < s in the block's leading corner
-        block = P_diag[s0:] - P[s0:s1, s0:]
-        block += K[s0:s1, s0:]   # the last read of these K rows
+        block = P_diag[..., s0:] - P[..., s0:s1, s0:]
+        block += K[..., s0:s1, s0:]   # the last read of these K rows
         block *= 2.0
-        block -= diag[s0:]
-        np.copyto(block[:, :b], 0.0, where=below)
-        np.cumsum(block, axis=1, out=block)   # block[s, j]: sum of K over [s, j+1)^2
+        block -= diag[..., None, s0:]
+        np.copyto(block[..., :b], 0.0, where=below)
+        np.cumsum(block, axis=-1, out=block)   # block[s, j]: sum of K over [s, j+1)^2
         # span length j + 1 - s; below the diagonal, where the cost becomes
         # +inf, any nonzero divisor
         lengths = np.arange(1.0, w + 1.0) - np.arange(float(b))[:, None]
         np.maximum(lengths, 1.0, out=lengths)
         block /= lengths
-        C[s0:s1, : s0 + 1] = np.inf
-        cost = C[s0:s1, s0 + 1 :]
-        np.subtract(diag_cum[s0 + 1 :], diag_cum[s0:s1, None], out=cost)
+        C[..., s0:s1, : s0 + 1] = np.inf
+        cost = C[..., s0:s1, s0 + 1 :]
+        np.subtract(diag_cum[..., None, s0 + 1 :], diag_cum[..., s0:s1, None], out=cost)
         cost -= block
         np.maximum(cost, 0.0, out=cost)
-        np.copyto(cost[:, :b], np.inf, where=below)
-    C[n] = np.inf
+        np.copyto(cost[..., :b], np.inf, where=below)
+    C[..., n, :] = np.inf
     return C
 
 
@@ -353,31 +390,73 @@ def kernel_cpd_segment(x: LatentSequence, num_segments: int, bandwidth="median")
     the cost table C built over it, and ``kernel_cost_table`` adds P.  The
     DP needs O(n * A) more.
     """
-    n = x.length
+    return kernel_cpd_stack([x], num_segments, bandwidth)[0]
+
+
+def _stack_length(xs) -> int:
+    n = xs[0].length
+    if any(x.length != n for x in xs):
+        raise ValueError("the sequences of a stack must have one length")
+    return n
+
+
+def _stacks(xs, cells: int):
+    """Consecutive (B, n, d) stacks of the sequences ``xs``, each needing
+    ``cells`` table elements: B is max(1, _BLOCK // cells), the last stack
+    what is left.  A stack of one is a view of its sequence, not a copy."""
+    size = max(1, _BLOCK // cells)
+    for i in range(0, len(xs), size):
+        part = xs[i : i + size]
+        yield np.stack([x.vectors for x in part]) if len(part) > 1 else part[0].vectors[None]
+
+
+def kernel_cpd_stack(xs: list[LatentSequence], num_segments: int, bandwidth="median") -> list[SegmentBoundaries]:
+    """:func:`kernel_cpd_segment` of each of one or more sequences of one
+    length, in order.
+
+    They are segmented in stacks of max(1, _BLOCK // (n+1)^2) sequences, so
+    a stack's two tables hold at most ``_BLOCK`` elements each, or are those
+    of one sequence.  Every sequence gets the cuts it gets alone.
+    """
+    n = _stack_length(xs)
     if num_segments < 1:
         raise ValueError("need at least one segment")
     if n < num_segments:
         raise ValueError(f"{n} tokens cannot form {num_segments} segments")
     fixed_bandwidth(bandwidth)   # checked even where there is nothing to cut
     if num_segments == 1:
-        return SegmentBoundaries(spans=((0, n),))
-    buf = np.empty((n + 1, n + 1))
-    K = gaussian_kernel_matrix(x.vectors, bandwidth, out=buf[:n, :n])
-    C = kernel_cost_table(K, out=buf)
-    cuts, _ = _dp_partition(C, n, num_segments)
-    return SegmentBoundaries.from_cuts(n, cuts)
+        return [SegmentBoundaries(spans=((0, n),))] * len(xs)
+    return [
+        SegmentBoundaries.from_cuts(n, cuts)
+        for x in _stacks(xs, (n + 1) ** 2)
+        for cuts in _kernel_cpd_cuts(x, num_segments, bandwidth)
+    ]
+
+
+def _kernel_cpd_cuts(x: np.ndarray, num_segments: int, bandwidth) -> list[list[int]]:
+    """The cuts of each sequence of the (B, n, d) stack ``x``; its tables
+    are freed on return, before the next stack's are allocated."""
+    n = x.shape[1]
+    buf = np.empty((x.shape[0], n + 1, n + 1))
+    K = gaussian_kernel_matrix(x, bandwidth, out=buf[:, :n, :n])
+    return _dp_partition(kernel_cost_table(K, out=buf), n, num_segments)[0]
 
 
 # --- clustering-based segmentation -----------------------------------------
 
 def extract_windows(x: np.ndarray, window_size: int, stride: int) -> np.ndarray:
-    """Flattened sliding windows: row i covers tokens [i*stride, i*stride + w)."""
+    """Flattened sliding windows: row i covers tokens [i*stride, i*stride + w).
+
+    A stack (B, n, d) of sequences gives (B, nw, w*d), one C-contiguous
+    block of windows per sequence.
+    """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    n = x.shape[-2]
     if n < window_size:
         raise ValueError(f"{n} tokens are fewer than the window size {window_size}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (window_size, x.shape[1]))[::stride, 0]
-    return windows.reshape(windows.shape[0], -1).copy()
+    windows = np.lib.stride_tricks.sliding_window_view(x, (window_size, x.shape[-1]), axis=(-2, -1))
+    windows = windows[..., ::stride, 0, :, :]
+    return windows.reshape(windows.shape[:-2] + (-1,)).copy()
 
 
 def build_primitive_library(
@@ -399,29 +478,40 @@ def build_primitive_library(
     allw = np.vstack(windows)
     if allw.shape[0] < num_primitives:
         raise ValueError(f"only {allw.shape[0]} windows for Kp={num_primitives}")
-    centers = kmeans(allw, num_primitives, seed=seed, iters=iters)
+    centers, _ = kmeans(allw, num_primitives, seed=seed, iters=iters)
     return PrimitiveLibrary(centers=centers, window_size=window_size, stride=stride)
 
 
 def window_cost_matrix(x: LatentSequence, lib: PrimitiveLibrary) -> CostMatrix:
     """Squared distance of each window to each primitive center."""
-    windows = extract_windows(x.vectors, lib.window_size, lib.stride)
-    return CostMatrix(costs=sqdist(windows, lib.centers))
+    return CostMatrix(costs=_window_costs(x.vectors, lib))
+
+
+def _window_costs(x: np.ndarray, lib: PrimitiveLibrary) -> np.ndarray:
+    """(..., nw, Kp) window costs of (..., n, d) sequences: one
+    :func:`sqdist` per sequence, whose windows are one contiguous block."""
+    windows = extract_windows(x, lib.window_size, lib.stride)
+    nw = windows.shape[-2]
+    costs = np.empty(windows.shape[:-1] + (lib.size,))
+    for w, c in zip(windows.reshape(-1, nw, windows.shape[-1]), costs.reshape(-1, nw, lib.size)):
+        sqdist(w, lib.centers, out=c)
+    return costs
 
 
 def _run_prefix(costs: np.ndarray) -> np.ndarray:
-    """(Kp, nw+1) prefix sums: prefix[:, e] - prefix[:, s] is the
-    per-primitive cost sum of windows [s, e).  A non-finite total, the last
-    column, is a ValueError: the DP's sums rely on it being finite."""
-    prefix = np.zeros((costs.shape[1], costs.shape[0] + 1))
+    """(Kp, nw+1) prefix sums, or (B, Kp, nw+1) for a stack of costs:
+    prefix[:, e] - prefix[:, s] is the per-primitive cost sum of windows
+    [s, e).  A non-finite total, the last column, is a ValueError: the DP's
+    sums rely on it being finite."""
+    prefix = np.zeros(costs.shape[:-2] + (costs.shape[-1], costs.shape[-2] + 1))
     with np.errstate(over="ignore", invalid="ignore"):   # refused just below
-        np.cumsum(costs.T, axis=1, out=prefix[:, 1:])
-    if not np.isfinite(prefix[:, -1]).all():
+        np.cumsum(np.swapaxes(costs, -1, -2), axis=-1, out=prefix[..., 1:])
+    if not np.isfinite(prefix[..., -1]).all():
         raise ValueError(f"a primitive's total cost is beyond the float64 limit of {np.finfo(float).max:.6g}")
     return prefix
 
 
-def segment_cost_matrix_dp(cost: CostMatrix, num_segments: int) -> tuple[list[int], list[int], float]:
+def segment_cost_matrix_dp(cost: CostMatrix, num_segments: int) -> tuple[list, list, float | list]:
     """DP over windows: returns (window cuts, per-run primitive, objective).
 
     best_a[s], the cost of windows [s, nw) in a runs, is min_p (M[p, s+1] -
@@ -429,30 +519,42 @@ def segment_cost_matrix_dp(cost: CostMatrix, num_segments: int) -> tuple[list[in
     e >= j: one reversed running minimum per run count.  Each run's
     primitive is the cheapest over the run (lowest index on ties).  Working
     memory is P, one (Kp, nw) buffer and A rows of best costs.
+
+    A stack of B cost matrices is solved in one pass with a leading stack
+    axis, the backtrack included, and each of the three results is a list
+    over the stack, every member the bits it gets alone.
     """
-    nw = cost.costs.shape[0]
+    costs = cost.costs
+    nw = costs.shape[-2]
     if num_segments < 1 or num_segments > nw:
         raise ValueError(f"{nw} windows cannot form {num_segments} runs")
-    P = _run_prefix(cost.costs)
-    buf = np.empty((P.shape[0], nw))
-    best = [np.subtract(P[:, nw:], P[:, :nw], out=buf).min(axis=0)]   # best[a - 1] is best_a
+    one = costs.ndim == 2
+    P = _run_prefix(costs[None] if one else costs)
+    member = np.arange(P.shape[0])
+    buf = np.empty(P.shape[:2] + (nw,))
+    best = [np.subtract(P[:, :, nw:], P[:, :, :nw], out=buf).min(axis=1)]   # best[a - 1] is best_a
     for a in range(2, num_segments + 1):
         hi = nw - a + 2   # the first of a runs ends at e < hi
-        M = np.add(P[:, 1:hi], best[-1][1:hi], out=buf[:, : hi - 1])
-        np.minimum.accumulate(M[:, ::-1], axis=1, out=M[:, ::-1])   # M[:, s]: minimum over e > s
-        M -= P[:, : hi - 1]
-        best.append(M.min(axis=0))
-    cuts = []
-    s = 0
-    for a in range(num_segments, 1, -1):   # each run ends at the lowest e that attains best_a[s]
+        M = np.add(P[:, :, 1:hi], best[-1][:, None, 1:hi], out=buf[:, :, : hi - 1])
+        np.minimum.accumulate(M[:, :, ::-1], axis=2, out=M[:, :, ::-1])   # M[b, :, s]: minimum over e > s
+        M -= P[:, :, : hi - 1]
+        best.append(M.min(axis=1))
+    edges = np.zeros((P.shape[0], num_segments + 1), dtype=np.intp)
+    edges[:, -1] = nw
+    for i, a in enumerate(range(num_segments, 1, -1)):   # each run ends at the lowest e that attains best_a[s]
         hi = nw - a + 2
-        ends = np.add(P[:, s + 1 : hi], best[a - 2][s + 1 : hi], out=buf[:, : hi - s - 1])
-        ends -= P[:, s : s + 1]
-        s += 1 + int((ends == best[a - 1][s]).any(axis=0).argmax())
-        cuts.append(s)
-    edges = [0, *cuts, nw]
-    assignments = [int((P[:, e] - P[:, s]).argmin()) for s, e in zip(edges[:-1], edges[1:])]
-    return cuts, assignments, float(best[-1][0])
+        s = edges[:, i]
+        # every member's ends from the lowest start on; those at or before
+        # the member's own start are masked out
+        lo = int(s.min())
+        ends = np.add(P[:, :, lo + 1 : hi], best[a - 2][:, None, lo + 1 : hi], out=buf[:, :, : hi - lo - 1])
+        ends -= P[member, :, s][:, :, None]
+        hit = (ends == best[a - 1][member, s][:, None, None]).any(axis=1)
+        hit &= np.arange(lo + 1, hi) > s[:, None]
+        edges[:, i + 1] = lo + 1 + hit.argmax(axis=1)
+    runs = P[member[:, None], :, edges[:, 1:]] - P[member[:, None], :, edges[:, :-1]]   # (B, A, Kp)
+    result = edges[:, 1:-1].tolist(), runs.argmin(axis=2).tolist(), best[-1][:, 0].tolist()
+    return tuple(r[0] for r in result) if one else result
 
 
 def cluster_dp_segment(x: LatentSequence, lib: PrimitiveLibrary, num_segments: int) -> SegmentBoundaries:
@@ -461,10 +563,24 @@ def cluster_dp_segment(x: LatentSequence, lib: PrimitiveLibrary, num_segments: i
     Window cut c maps back to token index c * stride; the final span always
     ends at the token count.
     """
-    cost = window_cost_matrix(x, lib)
-    window_cuts, _, _ = segment_cost_matrix_dp(cost, num_segments)
-    token_cuts = [c * lib.stride for c in window_cuts]
-    return SegmentBoundaries.from_cuts(x.length, token_cuts)
+    return cluster_dp_stack([x], lib, num_segments)[0]
+
+
+def cluster_dp_stack(xs: list[LatentSequence], lib: PrimitiveLibrary, num_segments: int) -> list[SegmentBoundaries]:
+    """:func:`cluster_dp_segment` of each of one or more sequences of one
+    length, in order.
+
+    They are segmented in stacks of max(1, _BLOCK // (Kp (nw+1))) sequences,
+    so a stack's prefix sums hold at most ``_BLOCK`` elements, or are those
+    of one sequence.  Every sequence gets the cuts it gets alone.
+    """
+    n = _stack_length(xs)
+    nw = max(0, (n - lib.window_size) // lib.stride + 1)   # none: extract_windows refuses the sequence
+    return [
+        SegmentBoundaries.from_cuts(n, [c * lib.stride for c in window_cuts])
+        for x in _stacks(xs, lib.size * (nw + 1))
+        for window_cuts in segment_cost_matrix_dp(CostMatrix(costs=_window_costs(x, lib)), num_segments)[0]
+    ]
 
 
 # --- exhaustive oracle ------------------------------------------------------

@@ -11,9 +11,9 @@ import urllib.request
 import numpy as np
 import pytest
 
-from segalign import alignment, cli, metrics, rvq, textseg
+from segalign import alignment, cli, metrics, rvq, segmentation, textseg
 from segalign.cli import main
-from segalign.motion import DatasetRecord, load_motion, read_dataset, write_dataset
+from segalign.motion import DatasetRecord, LatentSequence, load_motion, read_dataset, write_dataset
 from segalign.seeds import rng_for, seed_for
 
 
@@ -174,6 +174,58 @@ class TestSegmentCommand:
         assert error == "sample_0000: a primitive's total cost is beyond the float64 limit of 1.79769e+308"
         assert [str(w.message) for w in recwarn] == []
 
+    @pytest.mark.parametrize("method", ["cpd", "cluster"])
+    def test_stacks_give_every_record_its_own_cuts(self, tmp_path, method):
+        """Records of one length and segment count are segmented as one
+        stack; each gets the cuts it gets alone.  Lengths and counts vary,
+        so the stacks' records interleave in record order."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 40, "dim": 3, "segments_min": 2, "segments_max": 3,
+                                    "tokens_per_segment_min": 4, "tokens_per_segment_max": 5}))
+        data, out = tmp_path / "data", tmp_path / "seg"
+        assert main(["synth", "--spec", str(spec), "--seed", "4", "--out", str(data), "--quiet"]) == 0
+        lib = out / "library.json"
+        assert main(["segment", "--data", str(data), "--method", method, "--library", str(lib),
+                     "--fit-library", "--primitives", "8", "--out", str(out), "--quiet"]) == 0
+        records, latents = cli._load_corpus(str(data))
+        groups = {(latents[r.id].length, len(r.text_segments)) for r in records}
+        assert 1 < len(groups) < len(records) / 4
+        if method == "cpd":
+            alone = {r.id: segmentation.kernel_cpd_segment(latents[r.id], len(r.text_segments)) for r in records}
+        else:
+            library = segmentation.library_from_json(json.loads(lib.read_text()))
+            alone = {r.id: segmentation.cluster_dp_segment(latents[r.id], library, len(r.text_segments))
+                     for r in records}
+        got = json.loads((out / f"boundaries_{method}.json").read_text())
+        assert list(got) == [r.id for r in records]
+        assert got == {rid: segmentation.boundaries_to_json(b) for rid, b in alone.items()}
+
+    def test_refused_stack_member_is_named(self, tmp_path, capsys, monkeypatch):
+        """A stack is refused as a whole.  The first stack refused holds
+        records 0 and 2 to 5, of which 4 overflows; record 1, alone in a
+        stack of 5 tokens, overflows too and is named, first in record order."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 6, "dim": 2, "segments_min": 2, "segments_max": 2,
+                                    "tokens_per_segment_min": 3, "tokens_per_segment_max": 3}))
+        data = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec), "--out", str(data), "--quiet"]) == 0
+        (data / "truth.json").unlink()
+        load = cli._load_corpus
+
+        def load_with_far_records(data_dir):
+            records, latents = load(data_dir)
+            far = {"sample_0001": 5, "sample_0004": 6}   # tokens kept
+            for rid, n in far.items():   # each window costs 5e307: the 5 or 6 of a record overflow
+                latents[rid] = LatentSequence(vectors=np.full((n, 2), 5e153))
+            return records, latents
+
+        monkeypatch.setattr(cli, "_load_corpus", load_with_far_records)
+        lib = tmp_path / "lib.json"
+        lib.write_text(json.dumps({"centers": [[0.0, 0.0]], "window_size": 1, "stride": 1}))
+        error = _one_error(capsys, ["segment", "--data", str(data), "--method", "cluster", "--library", str(lib)],
+                           tmp_path / "seg")
+        assert error == "sample_0001: a primitive's total cost is beyond the float64 limit of 1.79769e+308"
+
     def test_cluster_requires_library(self, synth_dir, tmp_path, capsys):
         assert main(["segment", "--data", str(synth_dir), "--method", "cluster",
                      "--out", str(tmp_path / "s"), "--quiet"]) == 1
@@ -288,25 +340,29 @@ class TestQuantizeCommand:
         assert report.startswith("metric,value\nreconstruction_error,")
 
     # shortest: the length of the shortest sequence at every seed, where pinned
-    @pytest.mark.parametrize("spec,codes,layers,shortest", [
+    @pytest.mark.parametrize("spec,codes,layers,iters,shortest", [
         pytest.param({"n_samples": 40, "dim": 3, "segments_min": 1, "segments_max": 2,
-                      "tokens_per_segment_min": 1, "tokens_per_segment_max": 3}, 8, 3, 1, id="short"),
+                      "tokens_per_segment_min": 1, "tokens_per_segment_max": 3}, 8, 3, 25, 1, id="short"),
         pytest.param({"n_samples": 12, "dim": 8, "segments_min": 1, "segments_max": 5,
-                      "tokens_per_segment_min": 1, "tokens_per_segment_max": 12}, 16, 2, None, id="ragged"),
+                      "tokens_per_segment_min": 1, "tokens_per_segment_max": 12}, 16, 2, 25, None, id="ragged"),
         pytest.param({"n_samples": 6, "dim": 16, "segments_min": 1, "segments_max": 3,
                       "tokens_per_segment_min": 1, "tokens_per_segment_max": 40, "mean_scale": 30.0},
-                     4, 4, None, id="wide"),
+                     4, 4, 25, None, id="wide"),
+        # one k-means iteration reaches no fixed point: each layer's tokens take a nearest-code pass
+        pytest.param({"n_samples": 12, "dim": 8, "segments_min": 1, "segments_max": 5,
+                      "tokens_per_segment_min": 1, "tokens_per_segment_max": 12}, 16, 3, 1, None, id="one-iteration"),
     ])
-    def test_matches_per_sequence_quantize(self, tmp_path, spec, codes, layers, shortest):
-        """tokens.jsonl and rvq_report.csv come from one quantize over the
-        stacked corpus; they must equal quantizing each sequence alone."""
+    def test_matches_per_sequence_quantize(self, tmp_path, spec, codes, layers, iters, shortest):
+        """tokens.jsonl and rvq_report.csv come from the tokens training
+        assigned the stacked corpus; they must equal quantizing each
+        sequence alone."""
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         for seed in (1, 2, 3):
             data, out = tmp_path / f"data{seed}", tmp_path / f"q{seed}"
             assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--seed", str(seed),
                          "--out", str(data), "--quiet"]) == 0
             assert main(["quantize", "--data", str(data), "--codes", str(codes), "--layers", str(layers),
-                         "--seed", str(seed), "--out", str(out), "--quiet"]) == 0
+                         "--iters", str(iters), "--seed", str(seed), "--out", str(out), "--quiet"]) == 0
             records, latents = cli._load_corpus(str(data))
             lengths = {v.length for v in latents.values()}
             assert len(lengths) > 1 and shortest in (None, min(lengths))

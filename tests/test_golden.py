@@ -1,8 +1,8 @@
 """Golden manifest: every seeded artifact of a small end-to-end run is pinned.
 
 One in-process run through ``cli.main`` covers synth, decompose against a
-warm text cache, quantize, the four segmentations on a short and a long
-corpus, train-align with each loss, ground, retrieve, eval and three
+warm text cache, quantize, the four segmentations on a short, a long and an
+equal-length corpus, train-align with each loss, ground, retrieve, eval and three
 decodes.  ``tests/golden.json`` records each file it writes:
 
 - integer artifacts (tokens, boundaries, decode traces, grounding starts,
@@ -40,6 +40,9 @@ SPECS = {
     "short": {"n_samples": 12, "dim": 8, "segments_min": 2, "segments_max": 4},
     "long": {"n_samples": 2, "dim": 8, "segments_min": 5, "segments_max": 5,
              "tokens_per_segment_min": 90, "tokens_per_segment_max": 90},
+    # records of one length and segment count, which segment as stacks
+    "equal": {"n_samples": 30, "dim": 8, "segments_min": 3, "segments_max": 3,
+              "tokens_per_segment_min": 8, "tokens_per_segment_max": 8},
 }
 LOSSES = ("sample", "batch", "global")
 DECODE_SEEDS = ("5", "11", "811")
@@ -184,7 +187,7 @@ def test_the_same_files_are_written(produced, golden):
     assert sorted(produced) == sorted(golden)
 
 
-@pytest.mark.parametrize("group", ["short", "long", "align/sample", "align/batch", "align/global", "decode"])
+@pytest.mark.parametrize("group", ["short", "long", "equal", "align/sample", "align/batch", "align/global", "decode"])
 def test_artifacts_match_the_manifest(produced, golden, group):
     names = [name for name in golden if name.startswith(group + "/")]
     assert names

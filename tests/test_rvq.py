@@ -17,6 +17,7 @@ from segalign.rvq import (
     sqdist,
     stack_from_json,
     stack_to_json,
+    train_and_tokenize,
     train_codebooks,
     truncate_stack,
 )
@@ -228,7 +229,7 @@ class TestKmeans:
             rng.normal(0.0, 0.05, size=(30, 2)),
             rng.normal(10.0, 0.05, size=(30, 2)),
         ])
-        centers = kmeans(data, 2, seed=1)
+        centers, _ = kmeans(data, 2, seed=1)
         centers = centers[np.argsort(centers[:, 0])]
         np.testing.assert_allclose(centers[0], [0.0, 0.0], atol=0.1)
         np.testing.assert_allclose(centers[1], [10.0, 10.0], atol=0.1)
@@ -236,7 +237,7 @@ class TestKmeans:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(50, 3))
-        np.testing.assert_array_equal(kmeans(data, 4, seed=9), kmeans(data, 4, seed=9))
+        np.testing.assert_array_equal(kmeans(data, 4, seed=9)[0], kmeans(data, 4, seed=9)[0])
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -249,7 +250,7 @@ class TestKmeans:
             k = int(rng.integers(1, min(n, 8) + 1))
             data = rng.integers(-4, 5, size=(n, int(rng.integers(1, 5)))).astype(np.float64)
             np.testing.assert_array_equal(
-                kmeans(data, k, seed=seed, iters=10),
+                kmeans(data, k, seed=seed, iters=10)[0],
                 reference_kmeans(data, k, seed=seed, iters=10),
             )
 
@@ -263,7 +264,7 @@ class TestKmeans:
             if seed % 5 == 0:
                 data[: n // 2] = data[0]     # duplicate points: reseeds and early ties
             iters = int(rng.choice([1, 3, 25]))
-            got = kmeans(data, k, seed=seed, iters=iters)
+            got, _ = kmeans(data, k, seed=seed, iters=iters)
             want = reference_kmeans_norms_per_iteration(data, k, seed=seed, iters=iters)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -273,7 +274,7 @@ class TestKmeans:
         data = np.array([[0.0, 0.0]] * 4 + [[5.0, 5.0]])
         for seed in range(5):
             np.testing.assert_array_equal(
-                kmeans(data, 3, seed=seed), reference_kmeans(data, 3, seed=seed)
+                kmeans(data, 3, seed=seed)[0], reference_kmeans(data, 3, seed=seed)
             )
 
     def test_reseed_takes_farthest_point_under_pre_update_distances(self):
@@ -283,7 +284,7 @@ class TestKmeans:
         # 2 and goes to 0), so it is reseeded to (1,3), the point farthest
         # (squared distance 25) from its center (4,7).
         data = np.array([[8, 4], [8, 5], [1, 3], [7, 8], [1, 6], [9, 4]], dtype=np.float64)
-        centers = kmeans(data, 3, seed=178)
+        centers, _ = kmeans(data, 3, seed=178)
         np.testing.assert_array_equal(centers, reference_kmeans(data, 3, seed=178))
         np.testing.assert_array_equal(centers, [[1.0, 6.0], [1.0, 3.0], [8.0, 5.25]])
 
@@ -319,7 +320,7 @@ class TestKmeansFixedPoint:
             for iters in (1, 2, 25):
                 sqdist_calls.clear()
                 np.testing.assert_array_equal(
-                    kmeans(data, k, seed=seed, iters=iters),
+                    kmeans(data, k, seed=seed, iters=iters)[0],
                     reference_kmeans(data, k, seed=seed, iters=iters),
                 )
                 assert len(sqdist_calls) <= iters
@@ -334,16 +335,35 @@ class TestKmeansFixedPoint:
             for iters in (1, 2, 25):
                 sqdist_calls.clear()
                 np.testing.assert_array_equal(
-                    kmeans(data, 3, seed=seed, iters=iters),
+                    kmeans(data, 3, seed=seed, iters=iters)[0],
                     reference_kmeans(data, 3, seed=seed, iters=iters),
                 )
                 assert len(sqdist_calls) == iters
+
+    def test_assignment_is_the_nearest_center_or_none(self):
+        """At a fixed point kmeans hands back its last assignment, the bits
+        of ``_nearest`` over the centers it returns; a run that stops at
+        ``iters`` hands back None."""
+        rng = np.random.default_rng(22)
+        fixed = 0
+        for seed in range(30):
+            k = int(rng.integers(2, 9))
+            data = clustered_integer_data(rng, k, int(rng.integers(3, 12)), int(rng.integers(1, 4)))
+            data += rng.normal(0.0, 0.3, size=data.shape)
+            for iters in (1, 2, 25):
+                centers, assign = kmeans(data, k, seed=seed, iters=iters)
+                if iters == 1:
+                    assert assign is None
+                if assign is not None:
+                    fixed += 1
+                    np.testing.assert_array_equal(assign, _nearest(centers, data))
+        assert fixed >= 30
 
     def test_fixed_point_saves_distance_calls(self, sqdist_calls):
         rng = np.random.default_rng(8)
         blobs = rng.normal(0.0, 20.0, size=(16, 4))
         data = np.repeat(blobs, 30, axis=0) + rng.normal(0.0, 0.1, size=(480, 4))
-        centers = kmeans(data, 16, seed=2, iters=25)
+        centers, _ = kmeans(data, 16, seed=2, iters=25)
         assert len(sqdist_calls) < 25
         # the fixed point is a true one: one more update changes nothing
         assign = np.argmin(sqdist(data, centers), axis=1)
@@ -392,15 +412,15 @@ class TestKmeansSeedingPrune:
         make, k = PRUNE_CASES[case]
         data = make()
         for seed in range(2):
-            got = kmeans(data, k, seed=seed)
+            got, _ = kmeans(data, k, seed=seed)
             want = reference_kmeans_norms_per_iteration(data, k, seed=seed)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_first_layer_residual_same_bits(self):
         data = np.vstack(synth_latents(3))
-        centers = kmeans(data, 64, seed=0)
+        centers, _ = kmeans(data, 64, seed=0)
         residual = data - centers[_nearest(centers, data)]
-        got = kmeans(residual, 64, seed=1)
+        got, _ = kmeans(residual, 64, seed=1)
         want = reference_kmeans_norms_per_iteration(residual, 64, seed=1)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -412,7 +432,7 @@ class TestKmeansSeedingPrune:
         for seed in range(20):
             for k in (3, 4):
                 outcomes = []
-                for fit in (kmeans, reference_kmeans_norms_per_iteration):
+                for fit in (lambda *a, **kw: kmeans(*a, **kw)[0], reference_kmeans_norms_per_iteration):
                     with np.errstate(over="ignore", invalid="ignore"):
                         try:
                             outcomes.append(fit(data, k, seed=seed).tobytes())
@@ -493,6 +513,20 @@ class TestTrainCodebooks:
     def test_insufficient_data(self):
         with pytest.raises(ValueError):
             train_codebooks(np.zeros((3, 2)), layers=1, codes_per_layer=8)
+
+    @pytest.mark.parametrize("iters", [1, 3, 25])
+    def test_tokens_are_those_quantize_gives(self, iters):
+        """Layers that reach a fixed point hand over their k-means
+        assignment, the others take one nearest-code pass: either way the
+        tokens, and their summed codes, are quantize's bits."""
+        data = np.vstack(synth_latents(9, samples=20))
+        stack, tokens = train_and_tokenize(data, layers=4, codes_per_layer=16, seed=3, iters=iters)
+        for got, want in zip(stack.books, train_codebooks(data, layers=4, codes_per_layer=16, seed=3,
+                                                          iters=iters).books):
+            assert got.entries.tobytes() == want.entries.tobytes()
+        want, quantized = quantize(LatentSequence(vectors=data), stack)
+        np.testing.assert_array_equal(tokens.layers, want.layers)
+        assert dequantize(tokens, stack).vectors.tobytes() == quantized.vectors.tobytes()
 
 
 class TestSerialization:

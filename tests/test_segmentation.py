@@ -18,6 +18,7 @@ from segalign.segmentation import (
     brute_force_segment,
     build_primitive_library,
     cluster_dp_segment,
+    cluster_dp_stack,
     _dp_partition,
     _row_blocks,
     cut_errors,
@@ -25,6 +26,7 @@ from segalign.segmentation import (
     gaussian_kernel_matrix,
     kernel_cost_table,
     kernel_cpd_segment,
+    kernel_cpd_stack,
     kernel_span_cost,
     library_from_json,
     library_to_json,
@@ -532,12 +534,145 @@ class TestDpPartition:
 
 class TestRowBlocks:
     def test_blocks_cover_the_rows_within_the_budget(self, block):
-        for rows, width in [(1, 1), (7, 8), (450, 450), (30, 40)]:
-            edges = list(_row_blocks(rows, width))
+        for rows, width, stack in [(1, 1, 1), (7, 8, 1), (450, 450, 1), (30, 40, 1), (24, 24, 13), (30, 40, 5)]:
+            edges = list(_row_blocks(rows, width, stack))
             assert edges[0][0] == 0 and edges[-1][1] == rows
             assert all(s1 == t0 for (_, s1), (t0, _) in zip(edges, edges[1:]))
             for s0, s1 in edges:
-                assert s1 - s0 == 1 or (s1 - s0) * (width - s0) <= block
+                assert s1 - s0 == 1 or stack * (s1 - s0) * (width - s0) <= block
+
+
+def same_bits(got, want):
+    """Equal floats, down to the sign of a zero."""
+    return np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def stack_inputs(rng, trial, n, size, d=2):
+    """``size`` sequences of n tokens: Gaussian, or tie-heavy integers."""
+    if trial % 2:
+        return rng.integers(0, 3, size=(size, n, d)).astype(np.float64)
+    return rng.normal(size=(size, n, d))
+
+
+class TestStacks:
+    """A stack of equal-length sequences gives each member the bits it gets
+    alone, under every block size; members of up to 16 tokens also match
+    the oracle."""
+
+    def test_kernels_and_cost_tables(self, block):
+        rng = np.random.default_rng(51)
+        for trial in range(120):
+            n, size = int(rng.integers(1, 30)), int(rng.integers(2, 6))
+            x = stack_inputs(rng, trial, n, size)
+            bandwidth = "median" if trial % 3 else 0.7
+            buf = np.full((size, n + 1, n + 1), np.nan)
+            K = gaussian_kernel_matrix(x, bandwidth, out=buf[:, :n, :n])
+            alone = [gaussian_kernel_matrix(v, bandwidth) for v in x]
+            assert K.tobytes() == np.stack(alone).tobytes(), trial
+            assert kernel_cost_table(K).tobytes() == np.stack([kernel_cost_table(k) for k in alone]).tobytes()
+            assert kernel_cost_table(K, out=buf) is buf
+            assert buf.tobytes() == np.stack([kernel_cost_table(k) for k in alone]).tobytes(), trial
+
+    def test_dp_partition(self, block):
+        rng = np.random.default_rng(52)
+        for trial in range(120):
+            n, size = int(rng.integers(2, 40)), int(rng.integers(2, 6))
+            a = int(rng.integers(1, min(6, n) + 1))
+            C = kernel_cost_table(gaussian_kernel_matrix(stack_inputs(rng, trial, n, size)))
+            cuts, obj = _dp_partition(C, n, a)
+            alone = [_dp_partition(c, n, a) for c in C]
+            assert cuts == [c for c, _ in alone], trial
+            assert same_bits(obj, [o for _, o in alone]), trial
+
+    def test_segment_cost_matrix_dp(self):
+        rng = np.random.default_rng(53)
+        for trial in range(200):
+            nw, size, kp = int(rng.integers(1, 40)), int(rng.integers(2, 6)), int(rng.integers(1, 9))
+            a = int(rng.integers(1, min(6, nw) + 1))
+            if trial % 2:
+                costs = rng.integers(0, 3, size=(size, nw, kp)).astype(np.float64)
+            else:
+                costs = rng.uniform(0.0, 5.0, size=(size, nw, kp))
+            cuts, assigns, obj = segment_cost_matrix_dp(CostMatrix(costs=costs), a)
+            alone = [segment_cost_matrix_dp(CostMatrix(costs=c), a) for c in costs]
+            assert (cuts, assigns) == ([c for c, _, _ in alone], [p for _, p, _ in alone]), trial
+            assert same_bits(obj, [o for _, _, o in alone]), trial
+
+    def test_kernel_cpd_members_match_alone_and_the_oracle(self, block):
+        rng = np.random.default_rng(54)
+        for trial in range(40):
+            n, size = int(rng.integers(4, 17)), int(rng.integers(2, 20))
+            a = int(rng.integers(2, min(4, n) + 1))
+            x = stack_inputs(rng, trial, n, size)
+            xs = [LatentSequence(vectors=v) for v in x]
+            got = kernel_cpd_stack(xs, a)
+            assert got == [kernel_cpd_segment(v, a) for v in xs], trial
+            K = gaussian_kernel_matrix(x)
+            _, obj = _dp_partition(kernel_cost_table(K), n, a)
+            for b, k in enumerate(K):
+                assert got[b] == brute_force_segment(k, a), (trial, b)
+                assert same_bits(obj[b], brute_force_objective(k, a)), (trial, b)
+
+    def test_cluster_members_match_alone_and_the_oracle(self, block):
+        rng = np.random.default_rng(55)
+        for trial in range(40):
+            window, stride = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            n, size = int(rng.integers(window + 3, 17)), int(rng.integers(2, 30))
+            x = stack_inputs(rng, trial, n, size)
+            lib = PrimitiveLibrary(centers=stack_inputs(rng, trial, int(rng.integers(1, 6)), 1, 2 * window)[0],
+                                   window_size=window, stride=stride)
+            xs = [LatentSequence(vectors=v) for v in x]
+            nw = (n - window) // stride + 1
+            a = int(rng.integers(1, min(4, nw) + 1))
+            got = cluster_dp_stack(xs, lib, a)
+            assert got == [cluster_dp_segment(v, lib, a) for v in xs], trial
+            stacked = CostMatrix(costs=np.stack([window_cost_matrix(v, lib).costs for v in xs]))
+            assert segmentation._window_costs(x, lib).tobytes() == stacked.costs.tobytes(), trial
+            cuts, _, obj = segment_cost_matrix_dp(stacked, a)
+            for b, v in enumerate(xs):
+                cost = window_cost_matrix(v, lib)
+                assert SegmentBoundaries.from_cuts(nw, cuts[b]) == brute_force_segment(cost, a), (trial, b)
+                assert same_bits(obj[b], brute_force_objective(cost, a)), (trial, b)
+
+    def test_window_costs_are_one_product_per_sequence(self):
+        """A product over a whole stack's windows rounds differently from
+        the per-sequence products at many shapes, the benchmark's among them."""
+        rng = np.random.default_rng(57)
+        shapes = [(11, 24, 16, 4, 32)] + [(int(rng.integers(2, 14)), int(rng.integers(5, 40)),
+                                            int(rng.integers(1, 17)), int(rng.integers(1, 5)),
+                                            int(rng.integers(1, 40))) for _ in range(40)]
+        for size, n, d, window, kp in shapes:
+            x = rng.normal(size=(size, n, d))
+            lib = PrimitiveLibrary(centers=rng.normal(size=(kp, window * d)), window_size=window, stride=1)
+            alone = np.stack([window_cost_matrix(LatentSequence(vectors=v), lib).costs for v in x])
+            assert segmentation._window_costs(x, lib).tobytes() == alone.tobytes(), (size, n, d, window, kp)
+
+    def test_equal_lengths_form_stacks_within_the_block(self, monkeypatch):
+        """60 sequences of 24 tokens: kernel stacks of 8192 // 25^2 = 13,
+        cluster stacks of 8192 // (32 * 22) = 11; the last is what is left."""
+        rng = np.random.default_rng(56)
+        xs = [LatentSequence(vectors=v) for v in rng.normal(size=(60, 24, 16))]
+        lib = PrimitiveLibrary(centers=rng.normal(size=(32, 64)), window_size=4, stride=1)
+        sizes = []
+        for name, arg in (("kernel_cost_table", "K"), ("segment_cost_matrix_dp", "cost")):
+            real = getattr(segmentation, name)
+
+            def spy(*args, _real=real, **kwargs):
+                first = args[0]
+                sizes.append((first.costs if isinstance(first, CostMatrix) else first).shape[0])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(segmentation, name, spy)
+        kernel_cpd_stack(xs, 3)
+        cluster_dp_stack(xs, lib, 3)
+        assert sizes == [13] * 4 + [8] + [11] * 5 + [5]
+
+    def test_sequences_of_two_lengths_are_refused(self):
+        xs = [LatentSequence(vectors=np.zeros((n, 2))) for n in (6, 6, 7)]
+        lib = PrimitiveLibrary(centers=np.zeros((2, 2)), window_size=1, stride=1)
+        for solve in (lambda: kernel_cpd_stack(xs, 2), lambda: cluster_dp_stack(xs, lib, 2)):
+            with pytest.raises(ValueError, match="must have one length"):
+                solve()
 
 
 def traced_peak(fn, *args):
@@ -565,6 +700,20 @@ class TestWorkingMemory:
         nw, kp = 5000, 64
         cost = CostMatrix(costs=np.random.default_rng(25).uniform(size=(nw, kp)))
         assert traced_peak(segment_cost_matrix_dp, cost, 5) < 8 << 20
+
+    @pytest.mark.parametrize("method", ["cpd", "cluster"])
+    def test_stacks_stay_within_the_block(self, method):
+        """60 sequences of 24 tokens in stacks of at most _BLOCK table
+        elements: two tables and a few temporaries of one block each, under
+        eight blocks, where one stack of all 60 needs over 1 MB."""
+        rng = np.random.default_rng(27)
+        xs = [LatentSequence(vectors=v) for v in rng.normal(size=(60, 24, 16))]
+        if method == "cpd":
+            peak = traced_peak(kernel_cpd_stack, xs, 3)
+        else:
+            lib = PrimitiveLibrary(centers=rng.normal(size=(32, 64)), window_size=4, stride=1)
+            peak = traced_peak(cluster_dp_stack, xs, lib, 3)
+        assert peak < 8 * segmentation._BLOCK * 8
 
     def test_kernel_cpd_segment_needs_two_tables(self):
         """The cost table is built over the kernel matrix, so K, P and C
