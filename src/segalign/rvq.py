@@ -172,13 +172,14 @@ def _seed_draw(rng: np.random.Generator, p: np.ndarray) -> int:
     return cdf.searchsorted(rng.random(), side="right")
 
 
-def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> tuple[np.ndarray, np.ndarray | None]:
+def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means with k-means++ init and at most ``iters`` iterations.
 
-    Returns (centers, assignment).  At a fixed point the assignment is the
-    last iteration's, the index of each row's nearest center, which equals
-    ``_nearest(centers, data)`` bit for bit (the same :func:`sqdist` of the
-    same arrays); a run that stops at ``iters`` returns None in its place.
+    Returns (centers, assignment), the index of each row's nearest center,
+    which equals ``_nearest(centers, data)`` bit for bit (the same
+    :func:`sqdist` of the same arrays).  At a fixed point it is the last
+    iteration's assignment; a run that stops at ``iters`` makes one more
+    assignment pass, to its final centers.
 
     Each iteration assigns every point to its nearest center by
     :func:`sqdist` (exact ties to the lowest index), then moves each center to
@@ -246,7 +247,8 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> tuple[np.nda
         centers[filled] = sums[filled] / counts[filled, None]
         if not filled.all():
             centers[~filled] = data[np.argmax(dist.min(axis=1))]
-    return centers, None
+    sqdist(data, centers, out=dist, a_sq=data_sq)
+    return centers, np.argmin(dist, axis=1)
 
 
 def train_codebooks(
@@ -270,10 +272,9 @@ def train_and_tokenize(
 ) -> tuple[CodebookStack, TokenSequence]:
     """:func:`train_codebooks`, with the tokens of ``data``'s rows.
 
-    Each layer's tokens are the nearest codes to the residual it fitted:
-    its k-means assignment at a fixed point, else one ``_nearest`` pass.
-    So the tokens, and each residual, are those :func:`quantize` gives the
-    rows, bit for bit.
+    Each layer's tokens are its k-means assignment, the nearest codes to
+    the residual it fitted.  So the tokens, and each residual, are those
+    :func:`quantize` gives the rows, bit for bit.
     """
     residual = np.array(data, dtype=np.float64)
     if residual.shape[0] < codes_per_layer:
@@ -283,8 +284,6 @@ def train_and_tokenize(
     for j in range(layers):
         centers, idx = kmeans(residual, codes_per_layer, seed=seed + j, iters=iters)
         book = Codebook(entries=centers)
-        if idx is None:
-            idx = _nearest(book.entries, residual)
         residual = residual - book.entries[idx]
         books.append(book)
         rows.append(idx)

@@ -91,18 +91,21 @@ class PrimitiveLibrary:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Window-to-primitive cost matrix, Nw rows x Kp columns, or a stack
-    (B, Nw, Kp) of such matrices for B sequences of one length."""
+    """Window-to-primitive cost matrix, Nw rows x Kp columns."""
 
     costs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.costs, dtype=np.float64)
-        if c.ndim not in (2, 3):
-            raise ValueError("cost matrix must be 2-D, or 3-D for a stack")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("non-finite cost entry")
+        if c.ndim != 2:
+            raise ValueError("cost matrix must be 2-D")
+        _check_finite_costs(c)
         object.__setattr__(self, "costs", c)
+
+
+def _check_finite_costs(costs: np.ndarray) -> None:
+    if not np.all(np.isfinite(costs)):
+        raise ValueError("non-finite cost entry")
 
 
 def uniform_segment(n: int, num_segments: int) -> SegmentBoundaries:
@@ -174,9 +177,9 @@ def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list, float
 
     ``C`` is the (n+1, n+1) span-cost table described above.  Returns
     (interior cuts, objective).  Among optimal partitions, the
-    lexicographically smallest cut sequence is returned.  A stack of B
-    tables, (B, n+1, n+1), is solved in one pass with a leading stack axis
-    and gives a list of B cut lists and a list of B objectives, each the
+    lexicographically smallest cut sequence is returned.  For a stack of
+    tables, (B, n+1, n+1), every step runs once over the stack, and the
+    result is a list of B cut lists and a list of B objectives, each the
     bits its table gives alone.
 
     Each step takes the candidates of one block of starts at a time.  The
@@ -187,9 +190,8 @@ def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list, float
     at most ``_BLOCK`` elements (one row of each table if wider).
     """
     A = num_segments
-    one = C.ndim == 2
-    if one:
-        C = C[None]
+    lead = C.shape[:-2]   # () for one table, (B,) for a stack
+    C = C.reshape((-1,) + C.shape[-2:])
     member = np.arange(C.shape[0])[:, None]
     # best[b, s]: cost of splitting [s, n) into the current number of spans
     best = C[:, :n, n]
@@ -207,8 +209,7 @@ def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list, float
     cuts = np.zeros((C.shape[0], A), dtype=np.intp)   # column 0: every partition starts at 0
     for i, pick in enumerate(reversed(choices), 1):
         cuts[:, i] = pick[member[:, 0], cuts[:, i - 1]]
-    cuts, objective = cuts[:, 1:].tolist(), best[:, 0].tolist()
-    return (cuts[0], objective[0]) if one else (cuts, objective)
+    return cuts[:, 1:].reshape(lead + (A - 1,)).tolist(), best[:, 0].reshape(lead).tolist()
 
 
 def _enumerate_partitions(n: int, num_segments: int):
@@ -511,7 +512,7 @@ def _run_prefix(costs: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def segment_cost_matrix_dp(cost: CostMatrix, num_segments: int) -> tuple[list, list, float | list]:
+def segment_cost_matrix_dp(cost: CostMatrix, num_segments: int) -> tuple[list[int], list[int], float]:
     """DP over windows: returns (window cuts, per-run primitive, objective).
 
     best_a[s], the cost of windows [s, nw) in a runs, is min_p (M[p, s+1] -
@@ -519,17 +520,21 @@ def segment_cost_matrix_dp(cost: CostMatrix, num_segments: int) -> tuple[list, l
     e >= j: one reversed running minimum per run count.  Each run's
     primitive is the cheapest over the run (lowest index on ties).  Working
     memory is P, one (Kp, nw) buffer and A rows of best costs.
-
-    A stack of B cost matrices is solved in one pass with a leading stack
-    axis, the backtrack included, and each of the three results is a list
-    over the stack, every member the bits it gets alone.
     """
-    costs = cost.costs
-    nw = costs.shape[-2]
+    cuts, assignments, objective = _cluster_dp(cost.costs[None], num_segments)
+    return cuts[0], assignments[0], objective[0]
+
+
+def _cluster_dp(costs: np.ndarray, num_segments: int) -> tuple[list, list, list]:
+    """:func:`segment_cost_matrix_dp` of each (nw, Kp) matrix of the stack
+    ``costs``: every step, the backtrack included, runs once over the stack,
+    and each result is a list over the stack, every member the bits it gets
+    alone.  A non-finite entry is refused, as :class:`CostMatrix` refuses it."""
+    _check_finite_costs(costs)
+    nw = costs.shape[1]
     if num_segments < 1 or num_segments > nw:
         raise ValueError(f"{nw} windows cannot form {num_segments} runs")
-    one = costs.ndim == 2
-    P = _run_prefix(costs[None] if one else costs)
+    P = _run_prefix(costs)
     member = np.arange(P.shape[0])
     buf = np.empty(P.shape[:2] + (nw,))
     best = [np.subtract(P[:, :, nw:], P[:, :, :nw], out=buf).min(axis=1)]   # best[a - 1] is best_a
@@ -553,8 +558,7 @@ def segment_cost_matrix_dp(cost: CostMatrix, num_segments: int) -> tuple[list, l
         hit &= np.arange(lo + 1, hi) > s[:, None]
         edges[:, i + 1] = lo + 1 + hit.argmax(axis=1)
     runs = P[member[:, None], :, edges[:, 1:]] - P[member[:, None], :, edges[:, :-1]]   # (B, A, Kp)
-    result = edges[:, 1:-1].tolist(), runs.argmin(axis=2).tolist(), best[-1][:, 0].tolist()
-    return tuple(r[0] for r in result) if one else result
+    return edges[:, 1:-1].tolist(), runs.argmin(axis=2).tolist(), best[-1][:, 0].tolist()
 
 
 def cluster_dp_segment(x: LatentSequence, lib: PrimitiveLibrary, num_segments: int) -> SegmentBoundaries:
@@ -579,7 +583,7 @@ def cluster_dp_stack(xs: list[LatentSequence], lib: PrimitiveLibrary, num_segmen
     return [
         SegmentBoundaries.from_cuts(n, [c * lib.stride for c in window_cuts])
         for x in _stacks(xs, lib.size * (nw + 1))
-        for window_cuts in segment_cost_matrix_dp(CostMatrix(costs=_window_costs(x, lib)), num_segments)[0]
+        for window_cuts in _cluster_dp(_window_costs(x, lib), num_segments)[0]
     ]
 
 

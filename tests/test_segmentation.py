@@ -584,7 +584,7 @@ class TestStacks:
             assert cuts == [c for c, _ in alone], trial
             assert same_bits(obj, [o for _, o in alone]), trial
 
-    def test_segment_cost_matrix_dp(self):
+    def test_cluster_dp(self):
         rng = np.random.default_rng(53)
         for trial in range(200):
             nw, size, kp = int(rng.integers(1, 40)), int(rng.integers(2, 6)), int(rng.integers(1, 9))
@@ -593,7 +593,7 @@ class TestStacks:
                 costs = rng.integers(0, 3, size=(size, nw, kp)).astype(np.float64)
             else:
                 costs = rng.uniform(0.0, 5.0, size=(size, nw, kp))
-            cuts, assigns, obj = segment_cost_matrix_dp(CostMatrix(costs=costs), a)
+            cuts, assigns, obj = segmentation._cluster_dp(costs, a)
             alone = [segment_cost_matrix_dp(CostMatrix(costs=c), a) for c in costs]
             assert (cuts, assigns) == ([c for c, _, _ in alone], [p for _, p, _ in alone]), trial
             assert same_bits(obj, [o for _, _, o in alone]), trial
@@ -626,9 +626,9 @@ class TestStacks:
             a = int(rng.integers(1, min(4, nw) + 1))
             got = cluster_dp_stack(xs, lib, a)
             assert got == [cluster_dp_segment(v, lib, a) for v in xs], trial
-            stacked = CostMatrix(costs=np.stack([window_cost_matrix(v, lib).costs for v in xs]))
-            assert segmentation._window_costs(x, lib).tobytes() == stacked.costs.tobytes(), trial
-            cuts, _, obj = segment_cost_matrix_dp(stacked, a)
+            stacked = np.stack([window_cost_matrix(v, lib).costs for v in xs])
+            assert segmentation._window_costs(x, lib).tobytes() == stacked.tobytes(), trial
+            cuts, _, obj = segmentation._cluster_dp(stacked, a)
             for b, v in enumerate(xs):
                 cost = window_cost_matrix(v, lib)
                 assert SegmentBoundaries.from_cuts(nw, cuts[b]) == brute_force_segment(cost, a), (trial, b)
@@ -654,18 +654,28 @@ class TestStacks:
         xs = [LatentSequence(vectors=v) for v in rng.normal(size=(60, 24, 16))]
         lib = PrimitiveLibrary(centers=rng.normal(size=(32, 64)), window_size=4, stride=1)
         sizes = []
-        for name, arg in (("kernel_cost_table", "K"), ("segment_cost_matrix_dp", "cost")):
+        for name in ("kernel_cost_table", "_cluster_dp"):
             real = getattr(segmentation, name)
 
-            def spy(*args, _real=real, **kwargs):
-                first = args[0]
-                sizes.append((first.costs if isinstance(first, CostMatrix) else first).shape[0])
-                return _real(*args, **kwargs)
+            def spy(first, *args, _real=real, **kwargs):
+                sizes.append(first.shape[0])
+                return _real(first, *args, **kwargs)
 
             monkeypatch.setattr(segmentation, name, spy)
         kernel_cpd_stack(xs, 3)
         cluster_dp_stack(xs, lib, 3)
         assert sizes == [13] * 4 + [8] + [11] * 5 + [5]
+
+    def test_cost_matrix_holds_one_sequence(self):
+        """The oracle reads a CostMatrix as one (nw, Kp) matrix, so a stack
+        is refused rather than misread; the stacked DP refuses a non-finite
+        cost as CostMatrix does."""
+        with pytest.raises(ValueError, match="cost matrix must be 2-D"):
+            CostMatrix(costs=np.zeros((3, 6, 2)))
+        xs = [LatentSequence(vectors=np.zeros((6, 2))) for _ in range(3)]
+        lib = PrimitiveLibrary(centers=np.full((2, 2), 1e200), window_size=1, stride=1)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^non-finite cost entry$"):
+            cluster_dp_stack(xs, lib, 2)
 
     def test_sequences_of_two_lengths_are_refused(self):
         xs = [LatentSequence(vectors=np.zeros((n, 2))) for n in (6, 6, 7)]
