@@ -231,6 +231,10 @@ def _truth_from_json(obj, records, latents) -> dict:
 
 
 def cmd_segment(args) -> int:
+    """Segment every record into its text's segment count, the whole corpus
+    in one call to the method (which batches records as it sees fit).  If
+    that call refuses, each record is segmented alone, in record order, so
+    the error names the first record refused."""
     _at_least_one(args, "window", "stride", "primitives")
     if args.method == "cpd":
         segmentation.fixed_bandwidth(args.bandwidth)   # a flag's refusal, not a record's
@@ -263,28 +267,21 @@ def cmd_segment(args) -> int:
                     )
 
     segment = {
-        "uniform": lambda xs, a: [segmentation.uniform_segment(x.length, a) for x in xs],
-        "cpd": lambda xs, a: segmentation.kernel_cpd_stack(xs, a, bandwidth=args.bandwidth),
-        "cluster": lambda xs, a: segmentation.cluster_dp_stack(xs, lib, a),
+        "uniform": lambda xs, counts: [segmentation.uniform_segment(x.length, a) for x, a in zip(xs, counts)],
+        "cpd": lambda xs, counts: segmentation.kernel_cpd_corpus(xs, counts, bandwidth=args.bandwidth),
+        "cluster": lambda xs, counts: segmentation.cluster_dp_corpus(xs, lib, counts),
     }[args.method]
-    # records of one token count and segment count are segmented together
-    groups = {}
-    for r in records:
-        groups.setdefault((latents[r.id].length, len(r.text_segments)), []).append(r.id)
-    found = {}
     try:
-        for (_, a), ids in groups.items():
-            found.update(zip(ids, segment([latents[i] for i in ids], a)))
+        found = segment([latents[r.id] for r in records], [len(r.text_segments) for r in records])
     except (ValueError, FloatingPointError):
-        # a refusal names the first refused record: each alone, in record order
         for r in records:
             try:
-                segment([latents[r.id]], len(r.text_segments))
+                segment([latents[r.id]], [len(r.text_segments)])
             except ValueError as exc:
                 raise CliError(f"{r.id}: {exc}") from None
         raise
-    boundaries = {r.id: segmentation.boundaries_to_json(found[r.id]) for r in records}
-    pairs = [(found[r.id], truth[r.id]) for r in records if r.id in truth]
+    boundaries = {r.id: segmentation.boundaries_to_json(b) for r, b in zip(records, found)}
+    pairs = [(b, truth[r.id]) for r, b in zip(records, found) if r.id in truth]
 
     # written only once every record is segmented, so a refusal writes nothing
     if lib is not None and args.fit_library:
@@ -616,11 +613,13 @@ def cmd_eval(args) -> int:
             )
         M = alignment.embed_spans([span for s in holdout for span in s.spans], params)
         report.add("isc", metrics.isc_score(zip(T, M)))
-        # a holdout smaller than one pool is noted in eval.json, not on stderr
+        # ranked on unit rows, the cosine space every loss trains; a holdout
+        # smaller than one pool is noted in eval.json, not on stderr
+        unit_T, unit_M = alignment._unit_rows(T), alignment._unit_rows(M)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for k in (1, 2, 3):
-                report.add(f"r_precision_top{k}", metrics.r_precision(T, M, topk=k))
+                report.add(f"r_precision_top{k}", metrics.r_precision(unit_T, unit_M, topk=k))
         if caught:
             report.metadata["warnings"] = list(dict.fromkeys(str(w.message) for w in caught))
         report.add("mm_dist", metrics.mm_dist(T, M))

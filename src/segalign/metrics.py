@@ -16,6 +16,7 @@ import numpy as np
 
 from .alignment import NORM_FLOOR, AggregatorParams, _unit_rows, cosine_matrix, embed_spans
 from .rvq import sqdist
+from .segmentation import extract_windows
 
 DIVERSITY_PAIRS = 300
 POOL_SIZE = 32
@@ -51,12 +52,8 @@ def motion_grounding(
     the bits of ``cosine_matrix(text[j][None], windows)[0]``."""
     if window_size < 1 or stride < 1:
         raise ValueError("window_size and stride must be >= 1")
-    tokens = np.asarray(motion_tokens, dtype=np.float64)
-    n = tokens.shape[0]
-    if n < window_size:
-        raise ValueError(f"motion of {n} tokens is shorter than window {window_size}")
-    windows = np.lib.stride_tricks.sliding_window_view(tokens, window_size, axis=0)[::stride]
-    unit_windows = _unit_rows(embed_spans(windows.transpose(0, 2, 1), model))
+    windows = extract_windows(motion_tokens, window_size, stride)
+    unit_windows = _unit_rows(embed_spans(windows.reshape(len(windows), window_size, -1), model))
     sims = np.vstack([_unit_rows(t[None]) @ unit_windows.T for t in np.asarray(text, dtype=np.float64)])
     return sims.argmax(axis=1) * stride, sims
 

@@ -146,15 +146,16 @@ def uniform_segment(n: int, num_segments: int) -> SegmentBoundaries:
 # 2^16 on the corpus benchmarks, larger blocks ran at most about 6% faster
 # and raised the peak RSS by 0.4 to 2 MB, smaller ones ran slower.
 #
-# Sequences of one length are segmented as a stack: every array from the
-# kernel matrix on, and each DP step, carries a leading stack axis, so a
-# corpus of short sequences costs a few numpy calls per stack rather than
-# per sequence.  Each element sees the same float operations as alone, so a
-# stack member gets the bits it gets alone.  Only BLAS products stay one per
-# sequence: a product over several sequences' rows may round differently.
-# A stack holds as many sequences as fit one _BLOCK with their tables, (n+1)^2
-# elements each for kernel CPD and Kp (nw+1) for clustering, or one sequence
-# if its tables alone are larger; then the row blocks split its tables.
+# A corpus is segmented in stacks: its records are grouped by token count
+# and segment count, and every array from the kernel matrix on, and each DP
+# step, carries a leading stack axis, so a corpus of short sequences costs a
+# few numpy calls per stack rather than per sequence.  Each element sees the
+# same float operations as alone, so a stack member gets the bits it gets
+# alone.  Only BLAS products stay one per sequence: a product over several
+# sequences' rows may round differently.  A stack holds as many records as
+# fit one _BLOCK with their tables, (n+1)^2 elements each for kernel CPD and
+# Kp (nw+1) for clustering, or one record if its tables alone are larger;
+# then the row blocks split its tables.
 
 _BLOCK = 1 << 13
 
@@ -172,15 +173,14 @@ def _row_blocks(rows: int, width: int, stack: int):
         s0 = s1
 
 
-def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list, float | list]:
+def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list[list[int]], list[float]]:
     """Minimize sum of span costs over contiguous partitions into A spans.
 
-    ``C`` is the (n+1, n+1) span-cost table described above.  Returns
-    (interior cuts, objective).  Among optimal partitions, the
-    lexicographically smallest cut sequence is returned.  For a stack of
-    tables, (B, n+1, n+1), every step runs once over the stack, and the
-    result is a list of B cut lists and a list of B objectives, each the
-    bits its table gives alone.
+    ``C`` is a stack (B, n+1, n+1) of the span-cost tables described above.
+    Returns a list of B interior-cut lists and a list of B objectives; among
+    optimal partitions, the lexicographically smallest cut sequence is
+    returned.  Every step runs once over the stack, and each table gets the
+    bits it gets alone.
 
     Each step takes the candidates of one block of starts at a time.  The
     block's columns e <= s0 hold +inf for all its rows, so they are left
@@ -190,8 +190,6 @@ def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list, float
     at most ``_BLOCK`` elements (one row of each table if wider).
     """
     A = num_segments
-    lead = C.shape[:-2]   # () for one table, (B,) for a stack
-    C = C.reshape((-1,) + C.shape[-2:])
     member = np.arange(C.shape[0])[:, None]
     # best[b, s]: cost of splitting [s, n) into the current number of spans
     best = C[:, :n, n]
@@ -209,7 +207,7 @@ def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list, float
     cuts = np.zeros((C.shape[0], A), dtype=np.intp)   # column 0: every partition starts at 0
     for i, pick in enumerate(reversed(choices), 1):
         cuts[:, i] = pick[member[:, 0], cuts[:, i - 1]]
-    return cuts[:, 1:].reshape(lead + (A - 1,)).tolist(), best[:, 0].reshape(lead).tolist()
+    return cuts[:, 1:].tolist(), best[:, 0].tolist()
 
 
 def _enumerate_partitions(n: int, num_segments: int):
@@ -233,19 +231,17 @@ def _brute_force_partition(span_step, n: int, num_segments: int) -> tuple[list[i
 
 # --- kernel change-point detection -----------------------------------------
 
-def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median", out: np.ndarray | None = None) -> np.ndarray:
+def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
     """Pairwise Gaussian kernel k(a,b) = exp(-||a-b||^2 / (2 sigma^2)).
 
     bandwidth "median" uses the median pairwise distance (1 if it is 0).
     Distances come from :func:`sqdist`; the diagonal is set to exactly 0, so
-    every k(a, a) is exactly 1.  ``out``, if given, is an (n, n) float64
-    array or view that receives the kernel and is returned; every step after
-    :func:`sqdist` works in place in it, so the values are the same bits.
+    every k(a, a) is exactly 1.
 
-    ``x`` may be a stack (B, n, d) of sequences of one length; ``out`` is
-    then (B, n, n).  The distances are one :func:`sqdist` per sequence, and
-    every later step runs once over the stack, each sequence with its own
-    median: every kernel is the bits it gets alone.
+    ``x`` may be a stack (B, n, d) of sequences of one length, giving
+    (B, n, n).  The distances are one :func:`sqdist` per sequence, and every
+    later step runs once over the stack, each sequence with its own median:
+    every kernel is the bits it gets alone.
 
     The median is found by selection, not by sorting: one ``np.partition``
     picks the one or two middle squared distances of the upper triangle
@@ -259,11 +255,17 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median", out: np.ndarray | 
     gave NaN.
     """
     x = np.asarray(x, dtype=np.float64)
+    return _kernel_into(np.empty(x.shape[:-1] + (x.shape[-2],)), x, bandwidth)
+
+
+def _kernel_into(sq: np.ndarray, x: np.ndarray, bandwidth) -> np.ndarray:
+    """:func:`gaussian_kernel_matrix` of ``x``, written into and returned as
+    ``sq``, a (..., n, n) float64 array or view: every step after
+    :func:`sqdist` works in place in it."""
     if not np.all(np.isfinite(x)):
         raise ValueError("kernel input contains non-finite values")
     sigma = fixed_bandwidth(bandwidth)
     n = x.shape[-2]
-    sq = np.empty(x.shape[:-1] + (n,)) if out is None else out
     for xb, sb in zip(x.reshape(-1, n, x.shape[-1]), sq.reshape(-1, n, n)):
         sqdist(xb, xb, out=sb)
     diag = np.arange(n)
@@ -316,14 +318,15 @@ def kernel_span_cost(K: np.ndarray, s: int, e: int) -> float:
     return float(np.trace(block) - block.sum() / (e - s))
 
 
-def kernel_cost_table(K: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def kernel_cost_table(K: np.ndarray) -> np.ndarray:
     """C[s, e] = within-segment kernel cost of [s, e), for all spans at once.
 
-    K must be symmetric.  The block sums of K over [s, e) x [s, e) grow one
-    column at a time: column j joining block [s, j) adds
-    2 (P[j, j] - P[s, j]) + 2 K[s, j] - K[j, j], with P = cumsum(K, axis=0).
-    Each cost then carries O(eps * n) rounding error (a 2-D cumulative sum
-    gives O(eps * n^2)).  Costs are clamped at 0; entries with e <= s are +inf.
+    K must be symmetric, and is left untouched.  The block sums of K over
+    [s, e) x [s, e) grow one column at a time: column j joining block [s, j)
+    adds 2 (P[j, j] - P[s, j]) + 2 K[s, j] - K[j, j], with P = cumsum(K,
+    axis=0).  Each cost then carries O(eps * n) rounding error (a 2-D
+    cumulative sum gives O(eps * n^2)).  Costs are clamped at 0; entries with
+    e <= s are +inf.
 
     The table is built one block of start rows at a time (``_row_blocks``).
     A block's increments for columns j >= s0 are zeroed where j < s, then
@@ -331,30 +334,26 @@ def kernel_cost_table(K: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     one column per step to a zero-initialised sum would.  Adding the
     leading zeros is exact, and a row's first increment, 2 K[s, s] - K[s, s],
     is never -0.0, so it equals 0.0 plus itself: every cost is the same
-    float bit for bit.
+    float bit for bit.  Working memory beyond K and C is P, n^2 float64
+    values, plus a few (rows, n - s0) temporaries of at most ``_BLOCK``
+    elements each (one row if n is larger).
 
-    ``out``, if given, is an (n+1, n+1) float64 array that receives C and is
-    returned.  Its ``[:n, :n]`` block may be K itself: a block's increments
-    read its K rows before its C rows are written, and later blocks read
-    only later rows, so C is built over K with the same bits.  Any other
-    overlap of ``out`` and K is a ValueError.  Without ``out``, K is left
-    untouched.  Working memory beyond K and C is P, n^2 float64 values,
-    plus a few (rows, n - s0) temporaries of at most ``_BLOCK`` elements
-    each (one row if n is larger): with ``out`` over K, two n^2 tables in
-    all, about 1.6 GB at n = 10,000.
-
-    K may be a stack (B, n, n), and ``out`` then (B, n+1, n+1): every step
-    runs once over the stack, with blocks of rows of all B tables within
-    ``_BLOCK``, and each table is the bits it gets alone.
+    K may be a stack (B, n, n), giving (B, n+1, n+1): every step runs once
+    over the stack, with blocks of rows of all B tables within ``_BLOCK``,
+    and each table is the bits it gets alone.
     """
     n = K.shape[-1]
-    shape = K.shape[:-2] + (n + 1, n + 1)
-    C = np.empty(shape) if out is None else out
-    if C.shape != shape or C.dtype != np.float64:
-        raise ValueError(f"out must be a {shape} float64 array, got {C.shape} {C.dtype}")
-    if np.may_share_memory(C, K) and (K.ctypes.data, K.strides) != (C.ctypes.data, C.strides):
-        raise ValueError("out may share memory with K only as out[:n, :n]")
-    diag = np.diagonal(K, axis1=-2, axis2=-1).copy()   # a view of K, which C overwrites
+    return _cost_table_into(np.empty(K.shape[:-2] + (n + 1, n + 1)), K)
+
+
+def _cost_table_into(C: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """:func:`kernel_cost_table` of K, written into and returned as the
+    (..., n+1, n+1) float64 array C.  K may be C's leading ``[..., :n, :n]``
+    block: a block's increments read its K rows before its C rows are
+    written, and later blocks read only later rows, so C is built over K
+    with the same bits."""
+    n = K.shape[-1]
+    diag = np.diagonal(K, axis1=-2, axis2=-1).copy()   # a view of K, which C may overwrite
     diag_cum = np.zeros(K.shape[:-2] + (n + 1,))
     np.cumsum(diag, axis=-1, out=diag_cum[..., 1:])
     P = np.cumsum(K, axis=-2)
@@ -388,59 +387,57 @@ def kernel_cpd_segment(x: LatentSequence, num_segments: int, bandwidth="median")
 
     Working memory is two n^2 float64 tables per sequence, about 1.6 GB at
     n = 10,000: one (n+1, n+1) buffer holds K in its leading block and then
-    the cost table C built over it, and ``kernel_cost_table`` adds P.  The
-    DP needs O(n * A) more.
+    the cost table C built over it, and building C adds P.  The DP needs
+    O(n * A) more.
     """
-    return kernel_cpd_stack([x], num_segments, bandwidth)[0]
+    return kernel_cpd_corpus([x], [num_segments], bandwidth)[0]
 
 
-def _stack_length(xs) -> int:
-    n = xs[0].length
-    if any(x.length != n for x in xs):
-        raise ValueError("the sequences of a stack must have one length")
-    return n
+def _segment_stacks(xs, counts, cells, solve) -> list[SegmentBoundaries]:
+    """The boundaries of each record ``xs[i]`` in ``counts[i]`` segments,
+    in input order.  Records of one token count n and segment count A form a
+    group, the groups taken in order of first appearance; each group is cut,
+    in record order, into stacks of max(1, _BLOCK // cells(n)) records, the
+    last what is left, and ``solve(stack, A)`` gives the boundaries of each
+    record of a (B, n, d) stack.  A stack of one is a view, not a copy."""
+    groups = {}
+    for i, (x, a) in enumerate(zip(xs, counts, strict=True)):
+        groups.setdefault((x.length, a), []).append(i)
+    found = [None] * len(xs)
+    for (n, a), ids in groups.items():
+        size = max(1, _BLOCK // cells(n))
+        for j in range(0, len(ids), size):
+            part = ids[j : j + size]
+            stack = np.stack([xs[i].vectors for i in part]) if len(part) > 1 else xs[part[0]].vectors[None]
+            for i, b in zip(part, solve(stack, a)):
+                found[i] = b
+    return found
 
 
-def _stacks(xs, cells: int):
-    """Consecutive (B, n, d) stacks of the sequences ``xs``, each needing
-    ``cells`` table elements: B is max(1, _BLOCK // cells), the last stack
-    what is left.  A stack of one is a view of its sequence, not a copy."""
-    size = max(1, _BLOCK // cells)
-    for i in range(0, len(xs), size):
-        part = xs[i : i + size]
-        yield np.stack([x.vectors for x in part]) if len(part) > 1 else part[0].vectors[None]
+def kernel_cpd_corpus(xs: list[LatentSequence], counts: list[int], bandwidth="median") -> list[SegmentBoundaries]:
+    """:func:`kernel_cpd_segment` of each sequence ``xs[i]``, of any length,
+    in ``counts[i]`` segments, in input order.  Sequences of one length and
+    segment count are segmented in stacks of max(1, _BLOCK // (n+1)^2), so a
+    stack's two tables hold at most ``_BLOCK`` elements each, or are those of
+    one sequence.  Every sequence gets the cuts it gets alone."""
+    fixed_bandwidth(bandwidth)   # checked even where there is nothing to cut
+    return _segment_stacks(xs, counts, lambda n: (n + 1) ** 2,
+                           lambda x, a: _kernel_cpd_stack(x, a, bandwidth))
 
 
-def kernel_cpd_stack(xs: list[LatentSequence], num_segments: int, bandwidth="median") -> list[SegmentBoundaries]:
-    """:func:`kernel_cpd_segment` of each of one or more sequences of one
-    length, in order.
-
-    They are segmented in stacks of max(1, _BLOCK // (n+1)^2) sequences, so
-    a stack's two tables hold at most ``_BLOCK`` elements each, or are those
-    of one sequence.  Every sequence gets the cuts it gets alone.
-    """
-    n = _stack_length(xs)
+def _kernel_cpd_stack(x: np.ndarray, num_segments: int, bandwidth) -> list[SegmentBoundaries]:
+    """The boundaries of each sequence of the (B, n, d) stack ``x``; its
+    tables are freed on return, before the next stack's are allocated."""
+    B, n = x.shape[:2]
     if num_segments < 1:
         raise ValueError("need at least one segment")
     if n < num_segments:
         raise ValueError(f"{n} tokens cannot form {num_segments} segments")
-    fixed_bandwidth(bandwidth)   # checked even where there is nothing to cut
     if num_segments == 1:
-        return [SegmentBoundaries(spans=((0, n),))] * len(xs)
-    return [
-        SegmentBoundaries.from_cuts(n, cuts)
-        for x in _stacks(xs, (n + 1) ** 2)
-        for cuts in _kernel_cpd_cuts(x, num_segments, bandwidth)
-    ]
-
-
-def _kernel_cpd_cuts(x: np.ndarray, num_segments: int, bandwidth) -> list[list[int]]:
-    """The cuts of each sequence of the (B, n, d) stack ``x``; its tables
-    are freed on return, before the next stack's are allocated."""
-    n = x.shape[1]
-    buf = np.empty((x.shape[0], n + 1, n + 1))
-    K = gaussian_kernel_matrix(x, bandwidth, out=buf[:, :n, :n])
-    return _dp_partition(kernel_cost_table(K, out=buf), n, num_segments)[0]
+        return [SegmentBoundaries(spans=((0, n),))] * B
+    buf = np.empty((B, n + 1, n + 1))
+    C = _cost_table_into(buf, _kernel_into(buf[:, :n, :n], x, bandwidth))
+    return [SegmentBoundaries.from_cuts(n, cuts) for cuts in _dp_partition(C, n, num_segments)[0]]
 
 
 # --- clustering-based segmentation -----------------------------------------
@@ -481,11 +478,6 @@ def build_primitive_library(
         raise ValueError(f"only {allw.shape[0]} windows for Kp={num_primitives}")
     centers, _ = kmeans(allw, num_primitives, seed=seed, iters=iters)
     return PrimitiveLibrary(centers=centers, window_size=window_size, stride=stride)
-
-
-def window_cost_matrix(x: LatentSequence, lib: PrimitiveLibrary) -> CostMatrix:
-    """Squared distance of each window to each primitive center."""
-    return CostMatrix(costs=_window_costs(x.vectors, lib))
 
 
 def _window_costs(x: np.ndarray, lib: PrimitiveLibrary) -> np.ndarray:
@@ -567,24 +559,24 @@ def cluster_dp_segment(x: LatentSequence, lib: PrimitiveLibrary, num_segments: i
     Window cut c maps back to token index c * stride; the final span always
     ends at the token count.
     """
-    return cluster_dp_stack([x], lib, num_segments)[0]
+    return cluster_dp_corpus([x], lib, [num_segments])[0]
 
 
-def cluster_dp_stack(xs: list[LatentSequence], lib: PrimitiveLibrary, num_segments: int) -> list[SegmentBoundaries]:
-    """:func:`cluster_dp_segment` of each of one or more sequences of one
-    length, in order.
+def cluster_dp_corpus(xs: list[LatentSequence], lib: PrimitiveLibrary, counts: list[int]) -> list[SegmentBoundaries]:
+    """:func:`cluster_dp_segment` of each sequence ``xs[i]``, of any length,
+    in ``counts[i]`` runs, in input order.  Sequences of one length and run
+    count are segmented in stacks of max(1, _BLOCK // (Kp (nw+1))), so a
+    stack's prefix sums hold at most ``_BLOCK`` elements, or are those of one
+    sequence.  Every sequence gets the cuts it gets alone."""
+    # Kp (nw+1) cells; with no window, extract_windows refuses the sequence
+    return _segment_stacks(xs, counts, lambda n: lib.size * (max(0, (n - lib.window_size) // lib.stride + 1) + 1),
+                           lambda x, a: _cluster_dp_stack(x, lib, a))
 
-    They are segmented in stacks of max(1, _BLOCK // (Kp (nw+1))) sequences,
-    so a stack's prefix sums hold at most ``_BLOCK`` elements, or are those
-    of one sequence.  Every sequence gets the cuts it gets alone.
-    """
-    n = _stack_length(xs)
-    nw = max(0, (n - lib.window_size) // lib.stride + 1)   # none: extract_windows refuses the sequence
-    return [
-        SegmentBoundaries.from_cuts(n, [c * lib.stride for c in window_cuts])
-        for x in _stacks(xs, lib.size * (nw + 1))
-        for window_cuts in _cluster_dp(_window_costs(x, lib), num_segments)[0]
-    ]
+
+def _cluster_dp_stack(x: np.ndarray, lib: PrimitiveLibrary, num_segments: int) -> list[SegmentBoundaries]:
+    """The boundaries of each sequence of the (B, n, d) stack ``x``."""
+    return [SegmentBoundaries.from_cuts(x.shape[1], [c * lib.stride for c in window_cuts])
+            for window_cuts in _cluster_dp(_window_costs(x, lib), num_segments)[0]]
 
 
 # --- exhaustive oracle ------------------------------------------------------

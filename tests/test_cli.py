@@ -892,6 +892,31 @@ class TestDownstreamCommands:
             assert key in report["metrics"]
         assert report["metadata"] == {"seed": 0}  # a full R-Precision pool adds no warnings note
 
+    @pytest.mark.parametrize("loss", ["sample", "batch", "global"])
+    def test_eval_ranks_by_cosine(self, tmp_path, loss):
+        """R-Precision ranks in the space every loss trains: each text takes
+        the motions of its pool by descending cosine similarity, ties to the
+        lower index, at the flags of the seeded align chain."""
+        align, out = tmp_path / "align", tmp_path / "e"
+        assert main(["train-align", "--seed", "5", "--samples", "60", "--holdout", "40", "--steps", "80",
+                     "--loss", loss, "--out", str(align), "--quiet"]) == 0
+        assert main(["eval", "--model", str(align / "model.json"), "--data", str(align / "align_data.json"),
+                     "--seed", "5", "--out", str(out), "--quiet"]) == 0
+        got = json.loads((out / "eval.json").read_text())["metrics"]
+        params = alignment.params_from_json(json.loads((align / "model.json").read_text()))
+        holdout = cli._read_holdout(str(align / "align_data.json"))
+        T = np.vstack([s.text for s in holdout])
+        M = alignment.embed_spans([span for s in holdout for span in s.spans], params)
+        size = metrics.POOL_SIZE
+        pools = [np.arange(i, i + size) for i in range(0, len(T) - size + 1, size)]
+        assert len(pools) > 1
+        for k in (1, 2, 3):
+            hits = 0
+            for pool in pools:
+                order = np.argsort(-alignment.cosine_matrix(T[pool], M[pool]), axis=1, kind="stable")
+                hits += sum(j in order[j, :k] for j in range(size))
+            assert got[f"r_precision_top{k}"] == hits / (len(pools) * size), k
+
     def test_eval_fid_identical_feature_files(self, tmp_path):
         feats = tmp_path / "f.csv"
         rng = np.random.default_rng(0)

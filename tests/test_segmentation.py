@@ -1,3 +1,5 @@
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from segalign import segmentation
+from segalign import cli, segmentation
 from segalign.motion import LatentSequence
 from segalign.segmentation import (
     CostMatrix,
@@ -17,23 +19,22 @@ from segalign.segmentation import (
     brute_force_objective,
     brute_force_segment,
     build_primitive_library,
+    cluster_dp_corpus,
     cluster_dp_segment,
-    cluster_dp_stack,
     _dp_partition,
     _row_blocks,
     cut_errors,
     extract_windows,
     gaussian_kernel_matrix,
     kernel_cost_table,
+    kernel_cpd_corpus,
     kernel_cpd_segment,
-    kernel_cpd_stack,
     kernel_span_cost,
     library_from_json,
     library_to_json,
     seg_error_corpus,
     segment_cost_matrix_dp,
     uniform_segment,
-    window_cost_matrix,
 )
 from segalign.rvq import sqdist
 
@@ -79,6 +80,18 @@ def reference_dp(C, n, num_segments):
         s = choice[a][s]
         cuts.append(s)
     return cuts, float(best[A][0])
+
+
+def dp_one(C, n, num_segments):
+    """(cuts, objective) of _dp_partition over the one table C."""
+    cuts, obj = _dp_partition(C[None], n, num_segments)
+    return cuts[0], obj[0]
+
+
+def window_costs(x, lib):
+    """(nw, Kp) window-to-primitive costs of one sequence: one sqdist of its
+    windows, the product _window_costs takes per sequence."""
+    return sqdist(extract_windows(x, lib.window_size, lib.stride), lib.centers)
 
 
 def reference_kernel_cost_table(K):
@@ -232,31 +245,8 @@ class TestKernelCpd:
             assert K.tobytes() == K_before.tobytes(), trial
             buf = np.full((n + 1, n + 1), np.nan)
             buf[:n, :n] = K
-            assert kernel_cost_table(buf[:n, :n], out=buf) is buf
+            assert segmentation._cost_table_into(buf, buf[:n, :n]) is buf
             assert buf.tobytes() == want.tobytes(), trial
-
-    @pytest.mark.parametrize("view", [
-        lambda buf, n: buf[1:, 1:],
-        lambda buf, n: buf[:n, 1:],
-        lambda buf, n: buf[1:, :n],
-        lambda buf, n: buf[:n, :n].T,
-        lambda buf, n: buf[:n, :n][::-1, ::-1],
-    ], ids=["shifted", "right", "down", "transposed", "reversed"])
-    def test_other_overlap_of_out_and_K_rejected(self, view):
-        n = 6
-        buf = np.zeros((n + 1, n + 1))
-        K = view(buf, n)
-        K[...] = gaussian_kernel_matrix(np.random.default_rng(3).normal(size=(n, 2)))
-        before = buf.copy()
-        with pytest.raises(ValueError, match="share memory"):
-            kernel_cost_table(K, out=buf)
-        assert buf.tobytes() == before.tobytes()
-
-    @pytest.mark.parametrize("shape,dtype", [((6, 6), np.float64), ((8, 8), np.float64), ((7, 7), np.float32)])
-    def test_out_of_wrong_shape_or_dtype_rejected(self, shape, dtype):
-        K = gaussian_kernel_matrix(np.random.default_rng(3).normal(size=(6, 2)))
-        with pytest.raises(ValueError, match=r"out must be a \(7, 7\) float64 array"):
-            kernel_cost_table(K, out=np.zeros(shape, dtype=dtype))
 
     def test_cost_table_error_bound_at_n_1024(self):
         n = 1024
@@ -365,13 +355,15 @@ class TestGaussianKernelMatrix:
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("bandwidth", ["median", 0.7])
-    def test_out_view_gives_the_same_bits(self, bandwidth):
+    def test_kernel_built_in_a_view_gives_the_same_bits(self, bandwidth):
+        """As kernel CPD builds K, in the leading block of its table buffer;
+        the rest of the buffer is left as it was."""
         rng = np.random.default_rng(32)
         for t in range(200):
             x = self.instance(rng, t)
             n = x.shape[0]
             buf = np.full((n + 1, n + 1), np.nan)
-            got = gaussian_kernel_matrix(x, bandwidth, out=buf[:n, :n])
+            got = segmentation._kernel_into(buf[:n, :n], x, bandwidth)
             assert np.shares_memory(got, buf)
             want = gaussian_kernel_matrix(x, bandwidth)
             np.testing.assert_array_equal(buf[:n, :n].view(np.uint64), want.view(np.uint64))
@@ -455,7 +447,7 @@ class TestClusterDp:
             costs = random_run_costs(rng, nw, 1 + trial % 2)
             a = int(rng.integers(1, min(7, nw) + 1))
             cuts, assigns, obj = segment_cost_matrix_dp(CostMatrix(costs=costs), a)
-            assert (cuts, obj) == _dp_partition(reference_run_cost_tables(costs), nw, a), trial
+            assert (cuts, obj) == dp_one(reference_run_cost_tables(costs), nw, a), trial
             edges = [0, *cuts, nw]
             sums = [costs[s:e].sum(axis=0) for s, e in zip(edges[:-1], edges[1:])]
             assert assigns == [int(run.argmin()) for run in sums]
@@ -488,11 +480,6 @@ class TestClusterDp:
         with pytest.raises(ValueError, match="3 tokens .* window size 4"):
             cluster_dp_segment(x, lib, 1)
 
-    def test_window_cost_matrix_shape(self):
-        lib = PrimitiveLibrary(centers=np.zeros((3, 4)), window_size=2, stride=1)
-        x = LatentSequence(vectors=np.arange(10, dtype=float).reshape(5, 2))
-        assert window_cost_matrix(x, lib).costs.shape == (4, 3)
-
     def test_library_json_round_trip(self):
         lib = PrimitiveLibrary(centers=np.array([[1.0, 2.0]]), window_size=2, stride=1)
         back = library_from_json(library_to_json(lib))
@@ -509,7 +496,7 @@ class TestDpPartition:
             a = int(rng.integers(2, min(7, n) + 1))
             kind = ("kernel", "run")[trial % 2]
             C = random_cost_table(rng, n, kind, ties=trial % 3 == 0)
-            cuts, obj = _dp_partition(C, n, a)
+            cuts, obj = dp_one(C, n, a)
             ref_cuts, ref_obj = reference_dp(C, n, a)
             assert cuts == ref_cuts
             assert obj == ref_obj
@@ -521,15 +508,15 @@ class TestDpPartition:
                 for ties in (False, True):
                     C = random_cost_table(rng, n, kind, ties)
                     for a in (1, 2, n):
-                        assert _dp_partition(C, n, a) == reference_dp(C, n, a)
-                    assert _dp_partition(C, n, n)[0] == list(range(1, n))
+                        assert dp_one(C, n, a) == reference_dp(C, n, a)
+                    assert dp_one(C, n, n)[0] == list(range(1, n))
 
     def test_single_token_single_segment(self):
         x = LatentSequence(vectors=np.array([[0.5, -1.0]]))
         assert kernel_cpd_segment(x, 1).spans == ((0, 1),)
         lib = PrimitiveLibrary(centers=np.array([[1.0, 1.0], [0.5, -1.0]]), window_size=1, stride=1)
         assert cluster_dp_segment(x, lib, 1).spans == ((0, 1),)
-        assert segment_cost_matrix_dp(window_cost_matrix(x, lib), 1) == ([], [1], 0.0)
+        assert segment_cost_matrix_dp(CostMatrix(costs=window_costs(x.vectors, lib)), 1) == ([], [1], 0.0)
 
 
 class TestRowBlocks:
@@ -565,12 +552,13 @@ class TestStacks:
             n, size = int(rng.integers(1, 30)), int(rng.integers(2, 6))
             x = stack_inputs(rng, trial, n, size)
             bandwidth = "median" if trial % 3 else 0.7
-            buf = np.full((size, n + 1, n + 1), np.nan)
-            K = gaussian_kernel_matrix(x, bandwidth, out=buf[:, :n, :n])
             alone = [gaussian_kernel_matrix(v, bandwidth) for v in x]
+            assert gaussian_kernel_matrix(x, bandwidth).tobytes() == np.stack(alone).tobytes(), trial
+            buf = np.full((size, n + 1, n + 1), np.nan)
+            K = segmentation._kernel_into(buf[:, :n, :n], x, bandwidth)
             assert K.tobytes() == np.stack(alone).tobytes(), trial
             assert kernel_cost_table(K).tobytes() == np.stack([kernel_cost_table(k) for k in alone]).tobytes()
-            assert kernel_cost_table(K, out=buf) is buf
+            assert segmentation._cost_table_into(buf, K) is buf
             assert buf.tobytes() == np.stack([kernel_cost_table(k) for k in alone]).tobytes(), trial
 
     def test_dp_partition(self, block):
@@ -580,7 +568,7 @@ class TestStacks:
             a = int(rng.integers(1, min(6, n) + 1))
             C = kernel_cost_table(gaussian_kernel_matrix(stack_inputs(rng, trial, n, size)))
             cuts, obj = _dp_partition(C, n, a)
-            alone = [_dp_partition(c, n, a) for c in C]
+            alone = [dp_one(c, n, a) for c in C]
             assert cuts == [c for c, _ in alone], trial
             assert same_bits(obj, [o for _, o in alone]), trial
 
@@ -605,7 +593,7 @@ class TestStacks:
             a = int(rng.integers(2, min(4, n) + 1))
             x = stack_inputs(rng, trial, n, size)
             xs = [LatentSequence(vectors=v) for v in x]
-            got = kernel_cpd_stack(xs, a)
+            got = kernel_cpd_corpus(xs, [a] * size)
             assert got == [kernel_cpd_segment(v, a) for v in xs], trial
             K = gaussian_kernel_matrix(x)
             _, obj = _dp_partition(kernel_cost_table(K), n, a)
@@ -624,13 +612,13 @@ class TestStacks:
             xs = [LatentSequence(vectors=v) for v in x]
             nw = (n - window) // stride + 1
             a = int(rng.integers(1, min(4, nw) + 1))
-            got = cluster_dp_stack(xs, lib, a)
+            got = cluster_dp_corpus(xs, lib, [a] * size)
             assert got == [cluster_dp_segment(v, lib, a) for v in xs], trial
-            stacked = np.stack([window_cost_matrix(v, lib).costs for v in xs])
+            stacked = np.stack([window_costs(v, lib) for v in x])
             assert segmentation._window_costs(x, lib).tobytes() == stacked.tobytes(), trial
             cuts, _, obj = segmentation._cluster_dp(stacked, a)
-            for b, v in enumerate(xs):
-                cost = window_cost_matrix(v, lib)
+            for b, v in enumerate(x):
+                cost = CostMatrix(costs=window_costs(v, lib))
                 assert SegmentBoundaries.from_cuts(nw, cuts[b]) == brute_force_segment(cost, a), (trial, b)
                 assert same_bits(obj[b], brute_force_objective(cost, a)), (trial, b)
 
@@ -644,27 +632,8 @@ class TestStacks:
         for size, n, d, window, kp in shapes:
             x = rng.normal(size=(size, n, d))
             lib = PrimitiveLibrary(centers=rng.normal(size=(kp, window * d)), window_size=window, stride=1)
-            alone = np.stack([window_cost_matrix(LatentSequence(vectors=v), lib).costs for v in x])
+            alone = np.stack([window_costs(v, lib) for v in x])
             assert segmentation._window_costs(x, lib).tobytes() == alone.tobytes(), (size, n, d, window, kp)
-
-    def test_equal_lengths_form_stacks_within_the_block(self, monkeypatch):
-        """60 sequences of 24 tokens: kernel stacks of 8192 // 25^2 = 13,
-        cluster stacks of 8192 // (32 * 22) = 11; the last is what is left."""
-        rng = np.random.default_rng(56)
-        xs = [LatentSequence(vectors=v) for v in rng.normal(size=(60, 24, 16))]
-        lib = PrimitiveLibrary(centers=rng.normal(size=(32, 64)), window_size=4, stride=1)
-        sizes = []
-        for name in ("kernel_cost_table", "_cluster_dp"):
-            real = getattr(segmentation, name)
-
-            def spy(first, *args, _real=real, **kwargs):
-                sizes.append(first.shape[0])
-                return _real(first, *args, **kwargs)
-
-            monkeypatch.setattr(segmentation, name, spy)
-        kernel_cpd_stack(xs, 3)
-        cluster_dp_stack(xs, lib, 3)
-        assert sizes == [13] * 4 + [8] + [11] * 5 + [5]
 
     def test_cost_matrix_holds_one_sequence(self):
         """The oracle reads a CostMatrix as one (nw, Kp) matrix, so a stack
@@ -675,14 +644,146 @@ class TestStacks:
         xs = [LatentSequence(vectors=np.zeros((6, 2))) for _ in range(3)]
         lib = PrimitiveLibrary(centers=np.full((2, 2), 1e200), window_size=1, stride=1)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="^non-finite cost entry$"):
-            cluster_dp_stack(xs, lib, 2)
+            cluster_dp_corpus(xs, lib, [2] * 3)
 
-    def test_sequences_of_two_lengths_are_refused(self):
-        xs = [LatentSequence(vectors=np.zeros((n, 2))) for n in (6, 6, 7)]
-        lib = PrimitiveLibrary(centers=np.zeros((2, 2)), window_size=1, stride=1)
-        for solve in (lambda: kernel_cpd_stack(xs, 2), lambda: cluster_dp_stack(xs, lib, 2)):
-            with pytest.raises(ValueError, match="must have one length"):
-                solve()
+
+def ragged_corpus(rng, per_group=30, d=2):
+    """Records of 16 and 24 tokens in 2 and 3 segments: the four (n, A)
+    groups interleave in record order, ``per_group`` records each."""
+    xs, counts = [], []
+    for i in range(4 * per_group):
+        xs.append(LatentSequence(vectors=rng.normal(size=((16, 24)[i % 2], d))))
+        counts.append((2, 3)[i // 2 % 2])
+    return xs, counts
+
+
+def spy_stacks(monkeypatch, xs):
+    """Record each stack handed to a per-stack solver as (the indices in
+    ``xs`` of its members, in stack order, its segment count)."""
+    index = {x.vectors.tobytes(): i for i, x in enumerate(xs)}
+    stacks = []
+    for name in ("_kernel_cpd_stack", "_cluster_dp_stack"):
+        real = getattr(segmentation, name)
+
+        def spy(x, *args, _real=real):
+            a = inspect.signature(_real).bind(x, *args).arguments["num_segments"]
+            stacks.append(([index[v.tobytes()] for v in x], a))
+            return _real(x, *args)
+
+        monkeypatch.setattr(segmentation, name, spy)
+    return stacks
+
+
+class TestCorpus:
+    """A corpus of any lengths and segment counts: records of one (n, A)
+    are segmented in stacks within the block, and every record gets, in
+    input order, the cuts it gets alone."""
+
+    @staticmethod
+    def check_stacks(stacks, xs, counts, cells):
+        assert sorted(i for ids, _ in stacks for i in ids) == list(range(len(xs)))
+        groups = {}
+        for ids, a in stacks:
+            n = xs[ids[0]].length
+            assert all((xs[i].length, counts[i]) == (n, a) for i in ids), ids
+            assert ids == sorted(ids)
+            assert len(ids) <= max(1, segmentation._BLOCK // cells(n)), (n, a, len(ids))
+            groups.setdefault((n, a), []).append(len(ids))
+        for sizes in groups.values():   # every stack but a group's last is full
+            assert len(sizes) > 1 and len(set(sizes[:-1])) == 1 and sizes[-1] <= sizes[0]
+
+    @pytest.mark.parametrize("block", [None, 2000], ids=lambda b: f"block={b}")
+    def test_kernel_cpd(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(segmentation, "_BLOCK", block)
+        xs, counts = ragged_corpus(np.random.default_rng(61))
+        stacks = spy_stacks(monkeypatch, xs)
+        got = kernel_cpd_corpus(xs, counts)
+        self.check_stacks(stacks, xs, counts, lambda n: (n + 1) ** 2)
+        assert kernel_cpd_corpus(xs[::-1], counts[::-1]) == got[::-1]
+        for i, (x, a) in enumerate(zip(xs, counts)):
+            assert got[i] == kernel_cpd_segment(x, a), i
+            if x.length <= 16:
+                assert got[i] == brute_force_segment(gaussian_kernel_matrix(x.vectors), a), i
+
+    @pytest.mark.parametrize("block", [None, 2000], ids=lambda b: f"block={b}")
+    def test_cluster(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(segmentation, "_BLOCK", block)
+        rng = np.random.default_rng(62)
+        xs, counts = ragged_corpus(rng)
+        lib = PrimitiveLibrary(centers=rng.normal(size=(32, 8)), window_size=4, stride=1)
+        stacks = spy_stacks(monkeypatch, xs)
+        got = cluster_dp_corpus(xs, lib, counts)
+        self.check_stacks(stacks, xs, counts, lambda n: 32 * (n - 4 + 2))
+        assert cluster_dp_corpus(xs[::-1], lib, counts[::-1]) == got[::-1]
+        for i, (x, a) in enumerate(zip(xs, counts)):
+            assert got[i] == cluster_dp_segment(x, lib, a), i
+            if x.length <= 16:   # 13 windows, stride 1: window cuts are token cuts
+                assert got[i].cuts == brute_force_segment(CostMatrix(costs=window_costs(x.vectors, lib)), a).cuts
+
+    @staticmethod
+    def segmenters():
+        lib = PrimitiveLibrary(centers=np.random.default_rng(63).normal(size=(5, 4)), window_size=2, stride=1)
+        return {"cpd": (kernel_cpd_corpus, kernel_cpd_segment),
+                "cluster": (lambda xs, counts: cluster_dp_corpus(xs, lib, counts),
+                            lambda x, a: cluster_dp_segment(x, lib, a))}
+
+    @pytest.mark.parametrize("method", ["cpd", "cluster"])
+    def test_one_segment_and_one_token_per_segment(self, method):
+        """Counts of 1 and of every token (or window) mixed into a corpus of
+        three lengths: each record still gets its cuts alone."""
+        corpus, alone = self.segmenters()[method]
+        rng = np.random.default_rng(64)
+        lengths = (5, 7, 5, 9, 7, 5, 9, 9)
+        xs = [LatentSequence(vectors=rng.normal(size=(n, 2))) for n in lengths]
+        units = [n if method == "cpd" else n - 1 for n in lengths]   # tokens, or windows of 2
+        counts = [1, units[1], 1, 3, 1, units[5], units[6], 1]
+        assert corpus(xs, counts) == [alone(x, a) for x, a in zip(xs, counts)]
+
+    @pytest.mark.parametrize("method", ["cpd", "cluster"])
+    def test_refused_later_group_raises_its_own_error(self, method):
+        """The first groups segment, then a record that cannot form its
+        segments is refused with the error it gets alone."""
+        corpus, alone = self.segmenters()[method]
+        rng = np.random.default_rng(65)
+        xs = [LatentSequence(vectors=rng.normal(size=(n, 2))) for n in (8, 8, 4, 8)]
+        counts = [2, 2, 5, 3]
+        with pytest.raises(ValueError) as exc:
+            alone(xs[2], 5)
+        with pytest.raises(ValueError, match=f"^{exc.value}$"):
+            corpus(xs, counts)
+
+    def test_one_count_per_sequence(self):
+        xs = [LatentSequence(vectors=np.zeros((6, 2)))] * 3
+        for corpus, _ in self.segmenters().values():
+            with pytest.raises(ValueError):
+                corpus(xs, [2, 2])
+
+    @pytest.mark.parametrize("records,segments,tokens,primitives,cpd,cluster", [
+        (60, 3, 8, 32, 13, 11),   # the corpus-short benchmark: n = 24, Kp = 32
+        (4, 5, 90, 16, 1, 1),     # the corpus-long benchmark: n = 450, Kp = 16
+    ], ids=["corpus-short", "corpus-long"])
+    def test_benchmark_corpora_keep_their_stacks(self, tmp_path, monkeypatch, records, segments, tokens,
+                                                 primitives, cpd, cluster):
+        """``segment`` hands the solvers runs of max(1, _BLOCK // cells)
+        consecutive records: 8192 // 25^2 = 13 and 8192 // (32 * 22) = 11 at
+        24 tokens, one record at 450."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": records, "dim": 16, "segments_min": segments,
+                                    "segments_max": segments, "tokens_per_segment_min": tokens,
+                                    "tokens_per_segment_max": tokens}))
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--spec", str(spec), "--seed", "7", "--out", str(data), "--quiet"]) == 0
+        recs, latents = cli._load_corpus(str(data))
+        stacks = spy_stacks(monkeypatch, [latents[r.id] for r in recs])
+        for method, size in (("cpd", cpd), ("cluster", cluster)):
+            stacks.clear()
+            assert cli.main(["segment", "--data", str(data), "--method", method, "--fit-library",
+                             "--library", str(tmp_path / "library.json"), "--primitives", str(primitives),
+                             "--seed", "7", "--out", str(tmp_path / method), "--quiet"]) == 0
+            want = [list(range(i, min(i + size, records))) for i in range(0, records, size)]
+            assert stacks == [(ids, segments) for ids in want], method
 
 
 def traced_peak(fn, *args):
@@ -701,7 +802,7 @@ class TestWorkingMemory:
         rng = np.random.default_rng(24)
         C = np.full((n + 1, n + 1), np.inf)
         C[np.triu_indices(n + 1, k=1)] = rng.uniform(size=n * (n + 1) // 2)
-        assert traced_peak(_dp_partition, C, n, 5) < 1 << 20
+        assert traced_peak(_dp_partition, C[None], n, 5) < 1 << 20
 
     def test_segment_cost_matrix_dp_needs_no_span_table(self):
         """The prefix and one (Kp, nw) buffer, 4.9 MiB at nw = 5,000, plus the
@@ -719,10 +820,10 @@ class TestWorkingMemory:
         rng = np.random.default_rng(27)
         xs = [LatentSequence(vectors=v) for v in rng.normal(size=(60, 24, 16))]
         if method == "cpd":
-            peak = traced_peak(kernel_cpd_stack, xs, 3)
+            peak = traced_peak(kernel_cpd_corpus, xs, [3] * 60)
         else:
             lib = PrimitiveLibrary(centers=rng.normal(size=(32, 64)), window_size=4, stride=1)
-            peak = traced_peak(cluster_dp_stack, xs, lib, 3)
+            peak = traced_peak(cluster_dp_corpus, xs, lib, [3] * 60)
         assert peak < 8 * segmentation._BLOCK * 8
 
     def test_kernel_cpd_segment_needs_two_tables(self):
