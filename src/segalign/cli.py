@@ -76,9 +76,9 @@ _MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABL
 def _keep_freed_memory() -> None:
     """Keep the scratch memory a corpus command frees in the heap.
 
-    With glibc's default thresholds, the n^2 kernel tables of one sequence and
+    With glibc's default thresholds, the kernel CPD blocks of one sequence and
     the (n, k) buffers of one k-means iteration are unmapped or trimmed when
-    freed, and the next sequence or iteration page-faults them in again.
+    freed, and the next block or iteration page-faults them in again.
     Blocks up to 32 MiB (the 64-bit ceiling of glibc's own dynamic mmap
     threshold) come from the heap, and the heap is trimmed only above
     64 MiB free (the trim threshold glibc's dynamic rule would set).  Runs

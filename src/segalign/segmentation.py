@@ -127,87 +127,28 @@ def uniform_segment(n: int, num_segments: int) -> SegmentBoundaries:
 # --- exact DP over span costs ----------------------------------------------
 #
 # The DPs and the brute-force oracle fold span costs right to left (last
-# span first) with the same float steps.  Kernel CPD reads a precomputed
-# (n+1, n+1) table C, C[s, e] the cost of span [s, e) and +inf where e <= s:
-# a step is C[s, e] + acc.  Clustering builds no table: over the (Kp, nw+1)
-# prefix P of window costs, a step is min_p ((P[p, e] + acc) - P[p, s]).
-# A step is monotone in acc, the cost of what follows, so the minimum over
-# suffixes commutes with it and the objectives agree bit for bit.  The DPs
-# end a span at the lowest end whose candidate equals the optimum, and the
-# oracle keeps the first optimum of its lexicographic enumeration (strict
-# <): the same cuts unless rounding lets a worse suffix give the same
-# candidate, which no exact (integer) tie does.
-#
-# The kernel cost table and its DP work on blocks of start rows s0 <= s < s1,
-# so their scratch arrays do not grow with the square of the table: a block
-# holds at most ``_BLOCK`` elements (one row if a row alone is wider).  In
-# every block the entries with e <= s lie in the leading corner, below its
-# diagonal.  _BLOCK is 2^13 float64 values, 64 KiB: in a sweep of 2^12 to
-# 2^16 on the corpus benchmarks, larger blocks ran at most about 6% faster
-# and raised the peak RSS by 0.4 to 2 MB, smaller ones ran slower.
+# span first) with the same float steps.  For kernel CPD, with C[s, e] the
+# cost of span [s, e) from ``kernel_cost_table`` (or the same numbers, which
+# the DP forms block by block), a step is C[s, e] + acc.  Clustering builds
+# no table: over the (Kp, nw+1) prefix P of window costs, a step is
+# min_p ((P[p, e] + acc) - P[p, s]).  A step is monotone in acc, the cost of
+# what follows, so the minimum over suffixes commutes with it and the
+# objectives agree bit for bit.  The DPs end a span at the lowest end whose
+# candidate equals the optimum, and the oracle keeps the first optimum of its
+# lexicographic enumeration (strict <): the same cuts unless rounding lets a
+# worse suffix give the same candidate, which no exact (integer) tie does.
 #
 # A corpus is segmented in stacks: its records are grouped by token count
-# and segment count, and every array from the kernel matrix on, and each DP
-# step, carries a leading stack axis, so a corpus of short sequences costs a
-# few numpy calls per stack rather than per sequence.  Each element sees the
-# same float operations as alone, so a stack member gets the bits it gets
-# alone.  Only BLAS products stay one per sequence: a product over several
-# sequences' rows may round differently.  A stack holds as many records as
-# fit one _BLOCK with their tables, (n+1)^2 elements each for kernel CPD and
-# Kp (nw+1) for clustering, or one record if its tables alone are larger;
-# then the row blocks split its tables.
+# and segment count, and every array and each DP step carries a leading
+# stack axis, so a corpus of short sequences costs a few numpy calls per
+# stack rather than per sequence.  Each element sees the same float
+# operations as alone, so a stack member gets the bits it gets alone.  Only
+# BLAS products stay one per sequence: a product over several sequences'
+# rows may round differently.  A stack holds as many records as fit one
+# _BLOCK of 2^13 elements, at (n+1)^2 each for kernel CPD and Kp (nw+1) for
+# clustering, or one record if it alone is larger.
 
 _BLOCK = 1 << 13
-
-
-def _row_blocks(rows: int, width: int, stack: int):
-    """Consecutive (s0, s1) blocks covering range(rows <= width) for
-    ``stack`` tables whose row s is needed from column s0 to ``width``: a
-    block's temporary of (stack, s1 - s0, width - s0) cells holds at most
-    ``_BLOCK`` elements, or is a single row of each table.  Blocks grow as
-    rows shorten."""
-    s0 = 0
-    while s0 < rows:
-        s1 = min(rows, s0 + max(1, _BLOCK // (stack * (width - s0))))
-        yield s0, s1
-        s0 = s1
-
-
-def _dp_partition(C: np.ndarray, n: int, num_segments: int) -> tuple[list[list[int]], list[float]]:
-    """Minimize sum of span costs over contiguous partitions into A spans.
-
-    ``C`` is a stack (B, n+1, n+1) of the span-cost tables described above.
-    Returns a list of B interior-cut lists and a list of B objectives; among
-    optimal partitions, the lexicographically smallest cut sequence is
-    returned.  Every step runs once over the stack, and each table gets the
-    bits it gets alone.
-
-    Each step takes the candidates of one block of starts at a time.  The
-    block's columns e <= s0 hold +inf for all its rows, so they are left
-    out: the picks are those of a scan over every end whenever C is finite
-    above its diagonal and no candidate sum overflows.  Working memory
-    beyond C: O(B * n * A) for the best costs and picks, plus one block of
-    at most ``_BLOCK`` elements (one row of each table if wider).
-    """
-    A = num_segments
-    member = np.arange(C.shape[0])[:, None]
-    # best[b, s]: cost of splitting [s, n) into the current number of spans
-    best = C[:, :n, n]
-    choices = []
-    for a in range(2, A + 1):
-        # a spans over [s, n) need s <= n - a; the first span ends at e <= n-a+1
-        rows, hi = n - a + 1, n - a + 2
-        pick = np.empty((C.shape[0], rows), dtype=np.intp)
-        for s0, s1 in _row_blocks(rows, hi, C.shape[0]):
-            cand = C[:, s0:s1, s0 + 1 : hi] + best[:, None, s0 + 1 : hi]
-            np.add(cand.argmin(axis=2), s0 + 1, out=pick[:, s0:s1])
-        # the picked candidates, added again: the same sum of the same terms
-        best = C[member, np.arange(rows), pick] + best[member, pick]
-        choices.append(pick)
-    cuts = np.zeros((C.shape[0], A), dtype=np.intp)   # column 0: every partition starts at 0
-    for i, pick in enumerate(reversed(choices), 1):
-        cuts[:, i] = pick[member[:, 0], cuts[:, i - 1]]
-    return cuts[:, 1:].tolist(), best[:, 0].tolist()
 
 
 def _enumerate_partitions(n: int, num_segments: int):
@@ -230,18 +171,149 @@ def _brute_force_partition(span_step, n: int, num_segments: int) -> tuple[list[i
 
 
 # --- kernel change-point detection -----------------------------------------
+#
+# Kernel CPD holds no n^2 table.  With V(s, e) half the sum of K over
+# [s, e)^2, and V(e, e) = 0, the cost of span [s, e) is its trace minus
+# V(s, e) / ((e - s) / 2), and
+#
+#     V(s, e) = V(s+1, e) + R(s, e),   R(s, e) = K[s, s] / 2 + sum of K[s, j] over s < j < e.
+#
+# One sweep runs over blocks of start rows s0 <= s < s1, from the last rows
+# up (``_start_blocks``).  Per block it forms the kernel rows K[s, j >= s0]
+# from x, one product per record; sums each row left to right (R, one
+# cumsum); and adds the rows, from the block's last up, onto the carry row
+# V(s1, .) (one cumsum down the reversed rows).  The exact DP then advances
+# every segment count over the block's costs while they are in cache:
+# best_a[s] = min over e > s of C[s, e] + best_{a-1}[e].  A block holds at
+# most ``_START_BLOCK`` elements of each record (one row if a row alone is
+# wider), so working memory is a few blocks plus O(n * A) for the DP.  The
+# median bandwidth adds one half-size table of the n (n-1) / 2 distances,
+# made by the same products; a fixed bandwidth needs no table.
+# _START_BLOCK is 2^15 float64 values, 256 KiB: at n = 450, d = 16, A = 5 on
+# one BLAS thread, 2^14 and 2^15 ran alike and fastest, 2^13 about 10%
+# slower, and 2^16 and 2^17 15% and 30% slower.
+#
+# Every sum runs in one order whatever the blocks are: R along its row, V
+# from the last row up, and the zeros that empty spans add are exact.  Only
+# the products depend on the blocks, and gaussian_kernel_matrix and
+# kernel_cost_table run on the same blocks as the sweep, which depend on n
+# alone: kernel_cost_table(gaussian_kernel_matrix(x)) holds the sweep's
+# costs bit for bit, the oracle folds over them, and a stack member gets
+# the bits it gets alone.
+
+_START_BLOCK = 1 << 15
+
+
+def _start_blocks(n: int):
+    """Blocks (s0, s1) of start rows covering range(n), from the last rows
+    up: s1 = n first.  A block's (s1 - s0, n - s0) rows hold at most
+    ``_START_BLOCK`` elements, or are one row.  Blocks shrink as rows
+    widen."""
+    s1 = n
+    while s1 > 0:
+        m = n - s1   # rows = b gives b (b + m) elements
+        b = max(1, (math.isqrt(m * m + 4 * _START_BLOCK) - m) // 2)
+        s0 = max(0, s1 - b)
+        yield s0, s1
+        s1 = s0
+
+
+def _distance_rows(x: np.ndarray, x_sq: np.ndarray, s0: int, s1: int, out=None) -> np.ndarray:
+    """(B, s1 - s0, n - s0) squared distances from the rows s0 <= s < s1 of
+    each (n, d) record of ``x`` to its rows j >= s0: one :func:`sqdist`
+    per record, the diagonal set to exactly 0.  ``x_sq`` is (x * x).sum(-1);
+    ``out``, if given, is written and returned."""
+    d2 = np.empty((x.shape[0], s1 - s0, x.shape[1] - s0)) if out is None else out
+    for xb, sq, rows in zip(x, x_sq, d2):
+        sqdist(xb[s0:s1], xb[s0:], out=rows, a_sq=sq[s0:s1])
+    diag = np.arange(s1 - s0)
+    d2[:, diag, diag] = 0.0
+    return d2
+
+
+def _kernel_rows(x: np.ndarray, bandwidth):
+    """Yield (s0, s1, K[:, s0:s1, s0:]) for each block of
+    :func:`_start_blocks` over the (B, n, d) stack ``x``, each a new array.
+
+    The median bandwidth first writes every block's distances into one
+    array, each block's rows after the last's, with the entries on and
+    below each diagonal set to -inf: they sort first, so the median of the
+    n (n-1) / 2 distances above the diagonals is selected after them.  The
+    array holds the half table plus the blocks' leading corners, and is
+    freed before the first kernel rows are made from the same products."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("kernel input contains non-finite values")
+    sigma = fixed_bandwidth(bandwidth)
+    B, n = x.shape[:2]
+    x_sq = (x * x).sum(axis=-1)
+    blocks = list(_start_blocks(n))
+    if sigma is None:   # the median over each upper triangle, or 1 if it is 0 or there is none
+        v = np.empty((B, sum((s1 - s0) * (n - s0) for s0, s1 in blocks)))
+        at = 0
+        for s0, s1 in blocks:
+            b = s1 - s0
+            rows = _distance_rows(x, x_sq, s0, s1, out=v[:, at : at + b * (n - s0)].reshape(B, b, n - s0))
+            np.copyto(rows[:, :, :b], -np.inf, where=np.tri(b, dtype=bool))
+            at += b * (n - s0)
+        sigma = _median_distance(v, v.shape[1] - n * (n - 1) // 2) if n > 1 else np.zeros(B)
+        del v
+        sigma = np.where(sigma == 0.0, 1.0, sigma)
+    scale = np.asarray(-2.0 * sigma * sigma)[..., None, None]
+    for s0, s1 in blocks:
+        d2 = _distance_rows(x, x_sq, s0, s1)
+        # a tiny bandwidth overflows the quotient to -inf, and exp(-inf) = 0
+        # is the kernel value; every finite quotient keeps its bits
+        with np.errstate(over="ignore"):
+            d2 /= scale
+        yield s0, s1, np.exp(d2, out=d2)
+
+
+def _span_costs(K: np.ndarray, s0: int, carry: np.ndarray, trace=None) -> np.ndarray:
+    """The span costs of one block of start rows, in place of its kernel
+    rows, and returned.
+
+    ``K`` is a C-contiguous (B, b, w) array with K[:, i, c] = K[s0 + i,
+    s0 + c], w = n - s0; on return K[:, i, c] is C[s0 + i, s0 + 1 + c],
+    +inf where that span is empty, with costs clamped at 0.  Only K[s, j]
+    with j >= s is read.  ``carry`` (B, n+1) holds V(s0 + b, e) and is left
+    holding V(s0, e).  ``trace`` (B, n+1) holds the cumulative sums of the
+    diagonal of K from 0; None means every K[s, s] is 1, whose trace over
+    [s, e) is e - s."""
+    B, b, w = K.shape
+    K.reshape(B, -1)[:, :: w + 1] *= 0.5   # the diagonal: K[s, s] / 2
+    below = np.tri(b, k=-1, dtype=bool)   # j < s, and empty spans e <= s
+    corner = K[:, :, :b]
+    np.copyto(corner, 0.0, where=below)
+    K.cumsum(axis=2, out=K)   # R(s, e), 0 where e <= s
+    K[:, -1] += carry[:, s0 + 1 :]
+    np.cumsum(K[:, ::-1], axis=1, out=K[:, ::-1])   # V(s, e), from the last row up
+    carry[:, s0 + 1 :] = K[:, 0]
+    # span length e - s; below the diagonal, where the cost becomes +inf,
+    # any nonzero divisor
+    lengths = np.arange(1.0, w + 1.0) - np.arange(float(b))[:, None]
+    np.maximum(lengths[:, :b], 1.0, out=lengths[:, :b])
+    K /= lengths * 0.5
+    span_trace = lengths if trace is None else trace[:, None, s0 + 1 :] - trace[:, s0 : s0 + b, None]
+    np.subtract(span_trace, K, out=K)
+    np.maximum(K, 0.0, out=K)
+    np.copyto(corner, np.inf, where=below)
+    return K
+
 
 def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
     """Pairwise Gaussian kernel k(a,b) = exp(-||a-b||^2 / (2 sigma^2)).
 
     bandwidth "median" uses the median pairwise distance (1 if it is 0).
-    Distances come from :func:`sqdist`; the diagonal is set to exactly 0, so
-    every k(a, a) is exactly 1.
+    The rows above the diagonal are those kernel CPD forms (the comment
+    above): for each block of start rows, :func:`sqdist` of its rows to the
+    rows from its first on, per sequence; the lower triangle is their
+    mirror, so K is exactly symmetric, and the diagonal distances are set to
+    exactly 0, so every k(a, a) is exactly 1.
 
     ``x`` may be a stack (B, n, d) of sequences of one length, giving
-    (B, n, n).  The distances are one :func:`sqdist` per sequence, and every
-    later step runs once over the stack, each sequence with its own median:
-    every kernel is the bits it gets alone.
+    (B, n, n): the products are one per sequence, and every later step runs
+    once over the stack, each sequence with its own median: every kernel is
+    the bits it gets alone.
 
     The median is found by selection, not by sorting: one ``np.partition``
     picks the one or two middle squared distances of the upper triangle
@@ -255,33 +327,13 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
     gave NaN.
     """
     x = np.asarray(x, dtype=np.float64)
-    return _kernel_into(np.empty(x.shape[:-1] + (x.shape[-2],)), x, bandwidth)
-
-
-def _kernel_into(sq: np.ndarray, x: np.ndarray, bandwidth) -> np.ndarray:
-    """:func:`gaussian_kernel_matrix` of ``x``, written into and returned as
-    ``sq``, a (..., n, n) float64 array or view: every step after
-    :func:`sqdist` works in place in it."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError("kernel input contains non-finite values")
-    sigma = fixed_bandwidth(bandwidth)
     n = x.shape[-2]
-    for xb, sb in zip(x.reshape(-1, n, x.shape[-1]), sq.reshape(-1, n, n)):
-        sqdist(xb, xb, out=sb)
-    diag = np.arange(n)
-    sq[..., diag, diag] = 0.0
-    if sigma is None:   # the median over each upper triangle, or 1 if it is 0 or there is none
-        # a mask of the full shape selects without index arrays, row after row
-        upper = np.broadcast_to(~np.tri(n, dtype=bool), sq.shape)
-        sigma = _median_distance(sq[upper].reshape(sq.shape[:-2] + (-1,))) if n > 1 else np.zeros(sq.shape[:-2])
-        sigma = np.where(sigma == 0.0, 1.0, sigma)
-    scale = np.asarray(2.0 * sigma * sigma)
-    np.negative(sq, out=sq)
-    # a tiny bandwidth overflows the quotient to -inf, and exp(-inf) = 0 is
-    # the kernel value; every finite quotient keeps its bits
-    with np.errstate(over="ignore"):
-        sq /= scale[..., None, None]
-    return np.exp(sq, out=sq)
+    stack = x.reshape(-1, n, x.shape[-1])
+    K = np.empty((stack.shape[0], n, n))
+    for s0, s1, rows in _kernel_rows(stack, bandwidth):
+        K[:, s0:s1, s0:] = rows
+    np.copyto(K, K.swapaxes(1, 2), where=np.tri(n, k=-1, dtype=bool))
+    return K.reshape(x.shape[:-1] + (n,))
 
 
 def fixed_bandwidth(bandwidth) -> float | None:
@@ -297,14 +349,15 @@ def fixed_bandwidth(bandwidth) -> float | None:
     return sigma
 
 
-def _median_distance(v: np.ndarray) -> np.ndarray:
-    """``np.median(np.sqrt(v), axis=-1)`` of squared distances ``v``, by
-    selection along the last axis.
+def _median_distance(v: np.ndarray, low: int) -> np.ndarray:
+    """``np.median(np.sqrt(u), axis=-1)`` of the squared distances u left
+    in ``v`` along its last axis once its ``low`` smallest values are set
+    aside, by selection.
 
     Partitions ``v`` in place.
     """
-    m = v.shape[-1]
-    h = m // 2
+    m = v.shape[-1] - low
+    h = low + m // 2
     v.partition(h, axis=-1)
     if m % 2:
         return np.sqrt(v[..., h])
@@ -321,75 +374,30 @@ def kernel_span_cost(K: np.ndarray, s: int, e: int) -> float:
 def kernel_cost_table(K: np.ndarray) -> np.ndarray:
     """C[s, e] = within-segment kernel cost of [s, e), for all spans at once.
 
-    K must be symmetric, and is left untouched.  The block sums of K over
-    [s, e) x [s, e) grow one column at a time: column j joining block [s, j)
-    adds 2 (P[j, j] - P[s, j]) + 2 K[s, j] - K[j, j], with P = cumsum(K,
-    axis=0).  Each cost then carries O(eps * n) rounding error (a 2-D
-    cumulative sum gives O(eps * n^2)).  Costs are clamped at 0; entries with
-    e <= s are +inf.
-
-    The table is built one block of start rows at a time (``_row_blocks``).
-    A block's increments for columns j >= s0 are zeroed where j < s, then
-    one ``cumsum`` along the row adds them left to right, as a loop adding
-    one column per step to a zero-initialised sum would.  Adding the
-    leading zeros is exact, and a row's first increment, 2 K[s, s] - K[s, s],
-    is never -0.0, so it equals 0.0 plus itself: every cost is the same
-    float bit for bit.  Working memory beyond K and C is P, n^2 float64
-    values, plus a few (rows, n - s0) temporaries of at most ``_BLOCK``
-    elements each (one row if n is larger).
-
-    K may be a stack (B, n, n), giving (B, n+1, n+1): every step runs once
-    over the stack, with blocks of rows of all B tables within ``_BLOCK``,
-    and each table is the bits it gets alone.
+    K must be symmetric, and is left untouched; only its upper triangle and
+    diagonal are read.  The costs are the sweep's (the comment above), made
+    a block of start rows at a time, and carry O(eps * n) rounding error (a
+    2-D cumulative sum gives O(eps * n^2)).  Costs are clamped at 0; entries
+    with e <= s are +inf.  For K = gaussian_kernel_matrix(x), they are the
+    bits kernel CPD uses.  K may be a stack (B, n, n), giving (B, n+1, n+1),
+    each table the bits it gets alone.
     """
     n = K.shape[-1]
-    return _cost_table_into(np.empty(K.shape[:-2] + (n + 1, n + 1)), K)
-
-
-def _cost_table_into(C: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """:func:`kernel_cost_table` of K, written into and returned as the
-    (..., n+1, n+1) float64 array C.  K may be C's leading ``[..., :n, :n]``
-    block: a block's increments read its K rows before its C rows are
-    written, and later blocks read only later rows, so C is built over K
-    with the same bits."""
-    n = K.shape[-1]
-    diag = np.diagonal(K, axis1=-2, axis2=-1).copy()   # a view of K, which C may overwrite
-    diag_cum = np.zeros(K.shape[:-2] + (n + 1,))
-    np.cumsum(diag, axis=-1, out=diag_cum[..., 1:])
-    P = np.cumsum(K, axis=-2)
-    P_diag = np.diagonal(P, axis1=-2, axis2=-1)[..., None, :]
-    for s0, s1 in _row_blocks(n, n, math.prod(K.shape[:-2])):
-        b, w = s1 - s0, n - s0
-        below = np.tri(b, k=-1, dtype=bool)   # j < s in the block's leading corner
-        block = P_diag[..., s0:] - P[..., s0:s1, s0:]
-        block += K[..., s0:s1, s0:]   # the last read of these K rows
-        block *= 2.0
-        block -= diag[..., None, s0:]
-        np.copyto(block[..., :b], 0.0, where=below)
-        np.cumsum(block, axis=-1, out=block)   # block[s, j]: sum of K over [s, j+1)^2
-        # span length j + 1 - s; below the diagonal, where the cost becomes
-        # +inf, any nonzero divisor
-        lengths = np.arange(1.0, w + 1.0) - np.arange(float(b))[:, None]
-        np.maximum(lengths, 1.0, out=lengths)
-        block /= lengths
-        C[..., s0:s1, : s0 + 1] = np.inf
-        cost = C[..., s0:s1, s0 + 1 :]
-        np.subtract(diag_cum[..., None, s0 + 1 :], diag_cum[..., s0:s1, None], out=cost)
-        cost -= block
-        np.maximum(cost, 0.0, out=cost)
-        np.copyto(cost[..., :b], np.inf, where=below)
-    C[..., n, :] = np.inf
-    return C
+    stack = K.reshape(-1, n, n)
+    C = np.full((stack.shape[0], n + 1, n + 1), np.inf)
+    carry = np.zeros((stack.shape[0], n + 1))
+    trace = np.zeros((stack.shape[0], n + 1))
+    np.cumsum(np.diagonal(stack, axis1=1, axis2=2), axis=1, out=trace[:, 1:])
+    for s0, s1 in _start_blocks(n):
+        C[:, s0:s1, s0 + 1 :] = _span_costs(stack[:, s0:s1, s0:].astype(np.float64), s0, carry, trace)
+    return C.reshape(K.shape[:-2] + (n + 1, n + 1))
 
 
 def kernel_cpd_segment(x: LatentSequence, num_segments: int, bandwidth="median") -> SegmentBoundaries:
-    """Exact DP minimization of total within-segment kernel cost.
-
-    Working memory is two n^2 float64 tables per sequence, about 1.6 GB at
-    n = 10,000: one (n+1, n+1) buffer holds K in its leading block and then
-    the cost table C built over it, and building C adds P.  The DP needs
-    O(n * A) more.
-    """
+    """Exact DP minimization of total within-segment kernel cost, holding
+    no n^2 table (the comment above): under 8 MiB at n = 5,000 with a fixed
+    bandwidth, and one half-size table more for the median, about 0.4 GB at
+    n = 10,000."""
     return kernel_cpd_corpus([x], [num_segments], bandwidth)[0]
 
 
@@ -417,17 +425,16 @@ def _segment_stacks(xs, counts, cells, solve) -> list[SegmentBoundaries]:
 def kernel_cpd_corpus(xs: list[LatentSequence], counts: list[int], bandwidth="median") -> list[SegmentBoundaries]:
     """:func:`kernel_cpd_segment` of each sequence ``xs[i]``, of any length,
     in ``counts[i]`` segments, in input order.  Sequences of one length and
-    segment count are segmented in stacks of max(1, _BLOCK // (n+1)^2), so a
-    stack's two tables hold at most ``_BLOCK`` elements each, or are those of
-    one sequence.  Every sequence gets the cuts it gets alone."""
+    segment count are segmented in stacks of max(1, _BLOCK // (n+1)^2), so
+    only sequences whose sweep is one block share a stack.  Every sequence
+    gets the cuts it gets alone."""
     fixed_bandwidth(bandwidth)   # checked even where there is nothing to cut
     return _segment_stacks(xs, counts, lambda n: (n + 1) ** 2,
                            lambda x, a: _kernel_cpd_stack(x, a, bandwidth))
 
 
 def _kernel_cpd_stack(x: np.ndarray, num_segments: int, bandwidth) -> list[SegmentBoundaries]:
-    """The boundaries of each sequence of the (B, n, d) stack ``x``; its
-    tables are freed on return, before the next stack's are allocated."""
+    """The boundaries of each sequence of the (B, n, d) stack ``x``."""
     B, n = x.shape[:2]
     if num_segments < 1:
         raise ValueError("need at least one segment")
@@ -435,9 +442,51 @@ def _kernel_cpd_stack(x: np.ndarray, num_segments: int, bandwidth) -> list[Segme
         raise ValueError(f"{n} tokens cannot form {num_segments} segments")
     if num_segments == 1:
         return [SegmentBoundaries(spans=((0, n),))] * B
-    buf = np.empty((B, n + 1, n + 1))
-    C = _cost_table_into(buf, _kernel_into(buf[:, :n, :n], x, bandwidth))
-    return [SegmentBoundaries.from_cuts(n, cuts) for cuts in _dp_partition(C, n, num_segments)[0]]
+    return [SegmentBoundaries.from_cuts(n, cuts) for cuts in _cpd_sweep(x, num_segments, bandwidth)[0]]
+
+
+def _cost_blocks(x: np.ndarray, bandwidth):
+    """Yield (s0, s1, C) for each block of the sweep over the (B, n, d)
+    stack ``x``, from the last rows up: C[b, i, c] is the cost of span
+    [s0 + i, s0 + 1 + c) of sequence b, +inf where the span is empty, the
+    bits ``kernel_cost_table(gaussian_kernel_matrix(x, bandwidth))`` holds."""
+    carry = np.zeros((x.shape[0], x.shape[1] + 1))
+    for s0, s1, K in _kernel_rows(x, bandwidth):
+        yield s0, s1, _span_costs(K, s0, carry)
+
+
+def _cpd_sweep(x: np.ndarray, num_segments: int, bandwidth) -> tuple[list[list[int]], list[float]]:
+    """The exact DP of each sequence of the (B, n, d) stack ``x`` in
+    ``num_segments`` spans, over the blocks of :func:`_cost_blocks`: a list
+    of B interior-cut lists and a list of B objectives.  Among optimal
+    partitions, the lexicographically smallest cut sequence is returned.
+
+    best_a[s], the cost of [s, n) in a spans, is C[s, n] for a = 1, else the
+    minimum over s < e <= n - a + 1 of C[s, e] + best_{a-1}[e], ending the
+    first span at the lowest e that attains it.  A block's rows need
+    best_{a-1} only of later rows, its own included, so each block advances
+    a = 1, ..., A in turn."""
+    B, n = x.shape[:2]
+    A = num_segments
+    best = np.full((A, B, n + 1), np.inf)   # best[a - 1][:, s] is best_a[s]
+    picks = np.zeros((A - 1, B, n), dtype=np.intp)
+    for s0, s1, C in _cost_blocks(x, bandwidth):
+        best[0, :, s0:s1] = C[:, :, -1]
+        for a in range(2, A + 1):
+            hi = n - a + 1   # a spans need s < hi; the first ends at e <= hi
+            rows = min(s1, hi) - s0
+            if rows <= 0:
+                break
+            cand = C[:, :rows, : hi - s0] + best[a - 2][:, None, s0 + 1 : hi + 1]
+            pick = cand.argmin(axis=2)
+            flat = cand.reshape(-1, cand.shape[2])   # the picked candidates, gathered
+            best[a - 1, :, s0 : s0 + rows] = flat[np.arange(flat.shape[0]), pick.ravel()].reshape(pick.shape)
+            np.add(pick, s0 + 1, out=picks[a - 2, :, s0 : s0 + rows])
+    member = np.arange(B)
+    cuts = np.zeros((B, A), dtype=np.intp)   # column 0: every partition starts at 0
+    for i, a in enumerate(range(A, 1, -1)):
+        cuts[:, i + 1] = picks[a - 2, member, cuts[:, i]]
+    return cuts[:, 1:].tolist(), best[A - 1, :, 0].tolist()
 
 
 # --- clustering-based segmentation -----------------------------------------

@@ -67,10 +67,11 @@ class TransportError(RuntimeError):
 
 
 class MalformedResponseError(ValueError):
-    """The endpoint answered, but the answer violates the prompt contract."""
+    """The endpoint answered, but the answer violates the prompt contract.
+    The message names the endpoint's URL."""
 
-    def __init__(self, message: str, response_text: str):
-        super().__init__(f"{message}: {response_text!r}")
+    def __init__(self, message: str, response_text: str, url: str):
+        super().__init__(f"{message} from {url}: {response_text!r}")
         self.response_text = response_text
 
 
@@ -195,23 +196,24 @@ def _cache_lookup(cache_path, model: str, raw: str) -> str | None:
         return None
     cached = _cache_tables.get(path)
     if cached is None or cached[0] != state:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             cached = _cache_tables[path] = (_file_state(os.fstat(fh.fileno())), _parse_cache(fh, cache_path))
     return cached[1].get((model, raw))
 
 
 def _parse_cache(lines, cache_path) -> dict[tuple[str, str], str]:
-    """{(model, input): output} of a cache file's lines; the first line for a
-    key wins.  A line that is not a JSON object with string model, input and
-    output is skipped with a warning."""
+    """{(model, input): output} of a cache file's lines, given as bytes; the
+    first line for a key wins.  A line that is not UTF-8 text of a JSON
+    object with string model, input and output is skipped with a warning
+    naming the file and line."""
     table = {}
     for line_no, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError:   # JSONDecodeError and UnicodeDecodeError
             obj = None
         if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in ("model", "input", "output"))):
             warnings.warn(f"{cache_path}:{line_no}: skipping malformed cache line", RuntimeWarning)
@@ -259,7 +261,7 @@ def _default_transport(url: str, payload: dict, timeout: float) -> str:
     try:
         return json.loads(body)["choices"][0]["message"]["content"]
     except (ValueError, LookupError, TypeError) as exc:
-        raise MalformedResponseError("reply is not a chat completion", body.decode("utf-8", "replace")) from exc
+        raise MalformedResponseError("reply is not a chat completion", body.decode("utf-8", "replace"), url) from exc
 
 
 def llm_decompose(
@@ -304,14 +306,14 @@ def llm_decompose(
         raise TransportError(f"endpoint {cfg.base_url} unreachable after {cfg.max_retries + 1} attempts: {last_exc}")
 
     if not isinstance(text, str):
-        raise MalformedResponseError("reply content is not a string", repr(text))
+        raise MalformedResponseError("reply content is not a string", repr(text), cfg.base_url)
     stripped = text.strip()
     if stripped.lower().startswith("output:") or stripped.startswith(('"', "'", "`")):
-        raise MalformedResponseError("response carries extra text forbidden by the prompt", text)
+        raise MalformedResponseError("response carries extra text forbidden by the prompt", text, cfg.base_url)
     try:
         result = parse_segment_string(stripped)
     except SegmentValidationError as exc:
-        raise MalformedResponseError(f"response failed segment parsing ({exc})", text) from exc
+        raise MalformedResponseError(f"response failed segment parsing ({exc})", text, cfg.base_url) from exc
 
     _cache_append(cache_path, cfg.model_name, raw, stripped)
     return result

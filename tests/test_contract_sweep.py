@@ -24,22 +24,37 @@ stderr that names the file, record no warning, and leave nothing under
 SGMO motion files are mutated as bytes: a truncation at any offset, trailing
 bytes, a bad magic byte, a zero or oversized N or D in the header, and a
 NaN or infinite float32 in the payload.
+
+Two formats keep their own typed errors.  A text-cache line that is not an
+entry is skipped with a warning naming the cache file and line; its record
+then misses, and the endpoint, refusing here, ends ``decompose`` with the
+one error line of a TransportError, which names the URL; the dataset is not
+written.  An endpoint reply that is not a chat completion keeping the
+prompt's contract (the mutations above, and content strings the prompt
+forbids) rejects its record with a MalformedResponseError that names the
+URL, in the report, after one request and without caching the reply.  No
+request leaves the process: ``urllib.request.urlopen`` is replaced.
 """
 
 import copy
+import io
 import json
 import random
 import shutil
 import struct
+import urllib.error
+import urllib.request
 import warnings
 
 import numpy as np
 import pytest
 
+from segalign import textseg
 from segalign.cli import main
 
 SEED = 15
 PER_FORMAT = 50
+ENDPOINT = "http://127.0.0.1:9/v1/chat/completions"   # never contacted: urlopen is replaced
 
 # replacement values of another JSON type, by the kind a field holds
 WRONG_TYPES = {
@@ -306,6 +321,42 @@ def _sgmo(base, work):
     return valid, groups, data / rel, ["quantize", "--data", str(data)]
 
 
+def _cache_line(base, work):
+    """A warm text cache for the corpus, one entry per record, whose second
+    line is mutated."""
+    records = [json.loads(line) for line in (base / "data" / "dataset.jsonl").read_text().splitlines()]
+    lines = [_compact({"model": "ci", "input": r["text"], "output": "#".join(r["segments"])}).encode()
+             for r in records]
+    sites = [((key,), "str", {"delete", "rename"}) for key in ("model", "input", "output")]
+    valid, groups = json_mutations(json.loads(lines[1]), sites, _compact)
+
+    def around(line):
+        return b"\n".join([lines[0], line, *lines[2:]]) + b"\n"
+
+    groups = {kind: [(label, around(line)) for label, line in items] for kind, items in groups.items()}
+    argv = ["decompose", "--data", str(base / "data" / "dataset.jsonl"), "--cache", str(work / "cache.jsonl"),
+            "--endpoint", ENDPOINT, "--model-name", "ci"]
+    return around(valid), groups, work / "cache.jsonl", argv
+
+
+def _reply(base, work):
+    """The body of the endpoint's reply for a one-record dataset, with no
+    cache entry."""
+    (work / "one.jsonl").write_text((base / "data" / "dataset.jsonl").read_text().splitlines()[0] + "\n")
+    reply = {"choices": [{"message": {"role": "assistant", "content": "a person walks#a person runs"}}]}
+    sites = [(("choices",), "list", {"delete", "rename"}), (("choices", 0), "object", set()),
+             (("choices", 0, "message"), "object", {"delete", "rename"}),
+             (("choices", 0, "message", "content"), "str", {"delete", "rename"})]
+    valid, groups = json_mutations(reply, sites, _compact)
+    groups["contract"] = [
+        (f"content {text!r}", _compact(_edited(reply, ("choices", 0, "message", "content"), _replace(text))).encode())
+        for text in ("Output: a person walks", '"a person walks"', "`a person walks`", "", "  ",
+                     "a person walks##a person runs", "#".join(["a person walks"] * 6))]
+    argv = ["decompose", "--data", str(work / "one.jsonl"), "--cache", str(work / "cache.jsonl"),
+            "--endpoint", ENDPOINT, "--model-name", "ci"]
+    return valid, groups, work / "reply.json", argv
+
+
 FORMATS = {
     "spec": _spec,
     "manifest": _manifest,
@@ -317,7 +368,10 @@ FORMATS = {
     "dataset_line": _dataset_line,
     "features": _features,
     "sgmo": _sgmo,
+    "cache_line": _cache_line,
+    "reply": _reply,
 }
+DECOMPOSED = {"dataset_line", "cache_line", "reply"}   # formats decompose reads: its --out is a file
 
 
 def _is_json_error(line):
@@ -327,10 +381,11 @@ def _is_json_error(line):
         return False
 
 
-def _problems(capsys, argv, target):
-    """What is wrong with how ``argv`` failed, as a list of strings; the
-    error must name ``target``."""
+def _run(capsys, argv):
+    """Run ``argv`` in process: (exit code, or None if an exception
+    escaped, stderr lines, warning messages, problems)."""
     problems = []
+    textseg._cache_tables.clear()   # a rewritten cache is read again, whatever its timestamps
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -338,31 +393,100 @@ def _problems(capsys, argv, target):
         except (Exception, SystemExit) as exc:  # a traceback or an argparse exit breaks the contract
             problems.append(f"{type(exc).__name__} escaped: {exc}")
             code = None
-    err = capsys.readouterr().err.splitlines()
-    if code != 1:
-        problems.append(f"exit {code}")
+    return code, capsys.readouterr().err.splitlines(), [str(w.message) for w in caught], problems
+
+
+def _one_error_naming(code, err, name):
+    problems = [] if code == 1 else [f"exit {code}"]
     if len(err) != 1 or not _is_json_error(err[0]):
         problems.append(f"stderr {err!r}")
-    elif str(target) not in json.loads(err[0])["error"]:
-        problems.append(f"file not named: {err!r}")
-    return problems + [f"warning {w.message}" for w in caught]
+    elif name not in json.loads(err[0])["error"]:
+        problems.append(f"{name} not named: {err!r}")
+    return problems
+
+
+def _written(out):
+    return sorted(p.name for p in out.rglob("*")) if out.exists() else []
+
+
+def _clean_failure(run, target, out, requests):
+    """Exit 1 with one JSON error line naming the file, no warning, and
+    nothing under --out."""
+    code, err, caught, problems = run
+    problems += _one_error_naming(code, err, str(target)) + [f"warning {w}" for w in caught]
+    return problems + ([f"wrote {_written(out)}"] if out.exists() else [])
+
+
+def _skipped_cache_line(run, target, out, requests):
+    """The second line skipped with a warning naming the cache file and
+    line, then the refusing endpoint's one error line naming its URL; only
+    the report is written."""
+    code, err, caught, problems = run
+    problems += _one_error_naming(code, err, ENDPOINT)
+    if caught != [f"{target}:2: skipping malformed cache line"]:
+        problems.append(f"warnings {caught!r}")
+    if _written(out) != ["decomposed_report.json"]:
+        problems.append(f"wrote {_written(out)}")
+    return problems
+
+
+def _rejected_reply(run, target, out, requests):
+    """The record rejected with a MalformedResponseError naming the URL,
+    after one request; nothing cached, no warning."""
+    code, err, caught, problems = run
+    problems += [] if code == 1 else [f"exit {code}"]
+    if err != [json.dumps({"count": 1, "error": "records rejected"}, sort_keys=True)]:
+        problems.append(f"stderr {err!r}")
+    problems += [f"warning {w}" for w in caught]
+    report = out / "decomposed_report.json"
+    statuses = list(json.loads(report.read_text()).values()) if report.exists() else []
+    if not (len(statuses) == 1 and statuses[0].startswith("rejected: ") and ENDPOINT in statuses[0]):
+        problems.append(f"report {statuses!r}")
+    if len(requests) != 1:
+        problems.append(f"{len(requests)} requests")
+    if (target.parent / "cache.jsonl").exists():
+        problems.append("reply cached")
+    return problems
+
+
+CHECKS = {"cache_line": _skipped_cache_line, "reply": _rejected_reply}
+
+
+@pytest.fixture
+def endpoint(tmp_path, monkeypatch):
+    """The URLs requested of the endpoint, which answers with the bytes of
+    ``reply.json`` in the test's directory or, without one, refuses."""
+    requests = []
+
+    def urlopen(request, timeout):
+        requests.append(request.full_url)
+        reply = tmp_path / "reply.json"
+        if not reply.exists():
+            raise urllib.error.URLError("connection refused")
+        return io.BytesIO(reply.read_bytes())
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr(textseg.time, "sleep", lambda s: None)
+    monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
+    return requests
 
 
 def _out_arg(name, out):
-    return out / "decomposed.jsonl" if name == "dataset_line" else out
+    return out / "decomposed.jsonl" if name in DECOMPOSED else out
 
 
 @pytest.mark.parametrize("name", FORMATS)
-def test_the_unmutated_file_is_valid(base, tmp_path, name):
+def test_the_unmutated_file_is_valid(base, tmp_path, endpoint, name):
     """The sweep's starting point passes, so each failure below is the
     mutation's doing."""
     valid, _, target, argv = FORMATS[name](base, tmp_path)
     target.write_bytes(valid)
+    textseg._cache_tables.clear()
     assert main(argv + ["--out", str(_out_arg(name, tmp_path / "out")), "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("name", FORMATS)
-def test_every_mutation_fails_cleanly(base, tmp_path, capsys, name):
+def test_every_mutation_fails_cleanly(base, tmp_path, capsys, endpoint, name):
     _, groups, target, argv = FORMATS[name](base, tmp_path)
     mutations = draw(groups, name)
     assert len(mutations) == min(PER_FORMAT, sum(map(len, groups.values())))
@@ -371,9 +495,9 @@ def test_every_mutation_fails_cleanly(base, tmp_path, capsys, name):
     for label, content in mutations:
         target.write_bytes(content)
         out = tmp_path / "out"
-        problems = _problems(capsys, argv + ["--out", str(_out_arg(name, out)), "--quiet"], target)
-        if out.exists():
-            problems.append(f"wrote {sorted(p.name for p in out.rglob('*'))}")
-            shutil.rmtree(out)
-        failures += [f"{label}: {p}" for p in problems]
+        endpoint.clear()
+        run = _run(capsys, argv + ["--out", str(_out_arg(name, out)), "--quiet"])
+        failures += [f"{label}: {p}" for p in CHECKS.get(name, _clean_failure)(run, target, out, endpoint)]
+        shutil.rmtree(out, ignore_errors=True)
+        (tmp_path / "cache.jsonl").unlink(missing_ok=True)
     assert failures == []

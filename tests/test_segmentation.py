@@ -21,8 +21,6 @@ from segalign.segmentation import (
     build_primitive_library,
     cluster_dp_corpus,
     cluster_dp_segment,
-    _dp_partition,
-    _row_blocks,
     cut_errors,
     extract_windows,
     gaussian_kernel_matrix,
@@ -40,13 +38,16 @@ from segalign.rvq import sqdist
 
 
 def reference_gaussian_kernel_matrix(x, bandwidth="median"):
-    """The np.median form that the selection median replaces; test-only
-    reference for gaussian_kernel_matrix."""
+    """The np.median form that the selection median replaces, over the
+    squared distances of the sweep's blocks mirrored to a full matrix;
+    test-only reference for gaussian_kernel_matrix."""
     x = np.asarray(x, dtype=np.float64)
-    sq = sqdist(x, x)
-    np.fill_diagonal(sq, 0.0)
+    n = x.shape[0]
+    sq = np.zeros((n, n))
+    for s0, s1 in segmentation._start_blocks(n):
+        sq[s0:s1, s0:] = segmentation._distance_rows(x[None], (x * x).sum(axis=1)[None], s0, s1)[0]
+    sq = np.triu(sq) + np.triu(sq, k=1).T
     if bandwidth == "median":
-        n = x.shape[0]
         sigma = 1.0
         if n >= 2:
             sigma = float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)]))) or 1.0
@@ -57,7 +58,7 @@ def reference_gaussian_kernel_matrix(x, bandwidth="median"):
 
 def reference_dp(C, n, num_segments):
     """Triple-loop DP with a strict-< scan over ends; test-only reference for
-    the vectorised _dp_partition, as brute_force_* is for small instances."""
+    the blocked sweep, as brute_force_* is for small instances."""
     A = num_segments
     best = [[np.inf] * (n + 1) for _ in range(A + 1)]
     choice = [[-1] * (n + 1) for _ in range(A + 1)]
@@ -82,10 +83,14 @@ def reference_dp(C, n, num_segments):
     return cuts, float(best[A][0])
 
 
-def dp_one(C, n, num_segments):
-    """(cuts, objective) of _dp_partition over the one table C."""
-    cuts, obj = _dp_partition(C[None], n, num_segments)
-    return cuts[0], obj[0]
+def sweep_table(x, bandwidth="median"):
+    """The (B, n+1, n+1) table of the costs kernel CPD's sweep forms for the
+    (B, n, d) stack x, +inf where e <= s."""
+    B, n = x.shape[:2]
+    C = np.full((B, n + 1, n + 1), np.inf)
+    for s0, s1, rows in segmentation._cost_blocks(x, bandwidth):
+        C[:, s0:s1, s0 + 1 :] = rows
+    return C
 
 
 def window_costs(x, lib):
@@ -95,28 +100,26 @@ def window_costs(x, lib):
 
 
 def reference_kernel_cost_table(K):
-    """Per-column loop growing every start's block sum by one column per
-    step; test-only reference for kernel_cost_table, which adds the same
-    increments along each row of a block with one cumsum."""
+    """Per-start-row loop from the last row up, keeping the half block sums
+    V(s+1, .) of the row below; test-only reference for kernel_cost_table,
+    which runs the same steps on a block of rows at a time, each with one
+    cumsum along the rows and one down them."""
     n = K.shape[0]
-    diag = np.diag(K)
-    diag_cum = np.concatenate([[0.0], np.cumsum(diag)])
-    P = np.cumsum(K, axis=0)
-    lengths = np.arange(n, 0, -1, dtype=np.float64)   # lengths[n-1-j:][s] = j + 1 - s
-    block = np.zeros(n)           # block[s]: sum of K over [s, j) x [s, j)
+    trace = np.concatenate([[0.0], np.cumsum(np.diag(K))])
+    V = np.zeros(n + 1)   # V[e] = V(s+1, e), half the sum of K over [s+1, e)^2
     C = np.full((n + 1, n + 1), np.inf)
-    for j in range(n):
-        block[: j + 1] += 2.0 * (P[j, j] - P[: j + 1, j] + K[: j + 1, j]) - diag[j]
-        cost = (diag_cum[j + 1] - diag_cum[: j + 1]) - block[: j + 1] / lengths[n - j - 1 :]
-        C[: j + 1, j + 1] = np.maximum(cost, 0.0)
+    for s in range(n - 1, -1, -1):
+        R = np.cumsum(np.concatenate([[K[s, s] * 0.5], K[s, s + 1 :]]))   # R[e - s - 1] = R(s, e)
+        V[s + 1 :] += R
+        half_lengths = np.arange(1.0, n - s + 1.0) * 0.5
+        C[s, s + 1 :] = np.maximum((trace[s + 1 :] - trace[s]) - V[s + 1 :] / half_lengths, 0.0)
     return C
 
 
 def reference_run_cost_tables(costs):
     """C[s, e]: the cost of windows [s, e) under their cheapest primitive,
-    +inf where e <= s.  The span table the clustering DP does without; test
-    input for _dp_partition, and with reference_dp the table DP that
-    segment_cost_matrix_dp replaces."""
+    +inf where e <= s.  The span table the clustering DP does without; with
+    reference_dp, the table DP that segment_cost_matrix_dp replaces."""
     nw = costs.shape[0]
     prefix = np.vstack([np.zeros(costs.shape[1]), np.cumsum(costs, axis=0)])
     C = np.full((nw + 1, nw + 1), np.inf)
@@ -125,27 +128,19 @@ def reference_run_cost_tables(costs):
     return C
 
 
-def random_cost_table(rng, n, kind, ties):
-    """A kernel or run cost table; ``ties`` gives binary tokens or integer
-    window costs, so many partitions share the optimal objective."""
-    if kind == "kernel":
-        x = rng.integers(0, 2, size=(n, 2)) if ties else rng.normal(size=(n, 3))
-        return kernel_cost_table(gaussian_kernel_matrix(x.astype(np.float64)))
-    kp = int(rng.integers(1, 5))
-    costs = rng.integers(0, 3, size=(n, kp)) if ties else rng.uniform(0.0, 5.0, size=(n, kp))
-    return reference_run_cost_tables(costs.astype(np.float64))
-
-
-# 1 gives single-row blocks; 97 gives blocks of a few rows once a row is
-# narrower than 49, so most last blocks are short; None keeps the default
+# 1 gives single-row blocks of start rows; 97 gives blocks of a few rows,
+# and three blocks at n = 16; None keeps the default
 BLOCK_SIZES = [1, 97, None]
+
+
+DEFAULT_START_BLOCK = segmentation._START_BLOCK
 
 
 @pytest.fixture(params=BLOCK_SIZES, ids=lambda b: f"block={b}")
 def block(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(segmentation, "_BLOCK", request.param)
-    return segmentation._BLOCK
+        monkeypatch.setattr(segmentation, "_START_BLOCK", request.param)
+    return segmentation._START_BLOCK
 
 
 def random_kernel(rng, n, kind):
@@ -232,21 +227,38 @@ class TestKernelCpd:
             K = random_kernel(rng, table_size(rng, trial), trial % 4)
             assert kernel_cost_table(K).tobytes() == reference_kernel_cost_table(K).tobytes(), trial
 
-    def test_cost_table_built_over_K_matches_the_fresh_table(self, block):
-        """The instances of the reference-loop test, with C built in the
-        buffer whose leading block holds K; the rest of the buffer starts
-        as NaN, so every entry C needs is written."""
+    def test_cost_table_reads_only_the_upper_triangle(self, block):
+        """The instances of the reference-loop test: K is left as it was,
+        and NaN below its diagonal changes no cost."""
         rng = np.random.default_rng(21)
         for trial in range(1000):
             K = random_kernel(rng, table_size(rng, trial), trial % 4)
-            n = K.shape[0]
             K_before = K.copy()
             want = kernel_cost_table(K)
             assert K.tobytes() == K_before.tobytes(), trial
-            buf = np.full((n + 1, n + 1), np.nan)
-            buf[:n, :n] = K
-            assert segmentation._cost_table_into(buf, buf[:n, :n]) is buf
-            assert buf.tobytes() == want.tobytes(), trial
+            K[np.tri(K.shape[0], k=-1, dtype=bool)] = np.nan
+            assert kernel_cost_table(K).tobytes() == want.tobytes(), trial
+
+    def test_sweep_costs_are_the_cost_table(self, block):
+        """The costs kernel CPD's sweep forms from x, block by block, are
+        kernel_cost_table of gaussian_kernel_matrix(x) bit for bit."""
+        rng = np.random.default_rng(22)
+        for trial in range(300):
+            n, d = table_size(rng, trial), int(rng.integers(1, 5))
+            x = rng.integers(0, 3, size=(n, d)).astype(np.float64) if trial % 2 else rng.normal(size=(n, d))
+            bandwidth = "median" if trial % 3 else 0.7
+            want = kernel_cost_table(gaussian_kernel_matrix(x, bandwidth))
+            assert sweep_table(x[None], bandwidth)[0].tobytes() == want.tobytes(), trial
+
+    @pytest.mark.parametrize("n", [448, 450])
+    @pytest.mark.parametrize("bandwidth", ["median", 0.7])
+    def test_sweep_costs_are_the_cost_table_at_the_benchmark_size(self, n, bandwidth):
+        """n = 450 is the long corpus's record; 448 has an even count of
+        pairs, so the median takes two middles.  Both span several blocks."""
+        x = np.random.default_rng(n).normal(size=(n, 16))
+        assert len(list(segmentation._start_blocks(n))) > 2
+        want = kernel_cost_table(gaussian_kernel_matrix(x, bandwidth))
+        assert sweep_table(x[None], bandwidth)[0].tobytes() == want.tobytes()
 
     def test_cost_table_error_bound_at_n_1024(self):
         n = 1024
@@ -340,7 +352,7 @@ class TestGaussianKernelMatrix:
             return np.repeat(rng.normal(size=(1, d)), n, axis=0)         # sigma = 1
         return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
 
-    def test_selection_median_matches_np_median_bit_for_bit(self):
+    def test_selection_median_matches_np_median_bit_for_bit(self, block):
         rng = np.random.default_rng(31)
         for t in range(1500):
             x = self.instance(rng, t)
@@ -355,19 +367,21 @@ class TestGaussianKernelMatrix:
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("bandwidth", ["median", 0.7])
-    def test_kernel_built_in_a_view_gives_the_same_bits(self, bandwidth):
-        """As kernel CPD builds K, in the leading block of its table buffer;
-        the rest of the buffer is left as it was."""
+    def test_kernel_is_symmetric_and_gaussian_in_sqdist(self, bandwidth, block):
+        """Mirrored from the rows above the diagonal, with a unit diagonal;
+        off it, the Gaussian of the distances sqdist takes over the whole
+        sequence at once, to the last few bits."""
         rng = np.random.default_rng(32)
         for t in range(200):
-            x = self.instance(rng, t)
+            x = rng.normal(size=(int(rng.integers(1, 40)), int(rng.integers(1, 5))))
             n = x.shape[0]
-            buf = np.full((n + 1, n + 1), np.nan)
-            got = segmentation._kernel_into(buf[:n, :n], x, bandwidth)
-            assert np.shares_memory(got, buf)
-            want = gaussian_kernel_matrix(x, bandwidth)
-            np.testing.assert_array_equal(buf[:n, :n].view(np.uint64), want.view(np.uint64))
-            assert np.isnan(buf[n]).all() and np.isnan(buf[:, n]).all()
+            K = gaussian_kernel_matrix(x, bandwidth)
+            np.testing.assert_array_equal(K, K.T)
+            np.testing.assert_array_equal(np.diag(K), np.ones(n))
+            sq = sqdist(x, x)
+            sigma = np.median(np.sqrt(sq[np.triu_indices(n, k=1)])) if bandwidth == "median" and n > 1 else 0.7
+            want = np.exp(-sq / (2.0 * sigma * sigma))
+            np.testing.assert_allclose(K[~np.eye(n, dtype=bool)], want[~np.eye(n, dtype=bool)], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("bandwidth", ["median", 0.7])
@@ -447,7 +461,7 @@ class TestClusterDp:
             costs = random_run_costs(rng, nw, 1 + trial % 2)
             a = int(rng.integers(1, min(7, nw) + 1))
             cuts, assigns, obj = segment_cost_matrix_dp(CostMatrix(costs=costs), a)
-            assert (cuts, obj) == dp_one(reference_run_cost_tables(costs), nw, a), trial
+            assert (cuts, obj) == reference_dp(reference_run_cost_tables(costs), nw, a), trial
             edges = [0, *cuts, nw]
             sums = [costs[s:e].sum(axis=0) for s, e in zip(edges[:-1], edges[1:])]
             assert assigns == [int(run.argmin()) for run in sums]
@@ -487,29 +501,35 @@ class TestClusterDp:
         assert (back.window_size, back.stride) == (2, 1)
 
 
-class TestDpPartition:
+def random_points(rng, n, ties):
+    """Gaussian points, or binary ones whose kernels tie often."""
+    return rng.integers(0, 2, size=(n, 2)).astype(np.float64) if ties else rng.normal(size=(n, 3))
+
+
+class TestSweepDp:
     def test_matches_reference_loop(self, block):
         rng = np.random.default_rng(12)
         for trial in range(300):
             # every 30th size spans several default blocks
             n = int(rng.integers(95, 130) if trial % 30 == 0 else rng.integers(2, 65))
             a = int(rng.integers(2, min(7, n) + 1))
-            kind = ("kernel", "run")[trial % 2]
-            C = random_cost_table(rng, n, kind, ties=trial % 3 == 0)
-            cuts, obj = dp_one(C, n, a)
-            ref_cuts, ref_obj = reference_dp(C, n, a)
-            assert cuts == ref_cuts
-            assert obj == ref_obj
+            x = random_points(rng, n, ties=trial % 3 == 0)
+            bandwidth = "median" if trial % 2 else 0.7
+            cuts, obj = segmentation._cpd_sweep(x[None], a, bandwidth)
+            ref_cuts, ref_obj = reference_dp(kernel_cost_table(gaussian_kernel_matrix(x, bandwidth)), n, a)
+            assert cuts == [ref_cuts], trial
+            assert same_bits(obj, [ref_obj]), trial
 
-    def test_edge_segment_counts(self):
+    def test_edge_segment_counts(self, block):
         rng = np.random.default_rng(13)
         for n in (2, 3, 7, 12):
-            for kind in ("kernel", "run"):
-                for ties in (False, True):
-                    C = random_cost_table(rng, n, kind, ties)
-                    for a in (1, 2, n):
-                        assert dp_one(C, n, a) == reference_dp(C, n, a)
-                    assert dp_one(C, n, n)[0] == list(range(1, n))
+            for ties in (False, True):
+                x = random_points(rng, n, ties)
+                C = kernel_cost_table(gaussian_kernel_matrix(x))
+                for a in (1, 2, n):
+                    cuts, obj = segmentation._cpd_sweep(x[None], a, "median")
+                    assert (cuts[0], obj[0]) == reference_dp(C, n, a)
+                assert segmentation._cpd_sweep(x[None], n, "median")[0] == [list(range(1, n))]
 
     def test_single_token_single_segment(self):
         x = LatentSequence(vectors=np.array([[0.5, -1.0]]))
@@ -519,14 +539,16 @@ class TestDpPartition:
         assert segment_cost_matrix_dp(CostMatrix(costs=window_costs(x.vectors, lib)), 1) == ([], [1], 0.0)
 
 
-class TestRowBlocks:
-    def test_blocks_cover_the_rows_within_the_budget(self, block):
-        for rows, width, stack in [(1, 1, 1), (7, 8, 1), (450, 450, 1), (30, 40, 1), (24, 24, 13), (30, 40, 5)]:
-            edges = list(_row_blocks(rows, width, stack))
-            assert edges[0][0] == 0 and edges[-1][1] == rows
-            assert all(s1 == t0 for (_, s1), (t0, _) in zip(edges, edges[1:]))
+class TestStartBlocks:
+    def test_blocks_cover_the_rows_from_the_last_up_within_the_budget(self, block):
+        for n in (1, 2, 7, 16, 30, 450, 1000):
+            edges = list(segmentation._start_blocks(n))
+            assert edges[0][1] == n and edges[-1][0] == 0
+            assert all(s0 == t1 for (s0, _), (_, t1) in zip(edges, edges[1:]))
             for s0, s1 in edges:
-                assert s1 - s0 == 1 or stack * (s1 - s0) * (width - s0) <= block
+                assert s1 - s0 == 1 or (s1 - s0) * (n - s0) <= block, (n, s0, s1)
+                # as many rows as fit: one more would not
+                assert s0 == 0 or (s1 - s0 + 1) * (n - s0 + 1) > block, (n, s0, s1)
 
 
 def same_bits(got, want):
@@ -553,24 +575,22 @@ class TestStacks:
             x = stack_inputs(rng, trial, n, size)
             bandwidth = "median" if trial % 3 else 0.7
             alone = [gaussian_kernel_matrix(v, bandwidth) for v in x]
-            assert gaussian_kernel_matrix(x, bandwidth).tobytes() == np.stack(alone).tobytes(), trial
-            buf = np.full((size, n + 1, n + 1), np.nan)
-            K = segmentation._kernel_into(buf[:, :n, :n], x, bandwidth)
+            K = gaussian_kernel_matrix(x, bandwidth)
             assert K.tobytes() == np.stack(alone).tobytes(), trial
             assert kernel_cost_table(K).tobytes() == np.stack([kernel_cost_table(k) for k in alone]).tobytes()
-            assert segmentation._cost_table_into(buf, K) is buf
-            assert buf.tobytes() == np.stack([kernel_cost_table(k) for k in alone]).tobytes(), trial
+            assert sweep_table(x, bandwidth).tobytes() == np.stack([sweep_table(v[None], bandwidth)[0]
+                                                                    for v in x]).tobytes(), trial
 
-    def test_dp_partition(self, block):
+    def test_sweep_dp(self, block):
         rng = np.random.default_rng(52)
         for trial in range(120):
             n, size = int(rng.integers(2, 40)), int(rng.integers(2, 6))
             a = int(rng.integers(1, min(6, n) + 1))
-            C = kernel_cost_table(gaussian_kernel_matrix(stack_inputs(rng, trial, n, size)))
-            cuts, obj = _dp_partition(C, n, a)
-            alone = [dp_one(c, n, a) for c in C]
-            assert cuts == [c for c, _ in alone], trial
-            assert same_bits(obj, [o for _, o in alone]), trial
+            x = stack_inputs(rng, trial, n, size)
+            cuts, obj = segmentation._cpd_sweep(x, a, "median")
+            alone = [segmentation._cpd_sweep(v[None], a, "median") for v in x]
+            assert cuts == [c[0] for c, _ in alone], trial
+            assert same_bits(obj, [o[0] for _, o in alone]), trial
 
     def test_cluster_dp(self):
         rng = np.random.default_rng(53)
@@ -596,12 +616,12 @@ class TestStacks:
             got = kernel_cpd_corpus(xs, [a] * size)
             assert got == [kernel_cpd_segment(v, a) for v in xs], trial
             K = gaussian_kernel_matrix(x)
-            _, obj = _dp_partition(kernel_cost_table(K), n, a)
+            _, obj = segmentation._cpd_sweep(x, a, "median")
             for b, k in enumerate(K):
                 assert got[b] == brute_force_segment(k, a), (trial, b)
                 assert same_bits(obj[b], brute_force_objective(k, a)), (trial, b)
 
-    def test_cluster_members_match_alone_and_the_oracle(self, block):
+    def test_cluster_members_match_alone_and_the_oracle(self):
         rng = np.random.default_rng(55)
         for trial in range(40):
             window, stride = int(rng.integers(1, 4)), int(rng.integers(1, 3))
@@ -645,6 +665,43 @@ class TestStacks:
         lib = PrimitiveLibrary(centers=np.full((2, 2), 1e200), window_size=1, stride=1)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="^non-finite cost entry$"):
             cluster_dp_corpus(xs, lib, [2] * 3)
+
+
+def right_fold(C, boundaries):
+    """The spans' costs in C added from the last span to the first, as the
+    DP and the oracle add them."""
+    acc = -0.0
+    for s, e in reversed(boundaries.spans):
+        acc = C[s, e] + acc
+    return acc
+
+
+class TestBlockEdges:
+    """Blocks of start rows small enough that n <= 16 spans two or more
+    (one block under the default): the sweep, alone and in stacks, still
+    gives the oracle's cuts, and its objective is the oracle's and the right
+    fold of its spans over kernel_cost_table, bit for bit."""
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["gaussian", "integer"])
+    def test_oracle_across_start_blocks(self, block, ties):
+        rng = np.random.default_rng(58 + ties)
+        for trial in range(60):
+            n, size = int(rng.integers(10, 17)), int(rng.integers(1, 6))
+            a = int(rng.integers(2, 5))
+            blocks = list(segmentation._start_blocks(n))
+            assert len(blocks) >= 2 or block == DEFAULT_START_BLOCK, (n, blocks)
+            if ties:
+                x = rng.integers(-1, 2, size=(size, n, 2)).astype(np.float64)
+            else:
+                x = rng.normal(size=(size, n, 2))
+            xs = [LatentSequence(vectors=v) for v in x]
+            got = kernel_cpd_corpus(xs, [a] * size)
+            _, obj = segmentation._cpd_sweep(x, a, "median")
+            for b, v in enumerate(x):
+                K = gaussian_kernel_matrix(v)
+                assert got[b] == kernel_cpd_segment(xs[b], a) == brute_force_segment(K, a), (trial, b)
+                assert same_bits(obj[b], brute_force_objective(K, a)), (trial, b)
+                assert same_bits(obj[b], right_fold(kernel_cost_table(K), got[b])), (trial, b)
 
 
 def ragged_corpus(rng, per_group=30, d=2):
@@ -797,13 +854,6 @@ def traced_peak(fn, *args):
 
 
 class TestWorkingMemory:
-    def test_dp_partition_needs_one_block_beyond_its_input(self):
-        n = 1024
-        rng = np.random.default_rng(24)
-        C = np.full((n + 1, n + 1), np.inf)
-        C[np.triu_indices(n + 1, k=1)] = rng.uniform(size=n * (n + 1) // 2)
-        assert traced_peak(_dp_partition, C[None], n, 5) < 1 << 20
-
     def test_segment_cost_matrix_dp_needs_no_span_table(self):
         """The prefix and one (Kp, nw) buffer, 4.9 MiB at nw = 5,000, plus the
         A best-cost rows and one boolean (Kp, nw) mask: under 8 MiB, where
@@ -826,12 +876,19 @@ class TestWorkingMemory:
             peak = traced_peak(cluster_dp_corpus, xs, lib, [3] * 60)
         assert peak < 8 * segmentation._BLOCK * 8
 
-    def test_kernel_cpd_segment_needs_two_tables(self):
-        """The cost table is built over the kernel matrix, so K, P and C
-        never live at once: two n^2 tables, not three."""
-        n = 600
+    def test_kernel_cpd_segment_with_a_fixed_bandwidth_needs_no_table(self):
+        """A few blocks of start rows and the O(n * A) best costs and picks:
+        under 8 MiB at n = 5,000, where two n^2 tables once took 400 MB."""
+        n = 5000
         x = LatentSequence(vectors=np.random.default_rng(26).normal(size=(n, 8)))
-        assert traced_peak(kernel_cpd_segment, x, 5) <= 2.3 * n * n * 8
+        assert traced_peak(kernel_cpd_segment, x, 5, 0.7) < 8 << 20
+
+    def test_kernel_cpd_segment_with_the_median_needs_one_half_table(self):
+        """The n (n-1) / 2 distances the median is selected from, 100 MB at
+        n = 5,000, plus the same 8 MiB."""
+        n = 5000
+        x = LatentSequence(vectors=np.random.default_rng(26).normal(size=(n, 8)))
+        assert traced_peak(kernel_cpd_segment, x, 5) < n * (n - 1) // 2 * 8 + (8 << 20)
 
 
 class TestBruteForceGuards:
