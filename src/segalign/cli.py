@@ -11,13 +11,14 @@ missing, malformed or mistyped file exits 1, before anything is written,
 with one stderr line ``{"error": "<path>: <field> ..."}``.  A spec or config
 value of the wrong JSON type, such as "8" for an int, is refused, not
 converted.  A float overflow, NaN or division by zero in a command exits 1
-the same way, and so does a record that ``segment`` cannot cut, named by its
-id.  Every stochastic command takes --seed and derives all module
-seeds from it through named streams, so reruns are bit-identical.  All
-outputs are written atomically (temp + rename).  A count flag below 1, such
-as ``--holdout 0``, exits 1 the same way, naming the flag.  On glibc,
-quantize and segment keep freed scratch memory in the heap for the next
-sequence or k-means iteration (see ``_keep_freed_memory``).
+the same way, and so does a record that ``segment`` cannot cut or
+``decompose`` cannot decompose, named by its id.  Every stochastic command
+takes --seed and derives all module seeds from it through named streams, so
+reruns are bit-identical.  All outputs are written atomically (temp +
+rename).  A count flag below 1, such as ``--holdout 0``, exits 1 the same
+way, naming the flag.  On glibc, quantize and segment keep freed scratch
+memory in the heap for the next sequence or k-means iteration (see
+``_keep_freed_memory``).
 """
 
 from __future__ import annotations
@@ -333,47 +334,38 @@ def cmd_quantize(args) -> int:
 
 # --- decompose --------------------------------------------------------------
 
-LLM_URL_ENV_VAR = "SEGALIGN_LLM_URL"
-
-
 def cmd_decompose(args) -> int:
+    """Decompose each record's text, then write the dataset and
+    ``<out>_report.json``, the status of each record handled.  A rejected
+    record does not stop the loop, so the cache keeps every answer that
+    passed; an unreachable endpoint stops it.  After any failure only the
+    report is written, and the error names the first failed record."""
     records = motion.read_dataset(args.data)
     cfg = None
     if not args.fallback:
-        # an empty variable counts as unset, so it cannot mask --endpoint
-        url = os.environ.get(LLM_URL_ENV_VAR) or args.endpoint
-        if not url:
-            raise CliError(
-                f"no endpoint: pass --endpoint, set {LLM_URL_ENV_VAR}, or use --fallback"
-            )
-        cfg = textseg.LlmEndpointConfig(base_url=url, model_name=args.model_name)
+        if not args.endpoint:
+            raise CliError("no endpoint: pass --endpoint or use --fallback")
+        cfg = textseg.LlmEndpointConfig(base_url=args.endpoint, model_name=args.model_name)
     statuses = {}
-    report_path = os.path.splitext(args.out)[0] + "_report.json"
     for r in records:
         try:
-            if args.fallback:
-                seg = textseg.fallback_decompose(r.raw_text)
-            else:
-                seg = textseg.llm_decompose(r.raw_text, cfg, cache_path=args.cache)
+            seg = (textseg.fallback_decompose(r.raw_text) if cfg is None
+                   else textseg.llm_decompose(r.raw_text, cfg, cache_path=args.cache))
             r.text_segments = list(seg.segments)
             statuses[r.id] = "ok"
         except (textseg.SegmentValidationError, textseg.MalformedResponseError) as exc:
             statuses[r.id] = f"rejected: {exc}"
         except textseg.TransportError as exc:
-            # report what was handled; a partial dataset is never written
             statuses[r.id] = f"failed: {exc}"
-            _write_json(report_path, statuses)
-            raise CliError(str(exc)) from exc
-    _write_atomic(args.out, motion.dataset_to_jsonl(records))
+            break
+    failed = next(((rid, status) for rid, status in statuses.items() if status != "ok"), None)
+    if failed is None:
+        _write_atomic(args.out, motion.dataset_to_jsonl(records))
+    report_path = os.path.splitext(args.out)[0] + "_report.json"
     _write_json(report_path, statuses)
-    rejected = sum(1 for s in statuses.values() if s != "ok")
-    _log(args, f"decompose: {len(records) - rejected} ok, {rejected} rejected")
-    if rejected:
-        print(
-            json.dumps({"error": "records rejected", "count": rejected}, sort_keys=True),
-            file=sys.stderr,
-        )
-        return 1
+    if failed is not None:
+        raise CliError(f"{args.data}: record {failed[0]} {failed[1]} (statuses in {report_path})")
+    _log(args, f"decompose: {len(records)} ok")
     return 0
 
 

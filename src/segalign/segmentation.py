@@ -145,8 +145,13 @@ def uniform_segment(n: int, num_segments: int) -> SegmentBoundaries:
 # operations as alone, so a stack member gets the bits it gets alone.  Only
 # BLAS products stay one per sequence: a product over several sequences'
 # rows may round differently.  A stack holds as many records as fit one
-# _BLOCK of 2^13 elements, at (n+1)^2 each for kernel CPD and Kp (nw+1) for
-# clustering, or one record if it alone is larger.
+# _BLOCK of 2^13 cells, or one record if it alone is larger: Kp (nw+1) per
+# record for clustering, its prefix sums, and (n+1)^2 for kernel CPD, the
+# span table it held before the sweep below, so its stacks stay the
+# measured ones.  Scratch probes (ROADMAP item 13, tried and left) kept
+# _BLOCK and cli._keep_freed_memory as they are: no glibc pin made
+# corpus-long 14% slower; the pin in every command raised align-query's
+# peak RSS, and one 2^15 budget for stacks and sweep blocks corpus-short's.
 
 _BLOCK = 1 << 13
 
@@ -308,12 +313,8 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
     above): for each block of start rows, :func:`sqdist` of its rows to the
     rows from its first on, per sequence; the lower triangle is their
     mirror, so K is exactly symmetric, and the diagonal distances are set to
-    exactly 0, so every k(a, a) is exactly 1.
-
-    ``x`` may be a stack (B, n, d) of sequences of one length, giving
-    (B, n, n): the products are one per sequence, and every later step runs
-    once over the stack, each sequence with its own median: every kernel is
-    the bits it gets alone.
+    exactly 0, so every k(a, a) is exactly 1.  ``x`` is one (n, d)
+    sequence; any other shape is a ValueError.
 
     The median is found by selection, not by sorting: one ``np.partition``
     picks the one or two middle squared distances of the upper triangle
@@ -327,13 +328,14 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
     gave NaN.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-2]
-    stack = x.reshape(-1, n, x.shape[-1])
-    K = np.empty((stack.shape[0], n, n))
-    for s0, s1, rows in _kernel_rows(stack, bandwidth):
-        K[:, s0:s1, s0:] = rows
-    np.copyto(K, K.swapaxes(1, 2), where=np.tri(n, k=-1, dtype=bool))
-    return K.reshape(x.shape[:-1] + (n,))
+    if x.ndim != 2:
+        raise ValueError(f"expected one (n, d) sequence, got shape {x.shape}")
+    n = x.shape[0]
+    K = np.empty((n, n))
+    for s0, s1, rows in _kernel_rows(x[None], bandwidth):
+        K[s0:s1, s0:] = rows[0]
+    np.copyto(K, K.T, where=np.tri(n, k=-1, dtype=bool))
+    return K
 
 
 def fixed_bandwidth(bandwidth) -> float | None:
@@ -379,18 +381,19 @@ def kernel_cost_table(K: np.ndarray) -> np.ndarray:
     a block of start rows at a time, and carry O(eps * n) rounding error (a
     2-D cumulative sum gives O(eps * n^2)).  Costs are clamped at 0; entries
     with e <= s are +inf.  For K = gaussian_kernel_matrix(x), they are the
-    bits kernel CPD uses.  K may be a stack (B, n, n), giving (B, n+1, n+1),
-    each table the bits it gets alone.
+    bits kernel CPD uses.  K is one (n, n) matrix; any other shape is a
+    ValueError.
     """
-    n = K.shape[-1]
-    stack = K.reshape(-1, n, n)
-    C = np.full((stack.shape[0], n + 1, n + 1), np.inf)
-    carry = np.zeros((stack.shape[0], n + 1))
-    trace = np.zeros((stack.shape[0], n + 1))
-    np.cumsum(np.diagonal(stack, axis1=1, axis2=2), axis=1, out=trace[:, 1:])
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"expected one (n, n) kernel matrix, got shape {K.shape}")
+    n = K.shape[0]
+    C = np.full((n + 1, n + 1), np.inf)
+    carry = np.zeros((1, n + 1))
+    trace = np.zeros((1, n + 1))
+    np.cumsum(np.diagonal(K), out=trace[0, 1:])
     for s0, s1 in _start_blocks(n):
-        C[:, s0:s1, s0 + 1 :] = _span_costs(stack[:, s0:s1, s0:].astype(np.float64), s0, carry, trace)
-    return C.reshape(K.shape[:-2] + (n + 1, n + 1))
+        C[s0:s1, s0 + 1 :] = _span_costs(K[None, s0:s1, s0:].astype(np.float64), s0, carry, trace)[0]
+    return C
 
 
 def kernel_cpd_segment(x: LatentSequence, num_segments: int, bandwidth="median") -> SegmentBoundaries:

@@ -6,14 +6,14 @@ through an external LLM endpoint (with an on-disk cache so the step is
 offline-repeatable) or through a deterministic rule-based fallback that keeps
 the test suite hermetic.  The fallback rules are intentionally crude.  An
 endpoint that cannot be reached (refused or timed-out connection, non-2xx
-status, truncated reply) is retried, then raises ``TransportError``; one that
-answers wrongly raises ``MalformedResponseError`` at once and is not cached.
+status, truncated reply) within ``TIMEOUT`` seconds per attempt is retried
+``MAX_RETRIES`` times, then raises ``TransportError``; one that answers
+wrongly raises ``MalformedResponseError`` at once and is not cached.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 import urllib.parse
@@ -21,6 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 A_MAX = 5
+TIMEOUT = 30.0     # seconds each request to the endpoint may take
+MAX_RETRIES = 2    # requests after the first, while the endpoint is unreachable
 
 DECOMPOSE_PROMPT = """\
 You are a helpful assistant. Your task is to extract and temporally order human actions from a sentence describing a person performing one or more actions.
@@ -63,7 +65,7 @@ class SegmentValidationError(ValueError):
 
 
 class TransportError(RuntimeError):
-    """Endpoint unreachable after the configured number of retries."""
+    """Endpoint unreachable after ``MAX_RETRIES`` retries."""
 
 
 class MalformedResponseError(ValueError):
@@ -93,22 +95,15 @@ class TextSegmentSet:
 
 @dataclass(frozen=True)
 class LlmEndpointConfig:
-    """Where ``llm_decompose`` sends: an http:// or https:// URL, a model
-    name, a finite positive per-attempt timeout in seconds, and a retry
-    count.  Nothing else, the environment included, changes the URL."""
+    """Where ``llm_decompose`` sends: an http:// or https:// URL and a model
+    name.  Nothing else, the environment included, changes the URL."""
 
     base_url: str
     model_name: str
-    timeout: float = 30.0
-    max_retries: int = 2
 
     def __post_init__(self):
         if urllib.parse.urlsplit(self.base_url).scheme not in ("http", "https"):
             raise ValueError(f"endpoint {self.base_url!r} is not an http:// or https:// URL")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError(f"timeout must be positive and finite, got {self.timeout!r}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must not be negative, got {self.max_retries}")
 
 
 def parse_segment_string(s: str) -> TextSegmentSet:
@@ -275,10 +270,10 @@ def llm_decompose(
     Results are cached on disk keyed by (model, input), so a warm cache makes
     the call deterministic and network-free; the cache file is parsed once
     per file state, and the first line for a key wins.  ``transport`` may be
-    injected for testing; it receives (url, payload, timeout) and returns the
-    text of the first choice.  An ``OSError`` from it is retried, then raises
-    ``TransportError``; a non-string or off-contract reply raises
-    ``MalformedResponseError`` unretried.
+    injected for testing; it receives (url, payload, ``TIMEOUT``) and returns
+    the text of the first choice.  An ``OSError`` from it is retried
+    ``MAX_RETRIES`` times, then raises ``TransportError``; a non-string or
+    off-contract reply raises ``MalformedResponseError`` unretried.
     """
     if not raw:
         raise SegmentValidationError("empty input text")
@@ -294,16 +289,16 @@ def llm_decompose(
     send = transport if transport is not None else _default_transport
 
     last_exc = None
-    for attempt in range(cfg.max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         try:
-            text = send(cfg.base_url, payload, cfg.timeout)
+            text = send(cfg.base_url, payload, TIMEOUT)
             break
         except OSError as exc:
             last_exc = exc
-            if attempt < cfg.max_retries:
+            if attempt < MAX_RETRIES:
                 time.sleep(min(0.2 * (attempt + 1), 1.0))
     else:
-        raise TransportError(f"endpoint {cfg.base_url} unreachable after {cfg.max_retries + 1} attempts: {last_exc}")
+        raise TransportError(f"endpoint {cfg.base_url} unreachable after {MAX_RETRIES + 1} attempts: {last_exc}")
 
     if not isinstance(text, str):
         raise MalformedResponseError("reply content is not a string", repr(text), cfg.base_url)

@@ -442,11 +442,42 @@ class TestDecomposeCommand:
         out = tmp_path / "seg.jsonl"
         assert main(["decompose", "--data", str(data), "--fallback",
                      "--out", str(out), "--quiet"]) == 1
-        report = json.loads((tmp_path / "seg_report.json").read_text())
-        assert report["ok"] == "ok"
-        assert report["bad"].startswith("rejected")
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["count"] == 1
+        report_path = tmp_path / "seg_report.json"
+        assert json.loads(report_path.read_text()) == {"bad": "rejected: empty input text", "ok": "ok"}
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": f"{data}: record bad rejected: empty input text (statuses in {report_path})"}
+        assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "seg_report.json"]
+
+    def test_record_rejected_after_an_accepted_one(self, tmp_path, capsys, monkeypatch):
+        """The loop goes on past a rejected record, so the cache keeps the
+        accepted answer, but no dataset is written."""
+        replies = {"a person waves.": "a person waves", "a person jumps.": "Output: a person jumps",
+                   "a person sits.": "a person sits"}
+        prompt = len(textseg.DECOMPOSE_PROMPT)
+        monkeypatch.setattr(textseg, "_default_transport",
+                            lambda url, payload, timeout: replies[payload["messages"][0]["content"][prompt:]])
+        cache = tmp_path / "cache.jsonl"
+        data = tmp_path / "in.jsonl"
+        write_dataset([
+            DatasetRecord(id=name, raw_text=raw, text_segments=["x"], motion_path=f"{name}.sgmo")
+            for name, raw in (("first", "a person waves."), ("second", "a person jumps."),
+                              ("third", "a person sits."))
+        ], data)
+        out = tmp_path / "out" / "seg.jsonl"
+        assert main(["decompose", "--data", str(data), "--endpoint", "http://127.0.0.1:9",
+                     "--model-name", "m", "--cache", str(cache), "--out", str(out), "--quiet"]) == 1
+        report = json.loads((tmp_path / "out" / "seg_report.json").read_text())
+        assert list(report) == ["first", "second", "third"]
+        assert report["first"] == report["third"] == "ok"
+        assert report["second"].startswith("rejected: response carries extra text")
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith(f"{data}: record second rejected: ")
+        assert "http://127.0.0.1:9" in error and str(tmp_path / "out" / "seg_report.json") in error
+        assert os.listdir(tmp_path / "out") == ["seg_report.json"]
+        assert [json.loads(line)["input"] for line in cache.read_text().splitlines()] == \
+               ["a person waves.", "a person sits."]
 
     def test_unreachable_endpoint_reports_and_writes_no_dataset(self, tmp_path, capsys, monkeypatch):
         def refuse(url, payload, timeout):
@@ -454,7 +485,6 @@ class TestDecomposeCommand:
 
         monkeypatch.setattr(textseg, "_default_transport", refuse)
         monkeypatch.setattr(textseg.time, "sleep", lambda s: None)
-        monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
         cache = tmp_path / "cache.jsonl"
         cache.write_text(json.dumps({"model": "m", "input": "a person waves.",
                                      "output": "a person waves"}) + "\n")
@@ -469,7 +499,10 @@ class TestDecomposeCommand:
                      "--model-name", "m", "--cache", str(cache),
                      "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err.strip().split("\n")
-        assert len(err) == 1 and "unreachable" in json.loads(err[0])["error"]
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == (
+            f"{data}: record miss failed: endpoint http://127.0.0.1:9 unreachable after 3 attempts: "
+            f"connection refused (statuses in {tmp_path / 'seg_report.json'})")
         report = json.loads((tmp_path / "seg_report.json").read_text())
         assert list(report) == ["hit", "miss"]
         assert report["hit"] == "ok" and report["miss"].startswith("failed")
@@ -483,7 +516,6 @@ class TestDecomposeCommand:
             return "a person jumps"
 
         monkeypatch.setattr(textseg, "_default_transport", answer)
-        monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
         cache = tmp_path / "cache.jsonl"
         cache.write_text("\n".join([
             "[1, 2]",
@@ -517,7 +549,6 @@ class TestDecomposeCommand:
             return io.BytesIO(b'{"error": "model not found"}')
 
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-        monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
         cache = tmp_path / "cache.jsonl"
         data = tmp_path / "in.jsonl"
         write_dataset([DatasetRecord(id="a", raw_text="a person walks.",
@@ -526,13 +557,16 @@ class TestDecomposeCommand:
                      "--model-name", "m", "--cache", str(cache),
                      "--out", str(tmp_path / "seg.jsonl"), "--quiet"]) == 1
         report = json.loads((tmp_path / "seg_report.json").read_text())
-        assert report["a"].startswith("rejected: reply is not a chat completion")
+        assert report["a"] == ("rejected: reply is not a chat completion from http://127.0.0.1:9: "
+                               "'{\"error\": \"model not found\"}'")
         err = capsys.readouterr().err.strip().split("\n")
-        assert len(err) == 1 and json.loads(err[0]) == {"count": 1, "error": "records rejected"}
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": f"{data}: record a {report['a']} (statuses in {tmp_path / 'seg_report.json'})"}
         assert len(calls) == 1 and not cache.exists()
+        assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "seg_report.json"]
 
-    def test_no_endpoint_errors(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
+    def test_no_endpoint_errors(self, tmp_path, capsys):
         data = tmp_path / "in.jsonl"
         write_dataset([DatasetRecord(id="a", raw_text="a person walks.",
                                      text_segments=["x"], motion_path="a.sgmo")], data)
@@ -540,11 +574,11 @@ class TestDecomposeCommand:
                      "--out", str(tmp_path / "o.jsonl"), "--quiet"]) == 1
         assert "endpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value,sent_to", [
-        ("http://other.example/chat", "http://other.example/chat"),
-        ("", "http://127.0.0.1:9"),
-    ], ids=["set", "empty"])
-    def test_env_var_overrides_the_endpoint_unless_empty(self, tmp_path, monkeypatch, value, sent_to):
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_endpoint_comes_from_the_flag_or_config_only(self, tmp_path, monkeypatch, source):
+        """--endpoint, or the endpoint key of --config, is the only source
+        of the URL: SEGALIGN_LLM_URL, which once overrode both, is read by
+        nothing."""
         asked = []
 
         def answer(url, payload, timeout):
@@ -552,26 +586,25 @@ class TestDecomposeCommand:
             return "a person jumps"
 
         monkeypatch.setattr(textseg, "_default_transport", answer)
-        monkeypatch.setenv("SEGALIGN_LLM_URL", value)
+        monkeypatch.setenv("SEGALIGN_LLM_URL", "http://other.example/chat")
         data = tmp_path / "in.jsonl"
         write_dataset([DatasetRecord(id="a", raw_text="a person jumps.",
                                      text_segments=["x"], motion_path="a.sgmo")], data)
         out = tmp_path / "seg.jsonl"
-        assert main(["decompose", "--data", str(data), "--endpoint", "http://127.0.0.1:9",
-                     "--model-name", "m", "--out", str(out), "--quiet"]) == 0
-        assert asked == [sent_to]
+        argv = ["decompose", "--data", str(data), "--model-name", "m", "--out", str(out), "--quiet"]
+        if source == "flag":
+            argv += ["--endpoint", "http://127.0.0.1:9"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"endpoint": "http://127.0.0.1:9"}))
+            argv[:0] = ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 0
+        assert asked == ["http://127.0.0.1:9"]
         assert read_dataset(out)[0].text_segments == ["a person jumps"]
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
     @pytest.mark.parametrize("url", ["llm.example/v1", "ftp://llm.example/v1"])
-    def test_endpoint_without_http_scheme_fails_before_any_record(self, tmp_path, capsys,
-                                                                  monkeypatch, url, source):
+    def test_endpoint_without_http_scheme_fails_before_any_record(self, tmp_path, capsys, monkeypatch, url):
         asked = []
         monkeypatch.setattr(textseg, "_default_transport", lambda *a: asked.append(a) or "x")
-        if source == "env":
-            monkeypatch.setenv("SEGALIGN_LLM_URL", url)
-        else:
-            monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
         cache = tmp_path / "cache.jsonl"
         cache.write_text(json.dumps({"model": "m", "input": "a person waves.",
                                      "output": "a person waves"}) + "\n")
@@ -581,8 +614,7 @@ class TestDecomposeCommand:
             for name, raw in (("hit", "a person waves."), ("miss", "a person jumps."))
         ], data)
         out = tmp_path / "seg.jsonl"
-        endpoint = url if source == "flag" else "http://127.0.0.1:9"
-        assert main(["decompose", "--data", str(data), "--endpoint", endpoint, "--model-name", "m",
+        assert main(["decompose", "--data", str(data), "--endpoint", url, "--model-name", "m",
                      "--cache", str(cache), "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and url in json.loads(err[0])["error"]
@@ -1567,7 +1599,8 @@ class TestFreedMemoryPolicy:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
     def test_fewer_page_faults(self, tmp_path):
         """segment --method cpd on 4 sequences of 450 tokens: each sequence's
-        n^2 tables reuse the last one's freed memory."""
+        blocks of start rows and half table of distances reuse the last
+        one's freed memory."""
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_samples": 4, "dim": 16, "segments_min": 5, "segments_max": 5,
                                     "tokens_per_segment_min": 90, "tokens_per_segment_max": 90}))

@@ -25,15 +25,16 @@ SGMO motion files are mutated as bytes: a truncation at any offset, trailing
 bytes, a bad magic byte, a zero or oversized N or D in the header, and a
 NaN or infinite float32 in the payload.
 
-Two formats keep their own typed errors.  A text-cache line that is not an
-entry is skipped with a warning naming the cache file and line; its record
-then misses, and the endpoint, refusing here, ends ``decompose`` with the
-one error line of a TransportError, which names the URL; the dataset is not
-written.  An endpoint reply that is not a chat completion keeping the
-prompt's contract (the mutations above, and content strings the prompt
-forbids) rejects its record with a MalformedResponseError that names the
-URL, in the report, after one request and without caching the reply.  No
-request leaves the process: ``urllib.request.urlopen`` is replaced.
+Two formats fail a record rather than the file, and ``decompose`` then
+exits 1 with one JSON line naming the data file and the endpoint's URL,
+and writes only its report.  A text-cache line that is not an entry is
+skipped with a warning naming the cache file and line; its record then
+misses, and the endpoint, refusing here, fails it with a TransportError.
+An endpoint reply that is not a chat completion keeping the prompt's
+contract (the mutations above, and content strings the prompt forbids)
+rejects its record with a MalformedResponseError, in the report, after one
+request and without caching the reply.  No request leaves the process:
+``urllib.request.urlopen`` is replaced.
 """
 
 import copy
@@ -55,6 +56,7 @@ from segalign.cli import main
 SEED = 15
 PER_FORMAT = 50
 ENDPOINT = "http://127.0.0.1:9/v1/chat/completions"   # never contacted: urlopen is replaced
+DECOMPOSE_DATA = "records.jsonl"   # the dataset decompose reads, beside the cache file
 
 # replacement values of another JSON type, by the kind a field holds
 WRONG_TYPES = {
@@ -334,7 +336,8 @@ def _cache_line(base, work):
         return b"\n".join([lines[0], line, *lines[2:]]) + b"\n"
 
     groups = {kind: [(label, around(line)) for label, line in items] for kind, items in groups.items()}
-    argv = ["decompose", "--data", str(base / "data" / "dataset.jsonl"), "--cache", str(work / "cache.jsonl"),
+    shutil.copy(base / "data" / "dataset.jsonl", work / DECOMPOSE_DATA)
+    argv = ["decompose", "--data", str(work / DECOMPOSE_DATA), "--cache", str(work / "cache.jsonl"),
             "--endpoint", ENDPOINT, "--model-name", "ci"]
     return around(valid), groups, work / "cache.jsonl", argv
 
@@ -342,7 +345,7 @@ def _cache_line(base, work):
 def _reply(base, work):
     """The body of the endpoint's reply for a one-record dataset, with no
     cache entry."""
-    (work / "one.jsonl").write_text((base / "data" / "dataset.jsonl").read_text().splitlines()[0] + "\n")
+    (work / DECOMPOSE_DATA).write_text((base / "data" / "dataset.jsonl").read_text().splitlines()[0] + "\n")
     reply = {"choices": [{"message": {"role": "assistant", "content": "a person walks#a person runs"}}]}
     sites = [(("choices",), "list", {"delete", "rename"}), (("choices", 0), "object", set()),
              (("choices", 0, "message"), "object", {"delete", "rename"}),
@@ -352,7 +355,7 @@ def _reply(base, work):
         (f"content {text!r}", _compact(_edited(reply, ("choices", 0, "message", "content"), _replace(text))).encode())
         for text in ("Output: a person walks", '"a person walks"', "`a person walks`", "", "  ",
                      "a person walks##a person runs", "#".join(["a person walks"] * 6))]
-    argv = ["decompose", "--data", str(work / "one.jsonl"), "--cache", str(work / "cache.jsonl"),
+    argv = ["decompose", "--data", str(work / DECOMPOSE_DATA), "--cache", str(work / "cache.jsonl"),
             "--endpoint", ENDPOINT, "--model-name", "ci"]
     return valid, groups, work / "reply.json", argv
 
@@ -396,12 +399,12 @@ def _run(capsys, argv):
     return code, capsys.readouterr().err.splitlines(), [str(w.message) for w in caught], problems
 
 
-def _one_error_naming(code, err, name):
+def _one_error_naming(code, err, *names):
     problems = [] if code == 1 else [f"exit {code}"]
     if len(err) != 1 or not _is_json_error(err[0]):
         problems.append(f"stderr {err!r}")
-    elif name not in json.loads(err[0])["error"]:
-        problems.append(f"{name} not named: {err!r}")
+    else:
+        problems += [f"{name} not named: {err!r}" for name in names if name not in json.loads(err[0])["error"]]
     return problems
 
 
@@ -417,27 +420,27 @@ def _clean_failure(run, target, out, requests):
     return problems + ([f"wrote {_written(out)}"] if out.exists() else [])
 
 
+def _failed_decompose(run, target, out):
+    """Exit 1 with one JSON error line naming the data file and the URL,
+    and only the report written."""
+    code, err, _, problems = run
+    problems += _one_error_naming(code, err, str(target.parent / DECOMPOSE_DATA), ENDPOINT)
+    return problems + ([f"wrote {_written(out)}"] if _written(out) != ["decomposed_report.json"] else [])
+
+
 def _skipped_cache_line(run, target, out, requests):
     """The second line skipped with a warning naming the cache file and
-    line, then the refusing endpoint's one error line naming its URL; only
-    the report is written."""
-    code, err, caught, problems = run
-    problems += _one_error_naming(code, err, ENDPOINT)
-    if caught != [f"{target}:2: skipping malformed cache line"]:
-        problems.append(f"warnings {caught!r}")
-    if _written(out) != ["decomposed_report.json"]:
-        problems.append(f"wrote {_written(out)}")
+    line, then the refusing endpoint fails its record."""
+    problems = _failed_decompose(run, target, out)
+    if run[2] != [f"{target}:2: skipping malformed cache line"]:
+        problems.append(f"warnings {run[2]!r}")
     return problems
 
 
 def _rejected_reply(run, target, out, requests):
     """The record rejected with a MalformedResponseError naming the URL,
     after one request; nothing cached, no warning."""
-    code, err, caught, problems = run
-    problems += [] if code == 1 else [f"exit {code}"]
-    if err != [json.dumps({"count": 1, "error": "records rejected"}, sort_keys=True)]:
-        problems.append(f"stderr {err!r}")
-    problems += [f"warning {w}" for w in caught]
+    problems = _failed_decompose(run, target, out) + [f"warning {w}" for w in run[2]]
     report = out / "decomposed_report.json"
     statuses = list(json.loads(report.read_text()).values()) if report.exists() else []
     if not (len(statuses) == 1 and statuses[0].startswith("rejected: ") and ENDPOINT in statuses[0]):
@@ -467,7 +470,6 @@ def endpoint(tmp_path, monkeypatch):
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     monkeypatch.setattr(textseg.time, "sleep", lambda s: None)
-    monkeypatch.delenv("SEGALIGN_LLM_URL", raising=False)
     return requests
 
 

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -271,6 +272,11 @@ class TestKernelCpd:
         err = max(abs(C[s, e] - kernel_span_cost(K, int(s), int(e))) for s, e in spans)
         assert err <= 16 * np.finfo(np.float64).eps * n
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 5), (2, 4, 4)])
+    def test_cost_table_of_other_than_one_square_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected one (n, n) kernel matrix, got shape {shape}")):
+            kernel_cost_table(np.ones(shape))
+
     def test_single_point_span_costs_zero(self):
         K = gaussian_kernel_matrix(np.random.default_rng(1).normal(size=(5, 3)))
         for i in range(5):
@@ -390,6 +396,11 @@ class TestGaussianKernelMatrix:
         x[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             gaussian_kernel_matrix(x, bandwidth)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 2)])
+    def test_input_other_than_one_sequence_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"expected one (n, d) sequence, got shape {shape}")):
+            gaussian_kernel_matrix(np.ones(shape))
 
 
 def test_segmenters_do_not_import_numpy_ma():
@@ -569,17 +580,16 @@ class TestStacks:
     the oracle."""
 
     def test_kernels_and_cost_tables(self, block):
+        """Each member's sweep costs are its costs alone, and the oracle's
+        table of its kernel."""
         rng = np.random.default_rng(51)
         for trial in range(120):
             n, size = int(rng.integers(1, 30)), int(rng.integers(2, 6))
             x = stack_inputs(rng, trial, n, size)
             bandwidth = "median" if trial % 3 else 0.7
-            alone = [gaussian_kernel_matrix(v, bandwidth) for v in x]
-            K = gaussian_kernel_matrix(x, bandwidth)
-            assert K.tobytes() == np.stack(alone).tobytes(), trial
-            assert kernel_cost_table(K).tobytes() == np.stack([kernel_cost_table(k) for k in alone]).tobytes()
-            assert sweep_table(x, bandwidth).tobytes() == np.stack([sweep_table(v[None], bandwidth)[0]
-                                                                    for v in x]).tobytes(), trial
+            for v, got in zip(x, sweep_table(x, bandwidth)):
+                assert got.tobytes() == sweep_table(v[None], bandwidth)[0].tobytes(), trial
+                assert got.tobytes() == kernel_cost_table(gaussian_kernel_matrix(v, bandwidth)).tobytes(), trial
 
     def test_sweep_dp(self, block):
         rng = np.random.default_rng(52)
@@ -615,9 +625,8 @@ class TestStacks:
             xs = [LatentSequence(vectors=v) for v in x]
             got = kernel_cpd_corpus(xs, [a] * size)
             assert got == [kernel_cpd_segment(v, a) for v in xs], trial
-            K = gaussian_kernel_matrix(x)
             _, obj = segmentation._cpd_sweep(x, a, "median")
-            for b, k in enumerate(K):
+            for b, k in enumerate(map(gaussian_kernel_matrix, x)):
                 assert got[b] == brute_force_segment(k, a), (trial, b)
                 assert same_bits(obj[b], brute_force_objective(k, a)), (trial, b)
 
