@@ -601,6 +601,40 @@ class TestDecomposeCommand:
         assert asked == ["http://127.0.0.1:9"]
         assert read_dataset(out)[0].text_segments == ["a person jumps"]
 
+    def test_flag_overrides_the_config_endpoint(self, tmp_path, monkeypatch):
+        asked = []
+
+        def answer(url, payload, timeout):
+            asked.append(url)
+            return "a person jumps"
+
+        monkeypatch.setattr(textseg, "_default_transport", answer)
+        data = tmp_path / "in.jsonl"
+        write_dataset([DatasetRecord(id="a", raw_text="a person jumps.",
+                                     text_segments=["x"], motion_path="a.sgmo")], data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"endpoint": "http://other.example/chat"}))
+        out = tmp_path / "seg.jsonl"
+        assert main(["--config", str(cfg), "decompose", "--data", str(data), "--endpoint", "http://127.0.0.1:9",
+                     "--model-name", "m", "--out", str(out), "--quiet"]) == 0
+        assert asked == ["http://127.0.0.1:9"]
+
+    def test_env_var_alone_gives_no_endpoint(self, tmp_path, capsys, monkeypatch):
+        """SEGALIGN_LLM_URL set, but neither --endpoint nor a config key:
+        the command has no endpoint, sends nothing and writes nothing."""
+        asked = []
+        monkeypatch.setattr(textseg, "_default_transport", lambda *a: asked.append(a) or "x")
+        monkeypatch.setenv("SEGALIGN_LLM_URL", "http://127.0.0.1:9")
+        data = tmp_path / "in.jsonl"
+        write_dataset([DatasetRecord(id="a", raw_text="a person walks.",
+                                     text_segments=["x"], motion_path="a.sgmo")], data)
+        assert main(["decompose", "--data", str(data), "--model-name", "m",
+                     "--out", str(tmp_path / "o.jsonl"), "--quiet"]) == 1
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "no endpoint: pass --endpoint or use --fallback"}
+        assert asked == [] and os.listdir(tmp_path) == ["in.jsonl"]
+
     @pytest.mark.parametrize("url", ["llm.example/v1", "ftp://llm.example/v1"])
     def test_endpoint_without_http_scheme_fails_before_any_record(self, tmp_path, capsys, monkeypatch, url):
         asked = []

@@ -1,3 +1,4 @@
+import dataclasses
 import http.client
 import io
 import json
@@ -116,6 +117,12 @@ class TestLlmDecompose:
         t = _ok_transport("a person waves.")
         llm_decompose("a person waves.", self.CFG, transport=t)
         assert t.calls[0][0] == self.CFG.base_url
+
+    def test_config_holds_only_the_url_and_model(self):
+        """The timeout and retry count are module constants, not settings."""
+        assert [f.name for f in dataclasses.fields(LlmEndpointConfig)] == ["base_url", "model_name"]
+        with pytest.raises(TypeError):
+            LlmEndpointConfig(base_url=self.CFG.base_url, model_name="m", timeout=1.0)
 
     def test_warm_cache_skips_network(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
