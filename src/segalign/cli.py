@@ -8,7 +8,13 @@ override them, and keys the command does not use are ignored.  Every JSON
 file a command reads (the synth spec, manifest.json, truth.json, a primitive
 library, model.json, align_data.json, --config) goes through one reader: a
 missing, malformed or mistyped file exits 1, before anything is written,
-with one stderr line ``{"error": "<path>: <field> ..."}``.  A spec or config
+with one stderr line ``{"error": "<path>: <field> ..."}``.  The float
+matrices of dataset.jsonl (``embeddings``), stack.json, a primitive library
+and align_data.json share one encoding, ``jsonio.hex_rows``: each row is the
+lowercase hex of its little-endian float64 bytes, read back exactly by
+``np.frombuffer(bytes.fromhex(row), "<f8")``.  A file of decimal float
+lists there is older and refused, naming the command that writes it anew;
+model.json keeps decimal floats.  A spec or config
 value of the wrong JSON type, such as "8" for an int, is refused, not
 converted.  A float overflow, NaN or division by zero in a command exits 1
 the same way, and so does a record that ``segment`` cannot cut or
@@ -336,7 +342,8 @@ def cmd_quantize(args) -> int:
 
 def cmd_decompose(args) -> int:
     """Decompose each record's text, then write the dataset and
-    ``<out>_report.json``, the status of each record handled.  A rejected
+    ``<out>_report.json``, the status of each record handled.  A record whose
+    segments change is written without its embeddings.  A rejected
     record does not stop the loop, so the cache keeps every answer that
     passed; an unreachable endpoint stops it.  After any failure only the
     report is written, and the error names the first failed record."""
@@ -351,7 +358,9 @@ def cmd_decompose(args) -> int:
         try:
             seg = (textseg.fallback_decompose(r.raw_text) if cfg is None
                    else textseg.llm_decompose(r.raw_text, cfg, cache_path=args.cache))
-            r.text_segments = list(seg.segments)
+            if list(seg.segments) != r.text_segments:
+                # the record's embedding rows belong to the segments it had
+                r.text_segments, r.precomputed_embeddings = list(seg.segments), None
             statuses[r.id] = "ok"
         except (textseg.SegmentValidationError, textseg.MalformedResponseError) as exc:
             statuses[r.id] = f"rejected: {exc}"
@@ -370,38 +379,6 @@ def cmd_decompose(args) -> int:
 
 
 # --- train-align ------------------------------------------------------------
-
-def _hex_rows(X: np.ndarray) -> list[str]:
-    """Each row of ``X`` as the lowercase hex of its little-endian float64
-    bytes, so ``_unhex_rows`` reads back the same bits."""
-    text = np.ascontiguousarray(X, "<f8").tobytes().hex()
-    width = 16 * X.shape[1]
-    return [text[i : i + width] for i in range(0, len(text), width)]
-
-
-def _unhex_rows(rows, d: int, where: str) -> np.ndarray:
-    """The (len(rows), d) float64 matrix that ``_hex_rows`` wrote; anything
-    else is a CliError that starts with ``where``."""
-    if not isinstance(rows, list) or not rows:
-        raise CliError(f"{where}: expected a non-empty list of rows")
-    width = 16 * d
-    if not all(isinstance(r, str) and len(r) == width for r in rows):
-        raise CliError(
-            f"{where}: each row must be a string of {width} hex digits, the little-endian "
-            "float64 bytes of its values (a file of float lists is older: rerun train-align)"
-        )
-    try:
-        raw = bytearray.fromhex("".join(rows))
-    except ValueError:
-        raise CliError(f"{where}: rows are not hex") from None
-    # fromhex skips whitespace, so a row of the right length may decode short
-    if len(raw) != 8 * d * len(rows):
-        raise CliError(f"{where}: {len(raw)} bytes decoded, expected {8 * d * len(rows)}")
-    X = np.frombuffer(raw, "<f8").reshape(-1, d)
-    if not np.isfinite(X).all():
-        raise CliError(f"{where}: non-finite value")
-    return X
-
 
 def cmd_train_align(args) -> int:
     _at_least_one(args, "samples", "holdout", "batch", "d_token", "d_embed", "steps")
@@ -433,13 +410,12 @@ def cmd_train_align(args) -> int:
     top1_after = alignment.retrieval_top1(holdout, params)
 
     # the query commands read only the holdout split; the train split is a
-    # function of the flags.  Each row is the hex of its float64 bytes: exact,
-    # and one bytes.fromhex per matrix to read, where printing and parsing
-    # the floats as decimal text took tens of milliseconds per command
+    # function of the flags
     data = {
         "d_token": args.d_token,
         "d_embed": args.d_embed,
-        "holdout": [{"text": _hex_rows(s.text), "spans": [_hex_rows(sp) for sp in s.spans]} for s in holdout],
+        "holdout": [{"text": jsonio.hex_rows(s.text), "spans": [jsonio.hex_rows(sp) for sp in s.spans]}
+                    for s in holdout],
     }
     _write_atomic(os.path.join(args.out, "align_data.json"), json.dumps(data, sort_keys=True) + "\n")
     _write_json(os.path.join(args.out, "model.json"), alignment.params_to_json(params))
@@ -491,7 +467,7 @@ def cmd_decode(args) -> int:
 
 def _read_holdout(path) -> list[alignment.ToySample]:
     """The held-out split of an align_data.json: ``text`` rows are d_embed
-    wide, span rows d_token wide, each written by ``_hex_rows``.  A file of
+    wide, span rows d_token wide, each written by ``jsonio.hex_rows``.  A file of
     any other shape is a ValueError that starts with ``path``."""
 
     def parse(data):
@@ -504,8 +480,9 @@ def _read_holdout(path) -> list[alignment.ToySample]:
             where = f"holdout[{i}]"
             if not isinstance(s, dict) or not isinstance(s.get("spans"), list):
                 raise CliError(f"{where}: expected an object with text and a list of spans")
-            text = _unhex_rows(s.get("text"), d_embed, f"{where}.text")
-            spans = [_unhex_rows(sp, d_token, f"{where}.spans[{j}]") for j, sp in enumerate(s["spans"])]
+            text = jsonio.unhex_rows(s.get("text"), d_embed, f"{where}.text", "train-align")
+            spans = [jsonio.unhex_rows(sp, d_token, f"{where}.spans[{j}]", "train-align")
+                     for j, sp in enumerate(s["spans"])]
             if len(spans) != len(text):
                 raise CliError(f"{where}: {len(text)} text rows but {len(spans)} spans")
             samples.append(alignment.ToySample(text=text, spans=spans))

@@ -1,5 +1,12 @@
-"""The one reader of whole JSON files, and the value checks its callers
-share; every failure is a ValueError, which the CLI reports as one JSON line."""
+"""The one reader of whole JSON files, the one encoding of float matrices in
+them, and the value checks their callers share; every failure is a
+ValueError, which the CLI reports as one JSON line.
+
+A float matrix is a JSON list of rows, each row the lowercase hex of its
+little-endian float64 bytes (``hex_rows``), so a file stores the values
+exactly and a row reads back with ``np.frombuffer(bytes.fromhex(row), "<f8")``.
+Printing and parsing the same values as decimal JSON numbers took most of
+a corpus command's own time."""
 
 import json
 import math
@@ -45,9 +52,49 @@ def positive_int(value, name: str) -> int:
     return value
 
 
+def hex_rows(X) -> list[str]:
+    """Each row of the 2-D float matrix ``X`` as the lowercase hex of its
+    little-endian float64 bytes, so ``unhex_rows`` reads back the same bits."""
+    X = np.ascontiguousarray(X, "<f8")
+    text = X.tobytes().hex()
+    width = 16 * X.shape[1]
+    return [text[i : i + width] for i in range(0, len(text), width)]
+
+
+def unhex_rows(rows, d: int | None, where: str, writer: str) -> np.ndarray:
+    """The (len(rows), d) float64 matrix that ``hex_rows`` wrote, all finite;
+    with ``d`` None, the first row's length sets it.  Anything else is a
+    ValueError that starts with ``where``; a row of decimal floats is the
+    older encoding, and the message names ``writer``, the command that
+    writes the file anew."""
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"{where}: expected a non-empty list of rows")
+    if d is None:
+        d = len(rows[0]) // 16 if isinstance(rows[0], str) and len(rows[0]) % 16 == 0 else 0
+    width = 16 * d
+    if not width or not all(isinstance(r, str) and len(r) == width for r in rows):
+        digits = f"{width} hex digits" if width else "16 hex digits per value"
+        raise ValueError(
+            f"{where}: each row must be a string of {digits}, the little-endian float64 bytes of its values "
+            f"(a file of float lists is older: rerun {writer})"
+        )
+    try:
+        raw = bytearray.fromhex("".join(rows))
+    except ValueError:
+        raise ValueError(f"{where}: rows are not hex") from None
+    # fromhex skips whitespace, so a row of the right length may decode short
+    if len(raw) != 8 * d * len(rows):
+        raise ValueError(f"{where}: {len(raw)} bytes decoded, expected {8 * d * len(rows)}")
+    X = np.frombuffer(raw, "<f8").reshape(-1, d)
+    if not np.isfinite(X).all():
+        raise ValueError(f"{where}: non-finite value")
+    return X
+
+
 def numeric_array(value) -> np.ndarray | None:
     """``value`` as a float64 array if it is a JSON number, or lists of JSON
-    numbers (not bools) nested to a rectangular shape; None otherwise."""
+    numbers (not bools) nested to a rectangular shape; None otherwise.  Only
+    model.json keeps its weights as decimal numbers."""
     try:
         cells = np.asarray(value, dtype=object)  # ragged rows stay lists
         return cells.astype(np.float64) if set(map(type, cells.ravel())) <= {int, float} else None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import write_atomic
-from .jsonio import json_object, numeric_array
+from .jsonio import hex_rows, json_object, unhex_rows
 
 MAGIC = b"SGMO"
 
@@ -95,7 +95,8 @@ class LatentSequence:
 
 @dataclass
 class DatasetRecord:
-    """One annotated sample: text, its ordered segments, and a motion file."""
+    """One annotated sample: text, its ordered segments, a motion file, and
+    optionally one embedding row per segment."""
 
     id: str
     raw_text: str
@@ -108,10 +109,12 @@ class DatasetRecord:
             raise ValueError(f"record {self.id}: needs at least one text segment")
         if any(not s for s in self.text_segments):
             raise ValueError(f"record {self.id}: empty text segment")
-        if self.precomputed_embeddings is not None:
-            dims = {len(e) for e in self.precomputed_embeddings}
-            if len(dims) > 1:
-                raise ValueError(f"record {self.id}: embeddings with mixed dimensions")
+        rows = self.precomputed_embeddings
+        if rows is not None:
+            if len({len(e) for e in rows}) > 1 or not all(rows):
+                raise ValueError(f"record {self.id}: embedding rows must be non-empty and of one length")
+            if len(rows) != len(self.text_segments):
+                raise ValueError(f"record {self.id}: {len(rows)} embedding rows for {len(self.text_segments)} segments")
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,8 @@ def reconstruct_motion(v: LatentSequence, ratio: int = DEFAULT_DOWNSAMPLE_RATIO)
 # --- dataset JSON-lines I/O -------------------------------------------------
 
 def dataset_to_jsonl(records: list[DatasetRecord]) -> str:
-    """One JSON object per line: id, text, segments, motion[, embeddings]."""
+    """One JSON object per line: id, text, segments, motion[, embeddings],
+    the embeddings as ``jsonio.hex_rows``."""
     lines = []
     for r in records:
         obj = {
@@ -227,7 +231,7 @@ def dataset_to_jsonl(records: list[DatasetRecord]) -> str:
             "motion": r.motion_path,
         }
         if r.precomputed_embeddings is not None:
-            obj["embeddings"] = r.precomputed_embeddings
+            obj["embeddings"] = hex_rows(r.precomputed_embeddings)
         lines.append(json.dumps(obj, sort_keys=True) + "\n")
     return "".join(lines)
 
@@ -249,14 +253,11 @@ def _record_from_json(obj) -> DatasetRecord:
         ("text", isinstance(obj["text"], str), "a string"),
         ("segments", _list_of(obj["segments"], str), "a list of strings"),
         ("motion", isinstance(obj["motion"], str), "a string"),
-        ("embeddings", embeddings is None or _list_of(embeddings, list), "a list of lists"),
     ):
         if not ok:
             raise ValueError(f"field {name!r} must be {kind}")
-    if embeddings:
-        values = numeric_array(embeddings)
-        if values is None or values.ndim != 2 or not np.isfinite(values).all():
-            raise ValueError("field 'embeddings' must be lists of finite numbers, all of one length")
+    if embeddings is not None:
+        embeddings = unhex_rows(embeddings, None, "field 'embeddings'", "synth").tolist()
     return DatasetRecord(
         id=obj["id"],
         raw_text=obj["text"],

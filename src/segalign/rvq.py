@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import json_object, numeric_array, positive_int
+from .jsonio import hex_rows, json_object, positive_int, unhex_rows
 from .motion import LatentSequence
 
 DEFAULT_RESIDUAL_LAYERS = 5
@@ -318,7 +318,8 @@ def truncate_stack(stack: CodebookStack, num_layers: int) -> CodebookStack:
 
 
 def stack_to_json(stack: CodebookStack) -> dict:
-    return {"dim": stack.dim, "books": [b.entries.tolist() for b in stack.books]}
+    """The stack as JSON, each codebook's entries as ``jsonio.hex_rows``."""
+    return {"dim": stack.dim, "books": [hex_rows(b.entries) for b in stack.books]}
 
 
 def stack_from_json(obj) -> CodebookStack:
@@ -328,10 +329,5 @@ def stack_from_json(obj) -> CodebookStack:
     dim = positive_int(obj["dim"], "dim")
     if not isinstance(obj["books"], list) or not obj["books"]:
         raise ValueError("field 'books' must be a non-empty list of codebooks")
-    books = []
-    for j, raw in enumerate(obj["books"]):
-        entries = numeric_array(raw)
-        if entries is None or entries.ndim != 2 or entries.shape[1] != dim or not np.isfinite(entries).all():
-            raise ValueError(f"books[{j}] must be a non-empty list of rows of {dim} finite numbers")
-        books.append(Codebook(entries=entries))
+    books = [Codebook(entries=unhex_rows(raw, dim, f"books[{j}]", "quantize")) for j, raw in enumerate(obj["books"])]
     return CodebookStack(books=tuple(books))

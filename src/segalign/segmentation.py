@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import json_object, numeric_array, positive_int
+from .jsonio import hex_rows, json_object, positive_int, unhex_rows
 from .motion import LatentSequence
 from .rvq import kmeans, sqdist
 
@@ -608,7 +608,8 @@ def _cluster_dp(costs: np.ndarray, num_segments: int) -> tuple[list, list, list]
 def cluster_dp_segment(x: LatentSequence, lib: PrimitiveLibrary, num_segments: int) -> SegmentBoundaries:
     """Segment by optimal contiguous assignment of windows to primitives.
 
-    Window cut c maps back to token index c * stride; the final span always
+    Window cut c maps back to token index c * stride + (window_size - 1) // 2,
+    the centre of the first window of the new run; the final span always
     ends at the token count.
     """
     return cluster_dp_corpus([x], lib, [num_segments])[0]
@@ -627,7 +628,8 @@ def cluster_dp_corpus(xs: list[LatentSequence], lib: PrimitiveLibrary, counts: l
 
 def _cluster_dp_stack(x: np.ndarray, lib: PrimitiveLibrary, num_segments: int) -> list[SegmentBoundaries]:
     """The boundaries of each sequence of the (B, n, d) stack ``x``."""
-    return [SegmentBoundaries.from_cuts(x.shape[1], [c * lib.stride for c in window_cuts])
+    offset = (lib.window_size - 1) // 2
+    return [SegmentBoundaries.from_cuts(x.shape[1], [c * lib.stride + offset for c in window_cuts])
             for window_cuts in _cluster_dp(_window_costs(x, lib), num_segments)[0]]
 
 
@@ -737,8 +739,9 @@ def jittered_boundary_corpus(seed: int, n_sequences: int = 500) -> list[tuple[La
 
 
 def library_to_json(lib: PrimitiveLibrary) -> dict:
+    """The library as JSON, its centres as ``jsonio.hex_rows``."""
     return {
-        "centers": lib.centers.tolist(),
+        "centers": hex_rows(lib.centers),
         "window_size": lib.window_size,
         "stride": lib.stride,
     }
@@ -749,9 +752,7 @@ def library_from_json(obj) -> PrimitiveLibrary:
     ValueError naming the field at fault."""
     json_object(obj, "centers", "window_size", "stride")
     window_size, stride = (positive_int(obj[key], key) for key in ("window_size", "stride"))
-    centers = numeric_array(obj["centers"])
-    if centers is None or centers.ndim != 2 or centers.size == 0 or not np.isfinite(centers).all():
-        raise ValueError("field 'centers' must be a non-empty list of equal-length lists of finite numbers")
+    centers = unhex_rows(obj["centers"], None, "field 'centers'", "segment --fit-library")
     return PrimitiveLibrary(centers=centers, window_size=window_size, stride=stride)
 
 

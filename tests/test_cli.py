@@ -11,7 +11,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from segalign import alignment, cli, metrics, rvq, segmentation, textseg
+from segalign import alignment, cli, jsonio, metrics, rvq, segmentation, textseg
 from segalign.cli import main
 from segalign.motion import DatasetRecord, LatentSequence, load_motion, read_dataset, write_dataset
 from segalign.seeds import rng_for, seed_for
@@ -158,6 +158,7 @@ class TestSegmentCommand:
             (data / "truth.json").unlink()
             records = [json.loads(line) for line in (data / "dataset.jsonl").read_text().splitlines()]
             records[1]["segments"] = [f"a person acts {i}" for i in range(5)]
+            del records[1]["embeddings"]   # one row per segment, or none
             (data / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
         out = tmp_path / "seg"
         error = _one_error(capsys, ["segment", "--data", str(data), "--method", method,
@@ -168,7 +169,7 @@ class TestSegmentCommand:
         """Each window's cost to a far center is finite, but a sequence's
         total is not: the first record is named and nothing is written."""
         lib = tmp_path / "lib.json"
-        lib.write_text(json.dumps({"centers": [[5e153] * 3], "window_size": 1, "stride": 1}))
+        lib.write_text(json.dumps({"centers": jsonio.hex_rows([[5e153] * 3]), "window_size": 1, "stride": 1}))
         error = _one_error(capsys, ["segment", "--data", str(synth_dir), "--method", "cluster",
                                     "--library", str(lib)], tmp_path / "seg")
         assert error == "sample_0000: a primitive's total cost is beyond the float64 limit of 1.79769e+308"
@@ -221,7 +222,7 @@ class TestSegmentCommand:
 
         monkeypatch.setattr(cli, "_load_corpus", load_with_far_records)
         lib = tmp_path / "lib.json"
-        lib.write_text(json.dumps({"centers": [[0.0, 0.0]], "window_size": 1, "stride": 1}))
+        lib.write_text(json.dumps({"centers": jsonio.hex_rows([[0.0, 0.0]]), "window_size": 1, "stride": 1}))
         error = _one_error(capsys, ["segment", "--data", str(data), "--method", "cluster", "--library", str(lib)],
                            tmp_path / "seg")
         assert error == "sample_0001: a primitive's total cost is beyond the float64 limit of 1.79769e+308"
@@ -284,20 +285,23 @@ class TestSegmentCommand:
     @pytest.mark.parametrize("text,message", [
         pytest.param("{}", "missing field 'centers'", id="no-centers"),
         pytest.param("[[0.0, 1.0]]", "expected a JSON object", id="list"),
-        pytest.param(json.dumps({"centers": [[0.0] * 5], "window_size": 2, "stride": 1}),
+        pytest.param(json.dumps({"centers": jsonio.hex_rows([[0.0] * 5]), "window_size": 2, "stride": 1}),
                      "field 'centers' has rows of 5 values, but window_size 2 x latent dim 3 needs 6",
                      id="width"),
         pytest.param("centers: [[0.0]]", "Expecting value", id="not-json"),
-        pytest.param(json.dumps({"centers": [[0.0] * 6], "stride": 1}), "missing field 'window_size'",
-                     id="no-window-size"),
-        pytest.param(json.dumps({"centers": [[0.0] * 6], "window_size": "2", "stride": 1}),
+        pytest.param(json.dumps({"centers": jsonio.hex_rows([[0.0] * 6]), "stride": 1}),
+                     "missing field 'window_size'", id="no-window-size"),
+        pytest.param(json.dumps({"centers": jsonio.hex_rows([[0.0] * 6]), "window_size": "2", "stride": 1}),
                      "field 'window_size' must be a positive integer", id="string-window-size"),
-        pytest.param(json.dumps({"centers": [[0.0] * 6], "window_size": 2, "stride": 0}),
+        pytest.param(json.dumps({"centers": jsonio.hex_rows([[0.0] * 6]), "window_size": 2, "stride": 0}),
                      "field 'stride' must be a positive integer", id="zero-stride"),
-        pytest.param(json.dumps({"centers": [[0.0] * 6, [0.0]], "window_size": 2, "stride": 1}),
-                     "field 'centers' must be", id="ragged-centers"),
-        pytest.param(json.dumps({"centers": [], "window_size": 2, "stride": 1}), "field 'centers' must be",
-                     id="empty-centers"),
+        pytest.param(json.dumps({"centers": jsonio.hex_rows([[0.0] * 6]) + jsonio.hex_rows([[0.0]]),
+                                 "window_size": 2, "stride": 1}),
+                     "field 'centers': each row must be a string of 96 hex digits", id="ragged-centers"),
+        pytest.param(json.dumps({"centers": [], "window_size": 2, "stride": 1}),
+                     "field 'centers': expected a non-empty list of rows", id="empty-centers"),
+        pytest.param(json.dumps({"centers": [[0.0] * 6], "window_size": 2, "stride": 1}),
+                     "(a file of float lists is older: rerun segment --fit-library)", id="float-list-centers"),
     ])
     def test_malformed_library_is_a_json_error(self, synth_dir, tmp_path, capsys, text, message):
         lib = tmp_path / "lib.json"
@@ -419,6 +423,37 @@ class TestDecomposeCommand:
         assert out1.read_bytes() == out2.read_bytes()
         segs = read_dataset(out1)[0].text_segments
         assert segs == ["a person walks", "a person runs"]
+
+    def test_changed_segments_drop_their_embeddings(self, tmp_path):
+        """An embedding row belongs to the segment it was made for: a record
+        decomposed into other segments is written without its rows, and one
+        whose segments stay keeps them bit for bit."""
+        data = tmp_path / "in.jsonl"
+        write_dataset([
+            DatasetRecord(id="a", raw_text="a person walks, then a person runs, then a person jumps",
+                          text_segments=["a person walks"], motion_path="a.sgmo", precomputed_embeddings=[[0.5, 1.0]]),
+            DatasetRecord(id="b", raw_text="a person waves", text_segments=["a person waves"],
+                          motion_path="b.sgmo", precomputed_embeddings=[[0.1, -3e-300]]),
+        ], data)
+        out = tmp_path / "o.jsonl"
+        assert main(["decompose", "--data", str(data), "--fallback", "--out", str(out), "--quiet"]) == 0
+        changed, kept = read_dataset(out)
+        assert changed.text_segments == ["a person walks", "a person runs", "a person jumps"]
+        assert changed.precomputed_embeddings is None
+        assert "embeddings" not in json.loads(out.read_text().splitlines()[0])
+        assert kept.precomputed_embeddings == [[0.1, -3e-300]]
+
+    def test_embedding_rows_must_match_the_segments(self, tmp_path):
+        with pytest.raises(ValueError, match="record a: 1 embedding rows for 3 segments"):
+            DatasetRecord(id="a", raw_text="t", text_segments=["x", "y", "z"], motion_path="a.sgmo",
+                          precomputed_embeddings=[[0.5]])
+        line = {"id": "a", "text": "t", "segments": ["x", "y"], "motion": "a.sgmo",
+                "embeddings": jsonio.hex_rows([[0.5]])}
+        data = tmp_path / "in.jsonl"
+        data.write_text("\n" + json.dumps(line) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_dataset(data)
+        assert str(err.value) == f"{data}:2: record a: 1 embedding rows for 2 segments"
 
     def test_missing_out_directory_is_created(self, tmp_path):
         data = tmp_path / "in.jsonl"
@@ -671,7 +706,8 @@ BAD_RECORDS = [
      "field 'segments' must be a list of strings"),
     (json.dumps({"id": "a", "text": "t", "segments": ["x"], "motion": None}), "field 'motion' must be a string"),
     (json.dumps({"id": "a", "text": "t", "segments": ["x"], "motion": "a.sgmo", "embeddings": [1.0]}),
-     "field 'embeddings' must be a list of lists"),
+     "field 'embeddings': each row must be a string of 16 hex digits per value, the little-endian float64 bytes "
+     "of its values (a file of float lists is older: rerun synth)"),
 ]
 
 
@@ -849,7 +885,7 @@ class TestQueryFile:
         train = alignment.make_separable_dataset(
             80, d_token=8, d_embed=16, seed=seed_for(0, "align.train_data"), map_seed=seed_for(0, "align.map"))
         with_train = tmp_path / "with_train.json"
-        train = [{"text": cli._hex_rows(s.text), "spans": [cli._hex_rows(sp) for sp in s.spans]} for s in train]
+        train = [{"text": jsonio.hex_rows(s.text), "spans": [jsonio.hex_rows(sp) for sp in s.spans]} for s in train]
         with_train.write_text(json.dumps({**data, "train": train}, sort_keys=True) + "\n")
         model = str(trained / "model.json")
         for name, path in (("holdout", trained / "align_data.json"), ("both", with_train)):
@@ -907,7 +943,7 @@ class TestQueryFile:
     def test_model_data_mismatch_names_both_files(self, trained, tmp_path, capsys, command, d_token, d_embed):
         holdout = alignment.make_separable_dataset(4, d_token=16, d_embed=16, seed=3, map_seed=4)
         data = {"d_token": 16, "d_embed": 16, "holdout": [
-            {"text": cli._hex_rows(s.text), "spans": [cli._hex_rows(sp) for sp in s.spans]} for s in holdout]}
+            {"text": jsonio.hex_rows(s.text), "spans": [jsonio.hex_rows(sp) for sp in s.spans]} for s in holdout]}
         model = alignment.params_to_json(alignment.AggregatorParams.init(d_token, d_embed, seed=1))
         error = self._run_bad(trained, tmp_path, capsys, command, model=model, data=data)
         assert error == (f"{tmp_path / 'bad_model.json'}: model takes d_token {d_token} to d_embed {d_embed}, "

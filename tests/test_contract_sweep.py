@@ -11,7 +11,9 @@ standard library's ``random`` from a fixed seed, from these kinds:
   * a value replaced by one of another JSON type;
   * NaN, Infinity or -Infinity in place of a value;
   * an empty array in place of a value;
-  * for a dataset line, the id of the line before it.
+  * for a dataset line, the id of the line before it;
+  * for a dataset line or a primitive library, its float64 hex rows written
+    as the decimal float lists of the older encoding.
 
 Every mutation makes the file invalid.  A key whose absence is valid (a spec
 or config field, which has a default, or a truth entry, which only scores
@@ -221,13 +223,19 @@ def _truth(base, work):
     return (*json_mutations(truth, sites, _indented), data / "truth.json", argv)
 
 
+def _float_lists(rows):
+    """Hex rows as the decimal float lists of the older encoding."""
+    return [np.frombuffer(bytes.fromhex(row), "<f8").tolist() for row in rows]
+
+
 def _library(base, work):
     lib = json.loads((base / "lib.json").read_text())
-    sites = [(("centers",), "list", {"delete", "rename"}), (("centers", 1), "list", set()),
-             (("centers", 2, 3), "float", set()), (("window_size",), "int", {"delete", "rename"}),
-             (("stride",), "int", {"delete", "rename"})]
+    sites = [(("centers",), "list", {"delete", "rename"}), (("centers", 1), "str", set()),
+             (("window_size",), "int", {"delete", "rename"}), (("stride",), "int", {"delete", "rename"})]
     argv = ["segment", "--data", str(base / "data"), "--method", "cluster", "--library", str(work / "lib.json")]
-    return (*json_mutations(lib, sites, _compact), work / "lib.json", argv)
+    valid, groups = json_mutations(lib, sites, _compact)
+    groups["older"] = [("centers as float lists", _compact({**lib, "centers": _float_lists(lib["centers"])}).encode())]
+    return valid, groups, work / "lib.json", argv
 
 
 def _model(base, work):
@@ -264,10 +272,12 @@ def _dataset_line(base, work):
     record = json.loads(second)
     sites = [((key,), "str", {"delete", "rename"}) for key in ("id", "text", "motion")]
     sites += [(("segments",), "list", {"delete", "rename"}), (("segments", 0), "str", set()),
-              (("embeddings", 1), "list", set()), (("embeddings", 0, 1), "float", set())]
+              (("embeddings", 1), "str", set())]
     valid, groups = json_mutations(record, sites, _compact)
     # the mutated record is the second line of a two-line file
     groups["duplicate"] = [("id = the first record's id", _compact({**record, "id": json.loads(first)["id"]}).encode())]
+    groups["older"] = [("embeddings as float lists",
+                        _compact({**record, "embeddings": _float_lists(record["embeddings"])}).encode())]
     lines = {kind: [(label, first.encode() + b"\n" + line + b"\n") for label, line in items]
              for kind, items in groups.items()}
     argv = ["decompose", "--fallback", "--data", str(work / "dataset.jsonl")]

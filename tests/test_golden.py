@@ -10,7 +10,8 @@ decodes.  ``tests/golden.json`` records each file it writes:
   synth file) by the SHA-256 of their bytes;
 - float artifacts by their parsed values, compared within 1e-12 relative
   (absolute below magnitude 1), so another BLAS kernel cannot fail them.
-  ``align_data.json`` rows are decoded from their float64 hex first.
+  The rows of ``align_data.json``, ``stack.json`` and ``library.json`` are
+  decoded from their float64 hex first.
 
 A change that alters an output on purpose regenerates the manifest with
 ``python tests/test_golden.py --regenerate`` and names each changed entry.
@@ -137,6 +138,10 @@ def _values(path: Path):
     if path.name == "align_data.json":
         obj["holdout"] = [{"text": _unhex(s["text"]), "spans": [_unhex(sp) for sp in s["spans"]]}
                           for s in obj["holdout"]]
+    elif path.name == "stack.json":
+        obj["books"] = [_unhex(book) for book in obj["books"]]
+    elif path.name == "library.json":
+        obj["centers"] = _unhex(obj["centers"])
     return obj
 
 

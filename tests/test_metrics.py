@@ -184,6 +184,18 @@ class TestMmDistDiversity:
         M = np.random.default_rng(0).normal(size=(50, 3))
         assert mx.diversity(M, seed=4) == mx.diversity(M, seed=4)
 
+    @pytest.mark.parametrize("n,d,scale", [(2, 1, 1.0), (7, 3, 1e-3), (50, 16, 1.0), (33, 65, 1e3)])
+    def test_diversity_equals_the_per_pair_loop(self, n, d, scale):
+        """The stacked product gives the mean of the per-pair norms, summed
+        in draw order, bit for bit."""
+        M = np.random.default_rng(n * d).normal(size=(n, d)) * scale
+        for seed in (0, 7, 11):
+            rng, total = np.random.default_rng(seed), 0.0
+            for _ in range(mx.DIVERSITY_PAIRS):
+                i, j = rng.choice(n, size=2, replace=False)
+                total += float(np.linalg.norm(M[i] - M[j]))
+            assert mx.diversity(M, seed=seed) == total / mx.DIVERSITY_PAIRS
+
     def test_diversity_needs_two(self):
         with pytest.raises(ValueError):
             mx.diversity(np.zeros((1, 2)))

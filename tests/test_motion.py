@@ -242,8 +242,9 @@ class TestDatasetIO:
         assert str(err.value) == f"{path}:4: duplicate id 'r0' (first on line 1)"
 
     def test_mixed_embedding_dims_rejected(self):
-        with pytest.raises(ValueError):
-            DatasetRecord(
-                id="bad", raw_text="x", text_segments=["x"],
-                motion_path="p", precomputed_embeddings=[[1.0], [1.0, 2.0]],
-            )
+        for rows in ([[1.0], [1.0, 2.0]], [[], []]):
+            with pytest.raises(ValueError, match="embedding rows must be non-empty and of one length"):
+                DatasetRecord(
+                    id="bad", raw_text="x", text_segments=["x", "y"],
+                    motion_path="p", precomputed_embeddings=rows,
+                )

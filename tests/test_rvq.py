@@ -538,8 +538,13 @@ class TestSerialization:
         for b1, b2 in zip(stack.books, back.books):
             np.testing.assert_array_equal(b1.entries, b2.entries)
 
-    # the valid object is two books of width 1; each edit breaks one thing
-    BAD_BOOK = "books[1] must be a non-empty list of rows of 1 finite numbers"
+    def test_books_are_float64_hex_rows(self):
+        obj = stack_to_json(two_layer_stack())
+        assert obj["books"][1] == [np.float64(v).tobytes().hex() for v in (-0.25, 0.25)]
+
+    # the valid object is two books of width 1, each row the hex of one
+    # float64; each edit breaks one thing
+    BAD_ROW = "books[1]: each row must be a string of 16 hex digits"
     MALFORMED = {
         "not-an-object": (lambda obj: [1], "expected a JSON object, got list"),
         "no-books": (lambda obj: {"dim": 1}, "missing field 'books'"),
@@ -550,16 +555,23 @@ class TestSerialization:
         "dim-float": (lambda obj: {**obj, "dim": 1.0}, "field 'dim' must be a positive integer, got 1.0"),
         "books-empty": (lambda obj: {**obj, "books": []}, "field 'books' must be a non-empty list of codebooks"),
         "books-object": (lambda obj: {**obj, "books": {"0": obj["books"][0]}}, "field 'books' must be a non-empty"),
-        "dim-disagrees": (lambda obj: {**obj, "dim": 3}, "books[0] must be a non-empty list of rows of 3 finite"),
-        "book-empty": (lambda obj: {**obj, "books": [obj["books"][0], []]}, BAD_BOOK),
-        "book-empty-row": (lambda obj: {**obj, "books": [obj["books"][0], [[]]]}, BAD_BOOK),
-        "book-flat": (lambda obj: {**obj, "books": [obj["books"][0], [1.0, 2.0]]}, BAD_BOOK),
-        "book-wide": (lambda obj: {**obj, "books": [obj["books"][0], [[1.0, 2.0]]]}, BAD_BOOK),
-        "book-ragged": (lambda obj: {**obj, "books": [obj["books"][0], [[1.0], [2.0, 3.0]]]}, BAD_BOOK),
-        "book-string": (lambda obj: {**obj, "books": [obj["books"][0], [["2"]]]}, BAD_BOOK),
-        "book-bool": (lambda obj: {**obj, "books": [obj["books"][0], [[True]]]}, BAD_BOOK),
-        "book-nan": (lambda obj: {**obj, "books": [obj["books"][0], [[float("nan")]]]}, BAD_BOOK),
-        "book-huge-int": (lambda obj: {**obj, "books": [obj["books"][0], [[10 ** 400]]]}, BAD_BOOK),
+        "dim-disagrees": (lambda obj: {**obj, "dim": 3}, "books[0]: each row must be a string of 48 hex digits"),
+        "book-empty": (lambda obj: {**obj, "books": [obj["books"][0], []]},
+                       "books[1]: expected a non-empty list of rows"),
+        "book-empty-row": (lambda obj: {**obj, "books": [obj["books"][0], [""]]}, BAD_ROW),
+        "book-flat": (lambda obj: {**obj, "books": [obj["books"][0], obj["books"][1][0]]},
+                      "books[1]: expected a non-empty list of rows"),
+        "book-wide": (lambda obj: {**obj, "books": [obj["books"][0], ["".join(obj["books"][1])]]}, BAD_ROW),
+        "book-ragged": (lambda obj: {**obj, "books": [obj["books"][0], [obj["books"][1][0], "".join(obj["books"][1])]]},
+                        BAD_ROW),
+        "book-string": (lambda obj: {**obj, "books": [obj["books"][0], ["zz" * 8]]}, "books[1]: rows are not hex"),
+        "book-bool": (lambda obj: {**obj, "books": [obj["books"][0], [True]]}, BAD_ROW),
+        "book-nan": (lambda obj: {**obj, "books": [obj["books"][0], [np.float64("nan").tobytes().hex()]]},
+                     "books[1]: non-finite value"),
+        "book-huge-int": (lambda obj: {**obj, "books": [obj["books"][0], [[10 ** 400]]]}, BAD_ROW),
+        "book-float-list": (lambda obj: {**obj, "books": [obj["books"][0], [[-0.25], [0.25]]]},
+                            BAD_ROW + ", the little-endian float64 bytes of its values "
+                            "(a file of float lists is older: rerun quantize)"),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)

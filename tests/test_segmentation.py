@@ -497,6 +497,17 @@ class TestClusterDp:
         b = cluster_dp_segment(corpus[0], lib, 2)
         assert b.cuts == (6,)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_window_cut_maps_to_the_window_centre(self, stride):
+        """Ten tokens of 0 then ten of 10, against one centre per regime:
+        the first window of the second run is the first whose centre token
+        is a 10 (its majority, with width 5), so its cut c maps to
+        c * stride + (5 - 1) // 2, the true cut 10, not c * stride = 8."""
+        x = LatentSequence(vectors=np.repeat([[0.0], [10.0]], 10, axis=0))
+        lib = PrimitiveLibrary(centers=np.array([[0.0] * 5, [10.0] * 5]), window_size=5, stride=stride)
+        assert brute_force_segment(CostMatrix(costs=window_costs(x.vectors, lib)), 2).cuts == (8 // stride,)
+        assert cluster_dp_segment(x, lib, 2).cuts == (10,)
+
     def test_sequence_shorter_than_window(self):
         lib = PrimitiveLibrary(centers=np.zeros((2, 8)), window_size=4, stride=1)
         x = LatentSequence(vectors=np.zeros((3, 2)))
@@ -506,9 +517,11 @@ class TestClusterDp:
             cluster_dp_segment(x, lib, 1)
 
     def test_library_json_round_trip(self):
-        lib = PrimitiveLibrary(centers=np.array([[1.0, 2.0]]), window_size=2, stride=1)
-        back = library_from_json(library_to_json(lib))
-        np.testing.assert_array_equal(back.centers, lib.centers)
+        lib = PrimitiveLibrary(centers=np.array([[1.0, 2.0], [0.1, -3e-300]]), window_size=2, stride=1)
+        obj = library_to_json(lib)
+        assert obj["centers"][1] == np.array([0.1, -3e-300], "<f8").tobytes().hex()
+        back = library_from_json(json.loads(json.dumps(obj)))
+        assert back.centers.tobytes() == lib.centers.tobytes()
         assert (back.window_size, back.stride) == (2, 1)
 
 
@@ -785,8 +798,9 @@ class TestCorpus:
         assert cluster_dp_corpus(xs[::-1], lib, counts[::-1]) == got[::-1]
         for i, (x, a) in enumerate(zip(xs, counts)):
             assert got[i] == cluster_dp_segment(x, lib, a), i
-            if x.length <= 16:   # 13 windows, stride 1: window cuts are token cuts
-                assert got[i].cuts == brute_force_segment(CostMatrix(costs=window_costs(x.vectors, lib)), a).cuts
+            if x.length <= 16:   # 13 windows, stride 1: token cut = window cut + (4 - 1) // 2
+                want = brute_force_segment(CostMatrix(costs=window_costs(x.vectors, lib)), a).cuts
+                assert got[i].cuts == tuple(c + 1 for c in want)
 
     @staticmethod
     def segmenters():
