@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .jsonio import json_object, number, numeric_array
+from .jsonio import hex_rows, json_object, number, unhex_rows
 
 NORM_FLOOR = 1e-12
 
@@ -439,30 +439,25 @@ def toy_train(
 # --- parameter serialization ------------------------------------------------
 
 def params_to_json(p: AggregatorParams) -> dict:
+    """The weights as JSON: ``w1`` and ``w2`` as ``jsonio.hex_rows``, ``b1``
+    and ``b2`` as one hex row each."""
     return {
-        "w1": p.w1.tolist(),
-        "b1": p.b1.tolist(),
-        "w2": p.w2.tolist(),
-        "b2": p.b2.tolist(),
+        "w1": hex_rows(p.w1),
+        "b1": hex_rows(p.b1[None])[0],
+        "w2": hex_rows(p.w2),
+        "b2": hex_rows(p.b2[None])[0],
         "seed": p.seed,
-        "shapes": {"w1": list(p.w1.shape), "w2": list(p.w2.shape)},
     }
 
 
 def params_from_json(obj) -> AggregatorParams:
     """The inverse of ``params_to_json``.  A top level that is not an
-    object, or a weight that is missing, not numeric or of a shape that does
-    not fit the others, is a ValueError naming it."""
+    object, or a weight that is missing, not hex rows or of a width that
+    does not fit the others, is a ValueError naming it; weights of decimal
+    float lists are the older encoding, refused naming train-align."""
     json_object(obj, "w1", "b1", "w2", "b2")
-    w = {}
-    for name, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1)):
-        w[name] = numeric_array(obj[name])
-        if w[name] is None:
-            raise ValueError(f"weight {name!r} is not numeric")
-        if w[name].ndim != ndim:
-            raise ValueError(f"weight {name!r} must be {ndim}-D, got shape {w[name].shape}")
-    (h, _), (d_embed, _) = w["w1"].shape, w["w2"].shape
-    for name, shape in (("b1", (h,)), ("w2", (d_embed, h)), ("b2", (d_embed,))):
-        if w[name].shape != shape:
-            raise ValueError(f"weight {name!r} has shape {w[name].shape}, expected {shape}")
-    return AggregatorParams(**w, seed=number(obj.get("seed", 0), int, "seed"))
+    w1 = unhex_rows(obj["w1"], None, "weight 'w1'", "train-align")
+    b1 = unhex_rows([obj["b1"]], len(w1), "weight 'b1'", "train-align")[0]
+    w2 = unhex_rows(obj["w2"], len(w1), "weight 'w2'", "train-align")
+    b2 = unhex_rows([obj["b2"]], len(w2), "weight 'b2'", "train-align")[0]
+    return AggregatorParams(w1=w1, b1=b1, w2=w2, b2=b2, seed=number(obj.get("seed", 0), int, "seed"))

@@ -2,29 +2,32 @@
 
 Commands: synth, decompose, quantize, segment, train-align, decode, ground,
 retrieve, eval.  ``main`` builds the parser of the one command it is given;
-``segalign <command> --help`` lists its flags.  ``--config FILE`` goes before
-the command: its JSON keys are flag dests (``d_token``, ``lr``), flags
-override them, and keys the command does not use are ignored.  Every JSON
-file a command reads (the synth spec, manifest.json, truth.json, a primitive
-library, model.json, align_data.json, --config) goes through one reader: a
-missing, malformed or mistyped file exits 1, before anything is written,
-with one stderr line ``{"error": "<path>: <field> ..."}``.  The float
-matrices of dataset.jsonl (``embeddings``), stack.json, a primitive library
-and align_data.json share one encoding, ``jsonio.hex_rows``: each row is the
-lowercase hex of its little-endian float64 bytes, read back exactly by
-``np.frombuffer(bytes.fromhex(row), "<f8")``.  A file of decimal float
-lists there is older and refused, naming the command that writes it anew;
-model.json keeps decimal floats.  A spec or config
-value of the wrong JSON type, such as "8" for an int, is refused, not
-converted.  A float overflow, NaN or division by zero in a command exits 1
-the same way, and so does a record that ``segment`` cannot cut or
-``decompose`` cannot decompose, named by its id.  Every stochastic command
-takes --seed and derives all module seeds from it through named streams, so
-reruns are bit-identical.  All outputs are written atomically (temp +
-rename).  A count flag below 1, such as ``--holdout 0``, exits 1 the same
-way, naming the flag.  On glibc, quantize and segment keep freed scratch
-memory in the heap for the next sequence or k-means iteration (see
-``_keep_freed_memory``).
+``segalign <command> --help`` lists its flags.  ``--config FILE`` goes
+before the command: its JSON keys are flag dests (``d_token``, ``lr``),
+flags override them, and keys the command does not use are ignored.  Every
+JSON file a command reads (the synth spec, manifest.json, truth.json, a
+primitive library, model.json, align_data.json, --config) goes through one
+reader: a missing, malformed or mistyped file exits 1, before anything is
+written, with one stderr line ``{"error": "<path>: <field> ..."}``.  The
+float matrices of dataset.jsonl (``embeddings``), stack.json, a primitive
+library, align_data.json and model.json share one encoding,
+``jsonio.hex_rows``: each row is the lowercase hex of its little-endian
+float64 bytes, read back exactly by ``np.frombuffer(bytes.fromhex(row),
+"<f8")``.  A file of decimal float lists there is older and refused, naming
+the command that writes it anew.  A spec or config value of the wrong JSON
+type, such as "8" for an int, is refused, not converted.  A float overflow,
+NaN or division by zero in a command exits 1 the same way, and so does a
+record that ``segment`` cannot cut or ``decompose`` cannot decompose, named
+by its id.  Every stochastic command takes --seed and derives all module
+seeds from it through named streams, so reruns are bit-identical.  All
+outputs are written atomically (temp + rename), every JSON and JSON-lines
+file through ``jsonio.write_json`` or ``jsonio.write_jsonl``: one object per
+line, keys sorted.  A count flag below 1, such as ``--holdout 0``, exits 1
+the same way, naming the flag, and so does a flag of eval's other mode:
+``--metric`` or ``--features-b`` with ``--model``/``--data``, or ``--model``
+or ``--data`` with ``--features-a``.  On glibc, quantize and segment keep
+freed scratch memory in the heap for the next sequence or k-means iteration
+(see ``_keep_freed_memory``).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import alignment, jsonio, metrics, motion, rvq, segmentation, textseg
 from .atomic import write_atomic
-from .masked import OraclePredictor, Schedule, iterative_decode, trace_to_jsonl
+from .masked import OraclePredictor, Schedule, iterative_decode
 from .seeds import rng_for, seed_for
 
 
@@ -53,15 +56,6 @@ class CliError(ValueError):
 def _log(args, message: str) -> None:
     if not getattr(args, "quiet", False):
         print(message)
-
-
-def _write_atomic(path, text: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    write_atomic(path, text)
-
-
-def _write_json(path, obj) -> None:
-    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _at_least_one(args, *dests: str) -> None:
@@ -139,7 +133,6 @@ def _synth_params(spec) -> dict:
 def cmd_synth(args) -> int:
     spec, p = jsonio.read_json(args.spec, lambda obj: (obj, _synth_params(obj)))
     out = args.out
-    os.makedirs(os.path.join(out, "motions"), exist_ok=True)
     records = []
     truth = {}
     for i in range(p["n_samples"]):
@@ -173,8 +166,8 @@ def cmd_synth(args) -> int:
         )
         truth[sample_id] = segmentation.boundaries_to_json(token_bounds)
 
-    _write_atomic(os.path.join(out, "dataset.jsonl"), motion.dataset_to_jsonl(records))
-    _write_json(os.path.join(out, "truth.json"), truth)
+    motion.write_dataset(records, os.path.join(out, "dataset.jsonl"))
+    jsonio.write_json(os.path.join(out, "truth.json"), truth)
     manifest = {
         "seed": args.seed,
         "spec": spec,
@@ -187,7 +180,7 @@ def cmd_synth(args) -> int:
             )
         },
     }
-    _write_json(os.path.join(out, "manifest.json"), manifest)
+    jsonio.write_json(os.path.join(out, "manifest.json"), manifest)
     _log(args, f"synth: wrote {p['n_samples']} samples to {out}")
     return 0
 
@@ -292,12 +285,12 @@ def cmd_segment(args) -> int:
 
     # written only once every record is segmented, so a refusal writes nothing
     if lib is not None and args.fit_library:
-        _write_atomic(args.library, json.dumps(segmentation.library_to_json(lib), sort_keys=True) + "\n")
-    _write_json(os.path.join(args.out, f"boundaries_{args.method}.json"), boundaries)
+        jsonio.write_json(args.library, segmentation.library_to_json(lib))
+    jsonio.write_json(os.path.join(args.out, f"boundaries_{args.method}.json"), boundaries)
     if pairs:
         mean, std = segmentation.seg_error_corpus(pairs)
         report = f"method,mean_error,std_error\n{args.method},{mean:.6f},{std:.6f}\n"
-        _write_atomic(os.path.join(args.out, f"seg_report_{args.method}.csv"), report)
+        write_atomic(os.path.join(args.out, f"seg_report_{args.method}.csv"), report)
         _log(args, f"segment[{args.method}]: mean_error={mean:.4f} std_error={std:.4f}")
     return 0
 
@@ -316,24 +309,18 @@ def cmd_quantize(args) -> int:
         seed=seed_for(args.seed, "rvq.train"),
         iters=args.iters,
     )
-    _write_atomic(os.path.join(args.out, "stack.json"), json.dumps(rvq.stack_to_json(stack), sort_keys=True) + "\n")
+    jsonio.write_json(os.path.join(args.out, "stack.json"), rvq.stack_to_json(stack))
     # the training rows' tokens are what quantize gives each sequence alone,
     # row by row, and dequantize sums their codes as quantize does
     quantized = rvq.dequantize(tokens, stack)
     ends = np.cumsum([v.length for v in latents.values()]).tolist()
     rows = {rid: slice(end - v.length, end) for (rid, v), end in zip(latents.items(), ends)}
-    lines = [
-        json.dumps({"id": r.id, "layers": tokens.layers[:, rows[r.id]].tolist()}, sort_keys=True)
-        for r in records
-    ]
-    _write_atomic(os.path.join(args.out, "tokens.jsonl"), "\n".join(lines) + "\n")
+    jsonio.write_jsonl(os.path.join(args.out, "tokens.jsonl"),
+                       ({"id": r.id, "layers": tokens.layers[:, rows[r.id]].tolist()} for r in records))
     err = rvq.quantization_mse(
         (v, motion.LatentSequence(vectors=quantized.vectors[rows[rid]])) for rid, v in latents.items()
     )
-    _write_atomic(
-        os.path.join(args.out, "rvq_report.csv"),
-        f"metric,value\nreconstruction_error,{err:.10g}\n",
-    )
+    write_atomic(os.path.join(args.out, "rvq_report.csv"), f"metric,value\nreconstruction_error,{err:.10g}\n")
     _log(args, f"quantize: reconstruction_error={err:.6g}")
     return 0
 
@@ -369,9 +356,9 @@ def cmd_decompose(args) -> int:
             break
     failed = next(((rid, status) for rid, status in statuses.items() if status != "ok"), None)
     if failed is None:
-        _write_atomic(args.out, motion.dataset_to_jsonl(records))
+        motion.write_dataset(records, args.out)
     report_path = os.path.splitext(args.out)[0] + "_report.json"
-    _write_json(report_path, statuses)
+    jsonio.write_json(report_path, statuses)
     if failed is not None:
         raise CliError(f"{args.data}: record {failed[0]} {failed[1]} (statuses in {report_path})")
     _log(args, f"decompose: {len(records)} ok")
@@ -417,11 +404,11 @@ def cmd_train_align(args) -> int:
         "holdout": [{"text": jsonio.hex_rows(s.text), "spans": [jsonio.hex_rows(sp) for sp in s.spans]}
                     for s in holdout],
     }
-    _write_atomic(os.path.join(args.out, "align_data.json"), json.dumps(data, sort_keys=True) + "\n")
-    _write_json(os.path.join(args.out, "model.json"), alignment.params_to_json(params))
+    jsonio.write_json(os.path.join(args.out, "align_data.json"), data)
+    jsonio.write_json(os.path.join(args.out, "model.json"), alignment.params_to_json(params))
     curve_lines = ["step,loss"] + [f"{i},{v:.10g}" for i, v in enumerate(curve)]
-    _write_atomic(os.path.join(args.out, "curve.csv"), "\n".join(curve_lines) + "\n")
-    _write_json(
+    write_atomic(os.path.join(args.out, "curve.csv"), "\n".join(curve_lines) + "\n")
+    jsonio.write_json(
         os.path.join(args.out, "train_report.json"),
         {
             "loss_variant": args.loss,
@@ -454,11 +441,11 @@ def cmd_decode(args) -> int:
         schedule=Schedule(total_iters=args.iters),
         trace=trace,
     )
-    _write_json(
+    jsonio.write_json(
         os.path.join(args.out, "decoded_tokens.json"),
         {"tokens": tokens.tolist(), "target": target.tolist(), "exact": bool(np.array_equal(tokens, target))},
     )
-    _write_atomic(os.path.join(args.out, "decode_trace.jsonl"), trace_to_jsonl(trace))
+    jsonio.write_jsonl(os.path.join(args.out, "decode_trace.jsonl"), trace)
     _log(args, f"decode: L={args.length} T={args.iters} exact={np.array_equal(tokens, target)}")
     return 0
 
@@ -513,10 +500,14 @@ def cmd_ground(args) -> int:
     if not (0 <= args.index < len(holdout)):
         raise CliError(f"--index out of range (holdout has {len(holdout)} samples)")
     sample = holdout[args.index]
-    starts, sims = metrics.motion_grounding(sample.text, np.vstack(sample.spans), params, args.window, args.stride)
+    tokens = np.vstack(sample.spans)
+    if len(tokens) < args.window:
+        raise CliError(f"{args.data}: sample --index {args.index} has {len(tokens)} tokens, "
+                       f"fewer than --window {args.window}")
+    starts, sims = metrics.motion_grounding(sample.text, tokens, params, args.window, args.stride)
     names = [f"segment_{j}" for j in range(len(starts))]
-    _write_atomic(os.path.join(args.out, "similarity_map.csv"), metrics.similarity_map_csv(dict(zip(names, sims))))
-    _write_json(os.path.join(args.out, "grounding.json"), dict(zip(names, starts.tolist())))
+    write_atomic(os.path.join(args.out, "similarity_map.csv"), metrics.similarity_map_csv(dict(zip(names, sims))))
+    jsonio.write_json(os.path.join(args.out, "grounding.json"), dict(zip(names, starts.tolist())))
     _log(args, f"ground: {sims.shape[0]} segments x {sims.shape[1]} windows")
     return 0
 
@@ -533,7 +524,7 @@ def cmd_retrieve(args) -> int:
     acc = sum(got == j for _, j, got in rows) / len(rows)
     lines = ["sample,segment,retrieved,correct"] + [f"{i},{j},{got},{int(got == j)}" for i, j, got in rows]
     lines.append(f"accuracy,,,{acc:.6f}")
-    _write_atomic(os.path.join(args.out, "retrieval.csv"), "\n".join(lines) + "\n")
+    write_atomic(os.path.join(args.out, "retrieval.csv"), "\n".join(lines) + "\n")
     _log(args, f"retrieve: top-1 accuracy {acc:.3f} over {len(rows)} queries")
     return 0
 
@@ -554,9 +545,19 @@ def _read_features(path) -> np.ndarray:
     return X
 
 
+def _unused(args, mode: str, *dests: str) -> None:
+    """Each of the ``dests`` flags, which ``mode`` does not read, is left
+    unset by flag and by --config; the first that is set is a CliError
+    naming it."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise CliError(f"--{dest.replace('_', '-')} is not used with {mode}")
+
+
 def cmd_eval(args) -> int:
     report = metrics.EvalReport(metadata={"seed": args.seed})
     if args.features_a:
+        _unused(args, "--features-a", "model", "data")
         A = _read_features(args.features_a)
         B = _read_features(args.features_b) if args.features_b else A
         try:
@@ -573,6 +574,7 @@ def cmd_eval(args) -> int:
     else:
         if not (args.model and args.data):
             raise CliError("eval needs --features-a, or both --model and --data")
+        _unused(args, "--model and --data, only with --features-a", "metric", "features_b")
         params, holdout = _load_query(args)
         T = np.vstack([s.text for s in holdout])
         if len(T) < 4:  # r_precision's top-3 needs more than 3
@@ -596,8 +598,8 @@ def cmd_eval(args) -> int:
             "diversity", metrics.diversity(M, seed=seed_for(args.seed, "eval.diversity"))
         )
         report.add("fid", metrics.fid(T, M))
-    _write_atomic(os.path.join(args.out, "eval.csv"), report.to_csv())
-    _write_json(os.path.join(args.out, "eval.json"), {"metrics": report.metrics, "metadata": report.metadata})
+    write_atomic(os.path.join(args.out, "eval.csv"), report.to_csv())
+    jsonio.write_json(os.path.join(args.out, "eval.json"), {"metrics": report.metrics, "metadata": report.metadata})
     _log(args, "eval: " + ", ".join(f"{k}={v:.4g}" for k, v in sorted(report.metrics.items())))
     return 0
 

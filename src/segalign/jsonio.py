@@ -1,7 +1,10 @@
-"""The one reader of whole JSON files, the one encoding of float matrices in
-them, and the value checks their callers share; every failure is a
-ValueError, which the CLI reports as one JSON line.
+"""The one reader of whole JSON files, the two writers of JSON and JSON-lines
+files, the one encoding of float matrices in them, and the value checks
+their callers share; every read failure is a ValueError, which the CLI
+reports as one JSON line.
 
+Every JSON artifact has one layout: each object on one line of
+``json.dumps(obj, sort_keys=True)``, ended by a newline, written atomically.
 A float matrix is a JSON list of rows, each row the lowercase hex of its
 little-endian float64 bytes (``hex_rows``), so a file stores the values
 exactly and a row reads back with ``np.frombuffer(bytes.fromhex(row), "<f8")``.
@@ -12,6 +15,18 @@ import json
 import math
 
 import numpy as np
+
+from .atomic import write_atomic
+
+
+def write_jsonl(path, objs) -> None:
+    """Write each of ``objs`` to ``path`` as one line of JSON, keys sorted."""
+    write_atomic(path, "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs))
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` to ``path`` as one line of JSON, keys sorted."""
+    write_jsonl(path, [obj])
 
 
 def read_json(path, parse):
@@ -89,14 +104,3 @@ def unhex_rows(rows, d: int | None, where: str, writer: str) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError(f"{where}: non-finite value")
     return X
-
-
-def numeric_array(value) -> np.ndarray | None:
-    """``value`` as a float64 array if it is a JSON number, or lists of JSON
-    numbers (not bools) nested to a rectangular shape; None otherwise.  Only
-    model.json keeps its weights as decimal numbers."""
-    try:
-        cells = np.asarray(value, dtype=object)  # ragged rows stay lists
-        return cells.astype(np.float64) if set(map(type, cells.ravel())) <= {int, float} else None
-    except OverflowError:  # an int beyond float64
-        return None

@@ -11,7 +11,6 @@ rejected like any other row that is not a distribution.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -155,10 +154,6 @@ def iterative_decode(
     if np.any(tokens == MASK):
         raise RuntimeError("decode finished with masked positions left")
     return tokens
-
-
-def trace_to_jsonl(trace: list) -> str:
-    return "\n".join(json.dumps(entry, sort_keys=True) for entry in trace) + "\n"
 
 
 def residual_decode(cond, base_tokens: np.ndarray, layer_predictors, num_residual_layers: int) -> TokenSequence:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import write_atomic
-from .jsonio import hex_rows, json_object, unhex_rows
+from .jsonio import hex_rows, json_object, unhex_rows, write_jsonl
 
 MAGIC = b"SGMO"
 
@@ -219,26 +219,17 @@ def reconstruct_motion(v: LatentSequence, ratio: int = DEFAULT_DOWNSAMPLE_RATIO)
 
 # --- dataset JSON-lines I/O -------------------------------------------------
 
-def dataset_to_jsonl(records: list[DatasetRecord]) -> str:
-    """One JSON object per line: id, text, segments, motion[, embeddings],
-    the embeddings as ``jsonio.hex_rows``."""
-    lines = []
-    for r in records:
-        obj = {
-            "id": r.id,
-            "text": r.raw_text,
-            "segments": list(r.text_segments),
-            "motion": r.motion_path,
-        }
+def write_dataset(records: list[DatasetRecord], path) -> None:
+    """Write the records to ``path``, one JSON line each: id, text,
+    segments, motion[, embeddings], the embeddings as ``jsonio.hex_rows``."""
+
+    def line(r: DatasetRecord) -> dict:
+        obj = {"id": r.id, "text": r.raw_text, "segments": list(r.text_segments), "motion": r.motion_path}
         if r.precomputed_embeddings is not None:
             obj["embeddings"] = hex_rows(r.precomputed_embeddings)
-        lines.append(json.dumps(obj, sort_keys=True) + "\n")
-    return "".join(lines)
+        return obj
 
-
-def write_dataset(records: list[DatasetRecord], path) -> None:
-    """Write :func:`dataset_to_jsonl` of the records to ``path``, atomically."""
-    write_atomic(path, dataset_to_jsonl(records))
+    write_jsonl(path, map(line, records))
 
 
 def _list_of(value, kind) -> bool:

@@ -91,16 +91,21 @@ class TestAggregation:
     @pytest.mark.parametrize("edit,message", [
         (lambda obj: [1, 2], "expected a JSON object, got list"),
         (lambda obj: {k: v for k, v in obj.items() if k != "b2"}, "missing field 'b2'"),
-        (lambda obj: {**obj, "w1": "weights"}, "weight 'w1' is not numeric"),
-        (lambda obj: {**obj, "b1": [None] * len(obj["b1"])}, "weight 'b1' is not numeric"),
-        (lambda obj: {**obj, "w2": [[0.5], [0.5, 0.5]]}, "weight 'w2' is not numeric"),
-        (lambda obj: {**obj, "w2": [True] * 5}, "weight 'w2' is not numeric"),
-        (lambda obj: {**obj, "w1": obj["b1"]}, "weight 'w1' must be 2-D"),
-        (lambda obj: {**obj, "b1": obj["b1"][1:]}, "weight 'b1' has shape (5,), expected (6,)"),
-        (lambda obj: {**obj, "w2": [row[1:] for row in obj["w2"]]},
-         "weight 'w2' has shape (5, 5), expected (5, 6)"),
-        (lambda obj: {**obj, "b2": obj["b1"]}, "weight 'b2' has shape (6,), expected (5,)"),
+        (lambda obj: {**obj, "w1": "weights"}, "weight 'w1': expected a non-empty list of rows"),
+        (lambda obj: {**obj, "w1": obj["b1"]}, "weight 'w1': expected a non-empty list of rows"),
+        (lambda obj: {**obj, "b1": None}, "weight 'b1': each row must be a string of 96 hex digits"),
+        (lambda obj: {**obj, "b1": obj["b1"][16:]}, "weight 'b1': each row must be a string of 96 hex digits"),
+        (lambda obj: {**obj, "w2": [row[16:] for row in obj["w2"]]},
+         "weight 'w2': each row must be a string of 96 hex digits"),
+        (lambda obj: {**obj, "w2": [True] * 5}, "weight 'w2': each row must be a string of 96 hex digits"),
+        (lambda obj: {**obj, "b2": obj["b1"]}, "weight 'b2': each row must be a string of 80 hex digits"),
+        (lambda obj: {**obj, "w1": ["zz" * 48] + obj["w1"][1:]}, "weight 'w1': rows are not hex"),
+        (lambda obj: {**obj, "b2": obj["b2"][:-16] + np.array([np.inf], "<f8").tobytes().hex()},
+         "weight 'b2': non-finite value"),
         (lambda obj: {**obj, "seed": [1]}, "field 'seed' must be int"),
+        # decimal float lists are the older encoding of the weights
+        (lambda obj: {**obj, "w1": [np.frombuffer(bytes.fromhex(row), "<f8").tolist() for row in obj["w1"]]},
+         "(a file of float lists is older: rerun train-align)"),
     ])
     def test_params_from_json_names_the_bad_weight(self, edit, message):
         obj = al.params_to_json(al.AggregatorParams.init(3, 5, seed=1))

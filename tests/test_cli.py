@@ -934,7 +934,7 @@ class TestQueryFile:
     def test_overflowing_model_is_a_json_error(self, trained, tmp_path, capsys, recwarn, command):
         model = json.loads((trained / "model.json").read_text())
         for name in ("w1", "w2"):
-            model[name] = (np.array(model[name]) * 1e300).tolist()
+            model[name] = jsonio.hex_rows(jsonio.unhex_rows(model[name], None, name, "train-align") * 1e300)
         assert self._run_bad(trained, tmp_path, capsys, command, model=model).startswith("overflow encountered")
         assert [str(w.message) for w in recwarn] == []
 
@@ -1036,6 +1036,14 @@ class TestDownstreamCommands:
         assert len(err) == 1
         assert json.loads(err[0]) == {"error": "eval needs --features-a, or both --model and --data"}
         assert not (tmp_path / "e").exists()
+
+    def test_window_longer_than_the_sample_names_the_flags(self, trained, tmp_path, capsys):
+        data = trained / "align_data.json"
+        n = sum(len(span) for span in cli._read_holdout(data)[1].spans)
+        argv = ["ground", "--model", str(trained / "model.json"), "--data", str(data), "--index", "1"]
+        error = _one_error(capsys, argv + ["--window", str(n + 1)], tmp_path / "g")
+        assert error == f"{data}: sample --index 1 has {n} tokens, fewer than --window {n + 1}"
+        assert main(argv + ["--window", str(n), "--out", str(tmp_path / "g"), "--quiet"]) == 0
 
     def test_missing_model_errors(self, trained, tmp_path, capsys):
         assert main(["ground", "--model", str(tmp_path / "nope.json"),
@@ -1530,6 +1538,41 @@ class TestEvalFeatureFiles:
         assert main(argv + ["--out", str(tmp_path / "all"), "--quiet"]) == 0
         assert set(json.loads((tmp_path / "all" / "eval.json").read_text())["metrics"]) == {"fid", "diversity"}
         assert [str(w.message) for w in recwarn] == []
+
+
+class TestEvalModes:
+    """eval reads feature files or a model and its data.  A flag of the
+    other mode, given by flag or by --config, exits 1 with one JSON line
+    naming it, and nothing is written."""
+
+    @staticmethod
+    def _error(capsys, tmp_path, flags, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return _one_error(capsys, ["--config", str(cfg), "eval", *flags], tmp_path / "e")
+
+    @pytest.mark.parametrize("flags,config,flag", [
+        (["--metric", "fid"], {}, "--metric"),
+        ([], {"metric": "diversity"}, "--metric"),
+        (["--features-b", "f.csv"], {}, "--features-b"),
+        ([], {"features_b": "f.csv"}, "--features-b"),
+    ])
+    def test_model_mode_refuses_a_features_flag(self, trained, tmp_path, capsys, flags, config, flag):
+        query = ["--model", str(trained / "model.json"), "--data", str(trained / "align_data.json")]
+        error = self._error(capsys, tmp_path, query + flags, config)
+        assert error == f"{flag} is not used with --model and --data, only with --features-a"
+
+    @pytest.mark.parametrize("flags,config,flag", [
+        (["--model", "m.json"], {}, "--model"),
+        ([], {"model": "m.json"}, "--model"),
+        (["--data", "d.json"], {}, "--data"),
+        ([], {"data": "d.json"}, "--data"),
+    ])
+    def test_features_mode_refuses_a_model_flag(self, tmp_path, capsys, flags, config, flag):
+        feats = tmp_path / "f.csv"
+        feats.write_text("0,1\n1,0\n2,2\n")
+        error = self._error(capsys, tmp_path, ["--features-a", str(feats), *flags], config)
+        assert error == f"{flag} is not used with --features-a"
 
 
 class TestErrorMapping:

@@ -12,8 +12,8 @@ standard library's ``random`` from a fixed seed, from these kinds:
   * NaN, Infinity or -Infinity in place of a value;
   * an empty array in place of a value;
   * for a dataset line, the id of the line before it;
-  * for a dataset line or a primitive library, its float64 hex rows written
-    as the decimal float lists of the older encoding.
+  * for a dataset line, a primitive library or a model, its float64 hex
+    rows written as the decimal float lists of the older encoding.
 
 Every mutation makes the file invalid.  A key whose absence is valid (a spec
 or config field, which has a default, or a truth entry, which only scores
@@ -167,10 +167,6 @@ def _compact(obj):
     return json.dumps(obj, sort_keys=True)
 
 
-def _indented(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
     """A small valid corpus, primitive library and trained model."""
@@ -207,7 +203,7 @@ def _manifest(base, work):
     data = _corpus_copy(base, work)
     manifest = json.loads((base / "data" / "manifest.json").read_text())
     sites = [(("ratio",), "int", {"delete", "rename"})]
-    return (*json_mutations(manifest, sites, _indented), data / "manifest.json", ["quantize", "--data", str(data)])
+    return (*json_mutations(manifest, sites, _compact), data / "manifest.json", ["quantize", "--data", str(data)])
 
 
 def _truth(base, work):
@@ -220,7 +216,7 @@ def _truth(base, work):
             sites.append(((sid, i), "list", {"delete"}))
             sites += [((sid, i, j), "int", {"delete"}) for j in range(len(span))]
     argv = ["segment", "--data", str(data), "--method", "uniform"]
-    return (*json_mutations(truth, sites, _indented), data / "truth.json", argv)
+    return (*json_mutations(truth, sites, _compact), data / "truth.json", argv)
 
 
 def _float_lists(rows):
@@ -240,11 +236,16 @@ def _library(base, work):
 
 def _model(base, work):
     model = json.loads((base / "align" / "model.json").read_text())
-    sites = [((name,), "list", {"delete", "rename"}) for name in ("w1", "b1", "w2", "b2")]
-    sites += [(("w1", 1), "list", set()), (("w2", 0, 2), "float", set()), (("b1", 3), "float", set()),
-              (("seed",), "int", set())]
+    sites = [((name,), "list", {"delete", "rename"}) for name in ("w1", "w2")]
+    sites += [((name,), "str", {"delete", "rename"}) for name in ("b1", "b2")]
+    sites += [(("w1", 1), "str", set()), (("w2", 0), "str", set()), (("seed",), "int", set())]
     argv = ["ground", "--model", str(work / "model.json"), "--data", str(base / "align" / "align_data.json")]
-    return (*json_mutations(model, sites, _indented), work / "model.json", argv)
+    valid, groups = json_mutations(model, sites, _compact)
+    older = {"w1": _float_lists(model["w1"]), "w2": _float_lists(model["w2"]),
+             "b1": _float_lists([model["b1"]])[0], "b2": _float_lists([model["b2"]])[0]}
+    groups["older"] = [(f"{name} as float lists", _compact({**model, name: rows}).encode())
+                       for name, rows in older.items()]
+    return valid, groups, work / "model.json", argv
 
 
 def _align_data(base, work):

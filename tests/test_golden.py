@@ -10,8 +10,11 @@ decodes.  ``tests/golden.json`` records each file it writes:
   synth file) by the SHA-256 of their bytes;
 - float artifacts by their parsed values, compared within 1e-12 relative
   (absolute below magnitude 1), so another BLAS kernel cannot fail them.
-  The rows of ``align_data.json``, ``stack.json`` and ``library.json`` are
-  decoded from their float64 hex first.
+  The rows of ``align_data.json``, ``stack.json``, ``library.json`` and
+  ``model.json`` are decoded from their float64 hex first.
+
+Every JSON file the run writes, and every line of a JSON-lines file, is in
+the one layout of ``jsonio.write_json``: keys sorted, on one line.
 
 A change that alters an output on purpose regenerates the manifest with
 ``python tests/test_golden.py --regenerate`` and names each changed entry.
@@ -142,6 +145,9 @@ def _values(path: Path):
         obj["books"] = [_unhex(book) for book in obj["books"]]
     elif path.name == "library.json":
         obj["centers"] = _unhex(obj["centers"])
+    elif path.name == "model.json":
+        obj.update({name: _unhex(obj[name]) for name in ("w1", "w2")},
+                   **{name: _unhex([obj[name]])[0] for name in ("b1", "b2")})
     return obj
 
 
@@ -177,10 +183,15 @@ def mismatches(got, want, where: str = "") -> list[str]:
 # --- the test ---------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def produced(tmp_path_factory):
+def run_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     run_pipeline(root)
-    return manifest(root)
+    return root
+
+
+@pytest.fixture(scope="module")
+def produced(run_root):
+    return manifest(run_root)
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +201,18 @@ def golden():
 
 def test_the_same_files_are_written(produced, golden):
     assert sorted(produced) == sorted(golden)
+
+
+def test_json_artifacts_have_one_layout(run_root):
+    """A JSON file, and each line of a JSON-lines file, is one line of
+    sorted keys."""
+    texts = [(p, p.read_text(encoding="utf-8")) for p in sorted(run_root.rglob("*.json"))]
+    lines = [(p, line) for p in sorted(run_root.rglob("*.jsonl"))
+             for line in p.read_text(encoding="utf-8").splitlines(keepends=True)]
+    assert texts and lines
+    bad = [p.relative_to(run_root).as_posix() for p, text in texts + lines
+           if text != json.dumps(json.loads(text), sort_keys=True) + "\n"]
+    assert bad == []
 
 
 @pytest.mark.parametrize("group", ["short", "long", "equal", "align/sample", "align/batch", "align/global", "decode"])

@@ -16,7 +16,6 @@ from segalign.masked import (
     mask_random,
     residual_decode,
     _check_rows,
-    trace_to_jsonl,
 )
 
 
@@ -139,7 +138,7 @@ class TestIterativeDecode:
         t1, t2 = [], []
         iterative_decode(None, 6, OraclePredictor(target, 6), Schedule(3), trace=t1)
         iterative_decode(None, 6, OraclePredictor(target, 6), Schedule(3), trace=t2)
-        assert trace_to_jsonl(t1) == trace_to_jsonl(t2)
+        assert t1 == t2
 
     def test_invalid_probability_rows_rejected(self):
         class Broken:

@@ -89,8 +89,9 @@ class TestMotionIO:
             load_motion(path)
 
     def test_write_error_carries_path(self, tmp_path):
-        bad = tmp_path / "missing_dir" / "m.sgmo"
-        with pytest.raises(Exception, match="missing_dir"):
+        (tmp_path / "not_a_dir").write_text("")
+        bad = tmp_path / "not_a_dir" / "m.sgmo"
+        with pytest.raises(Exception, match="not_a_dir"):
             save_motion(MotionSequence(frames=np.ones((1, 1))), bad)
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
