@@ -9,7 +9,8 @@ JSON file a command reads (the synth spec, manifest.json, truth.json, a
 primitive library, model.json, align_data.json, --config) goes through one
 reader: a missing, malformed or mistyped file exits 1, before anything is
 written, with one stderr line ``{"error": "<path>: <field> ..."}``.  The
-float matrices of dataset.jsonl (``embeddings``), stack.json, a primitive
+float matrices of dataset.jsonl (``embeddings``, which synth does not write:
+only a hand-written dataset carries them), stack.json, a primitive
 library, align_data.json and model.json share one encoding,
 ``jsonio.hex_rows``: each row is the lowercase hex of its little-endian
 float64 bytes, read back exactly by ``np.frombuffer(bytes.fromhex(row),
@@ -109,7 +110,7 @@ def _sha256(path) -> str:
 # synth spec fields and their defaults: an int field takes a positive JSON
 # int, a float field a finite JSON number >= 0, and no other key is allowed
 SPEC_DEFAULTS = dict(n_samples=20, dim=6, ratio=motion.DEFAULT_DOWNSAMPLE_RATIO, segments_min=2, segments_max=3,
-                     tokens_per_segment_min=4, tokens_per_segment_max=8, mean_scale=3.0, noise_std=0.3, embed_dim=16)
+                     tokens_per_segment_min=4, tokens_per_segment_max=8, mean_scale=3.0, noise_std=0.3)
 
 
 def _synth_params(spec) -> dict:
@@ -131,10 +132,11 @@ def _synth_params(spec) -> dict:
 
 
 def cmd_synth(args) -> int:
+    """Draw every record, then write the corpus; a record whose frames the
+    motion file's float32 cannot hold is refused before any file is written."""
     spec, p = jsonio.read_json(args.spec, lambda obj: (obj, _synth_params(obj)))
     out = args.out
-    records = []
-    truth = {}
+    records, motions, truth = [], [], {}
     for i in range(p["n_samples"]):
         rng = rng_for(args.seed, f"synth.{i}")
         a = int(rng.integers(p["segments_min"], p["segments_max"] + 1))
@@ -146,26 +148,21 @@ def cmd_synth(args) -> int:
             noise_std=p["noise_std"],
             seed=seed_for(args.seed, f"synth.noise.{i}"),
         )
-        m, _ = motion.synth_motion(sspec)
         sample_id = f"sample_{i:04d}"
-        rel = os.path.join("motions", f"{sample_id}.sgmo")
-        motion.save_motion(m, os.path.join(out, rel))
+        try:
+            m, _ = motion.synth_motion(sspec)
+            motions.append(motion.MotionSequence(frames=m.frames.astype("<f4")))
+        except (FloatingPointError, motion.NonFiniteValueError):
+            raise CliError(f"{args.spec}: {sample_id} has a frame value beyond the float32 range of a motion file: "
+                           "lower field 'mean_scale' or 'noise_std'") from None
         segments = [f"a person performs action {int(k)}" for k in rng.integers(0, 100, size=a)]
-        embeddings = [rng.normal(size=p["embed_dim"]).tolist() for _ in range(a)]
-        records.append(
-            motion.DatasetRecord(
-                id=sample_id,
-                raw_text=", then ".join(segments),
-                text_segments=segments,
-                motion_path=rel,
-                precomputed_embeddings=embeddings,
-            )
-        )
-        token_bounds = segmentation.SegmentBoundaries.from_cuts(
-            int(tokens_per.sum()), list(np.cumsum(tokens_per)[:-1])
-        )
-        truth[sample_id] = segmentation.boundaries_to_json(token_bounds)
+        records.append(motion.DatasetRecord(id=sample_id, raw_text=", then ".join(segments), text_segments=segments,
+                                            motion_path=os.path.join("motions", f"{sample_id}.sgmo")))
+        bounds = segmentation.SegmentBoundaries.from_cuts(int(tokens_per.sum()), list(np.cumsum(tokens_per)[:-1]))
+        truth[sample_id] = segmentation.boundaries_to_json(bounds)
 
+    for r, m in zip(records, motions):
+        motion.save_motion(m, os.path.join(out, r.motion_path))
     motion.write_dataset(records, os.path.join(out, "dataset.jsonl"))
     jsonio.write_json(os.path.join(out, "truth.json"), truth)
     manifest = {
@@ -174,10 +171,7 @@ def cmd_synth(args) -> int:
         "ratio": p["ratio"],
         "files": {
             name: _sha256(os.path.join(out, name))
-            for name in sorted(
-                ["dataset.jsonl", "truth.json"]
-                + [os.path.join("motions", f"{r.id}.sgmo") for r in records]
-            )
+            for name in sorted(["dataset.jsonl", "truth.json"] + [r.motion_path for r in records])
         },
     }
     jsonio.write_json(os.path.join(out, "manifest.json"), manifest)

@@ -96,7 +96,8 @@ class LatentSequence:
 @dataclass
 class DatasetRecord:
     """One annotated sample: text, its ordered segments, a motion file, and
-    optionally one embedding row per segment."""
+    optionally one embedding row per segment, which synth does not write:
+    only a hand-written dataset carries them."""
 
     id: str
     raw_text: str

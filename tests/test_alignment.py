@@ -113,6 +113,15 @@ class TestAggregation:
             al.params_from_json(edit(obj))
         assert message in str(exc.value)
 
+    def test_short_hex_row_is_not_called_older(self):
+        """Only a row of decimal floats is the older encoding; a hex row one
+        value short is told its width, not to rerun train-align."""
+        obj = al.params_to_json(al.AggregatorParams.init(3, 5, seed=1))
+        with pytest.raises(ValueError) as exc:
+            al.params_from_json({**obj, "b2": obj["b2"][:-16]})
+        assert str(exc.value) == ("weight 'b2': each row must be a string of 80 hex digits, "
+                                  "the little-endian float64 bytes of its values")
+
 
 class TestLosses:
     def test_per_sample_bounds(self):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import types
@@ -158,7 +159,6 @@ class TestSegmentCommand:
             (data / "truth.json").unlink()
             records = [json.loads(line) for line in (data / "dataset.jsonl").read_text().splitlines()]
             records[1]["segments"] = [f"a person acts {i}" for i in range(5)]
-            del records[1]["embeddings"]   # one row per segment, or none
             (data / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
         out = tmp_path / "seg"
         error = _one_error(capsys, ["segment", "--data", str(data), "--method", method,
@@ -200,6 +200,35 @@ class TestSegmentCommand:
         got = json.loads((out / f"boundaries_{method}.json").read_text())
         assert list(got) == [r.id for r in records]
         assert got == {rid: segmentation.boundaries_to_json(b) for rid, b in alone.items()}
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--method", "cpd"], id="cpd-median"),
+        pytest.param(["--method", "cpd", "--bandwidth", "0.7"], id="cpd-fixed"),
+        pytest.param(["--method", "cluster"], id="cluster-fixed-library"),
+    ])
+    def test_record_order_does_not_move_cuts(self, tmp_path, flags):
+        """The lines of dataset.jsonl, shuffled, give every id the cuts it
+        got in synth's order; the cluster library is fitted once, beforehand."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 24, "dim": 3, "segments_min": 2, "segments_max": 3,
+                                    "tokens_per_segment_min": 4, "tokens_per_segment_max": 5}))
+        data, shuffled = tmp_path / "data", tmp_path / "shuffled"
+        assert main(["synth", "--spec", str(spec), "--seed", "6", "--out", str(data), "--quiet"]) == 0
+        lib = tmp_path / "library.json"
+        assert main(["segment", "--data", str(data), "--method", "cluster", "--fit-library", "--library", str(lib),
+                     "--primitives", "8", "--out", str(tmp_path / "fit"), "--quiet"]) == 0
+        shutil.copytree(data, shuffled)
+        lines = (data / "dataset.jsonl").read_text().splitlines(keepends=True)
+        order = np.random.default_rng(0).permutation(len(lines))
+        assert list(order) != sorted(order)
+        (shuffled / "dataset.jsonl").write_text("".join(lines[i] for i in order))
+        got = {}
+        for corpus in (data, shuffled):
+            out = tmp_path / f"seg-{corpus.name}"
+            assert main(["segment", "--data", str(corpus), *flags, "--library", str(lib),
+                         "--out", str(out), "--quiet"]) == 0
+            got[corpus.name] = json.loads(next(out.glob("boundaries_*.json")).read_text())
+        assert len(got["data"]) == 24 and got["shuffled"] == got["data"]
 
     def test_refused_stack_member_is_named(self, tmp_path, capsys, monkeypatch):
         """A stack is refused as a whole.  The first stack refused holds
@@ -1392,7 +1421,7 @@ class TestCorpusInputFiles:
         ('{"dim": null}', "field 'dim' must be a positive integer, got None"),
         ('{"n_samples": "8"}', "field 'n_samples' must be a positive integer, got '8'"),
         ('{"ratio": 2.0}', "field 'ratio' must be a positive integer"),
-        ('{"embed_dim": 0}', "field 'embed_dim' must be a positive integer"),
+        ('{"embed_dim": 0}', "unknown field 'embed_dim'"),
         ('{"dim": true}', "field 'dim' must be a positive integer"),
         ('{"noise_std": "0.3"}', "field 'noise_std' must be float"),
         ('{"mean_scale": NaN}', "field 'mean_scale' must be float"),
@@ -1410,6 +1439,16 @@ class TestCorpusInputFiles:
         spec.write_text(text)
         error = _one_error(capsys, ["synth", "--spec", str(spec)], tmp_path / "data")
         assert error.startswith(f"{spec}: ") and message in error
+
+    def test_frames_beyond_float32_write_nothing(self, tmp_path, capsys, recwarn):
+        """Sample 3 is the first with a frame beyond float32: every record
+        is checked before any file is written, so no motion is left behind."""
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"n_samples": 20, "mean_scale": 1.5e38}')
+        error = _one_error(capsys, ["synth", "--spec", str(spec)], tmp_path / "data")
+        assert error == (f"{spec}: sample_0003 has a frame value beyond the float32 range of a motion file: "
+                         "lower field 'mean_scale' or 'noise_std'")
+        assert [str(w.message) for w in recwarn] == []
 
     def test_missing_spec(self, tmp_path, capsys):
         spec = tmp_path / "nope.json"

@@ -52,7 +52,7 @@ import warnings
 import numpy as np
 import pytest
 
-from segalign import textseg
+from segalign import jsonio, textseg
 from segalign.cli import main
 
 SEED = 15
@@ -172,7 +172,7 @@ def base(tmp_path_factory):
     """A small valid corpus, primitive library and trained model."""
     root = tmp_path_factory.mktemp("sweep")
     spec = {"n_samples": 3, "dim": 2, "segments_min": 2, "segments_max": 3, "tokens_per_segment_min": 3,
-            "tokens_per_segment_max": 4, "embed_dim": 2, "mean_scale": 2.5, "noise_std": 0.2}
+            "tokens_per_segment_max": 4, "mean_scale": 2.5, "noise_std": 0.2}
     (root / "spec.json").write_text(json.dumps(spec))
     for argv in (
         ["synth", "--spec", str(root / "spec.json"), "--seed", "3", "--out", str(root / "data")],
@@ -271,6 +271,8 @@ def _config(base, work):
 def _dataset_line(base, work):
     first, second = (base / "data" / "dataset.jsonl").read_text().splitlines()[:2]
     record = json.loads(second)
+    # synth writes no embeddings: the rows, one per segment, are written by hand
+    record["embeddings"] = jsonio.hex_rows([[0.5 * i, -1.0] for i in range(len(record["segments"]))])
     sites = [((key,), "str", {"delete", "rename"}) for key in ("id", "text", "motion")]
     sites += [(("segments",), "list", {"delete", "rename"}), (("segments", 0), "str", set()),
               (("embeddings", 1), "str", set())]
