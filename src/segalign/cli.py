@@ -15,20 +15,24 @@ library, align_data.json and model.json share one encoding,
 ``jsonio.hex_rows``: each row is the lowercase hex of its little-endian
 float64 bytes, read back exactly by ``np.frombuffer(bytes.fromhex(row),
 "<f8")``.  A file of decimal float lists there is older and refused, naming
-the command that writes it anew.  A spec or config value of the wrong JSON
-type, such as "8" for an int, is refused, not converted.  A float overflow,
-NaN or division by zero in a command exits 1 the same way, and so does a
-record that ``segment`` cannot cut or ``decompose`` cannot decompose, named
-by its id.  Every stochastic command takes --seed and derives all module
-seeds from it through named streams, so reruns are bit-identical.  All
-outputs are written atomically (temp + rename), every JSON and JSON-lines
-file through ``jsonio.write_json`` or ``jsonio.write_jsonl``: one object per
-line, keys sorted.  A count flag below 1, such as ``--holdout 0``, exits 1
-the same way, naming the flag, and so does a flag of eval's other mode:
-``--metric`` or ``--features-b`` with ``--model``/``--data``, or ``--model``
-or ``--data`` with ``--features-a``.  On glibc, quantize and segment keep
-freed scratch memory in the heap for the next sequence or k-means iteration
-(see ``_keep_freed_memory``).
+the command that writes it anew (or, for embeddings, ``jsonio.hex_rows``).
+A spec or config value of the wrong JSON type, such as "8" for an int, is
+refused, not converted.  A float overflow, NaN or division by zero in a
+command exits 1 the same way, and so does a record that ``segment`` cannot
+cut or ``decompose`` cannot decompose, named by its id.  Every stochastic
+command takes --seed and derives all module seeds from it through named
+streams, so reruns are bit-identical.  All outputs are written atomically
+(temp + rename): every JSON and JSON-lines file through ``jsonio.write_json``
+or ``write_jsonl``, one object per line, keys sorted; every CSV report
+through ``_write_csv``, a header line and then one line per row of
+``str(cell)``, so a float is the exact text JSON gives it.  The columns of
+similarity_map.csv are window start tokens, as in grounding.json.  Kernel
+CPD computes in float64 whatever the latents' dtype.  A count flag below 1,
+such as ``--holdout 0``, exits 1 the same way, naming the flag, and so does
+a flag of eval's other mode: ``--metric`` or ``--features-b`` with
+``--model``/``--data``, or ``--model`` or ``--data`` with ``--features-a``.
+On glibc, quantize and segment keep freed scratch memory in the heap for the
+next sequence or k-means iteration (see ``_keep_freed_memory``).
 """
 
 from __future__ import annotations
@@ -103,6 +107,13 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the ``header`` line and one line per row to ``path``, each cell
+    ``str(cell)``: for a float64, the shortest text that reads back to it,
+    which ``json.dumps`` writes too."""
+    write_atomic(path, "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
 
 
 # --- synth ------------------------------------------------------------------
@@ -283,8 +294,8 @@ def cmd_segment(args) -> int:
     jsonio.write_json(os.path.join(args.out, f"boundaries_{args.method}.json"), boundaries)
     if pairs:
         mean, std = segmentation.seg_error_corpus(pairs)
-        report = f"method,mean_error,std_error\n{args.method},{mean:.6f},{std:.6f}\n"
-        write_atomic(os.path.join(args.out, f"seg_report_{args.method}.csv"), report)
+        _write_csv(os.path.join(args.out, f"seg_report_{args.method}.csv"), ["method", "mean_error", "std_error"],
+                   [[args.method, mean, std]])
         _log(args, f"segment[{args.method}]: mean_error={mean:.4f} std_error={std:.4f}")
     return 0
 
@@ -314,7 +325,7 @@ def cmd_quantize(args) -> int:
     err = rvq.quantization_mse(
         (v, motion.LatentSequence(vectors=quantized.vectors[rows[rid]])) for rid, v in latents.items()
     )
-    write_atomic(os.path.join(args.out, "rvq_report.csv"), f"metric,value\nreconstruction_error,{err:.10g}\n")
+    _write_csv(os.path.join(args.out, "rvq_report.csv"), ["metric", "value"], [["reconstruction_error", err]])
     _log(args, f"quantize: reconstruction_error={err:.6g}")
     return 0
 
@@ -400,8 +411,7 @@ def cmd_train_align(args) -> int:
     }
     jsonio.write_json(os.path.join(args.out, "align_data.json"), data)
     jsonio.write_json(os.path.join(args.out, "model.json"), alignment.params_to_json(params))
-    curve_lines = ["step,loss"] + [f"{i},{v:.10g}" for i, v in enumerate(curve)]
-    write_atomic(os.path.join(args.out, "curve.csv"), "\n".join(curve_lines) + "\n")
+    _write_csv(os.path.join(args.out, "curve.csv"), ["step", "loss"], enumerate(curve))
     jsonio.write_json(
         os.path.join(args.out, "train_report.json"),
         {
@@ -500,7 +510,8 @@ def cmd_ground(args) -> int:
                        f"fewer than --window {args.window}")
     starts, sims = metrics.motion_grounding(sample.text, tokens, params, args.window, args.stride)
     names = [f"segment_{j}" for j in range(len(starts))]
-    write_atomic(os.path.join(args.out, "similarity_map.csv"), metrics.similarity_map_csv(dict(zip(names, sims))))
+    header = ["segment", *range(0, sims.shape[1] * args.stride, args.stride)]   # window start tokens
+    _write_csv(os.path.join(args.out, "similarity_map.csv"), header, [[n, *r] for n, r in zip(names, sims.tolist())])
     jsonio.write_json(os.path.join(args.out, "grounding.json"), dict(zip(names, starts.tolist())))
     _log(args, f"ground: {sims.shape[0]} segments x {sims.shape[1]} windows")
     return 0
@@ -516,9 +527,8 @@ def cmd_retrieve(args) -> int:
         for j, um in enumerate(Um)
     ]
     acc = sum(got == j for _, j, got in rows) / len(rows)
-    lines = ["sample,segment,retrieved,correct"] + [f"{i},{j},{got},{int(got == j)}" for i, j, got in rows]
-    lines.append(f"accuracy,,,{acc:.6f}")
-    write_atomic(os.path.join(args.out, "retrieval.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(args.out, "retrieval.csv"), ["sample", "segment", "retrieved", "correct"],
+               [*((i, j, got, int(got == j)) for i, j, got in rows), ("accuracy", "", "", acc)])
     _log(args, f"retrieve: top-1 accuracy {acc:.3f} over {len(rows)} queries")
     return 0
 
@@ -592,7 +602,7 @@ def cmd_eval(args) -> int:
             "diversity", metrics.diversity(M, seed=seed_for(args.seed, "eval.diversity"))
         )
         report.add("fid", metrics.fid(T, M))
-    write_atomic(os.path.join(args.out, "eval.csv"), report.to_csv())
+    _write_csv(os.path.join(args.out, "eval.csv"), ["metric", "value"], sorted(report.metrics.items()))
     jsonio.write_json(os.path.join(args.out, "eval.json"), {"metrics": report.metrics, "metadata": report.metadata})
     _log(args, "eval: " + ", ".join(f"{k}={v:.4g}" for k, v in sorted(report.metrics.items())))
     return 0

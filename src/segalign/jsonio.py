@@ -76,12 +76,12 @@ def hex_rows(X) -> list[str]:
     return [text[i : i + width] for i in range(0, len(text), width)]
 
 
-def unhex_rows(rows, d: int | None, where: str, writer: str) -> np.ndarray:
+def unhex_rows(rows, d: int | None, where: str, writer: str | None) -> np.ndarray:
     """The (len(rows), d) float64 matrix that ``hex_rows`` wrote, all finite;
     with ``d`` None, the first row's length sets it.  Anything else is a
     ValueError that starts with ``where``; a row that is a list (or a bare
     float) of decimal floats is the older encoding, and the message names
-    ``writer``, the command that writes the file anew."""
+    ``writer``, the command that writes the file anew, or if None hex_rows."""
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{where}: expected a non-empty list of rows")
     if d is None:
@@ -89,10 +89,11 @@ def unhex_rows(rows, d: int | None, where: str, writer: str) -> np.ndarray:
     width = 16 * d
     if not width or not all(isinstance(r, str) and len(r) == width for r in rows):
         digits = f"{width} hex digits" if width else "16 hex digits per value"
+        remedy = f"rerun {writer}" if writer else "encode each row with segalign.jsonio.hex_rows"
         older = any(isinstance(r, (list, float)) for r in rows)
         raise ValueError(
             f"{where}: each row must be a string of {digits}, the little-endian float64 bytes of its values"
-            + (f" (a file of float lists is older: rerun {writer})" if older else "")
+            + (f" (a file of float lists is older: {remedy})" if older else "")
         )
     try:
         raw = bytearray.fromhex("".join(rows))

@@ -35,12 +35,6 @@ class EvalReport:
             raise ValueError(f"metric {name} is non-finite")
         self.metrics[name] = float(value)
 
-    def to_csv(self) -> str:
-        lines = ["metric,value"]
-        for name in sorted(self.metrics):
-            lines.append(f"{name},{self.metrics[name]:.10g}")
-        return "\n".join(lines) + "\n"
-
 
 def motion_grounding(
     text: np.ndarray, motion_tokens: np.ndarray, model: AggregatorParams, window_size: int = 5, stride: int = 1
@@ -205,14 +199,3 @@ def fid(feats_a: np.ndarray, feats_b: np.ndarray) -> float:
     cov_a = np.cov(A, rowvar=False).reshape(d, d) + FID_EPS * np.eye(d)
     cov_b = np.cov(B, rowvar=False).reshape(d, d) + FID_EPS * np.eye(d)
     return fid_from_stats(mu_a, cov_a, mu_b, cov_b)
-
-
-def similarity_map_csv(sim_rows: dict[str, np.ndarray]) -> str:
-    """Rows = text segments, columns = window start indices."""
-    names = list(sim_rows)
-    width = len(next(iter(sim_rows.values())))
-    lines = ["segment," + ",".join(str(i) for i in range(width))]
-    for name in names:
-        vals = ",".join(f"{v:.6g}" for v in sim_rows[name])
-        lines.append(f"{name},{vals}")
-    return "\n".join(lines) + "\n"

@@ -249,7 +249,7 @@ def _record_from_json(obj) -> DatasetRecord:
         if not ok:
             raise ValueError(f"field {name!r} must be {kind}")
     if embeddings is not None:
-        embeddings = unhex_rows(embeddings, None, "field 'embeddings'", "synth").tolist()
+        embeddings = unhex_rows(embeddings, None, "field 'embeddings'", None).tolist()
     return DatasetRecord(
         id=obj["id"],
         raw_text=obj["text"],

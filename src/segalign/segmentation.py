@@ -246,6 +246,7 @@ def _kernel_rows(x: np.ndarray, bandwidth):
     n (n-1) / 2 distances above the diagonals is selected after them.  The
     array holds the half table plus the blocks' leading corners, and is
     freed before the first kernel rows are made from the same products."""
+    x = np.asarray(x, dtype=np.float64)   # float32 latents get the bits gaussian_kernel_matrix gets
     if not np.all(np.isfinite(x)):
         raise ValueError("kernel input contains non-finite values")
     sigma = fixed_bandwidth(bandwidth)

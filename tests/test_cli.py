@@ -405,7 +405,7 @@ class TestQuantizeCommand:
                      for r in records]
             assert (out / "tokens.jsonl").read_text() == "\n".join(lines) + "\n"
             err = rvq.quantization_mse((v, alone[rid][1]) for rid, v in latents.items())
-            assert (out / "rvq_report.csv").read_text() == f"metric,value\nreconstruction_error,{err:.10g}\n"
+            assert (out / "rvq_report.csv").read_text() == f"metric,value\nreconstruction_error,{err!r}\n"
 
     @pytest.mark.parametrize("codes", ["0", "-1", "9999"])
     def test_bad_code_count_is_a_json_error(self, synth_dir, tmp_path, capsys, recwarn, codes):
@@ -736,7 +736,7 @@ BAD_RECORDS = [
     (json.dumps({"id": "a", "text": "t", "segments": ["x"], "motion": None}), "field 'motion' must be a string"),
     (json.dumps({"id": "a", "text": "t", "segments": ["x"], "motion": "a.sgmo", "embeddings": [1.0]}),
      "field 'embeddings': each row must be a string of 16 hex digits per value, the little-endian float64 bytes "
-     "of its values (a file of float lists is older: rerun synth)"),
+     "of its values (a file of float lists is older: encode each row with segalign.jsonio.hex_rows)"),
 ]
 
 
@@ -769,6 +769,13 @@ class TestTrainAlignCommand:
         lines = (trained / "curve.csv").read_text().strip().split("\n")
         assert lines[0] == "step,loss"
         assert len(lines) == 201
+
+    def test_curve_ends_are_the_report_losses(self, trained):
+        """curve.csv holds each loss exactly: its first and last rows are the
+        floats train_report.json holds."""
+        rows = [line.split(",") for line in (trained / "curve.csv").read_text().splitlines()[1:]]
+        report = json.loads((trained / "train_report.json").read_text())
+        assert [rows[0], rows[-1]] == [["0", repr(report["initial_loss"])], ["199", repr(report["final_loss"])]]
 
     def test_loss_variant_dispatch(self, tmp_path):
         for loss in ("batch", "global"):
@@ -979,6 +986,19 @@ class TestQueryFile:
                          f"but {tmp_path / 'bad_data.json'} has d_token 16, d_embed 16")
 
 
+class TestWriteCsv:
+    def test_header_then_one_line_per_row(self, tmp_path):
+        cli._write_csv(tmp_path / "r.csv", ["segment", 0, 2], [["segment_0", 0.5, -0.25], ["segment_1", 1, 0.0]])
+        assert (tmp_path / "r.csv").read_text() == "segment,0,2\nsegment_0,0.5,-0.25\nsegment_1,1,0.0\n"
+
+    def test_floats_are_their_json_text(self, tmp_path):
+        values = [0.1 + 0.2, np.float64(1.0) / 3.0, 1e-7, 1.5e300, -0.0, np.float64(2.0)]
+        cli._write_csv(tmp_path / "r.csv", ["value"], [[v] for v in values])
+        cells = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        assert cells == [json.dumps(float(v)) for v in values]
+        assert [float(c) for c in cells] == values
+
+
 class TestDownstreamCommands:
     def test_ground(self, trained, tmp_path):
         out = tmp_path / "g"
@@ -988,6 +1008,26 @@ class TestDownstreamCommands:
         csv = (out / "similarity_map.csv").read_text().strip().split("\n")
         assert csv[0].startswith("segment,")
         assert (out / "grounding.json").exists()
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_map_columns_are_start_tokens(self, trained, tmp_path, index):
+        """At stride 2, the column label of each row's best similarity is
+        the start grounding.json gives that segment, and each cell is the
+        float motion_grounding gives."""
+        out = tmp_path / "g"
+        assert main(["ground", "--model", str(trained / "model.json"), "--data", str(trained / "align_data.json"),
+                     "--index", str(index), "--window", "3", "--stride", "2", "--out", str(out), "--quiet"]) == 0
+        header, *rows = [line.split(",") for line in (out / "similarity_map.csv").read_text().splitlines()]
+        starts = json.loads((out / "grounding.json").read_text())
+        assert header[1:] == [str(2 * i) for i in range(len(header) - 1)]
+        params = alignment.params_from_json(json.loads((trained / "model.json").read_text()))
+        sample = cli._read_holdout(trained / "align_data.json")[index]
+        _, sims = metrics.motion_grounding(sample.text, np.vstack(sample.spans), params, 3, 2)
+        assert [row[0] for row in rows] == list(starts) == [f"segment_{j}" for j in range(len(sims))]
+        for row, want in zip(rows, sims):
+            cells = [float(v) for v in row[1:]]
+            assert cells == want.tolist()
+            assert int(header[1 + int(np.argmax(cells))]) == starts[row[0]]
 
     def test_retrieve_accuracy_row(self, trained, tmp_path):
         out = tmp_path / "r"
@@ -1010,7 +1050,7 @@ class TestDownstreamCommands:
         rows = [(i, j, metrics.m2t_retrieve(m, sample.text))
                 for i, (sample, Mi) in enumerate(zip(holdout, blocks)) for j, m in enumerate(Mi)]
         lines = ["sample,segment,retrieved,correct"] + [f"{i},{j},{got},{int(got == j)}" for i, j, got in rows]
-        lines.append(f"accuracy,,,{sum(got == j for _, j, got in rows) / len(rows):.6f}")
+        lines.append(f"accuracy,,,{sum(got == j for _, j, got in rows) / len(rows)!r}")
         assert (out / "retrieval.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_eval_full_report(self, trained, tmp_path):
@@ -1022,6 +1062,21 @@ class TestDownstreamCommands:
         for key in ("isc", "r_precision_top1", "mm_dist", "diversity", "fid"):
             assert key in report["metrics"]
         assert report["metadata"] == {"seed": 0}  # a full R-Precision pool adds no warnings note
+
+    @pytest.mark.parametrize("mode", ["model", "features"])
+    def test_eval_csv_holds_the_json_metrics(self, trained, tmp_path, mode):
+        """eval.csv lists eval.json's metrics sorted by name, each value the
+        text json.dumps gives it, so both files hold the same floats."""
+        out = tmp_path / "e"
+        if mode == "model":
+            argv = ["--model", str(trained / "model.json"), "--data", str(trained / "align_data.json")]
+        else:
+            np.savetxt(tmp_path / "a.csv", np.random.default_rng(3).normal(size=(30, 4)), delimiter=",")
+            argv = ["--features-a", str(tmp_path / "a.csv")]
+        assert main(["eval", *argv, "--out", str(out), "--quiet"]) == 0
+        got = json.loads((out / "eval.json").read_text())["metrics"]
+        lines = [f"{name},{json.dumps(value)}" for name, value in sorted(got.items())]
+        assert (out / "eval.csv").read_text() == "\n".join(["metric,value", *lines]) + "\n"
 
     @pytest.mark.parametrize("loss", ["sample", "batch", "global"])
     def test_eval_ranks_by_cosine(self, tmp_path, loss):

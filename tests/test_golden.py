@@ -14,10 +14,14 @@ decodes.  ``tests/golden.json`` records each file it writes:
   ``model.json`` are decoded from their float64 hex first.
 
 Every JSON file the run writes, and every line of a JSON-lines file, is in
-the one layout of ``jsonio.write_json``: keys sorted, on one line.
+the one layout of ``jsonio.write_json``: keys sorted, on one line.  Every
+CSV file is in the one layout of ``cli._write_csv``: one header line, then
+one line per row with the header's cell count, each float cell the text
+``str`` and ``json.dumps`` give it, so the file holds the value exactly.
 
 A change that alters an output on purpose regenerates the manifest with
-``python tests/test_golden.py --regenerate`` and names each changed entry.
+``python tests/test_golden.py --regenerate``, which prints the entries it
+changed, added and removed, and names each changed entry.
 """
 
 from __future__ import annotations
@@ -215,6 +219,29 @@ def test_json_artifacts_have_one_layout(run_root):
     assert bad == []
 
 
+def _is_float(cell: str) -> bool:
+    """Whether a CSV cell is a float: it parses as one and is no integer."""
+    return not cell.removeprefix("-").isdigit() and isinstance(_numbers(cell)[0], float)
+
+
+def test_csv_artifacts_have_one_layout(run_root):
+    """A CSV file is one header line of names (and integer start tokens),
+    then rows of its cell count, each float cell exact:
+    ``str(float(cell)) == cell``."""
+    paths = sorted(run_root.rglob("*.csv"))
+    assert {p.name for p in paths} >= {"curve.csv", "eval.csv", "retrieval.csv", "rvq_report.csv",
+                                        "seg_report_cpd.csv", "similarity_map.csv"}
+    bad = []
+    for p in paths:
+        text = p.read_text(encoding="utf-8")
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        if not (text.endswith("\n") and rows and not any(map(_is_float, header))
+                and all(len(row) == len(header) and row[0] != header[0] for row in rows)
+                and all(str(float(cell)) == cell for row in rows for cell in row if _is_float(cell))):
+            bad.append(p.relative_to(run_root).as_posix())
+    assert bad == []
+
+
 @pytest.mark.parametrize("group", ["short", "long", "equal", "align/sample", "align/batch", "align/global", "decode"])
 def test_artifacts_match_the_manifest(produced, golden, group):
     names = [name for name in golden if name.startswith(group + "/")]
@@ -230,7 +257,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         run_pipeline(Path(tmp))
         entries = manifest(Path(tmp))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     # one entry per line keeps a regenerated manifest's diff readable
     lines = [f"{json.dumps(name)}: {json.dumps(entry, sort_keys=True)}" for name, entry in entries.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    for verb, names in (("changed", [n for n in entries if n in old and entries[n] != old[n]]),
+                        ("added", [n for n in entries if n not in old]),
+                        ("removed", [n for n in old if n not in entries])):
+        print(f"{verb} {len(names)}" + "".join(f"\n  {name}" for name in names))
     print(f"wrote {len(entries)} entries to {GOLDEN}")

@@ -70,12 +70,6 @@ class TestGrounding:
         cands = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         assert mx.m2t_retrieve(np.array([0.1, 0.9]), cands) == 1
 
-    def test_similarity_map_csv_shape(self):
-        csv = mx.similarity_map_csv({"segment_0": np.array([0.5, -0.25])})
-        lines = csv.strip().split("\n")
-        assert lines[0] == "segment,0,1"
-        assert lines[1].startswith("segment_0,0.5,")
-
 
 class TestIsc:
     def test_perfect_pairs(self):
@@ -239,12 +233,6 @@ class TestFid:
 
 
 class TestEvalReport:
-    def test_csv_sorted_and_formatted(self):
-        r = mx.EvalReport()
-        r.add("fid", 0.5)
-        r.add("diversity", 1.25)
-        assert r.to_csv() == "metric,value\ndiversity,1.25\nfid,0.5\n"
-
     def test_non_finite_rejected(self):
         r = mx.EvalReport()
         with pytest.raises(ValueError):

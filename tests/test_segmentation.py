@@ -555,6 +555,22 @@ class TestSweepDp:
                     assert (cuts[0], obj[0]) == reference_dp(C, n, a)
                 assert segmentation._cpd_sweep(x[None], n, "median")[0] == [list(range(1, n))]
 
+    @pytest.mark.parametrize("bandwidth", ["median", 0.7])
+    def test_cli_latents_get_the_oracle_costs(self, tmp_path, bandwidth):
+        """The latents ``segment`` reads are float32; the sweep over several
+        blocks of a 450-token record still forms the oracle's costs bit for
+        bit, since it computes in float64 as gaussian_kernel_matrix does."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 1, "dim": 16, "segments_min": 5, "segments_max": 5,
+                                    "tokens_per_segment_min": 90, "tokens_per_segment_max": 90}))
+        assert cli.main(["synth", "--spec", str(spec), "--seed", "7", "--out", str(tmp_path / "data"),
+                         "--quiet"]) == 0
+        (x,) = cli._load_corpus(str(tmp_path / "data"))[1].values()
+        assert x.vectors.dtype == np.float32 and x.length == 450
+        assert len(list(segmentation._start_blocks(450))) > 2
+        want = kernel_cost_table(gaussian_kernel_matrix(x.vectors, bandwidth))
+        assert np.array_equal(sweep_table(x.vectors[None], bandwidth)[0], want)
+
     def test_single_token_single_segment(self):
         x = LatentSequence(vectors=np.array([[0.5, -1.0]]))
         assert kernel_cpd_segment(x, 1).spans == ((0, 1),)
