@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .jsonio import hex_rows, json_object, number, unhex_rows
+from .jsonio import hex_rows, json_object, unhex_rows
 
 NORM_FLOOR = 1e-12
 
@@ -102,7 +102,6 @@ class AggregatorParams:
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (d_embed, h)
     b2: np.ndarray  # (d_embed,)
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("w1", "b1", "w2", "b2"):
@@ -126,11 +125,10 @@ class AggregatorParams:
             b1=rng.uniform(-lim, lim, size=h),
             w2=rng.uniform(-lim, lim, size=(d_embed, h)),
             b2=rng.uniform(-lim, lim, size=d_embed),
-            seed=seed,
         )
 
     def copy(self) -> "AggregatorParams":
-        return AggregatorParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(), self.seed)
+        return AggregatorParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
 
 @dataclass
@@ -446,7 +444,6 @@ def params_to_json(p: AggregatorParams) -> dict:
         "b1": hex_rows(p.b1[None])[0],
         "w2": hex_rows(p.w2),
         "b2": hex_rows(p.b2[None])[0],
-        "seed": p.seed,
     }
 
 
@@ -460,4 +457,4 @@ def params_from_json(obj) -> AggregatorParams:
     b1 = unhex_rows([obj["b1"]], len(w1), "weight 'b1'", "train-align")[0]
     w2 = unhex_rows(obj["w2"], len(w1), "weight 'w2'", "train-align")
     b2 = unhex_rows([obj["b2"]], len(w2), "weight 'b2'", "train-align")[0]
-    return AggregatorParams(w1=w1, b1=b1, w2=w2, b2=b2, seed=number(obj.get("seed", 0), int, "seed"))
+    return AggregatorParams(w1=w1, b1=b1, w2=w2, b2=b2)

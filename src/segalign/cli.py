@@ -16,6 +16,8 @@ library, align_data.json and model.json share one encoding,
 float64 bytes, read back exactly by ``np.frombuffer(bytes.fromhex(row),
 "<f8")``.  A file of decimal float lists there is older and refused, naming
 the command that writes it anew (or, for embeddings, ``jsonio.hex_rows``).
+No JSON file stores a matrix's width, its first row's.  A corpus's latent
+width is its first record's: a motion file of another is refused at load.
 A spec or config value of the wrong JSON type, such as "8" for an int, is
 refused, not converted.  A float overflow, NaN or division by zero in a
 command exits 1 the same way, and so does a record that ``segment`` cannot
@@ -192,29 +194,35 @@ def cmd_synth(args) -> int:
 
 def _load_corpus(data_dir):
     records = motion.read_dataset(os.path.join(data_dir, "dataset.jsonl"))
+    if not records:
+        raise CliError(f"{os.path.join(data_dir, 'dataset.jsonl')}: no records")
     path = os.path.join(data_dir, "manifest.json")
     ratio = jsonio.read_json(path, lambda obj: jsonio.positive_int(jsonio.json_object(obj, "ratio")["ratio"], "ratio"))
-    latents = {}
+    latents, first = {}, records[0].id
     for r in records:
-        m = motion.load_motion(os.path.join(data_dir, r.motion_path))
-        latents[r.id] = motion.project_latent(m, ratio)
+        path = os.path.join(data_dir, r.motion_path)
+        latents[r.id] = x = motion.project_latent(motion.load_motion(path), ratio)
+        if x.dim != latents[first].dim:
+            raise CliError(f"{path}: {r.id} has {x.dim} pose values per frame, but {first} has {latents[first].dim}")
     return records, latents
 
 
 # --- segment ----------------------------------------------------------------
 
-def _load_library(path, latents) -> segmentation.PrimitiveLibrary:
-    """The primitive library at ``path``, checked against the latent width
-    of every sequence before any window is scored; a malformed file is a
-    ValueError that starts with ``path``."""
+def _load_library(path, dim: int) -> segmentation.PrimitiveLibrary:
+    """The primitive library at ``path``, checked against the corpus's latent
+    width ``dim`` and for a centre whose squared norm overflows before any
+    window is scored; a bad file is a ValueError that starts with ``path``."""
     lib = jsonio.read_json(path, segmentation.library_from_json)
     width = lib.centers.shape[1]
-    for x in latents:
-        if width != lib.window_size * x.dim:
-            raise CliError(
-                f"{path}: field 'centers' has rows of {width} values, but window_size "
-                f"{lib.window_size} x latent dim {x.dim} needs {lib.window_size * x.dim}"
-            )
+    if width != lib.window_size * dim:
+        raise CliError(
+            f"{path}: field 'centers' has rows of {width} values, but window_size "
+            f"{lib.window_size} x latent dim {dim} needs {lib.window_size * dim}"
+        )
+    with np.errstate(over="ignore"):   # sqdist adds each centre's squared norm to every window cost
+        if not np.isfinite((lib.centers * lib.centers).sum(axis=1)).all():
+            raise CliError(f"{path}: field 'centers' has a row whose squared norm is beyond the float64 range")
     return lib
 
 
@@ -263,7 +271,7 @@ def cmd_segment(args) -> int:
                 seed=seed_for(args.seed, "segment.library"),
             )
         else:
-            lib = _load_library(args.library, latents.values())
+            lib = _load_library(args.library, latents[records[0].id].dim)
             for flag, given, field in (("--window", args.window, "window_size"), ("--stride", args.stride, "stride"),
                                        ("--primitives", args.primitives, "size")):
                 if not isinstance(given, _Default) and given != getattr(lib, field):
@@ -282,7 +290,7 @@ def cmd_segment(args) -> int:
         for r in records:
             try:
                 segment([latents[r.id]], [len(r.text_segments)])
-            except ValueError as exc:
+            except (ValueError, FloatingPointError) as exc:
                 raise CliError(f"{r.id}: {exc}") from None
         raise
     boundaries = {r.id: segmentation.boundaries_to_json(b) for r, b in zip(records, found)}
@@ -403,12 +411,8 @@ def cmd_train_align(args) -> int:
 
     # the query commands read only the holdout split; the train split is a
     # function of the flags
-    data = {
-        "d_token": args.d_token,
-        "d_embed": args.d_embed,
-        "holdout": [{"text": jsonio.hex_rows(s.text), "spans": [jsonio.hex_rows(sp) for sp in s.spans]}
-                    for s in holdout],
-    }
+    data = {"holdout": [{"text": jsonio.hex_rows(s.text), "spans": [jsonio.hex_rows(sp) for sp in s.spans]}
+                        for s in holdout]}
     jsonio.write_json(os.path.join(args.out, "align_data.json"), data)
     jsonio.write_json(os.path.join(args.out, "model.json"), alignment.params_to_json(params))
     _write_csv(os.path.join(args.out, "curve.csv"), ["step", "loss"], enumerate(curve))
@@ -457,23 +461,24 @@ def cmd_decode(args) -> int:
 # --- ground / retrieve / eval ----------------------------------------------
 
 def _read_holdout(path) -> list[alignment.ToySample]:
-    """The held-out split of an align_data.json: ``text`` rows are d_embed
-    wide, span rows d_token wide, each written by ``jsonio.hex_rows``.  A file of
-    any other shape is a ValueError that starts with ``path``."""
+    """The held-out split of an align_data.json, rows by ``jsonio.hex_rows``.
+    The first sample's first text and span rows set d_embed and d_token, and
+    every later row must match; else a ValueError that starts with ``path``."""
 
     def parse(data):
-        jsonio.json_object(data, "d_embed", "d_token", "holdout")
-        d_embed, d_token = (jsonio.positive_int(data[key], key) for key in ("d_embed", "d_token"))
+        jsonio.json_object(data, "holdout")
         if not isinstance(data["holdout"], list) or not data["holdout"]:
             raise CliError("holdout must be a non-empty list of samples")
-        samples = []
+        samples, d_embed, d_token = [], None, None
         for i, s in enumerate(data["holdout"]):
             where = f"holdout[{i}]"
             if not isinstance(s, dict) or not isinstance(s.get("spans"), list):
                 raise CliError(f"{where}: expected an object with text and a list of spans")
             text = jsonio.unhex_rows(s.get("text"), d_embed, f"{where}.text", "train-align")
-            spans = [jsonio.unhex_rows(sp, d_token, f"{where}.spans[{j}]", "train-align")
-                     for j, sp in enumerate(s["spans"])]
+            d_embed, spans = text.shape[1], []
+            for j, sp in enumerate(s["spans"]):
+                spans.append(jsonio.unhex_rows(sp, d_token, f"{where}.spans[{j}]", "train-align"))
+                d_token = spans[0].shape[1]
             if len(spans) != len(text):
                 raise CliError(f"{where}: {len(text)} text rows but {len(spans)} spans")
             samples.append(alignment.ToySample(text=text, spans=spans))

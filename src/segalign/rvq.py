@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import hex_rows, json_object, positive_int, unhex_rows
+from .jsonio import hex_rows, json_object, unhex_rows
 from .motion import LatentSequence
-
-DEFAULT_RESIDUAL_LAYERS = 5
-DEFAULT_CODES_PER_LAYER = 512
 
 
 @dataclass(frozen=True)
@@ -253,8 +250,8 @@ def kmeans(data: np.ndarray, k: int, seed: int, iters: int = 25) -> tuple[np.nda
 
 def train_codebooks(
     data: np.ndarray,
-    layers: int = DEFAULT_RESIDUAL_LAYERS + 1,
-    codes_per_layer: int = DEFAULT_CODES_PER_LAYER,
+    layers: int,
+    codes_per_layer: int,
     seed: int = 0,
     iters: int = 25,
 ) -> CodebookStack:
@@ -265,8 +262,8 @@ def train_codebooks(
 
 def train_and_tokenize(
     data: np.ndarray,
-    layers: int = DEFAULT_RESIDUAL_LAYERS + 1,
-    codes_per_layer: int = DEFAULT_CODES_PER_LAYER,
+    layers: int,
+    codes_per_layer: int,
     seed: int = 0,
     iters: int = 25,
 ) -> tuple[CodebookStack, TokenSequence]:
@@ -319,15 +316,15 @@ def truncate_stack(stack: CodebookStack, num_layers: int) -> CodebookStack:
 
 def stack_to_json(stack: CodebookStack) -> dict:
     """The stack as JSON, each codebook's entries as ``jsonio.hex_rows``."""
-    return {"dim": stack.dim, "books": [hex_rows(b.entries) for b in stack.books]}
+    return {"books": [hex_rows(b.entries) for b in stack.books]}
 
 
 def stack_from_json(obj) -> CodebookStack:
-    """The stack ``stack_to_json`` wrote; anything else raises ValueError
-    naming the field or the book at fault."""
-    json_object(obj, "dim", "books")
-    dim = positive_int(obj["dim"], "dim")
+    """The stack ``stack_to_json`` wrote, each book as wide as the first;
+    anything else raises ValueError naming the field or the book at fault."""
+    json_object(obj, "books")
     if not isinstance(obj["books"], list) or not obj["books"]:
         raise ValueError("field 'books' must be a non-empty list of codebooks")
-    books = [Codebook(entries=unhex_rows(raw, dim, f"books[{j}]", "quantize")) for j, raw in enumerate(obj["books"])]
-    return CodebookStack(books=tuple(books))
+    books = [unhex_rows(obj["books"][0], None, "books[0]", "quantize")]
+    books += [unhex_rows(b, books[0].shape[1], f"books[{j}]", "quantize") for j, b in enumerate(obj["books"][1:], 1)]
+    return CodebookStack(books=tuple(map(Codebook, books)))

@@ -88,6 +88,15 @@ class TestAggregation:
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(back, name), getattr(p, name))
 
+    def test_older_seed_key_is_ignored(self):
+        """A model.json that still carries the ``seed`` it once stored reads
+        as the same weights."""
+        obj = al.params_to_json(al.AggregatorParams.init(3, 5, seed=1))
+        assert "seed" not in obj
+        got, ref = al.params_from_json({**obj, "seed": 1}), al.params_from_json(obj)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
     @pytest.mark.parametrize("edit,message", [
         (lambda obj: [1, 2], "expected a JSON object, got list"),
         (lambda obj: {k: v for k, v in obj.items() if k != "b2"}, "missing field 'b2'"),
@@ -102,7 +111,6 @@ class TestAggregation:
         (lambda obj: {**obj, "w1": ["zz" * 48] + obj["w1"][1:]}, "weight 'w1': rows are not hex"),
         (lambda obj: {**obj, "b2": obj["b2"][:-16] + np.array([np.inf], "<f8").tobytes().hex()},
          "weight 'b2': non-finite value"),
-        (lambda obj: {**obj, "seed": [1]}, "field 'seed' must be int"),
         # decimal float lists are the older encoding of the weights
         (lambda obj: {**obj, "w1": [np.frombuffer(bytes.fromhex(row), "<f8").tolist() for row in obj["w1"]]},
          "(a file of float lists is older: rerun train-align)"),

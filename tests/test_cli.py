@@ -14,7 +14,8 @@ import pytest
 
 from segalign import alignment, cli, jsonio, metrics, rvq, segmentation, textseg
 from segalign.cli import main
-from segalign.motion import DatasetRecord, LatentSequence, load_motion, read_dataset, write_dataset
+from segalign.motion import (DatasetRecord, LatentSequence, MotionSequence, load_motion, read_dataset, save_motion,
+                             write_dataset)
 from segalign.seeds import rng_for, seed_for
 
 
@@ -256,6 +257,24 @@ class TestSegmentCommand:
                            tmp_path / "seg")
         assert error == "sample_0001: a primitive's total cost is beyond the float64 limit of 1.79769e+308"
 
+    def test_overflow_of_a_record_alone_is_named(self, synth_dir, tmp_path, capsys, monkeypatch):
+        """A record whose window norms overflow float64 raises a
+        FloatingPointError alone as well as in the corpus call; the retry
+        catches it as the corpus call does, and names the record."""
+        load = cli._load_corpus
+
+        def load_with_a_far_record(data_dir):
+            records, latents = load(data_dir)
+            latents["sample_0001"] = LatentSequence(vectors=np.full((latents["sample_0001"].length, 3), 1e154))
+            return records, latents
+
+        monkeypatch.setattr(cli, "_load_corpus", load_with_a_far_record)
+        lib = tmp_path / "lib.json"
+        lib.write_text(json.dumps({"centers": jsonio.hex_rows([[0.0] * 3]), "window_size": 1, "stride": 1}))
+        error = _one_error(capsys, ["segment", "--data", str(synth_dir), "--method", "cluster", "--library", str(lib)],
+                           tmp_path / "seg")
+        assert error == "sample_0001: overflow encountered in reduce"
+
     def test_cluster_requires_library(self, synth_dir, tmp_path, capsys):
         assert main(["segment", "--data", str(synth_dir), "--method", "cluster",
                      "--out", str(tmp_path / "s"), "--quiet"]) == 1
@@ -329,6 +348,8 @@ class TestSegmentCommand:
                      "field 'centers': each row must be a string of 96 hex digits", id="ragged-centers"),
         pytest.param(json.dumps({"centers": [], "window_size": 2, "stride": 1}),
                      "field 'centers': expected a non-empty list of rows", id="empty-centers"),
+        pytest.param(json.dumps({"centers": jsonio.hex_rows([[0.0] * 3, [1e300] * 3]), "window_size": 1, "stride": 1}),
+                     "field 'centers' has a row whose squared norm is beyond the float64 range", id="far-centre"),
         pytest.param(json.dumps({"centers": [[0.0] * 6], "window_size": 2, "stride": 1}),
                      "(a file of float lists is older: rerun segment --fit-library)", id="float-list-centers"),
     ])
@@ -850,19 +871,16 @@ BAD_QUERY_FILES = [
     pytest.param(lambda data: [1, 2], "expected a JSON object, got list", id="list"),
     pytest.param(lambda data: {k: v for k, v in data.items() if k != "holdout"}, "missing field 'holdout'",
                  id="no-holdout"),
-    pytest.param(lambda data: {k: v for k, v in data.items() if k != "d_token"}, "missing field 'd_token'",
-                 id="no-d-token"),
-    pytest.param(lambda data: {k: v for k, v in data.items() if k != "d_embed"}, "missing field 'd_embed'",
-                 id="no-d-embed"),
-    pytest.param(lambda data: {**data, "d_token": "8"}, "field 'd_token' must be a positive integer",
-                 id="d-token-text"),
     pytest.param(lambda data: {**data, "holdout": []}, "holdout must be a non-empty list", id="empty-holdout"),
     pytest.param(lambda data: _edit_row(data, lambda row: np.frombuffer(bytes.fromhex(row), "<f8").tolist()),
                  "rerun train-align", id="float-list-row"),
+    # the first sample's first text and span rows set the widths every later row is held to
     pytest.param(lambda data: _edit_row(data, lambda row: row[:-2]),
-                 "holdout[0].text: each row must be a string of 256", id="short-row"),
-    pytest.param(lambda data: _edit_row(data, lambda row: row + "00", "spans"),
-                 "holdout[0].spans[0]: each row must be a string of 128", id="long-span-row"),
+                 "holdout[0].text: each row must be a string of 16 hex digits per value", id="short-first-row"),
+    pytest.param(lambda data: _edit_row(data, lambda row: row[:-2], sample=1),
+                 "holdout[1].text: each row must be a string of 256", id="short-row"),
+    pytest.param(lambda data: _edit_row(data, lambda row: row + "00", "spans", sample=1),
+                 "holdout[1].spans[0]: each row must be a string of 128", id="long-span-row"),
     pytest.param(lambda data: _edit_row(data, lambda row: 7), "each row must be a string", id="number-row"),
     pytest.param(lambda data: _edit_row(data, lambda row: "zz" + row[2:]), "holdout[0].text: rows are not hex",
                  id="non-hex"),
@@ -879,26 +897,26 @@ BAD_QUERY_FILES = [
 ]
 
 
-def _edit_sample(data, **edits):
-    first = dict(data["holdout"][0])
+def _edit_sample(data, sample=0, **edits):
+    holdout = list(data["holdout"])
+    holdout[sample] = dict(holdout[sample])
     for key, edit in edits.items():
-        first[key] = edit(first[key])
-    return {**data, "holdout": [first] + data["holdout"][1:]}
+        holdout[sample][key] = edit(holdout[sample][key])
+    return {**data, "holdout": holdout}
 
 
-def _edit_row(data, edit, where="text"):
-    """``edit`` applied to the first row of the first sample's text, or of
-    its first span."""
+def _edit_row(data, edit, where="text", sample=0):
+    """``edit`` applied to the first row of the text of holdout[sample], or
+    of its first span."""
     if where == "text":
-        return _edit_sample(data, text=lambda rows: [edit(rows[0])] + rows[1:])
-    return _edit_sample(data, spans=lambda spans: [[edit(spans[0][0])] + spans[0][1:]] + spans[1:])
+        return _edit_sample(data, sample, text=lambda rows: [edit(rows[0])] + rows[1:])
+    return _edit_sample(data, sample, spans=lambda spans: [[edit(spans[0][0])] + spans[0][1:]] + spans[1:])
 
 
 class TestQueryFile:
     def test_holds_the_holdout_split_only(self, trained):
         data = json.loads((trained / "align_data.json").read_text())
-        assert set(data) == {"d_embed", "d_token", "holdout"}
-        assert (data["d_token"], data["d_embed"]) == (8, 16)
+        assert set(data) == {"holdout"}   # each width is its rows'
         holdout = alignment.make_separable_dataset(
             30, d_token=8, d_embed=16, seed=seed_for(0, "align.holdout_data"), map_seed=seed_for(0, "align.map"))
         assert len(data["holdout"]) == len(holdout)
@@ -933,6 +951,16 @@ class TestQueryFile:
             for name in names:
                 assert (tmp_path / "holdout" / cmd / name).read_bytes() == \
                     (tmp_path / "both" / cmd / name).read_bytes(), name
+
+    def test_older_width_keys_are_ignored(self, trained, tmp_path):
+        """A file that still carries the ``d_token`` and ``d_embed`` it once
+        stored decodes to the same holdout."""
+        data = json.loads((trained / "align_data.json").read_text())
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({**data, "d_token": 8, "d_embed": 16}))
+        for got, ref in zip(cli._read_holdout(older), cli._read_holdout(trained / "align_data.json"), strict=True):
+            assert got.text.tobytes() == ref.text.tobytes()
+            assert [sp.tobytes() for sp in got.spans] == [sp.tobytes() for sp in ref.spans]
 
     def _run_bad(self, trained, tmp_path, capsys, command, model=None, data=None):
         """``command`` on the trained files with ``model`` or ``data``
@@ -978,8 +1006,8 @@ class TestQueryFile:
     @pytest.mark.parametrize("command", ["ground", "retrieve", "eval"])
     def test_model_data_mismatch_names_both_files(self, trained, tmp_path, capsys, command, d_token, d_embed):
         holdout = alignment.make_separable_dataset(4, d_token=16, d_embed=16, seed=3, map_seed=4)
-        data = {"d_token": 16, "d_embed": 16, "holdout": [
-            {"text": jsonio.hex_rows(s.text), "spans": [jsonio.hex_rows(sp) for sp in s.spans]} for s in holdout]}
+        data = {"holdout": [{"text": jsonio.hex_rows(s.text), "spans": [jsonio.hex_rows(sp) for sp in s.spans]}
+                            for s in holdout]}
         model = alignment.params_to_json(alignment.AggregatorParams.init(d_token, d_embed, seed=1))
         error = self._run_bad(trained, tmp_path, capsys, command, model=model, data=data)
         assert error == (f"{tmp_path / 'bad_model.json'}: model takes d_token {d_token} to d_embed {d_embed}, "
@@ -1578,6 +1606,28 @@ class TestCorpusInputFiles:
         error = _one_error(capsys, ["segment", "--data", str(synth_dir), "--method", "cluster",
                                     "--library", str(lib)], tmp_path / "o")
         assert error == f"{lib}: file not found"
+
+    @pytest.mark.parametrize("command", ["quantize", "segment --method cpd", "segment --method uniform",
+                                         "segment --method cluster --fit-library"])
+    def test_motion_of_another_width_is_refused_at_load(self, synth_dir, tmp_path, capsys, command):
+        """A corpus has one latent width, its first record's: a motion file
+        of twice the pose values is named with its record and both widths,
+        and nothing is written, the fitted library included."""
+        path = synth_dir / "motions" / "sample_0002.sgmo"
+        frames = load_motion(path).frames
+        save_motion(MotionSequence(frames=np.hstack([frames, frames])), path)
+        argv = command.split() + ["--data", str(synth_dir)]
+        if "cluster" in command:
+            argv += ["--library", str(tmp_path / "o" / "lib.json")]
+        error = _one_error(capsys, argv, tmp_path / "o")
+        assert error == f"{path}: sample_0002 has 6 pose values per frame, but sample_0000 has 3"
+
+    @pytest.mark.parametrize("command", ["quantize", "segment --method uniform"])
+    def test_dataset_of_no_record_is_refused(self, synth_dir, tmp_path, capsys, command):
+        """An empty corpus has no latent width to decide."""
+        (synth_dir / "dataset.jsonl").write_text("\n")
+        error = _one_error(capsys, command.split() + ["--data", str(synth_dir)], tmp_path / "o")
+        assert error == f"{synth_dir / 'dataset.jsonl'}: no records"
 
 
 class TestEvalFeatureFiles:

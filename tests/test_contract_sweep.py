@@ -238,7 +238,7 @@ def _model(base, work):
     model = json.loads((base / "align" / "model.json").read_text())
     sites = [((name,), "list", {"delete", "rename"}) for name in ("w1", "w2")]
     sites += [((name,), "str", {"delete", "rename"}) for name in ("b1", "b2")]
-    sites += [(("w1", 1), "str", set()), (("w2", 0), "str", set()), (("seed",), "int", set())]
+    sites += [(("w1", 1), "str", set()), (("w2", 0), "str", set())]
     argv = ["ground", "--model", str(work / "model.json"), "--data", str(base / "align" / "align_data.json")]
     valid, groups = json_mutations(model, sites, _compact)
     older = {"w1": _float_lists(model["w1"]), "w2": _float_lists(model["w2"]),
@@ -250,8 +250,7 @@ def _model(base, work):
 
 def _align_data(base, work):
     data = json.loads((base / "align" / "align_data.json").read_text())
-    sites = [((key,), "int", {"delete", "rename"}) for key in ("d_embed", "d_token")]
-    sites += [(("holdout",), "list", {"delete", "rename"}), (("holdout", 1), "object", set()),
+    sites = [(("holdout",), "list", {"delete", "rename"}), (("holdout", 1), "object", set()),
               (("holdout", 1, "text"), "list", {"delete", "rename"}), (("holdout", 0, "text", 1), "str", set()),
               (("holdout", 2, "spans"), "list", {"delete", "rename"}), (("holdout", 2, "spans", 0), "list", set()),
               (("holdout", 0, "spans", 1, 0), "str", set())]

@@ -548,14 +548,13 @@ class TestSerialization:
     MALFORMED = {
         "not-an-object": (lambda obj: [1], "expected a JSON object, got list"),
         "no-books": (lambda obj: {"dim": 1}, "missing field 'books'"),
-        "no-dim": (lambda obj: {"books": obj["books"]}, "missing field 'dim'"),
-        "dim-zero": (lambda obj: {**obj, "dim": 0}, "field 'dim' must be a positive integer, got 0"),
-        "dim-string": (lambda obj: {**obj, "dim": "1"}, "field 'dim' must be a positive integer, got '1'"),
-        "dim-bool": (lambda obj: {**obj, "dim": True}, "field 'dim' must be a positive integer, got True"),
-        "dim-float": (lambda obj: {**obj, "dim": 1.0}, "field 'dim' must be a positive integer, got 1.0"),
         "books-empty": (lambda obj: {**obj, "books": []}, "field 'books' must be a non-empty list of codebooks"),
         "books-object": (lambda obj: {**obj, "books": {"0": obj["books"][0]}}, "field 'books' must be a non-empty"),
-        "dim-disagrees": (lambda obj: {**obj, "dim": 3}, "books[0]: each row must be a string of 48 hex digits"),
+        # the first book's rows set the width, and every other book is held to it
+        "first-book-wide": (lambda obj: {**obj, "books": [["".join(obj["books"][0])], obj["books"][1]]},
+                            "books[1]: each row must be a string of 32 hex digits"),
+        "first-book-short-row": (lambda obj: {**obj, "books": [[obj["books"][0][0][:-2]], obj["books"][1]]},
+                                 "books[0]: each row must be a string of 16 hex digits per value"),
         "book-empty": (lambda obj: {**obj, "books": [obj["books"][0], []]},
                        "books[1]: expected a non-empty list of rows"),
         "book-empty-row": (lambda obj: {**obj, "books": [obj["books"][0], [""]]}, BAD_ROW),
@@ -581,6 +580,15 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             stack_from_json(obj)
         assert str(info.value).startswith(message)
+
+    def test_older_dim_key_is_ignored(self):
+        """A file that still carries the ``dim`` it once stored reads as the
+        same stack."""
+        obj = stack_to_json(two_layer_stack())
+        assert "dim" not in obj
+        back = stack_from_json({**obj, "dim": 1})
+        for b1, b2 in zip(two_layer_stack().books, back.books, strict=True):
+            assert b1.entries.tobytes() == b2.entries.tobytes()
 
     def test_truncate_bounds(self):
         with pytest.raises(ValueError):
