@@ -191,12 +191,21 @@ def _brute_force_partition(span_step, n: int, num_segments: int) -> tuple[list[i
 # every segment count over the block's costs while they are in cache:
 # best_a[s] = min over e > s of C[s, e] + best_{a-1}[e].  A block holds at
 # most ``_START_BLOCK`` elements of each record (one row if a row alone is
-# wider), so working memory is a few blocks plus O(n * A) for the DP.  The
-# median bandwidth adds one half-size table of the n (n-1) / 2 distances,
-# made by the same products; a fixed bandwidth needs no table.
+# wider), so working memory is a few blocks plus O(n * A) for the DP.
 # _START_BLOCK is 2^15 float64 values, 256 KiB: at n = 450, d = 16, A = 5 on
 # one BLAS thread, 2^14 and 2^15 ran alike and fastest, 2^13 about 10%
 # slower, and 2^16 and 2^17 15% and 30% slower.
+#
+# The median bandwidth needs no table either.  Its one or two middle
+# squared distances are selected exactly (Floyd & Rivest, CACM 1975): a
+# seeded sample of about m^(2/3) of the m = n (n-1) / 2 pairs gives two
+# pivots either side of the middle ranks, and one pass over the same blocks
+# counts the distances below and at each pivot and keeps those strictly
+# between (ties at a pivot are counted, never kept), about 3 m^(2/3) of
+# them, from which the middle values are selected.  A bracket that misses
+# on a side widens that side and counts again.  The sample only places the
+# pivots, so its bits do not matter.  A record whose sweep is one block
+# partitions that block instead: the bracket would be everything.
 #
 # Every sum runs in one order whatever the blocks are: R along its row, V
 # from the last row up, and the zeros that empty spans add are exact.  Only
@@ -207,6 +216,7 @@ def _brute_force_partition(span_step, n: int, num_segments: int) -> tuple[list[i
 # the bits it gets alone.
 
 _START_BLOCK = 1 << 15
+_MEDIAN_SPREAD = 3.0
 
 
 def _start_blocks(n: int):
@@ -223,12 +233,11 @@ def _start_blocks(n: int):
         s1 = s0
 
 
-def _distance_rows(x: np.ndarray, x_sq: np.ndarray, s0: int, s1: int, out=None) -> np.ndarray:
+def _distance_rows(x: np.ndarray, x_sq: np.ndarray, s0: int, s1: int) -> np.ndarray:
     """(B, s1 - s0, n - s0) squared distances from the rows s0 <= s < s1 of
     each (n, d) record of ``x`` to its rows j >= s0: one :func:`sqdist`
-    per record, the diagonal set to exactly 0.  ``x_sq`` is (x * x).sum(-1);
-    ``out``, if given, is written and returned."""
-    d2 = np.empty((x.shape[0], s1 - s0, x.shape[1] - s0)) if out is None else out
+    per record, the diagonal set to exactly 0.  ``x_sq`` is (x * x).sum(-1)."""
+    d2 = np.empty((x.shape[0], s1 - s0, x.shape[1] - s0))
     for xb, sq, rows in zip(x, x_sq, d2):
         sqdist(xb[s0:s1], xb[s0:], out=rows, a_sq=sq[s0:s1])
     diag = np.arange(s1 - s0)
@@ -236,33 +245,28 @@ def _distance_rows(x: np.ndarray, x_sq: np.ndarray, s0: int, s1: int, out=None) 
     return d2
 
 
+def _upper_rows(x: np.ndarray, x_sq: np.ndarray, s0: int, s1: int) -> np.ndarray:
+    """(B, (s1 - s0) (n - s0)): the rows of :func:`_distance_rows`, each
+    record's flattened, with the entries on and below each diagonal set to
+    -inf, so that they sort and count first."""
+    rows = _distance_rows(x, x_sq, s0, s1)
+    np.copyto(rows[:, :, : s1 - s0], -np.inf, where=np.tri(s1 - s0, dtype=bool))
+    return rows.reshape(x.shape[0], -1)
+
+
 def _kernel_rows(x: np.ndarray, bandwidth):
     """Yield (s0, s1, K[:, s0:s1, s0:]) for each block of
     :func:`_start_blocks` over the (B, n, d) stack ``x``, each a new array.
-
-    The median bandwidth first writes every block's distances into one
-    array, each block's rows after the last's, with the entries on and
-    below each diagonal set to -inf: they sort first, so the median of the
-    n (n-1) / 2 distances above the diagonals is selected after them.  The
-    array holds the half table plus the blocks' leading corners, and is
-    freed before the first kernel rows are made from the same products."""
+    The median bandwidth is selected first, from the same blocks
+    (:func:`_median_distance`)."""
     x = np.asarray(x, dtype=np.float64)   # float32 latents get the bits gaussian_kernel_matrix gets
     if not np.all(np.isfinite(x)):
         raise ValueError("kernel input contains non-finite values")
     sigma = fixed_bandwidth(bandwidth)
-    B, n = x.shape[:2]
     x_sq = (x * x).sum(axis=-1)
-    blocks = list(_start_blocks(n))
+    blocks = list(_start_blocks(x.shape[1]))
     if sigma is None:   # the median over each upper triangle, or 1 if it is 0 or there is none
-        v = np.empty((B, sum((s1 - s0) * (n - s0) for s0, s1 in blocks)))
-        at = 0
-        for s0, s1 in blocks:
-            b = s1 - s0
-            rows = _distance_rows(x, x_sq, s0, s1, out=v[:, at : at + b * (n - s0)].reshape(B, b, n - s0))
-            np.copyto(rows[:, :, :b], -np.inf, where=np.tri(b, dtype=bool))
-            at += b * (n - s0)
-        sigma = _median_distance(v, v.shape[1] - n * (n - 1) // 2) if n > 1 else np.zeros(B)
-        del v
+        sigma = _median_distance(x, x_sq, blocks)
         sigma = np.where(sigma == 0.0, 1.0, sigma)
     scale = np.asarray(-2.0 * sigma * sigma)[..., None, None]
     for s0, s1 in blocks:
@@ -294,16 +298,21 @@ def _span_costs(K: np.ndarray, s0: int, carry: np.ndarray, trace=None) -> np.nda
     K[:, -1] += carry[:, s0 + 1 :]
     np.cumsum(K[:, ::-1], axis=1, out=K[:, ::-1])   # V(s, e), from the last row up
     carry[:, s0 + 1 :] = K[:, 0]
-    # span length e - s; below the diagonal, where the cost becomes +inf,
-    # any nonzero divisor
-    lengths = np.arange(1.0, w + 1.0) - np.arange(float(b))[:, None]
-    np.maximum(lengths[:, :b], 1.0, out=lengths[:, :b])
-    K /= lengths * 0.5
-    span_trace = lengths if trace is None else trace[:, None, s0 + 1 :] - trace[:, s0 : s0 + b, None]
+    # span length e - s, row i of a Toeplitz view of one vector; below the
+    # diagonal, where the cost becomes +inf, any nonzero divisor
+    lengths = np.maximum(np.arange(2.0 - b, w + 1.0), 1.0)
+    K /= _toeplitz(lengths * 0.5, b)
+    span_trace = _toeplitz(lengths, b) if trace is None else trace[:, None, s0 + 1 :] - trace[:, s0 : s0 + b, None]
     np.subtract(span_trace, K, out=K)
     np.maximum(K, 0.0, out=K)
     np.copyto(corner, np.inf, where=below)
     return K
+
+
+def _toeplitz(v: np.ndarray, b: int) -> np.ndarray:
+    """The (b, v.size - b + 1) view of the 1-D array ``v`` whose row i
+    starts at v[b - 1 - i]."""
+    return np.ndarray((b, v.size - b + 1), v.dtype, v, (b - 1) * v.itemsize, (-v.itemsize, v.itemsize))
 
 
 def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
@@ -317,16 +326,17 @@ def gaussian_kernel_matrix(x: np.ndarray, bandwidth="median") -> np.ndarray:
     exactly 0, so every k(a, a) is exactly 1.  ``x`` is one (n, d)
     sequence; any other shape is a ValueError.
 
-    The median is found by selection, not by sorting: one ``np.partition``
-    picks the one or two middle squared distances of the upper triangle
-    (the lower of two is the largest value left of the upper), and sigma
-    is the square root of the middle one, or the mean of the square roots of
-    the two.  As sqrt is monotone and numpy's mean of two values is one add
-    and one divide, sigma equals ``np.median`` of the upper-triangle
-    distances bit for bit whenever no squared distance is NaN.  So a non-finite ``x`` raises
-    ValueError: no kernel built from it is usable, and ``partition`` sorts
-    NaN last, so selection could give a finite sigma where ``np.median``
-    gave NaN.
+    The median is found by selection, not by sorting, and without a table
+    of the distances (the comment above): the one or two middle squared
+    distances of the upper triangle are selected, counted between two
+    pivots of a sample or, when the sweep is one block, by one
+    ``np.partition`` of it, and sigma is the mean of the square roots of
+    the two (of the one, twice).  As sqrt is monotone and numpy's mean of
+    two values is one add and one divide, sigma equals ``np.median`` of the
+    upper-triangle distances bit for bit whenever no squared distance is
+    NaN.  So a non-finite ``x`` raises ValueError: no kernel built from it
+    is usable, and selection orders NaN last, so it could give a finite
+    sigma where ``np.median`` gave NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -352,19 +362,78 @@ def fixed_bandwidth(bandwidth) -> float | None:
     return sigma
 
 
-def _median_distance(v: np.ndarray, low: int) -> np.ndarray:
-    """``np.median(np.sqrt(u), axis=-1)`` of the squared distances u left
-    in ``v`` along its last axis once its ``low`` smallest values are set
-    aside, by selection.
+def _median_distance(x: np.ndarray, x_sq: np.ndarray, blocks) -> np.ndarray:
+    """``np.median`` of the square roots of the n (n-1) / 2 squared
+    distances above the diagonal of each record of the (B, n, d) stack
+    ``x``, 0 if there are none: (sqrt(u1) + sqrt(u2)) / 2 of the middle
+    squared distances u1 <= u2 (u1 = u2 for an odd count), selected from
+    the sweep's ``blocks`` as the comment above says."""
+    B, n = x.shape[:2]
+    if n < 2:
+        return np.zeros(B)
+    m = n * (n - 1) // 2
+    low = sum((s1 - s0) * (n - s0) for s0, s1 in blocks) - m   # the -inf entries rank first
+    ranks = (low + (m - 1) // 2, low + m // 2)
+    if len(blocks) == 1:
+        u1, u2 = _middle_values(_upper_rows(x, x_sq, 0, n), ranks)
+    else:
+        u1, u2 = np.array([_bracketed_middle(x[i : i + 1], x_sq[i : i + 1], blocks, ranks, low) for i in range(B)]).T
+    return (np.sqrt(u1) + np.sqrt(u2)) / 2.0
 
-    Partitions ``v`` in place.
-    """
-    m = v.shape[-1] - low
-    h = low + m // 2
-    v.partition(h, axis=-1)
-    if m % 2:
-        return np.sqrt(v[..., h])
-    return (np.sqrt(v[..., :h].max(axis=-1)) + np.sqrt(v[..., h])) / 2.0
+
+def _middle_values(v: np.ndarray, ranks) -> tuple:
+    """The values of the ranks r1 <= r2 <= r1 + 1 along the last axis of
+    ``v``, which is partitioned in place: at r2, then the largest value left
+    of r2 (a second kth would select again, about 3x slower)."""
+    r1, r2 = ranks
+    v.partition(r2, axis=-1)
+    return (v[..., r2] if r1 == r2 else v[..., :r2].max(axis=-1)), v[..., r2]
+
+
+def _bracketed_middle(x: np.ndarray, x_sq: np.ndarray, blocks, ranks, low: int) -> list:
+    """The values of ``ranks`` among the block entries of the one record of
+    the (1, n, d) stack ``x``, whose ``low`` -inf entries rank first.  The
+    pivots lie ``_MEDIAN_SPREAD`` standard deviations of a sample rank
+    either side of where the ranks fall in the sorted sample; a missed side
+    doubles its reach until its pivot leaves the sample and is unbounded."""
+    sample = np.sort(_pair_sample(x[0]))
+    s = sample.size
+    m = x.shape[1] * (x.shape[1] - 1) // 2
+    centre = [(r - low) * s / m for r in ranks]   # where the ranks fall in the sample
+    reach = [_MEDIAN_SPREAD * math.sqrt(s) / 2.0] * 2   # a sample rank's deviation is sqrt(s) / 2
+    while True:
+        i, j = math.floor(centre[0] - reach[0]), math.ceil(centre[1] + reach[1])
+        lo = sample[i] if i >= 0 else -np.inf
+        hi = sample[j] if j < s else np.inf
+        counts = np.zeros(4, dtype=np.int64)   # entries < lo, <= lo, < hi, <= hi
+        kept = []
+        for s0, s1 in blocks:
+            v = _upper_rows(x, x_sq, s0, s1)[0]
+            up_to_lo, under_hi = v <= lo, v < hi
+            counts += (np.count_nonzero(v < lo), np.count_nonzero(up_to_lo),
+                       np.count_nonzero(under_hi), np.count_nonzero(v <= hi))
+            kept.append(v[under_hi > up_to_lo])
+        below, up_to_lo, under_hi, up_to_hi = counts.tolist()
+        # past an unbounded hi only NaN is left, from distances that
+        # overflow, and np.median is NaN
+        missed = ranks[0] < below, ranks[1] >= up_to_hi and j < s
+        if not any(missed):
+            break
+        reach = [max(2.0 * r, 1.0) if miss else r for r, miss in zip(reach, missed)]
+    inside = [r - up_to_lo for r in ranks if up_to_lo <= r < under_hi]
+    picks = iter(_middle_values(np.concatenate(kept), (inside[0], inside[-1])) if inside else ())
+    return [lo if r < up_to_lo else next(picks) if r < under_hi else hi if r < up_to_hi else np.nan for r in ranks]
+
+
+def _pair_sample(x: np.ndarray) -> np.ndarray:
+    """Squared distances of about m^(2/3) distinct pairs of rows of the
+    (n, d) record ``x``, m = n (n-1) / 2: rows k apart in one seeded
+    shuffle, for k = 1, 2, ...  They only place the pivots of
+    :func:`_bracketed_middle`, so their bits do not matter."""
+    n = x.shape[0]
+    y = x[np.random.default_rng(0).permutation(n)]
+    rounds = min(n - 1, -(-math.ceil((n * (n - 1) // 2) ** (2 / 3)) // n))
+    return np.concatenate([((y[k:] - y[:-k]) ** 2).sum(axis=1) for k in range(1, rounds + 1)])
 
 
 def kernel_span_cost(K: np.ndarray, s: int, e: int) -> float:
@@ -400,8 +469,8 @@ def kernel_cost_table(K: np.ndarray) -> np.ndarray:
 def kernel_cpd_segment(x: LatentSequence, num_segments: int, bandwidth="median") -> SegmentBoundaries:
     """Exact DP minimization of total within-segment kernel cost, holding
     no n^2 table (the comment above): under 8 MiB at n = 5,000 with a fixed
-    bandwidth, and one half-size table more for the median, about 0.4 GB at
-    n = 10,000."""
+    bandwidth, and under 16 MiB with the median, whose selection keeps the
+    pair sample and the distances between its pivots, about 1.3 MB."""
     return kernel_cpd_corpus([x], [num_segments], bandwidth)[0]
 
 
@@ -474,6 +543,7 @@ def _cpd_sweep(x: np.ndarray, num_segments: int, bandwidth) -> tuple[list[list[i
     A = num_segments
     best = np.full((A, B, n + 1), np.inf)   # best[a - 1][:, s] is best_a[s]
     picks = np.zeros((A - 1, B, n), dtype=np.intp)
+    scratch = np.empty(B * max((s1 - s0) * (n - s0) for s0, s1 in _start_blocks(n)))
     for s0, s1, C in _cost_blocks(x, bandwidth):
         best[0, :, s0:s1] = C[:, :, -1]
         for a in range(2, A + 1):
@@ -481,7 +551,10 @@ def _cpd_sweep(x: np.ndarray, num_segments: int, bandwidth) -> tuple[list[list[i
             rows = min(s1, hi) - s0
             if rows <= 0:
                 break
-            cand = C[:, :rows, : hi - s0] + best[a - 2][:, None, s0 + 1 : hi + 1]
+            # whole rows: best_{a-1}[e] is +inf for e > hi, and so is every
+            # candidate past hi, which leaves the lowest minimum where it is
+            cand = scratch[: B * rows * C.shape[2]].reshape(B, rows, C.shape[2])
+            np.add(C[:, :rows], best[a - 2][:, None, s0 + 1 :], out=cand)
             pick = cand.argmin(axis=2)
             flat = cand.reshape(-1, cand.shape[2])   # the picked candidates, gathered
             best[a - 1, :, s0 : s0 + rows] = flat[np.arange(flat.shape[0]), pick.ravel()].reshape(pick.shape)
@@ -501,13 +574,17 @@ def extract_windows(x: np.ndarray, window_size: int, stride: int) -> np.ndarray:
     A stack (B, n, d) of sequences gives (B, nw, w*d), one C-contiguous
     block of windows per sequence.
     """
-    x = np.asarray(x, dtype=np.float64)
+    return _window_view(np.asarray(x, dtype=np.float64), window_size, stride).copy()
+
+
+def _window_view(x: np.ndarray, window_size: int, stride: int) -> np.ndarray:
+    """:func:`extract_windows` of ``x`` as a view of it, with its dtype."""
     n = x.shape[-2]
     if n < window_size:
         raise ValueError(f"{n} tokens are fewer than the window size {window_size}")
     windows = np.lib.stride_tricks.sliding_window_view(x, (window_size, x.shape[-1]), axis=(-2, -1))
     windows = windows[..., ::stride, 0, :, :]
-    return windows.reshape(windows.shape[:-2] + (-1,)).copy()
+    return windows.reshape(windows.shape[:-2] + (-1,))
 
 
 def build_primitive_library(
@@ -518,15 +595,12 @@ def build_primitive_library(
     seed: int = 0,
     iters: int = 25,
 ) -> PrimitiveLibrary:
-    """Cluster sliding windows from the corpus into a primitive library."""
-    windows = [
-        extract_windows(s.vectors, window_size, stride)
-        for s in corpus
-        if s.length >= window_size
-    ]
+    """Cluster sliding windows from the corpus into a primitive library.
+    The windows of every sequence are copied once, into one float64 matrix."""
+    windows = [_window_view(s.vectors, window_size, stride) for s in corpus if s.length >= window_size]
     if not windows:
         raise ValueError("no sequence long enough for a single window")
-    allw = np.vstack(windows)
+    allw = np.concatenate(windows, dtype=np.float64)
     if allw.shape[0] < num_primitives:
         raise ValueError(f"only {allw.shape[0]} windows for Kp={num_primitives}")
     centers, _ = kmeans(allw, num_primitives, seed=seed, iters=iters)

@@ -309,6 +309,22 @@ class TestToyTraining:
         with pytest.raises(ValueError):
             al.toy_train([], al.AlignmentConfig())
 
+    @pytest.mark.parametrize("seg_choices", [(2, 3), (1, 2, 3), (4,)])
+    def test_separable_dataset_draws_as_rng_choice_did(self, seg_choices):
+        """Each segment count is one ``integers`` draw, the draw
+        ``Generator.choice`` makes: the datasets of the ``choice`` form."""
+        for seed in range(6):
+            got = al.make_separable_dataset(25, d_token=3, d_embed=4, seg_choices=seg_choices, seed=seed, map_seed=9)
+            rng = np.random.default_rng(seed)
+            w_true = np.random.default_rng(9).normal(size=(3, 4)) / np.sqrt(4)
+            for sample in got:
+                text = rng.normal(size=(int(rng.choice(seg_choices)), 4))
+                text /= np.linalg.norm(text, axis=1, keepdims=True)
+                spans = [w_true @ t + rng.normal(0.0, 0.05, size=(4, 3)) for t in text]
+                np.testing.assert_array_equal(sample.text, text)
+                for span, want in zip(sample.spans, spans, strict=True):
+                    np.testing.assert_array_equal(span, want)
+
 
 def reference_toy_train(dataset, cfg, steps, lr, seed, params, variant):
     """toy_train as a per-step grad_alignment loop, which pools each batch's

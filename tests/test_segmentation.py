@@ -35,7 +35,7 @@ from segalign.segmentation import (
     segment_cost_matrix_dp,
     uniform_segment,
 )
-from segalign.rvq import sqdist
+from segalign.rvq import kmeans, sqdist
 
 
 def reference_gaussian_kernel_matrix(x, bandwidth="median"):
@@ -371,6 +371,48 @@ class TestGaussianKernelMatrix:
             got = gaussian_kernel_matrix(x)
             want = reference_gaussian_kernel_matrix(x)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_missed_brackets_are_widened(self, block, monkeypatch):
+        """With no spread, the pivots bracket the middle ranks only by luck:
+        each side that misses widens and the blocks are counted again, and
+        sigma keeps np.median's bits, ties and odd and even counts included."""
+        monkeypatch.setattr(segmentation, "_MEDIAN_SPREAD", 0.0)
+        upper_rows = segmentation._upper_rows
+        calls = []
+        monkeypatch.setattr(segmentation, "_upper_rows", lambda *a: calls.append(a[2]) or upper_rows(*a))
+        rng = np.random.default_rng(33)
+        recounted, parities = 0, set()
+        for t in range(150 if block != DEFAULT_START_BLOCK else 30):
+            # the default block holds n <= 181 whole; past it the bracket is used
+            n = int(rng.integers(2, 40)) if block != DEFAULT_START_BLOCK else int(rng.integers(182, 240))
+            d = int(rng.integers(1, 4))
+            kind = t % 3
+            if kind == 0:
+                x = rng.integers(-2, 3, size=(n, d)).astype(np.float64)   # tie-heavy
+            elif kind == 1:
+                x = np.round(rng.normal(size=(n, d)), 1)
+            else:
+                x = rng.normal(size=(n, d))
+            calls.clear()
+            got = gaussian_kernel_matrix(x)
+            want = reference_gaussian_kernel_matrix(x)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            blocks = list(segmentation._start_blocks(n))
+            if len(blocks) > 1:
+                recounted += calls.count(blocks[0][0]) > 1
+                parities.add(n * (n - 1) // 2 % 2)
+        assert recounted > 10 and parities == {0, 1}, (recounted, parities)
+
+    def test_overflowing_distances_give_a_nan_median_as_np_median_does(self, monkeypatch):
+        """Distances of finite points that overflow to NaN are never
+        counted, so no bracket holds the middle ranks: once both sides are
+        unbounded the selection stops, and sigma is NaN, as np.median is."""
+        monkeypatch.setattr(segmentation, "_START_BLOCK", 97)
+        x = np.abs(np.random.default_rng(34).normal(size=(30, 2))) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = segmentation._median_distance(x[None], (x * x).sum(-1)[None], list(segmentation._start_blocks(30)))
+            want = np.median(np.sqrt(sqdist(x, x)[np.triu_indices(30, k=1)]))
+        assert np.isnan(want) and np.isnan(sigma).all()
 
     @pytest.mark.parametrize("bandwidth", ["median", 0.7])
     def test_kernel_is_symmetric_and_gaussian_in_sqdist(self, bandwidth, block):
@@ -922,12 +964,25 @@ class TestWorkingMemory:
         x = LatentSequence(vectors=np.random.default_rng(26).normal(size=(n, 8)))
         assert traced_peak(kernel_cpd_segment, x, 5, 0.7) < 8 << 20
 
-    def test_kernel_cpd_segment_with_the_median_needs_one_half_table(self):
-        """The n (n-1) / 2 distances the median is selected from, 100 MB at
-        n = 5,000, plus the same 8 MiB."""
+    def test_kernel_cpd_segment_with_the_median_needs_no_table(self):
+        """The same blocks, the pair sample and the distances kept between
+        the pivots: under 16 MiB at n = 5,000, where the table of the
+        n (n-1) / 2 distances alone was 100 MB."""
         n = 5000
         x = LatentSequence(vectors=np.random.default_rng(26).normal(size=(n, 8)))
-        assert traced_peak(kernel_cpd_segment, x, 5) < n * (n - 1) // 2 * 8 + (8 << 20)
+        assert traced_peak(kernel_cpd_segment, x, 5) < 16 << 20
+
+    def test_build_primitive_library_copies_the_windows_once(self):
+        """One float64 window matrix beside what k-means itself needs, where
+        each sequence's windows were copied twice, and the library's bits
+        are those of k-means over the stacked windows."""
+        rng = np.random.default_rng(28)
+        xs = [LatentSequence(vectors=v) for v in rng.normal(size=(4, 450, 16)).astype(np.float32)]
+        windows = np.vstack([extract_windows(x.vectors, 4, 1) for x in xs])
+        kmeans_peak = traced_peak(kmeans, windows, 16, 7)
+        assert traced_peak(build_primitive_library, xs, 4, 1, 16, 7) < kmeans_peak + windows.nbytes * 3 // 2
+        lib = build_primitive_library(xs, 4, 1, 16, 7)
+        assert lib.centers.tobytes() == kmeans(windows, 16, seed=7)[0].tobytes()
 
 
 class TestBruteForceGuards:
