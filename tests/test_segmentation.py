@@ -405,8 +405,9 @@ class TestGaussianKernelMatrix:
 
     def test_overflowing_distances_give_a_nan_median_as_np_median_does(self, monkeypatch):
         """Distances of finite points that overflow to NaN are never
-        counted, so no bracket holds the middle ranks: once both sides are
-        unbounded the selection stops, and sigma is NaN, as np.median is."""
+        counted, so no bracket holds the middle ranks: once the side that
+        misses is unbounded the selection stops, and sigma is NaN, as
+        np.median is."""
         monkeypatch.setattr(segmentation, "_START_BLOCK", 97)
         x = np.abs(np.random.default_rng(34).normal(size=(30, 2))) * 1e200
         with np.errstate(over="ignore", invalid="ignore"):

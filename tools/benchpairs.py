@@ -32,6 +32,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -68,20 +69,28 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     operation counts, from the last line it prints."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = out.stdout.strip().splitlines()
+    # its own process group, so that a stopped runner stops its workers too
+    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
     try:
-        last = json.loads(lines[-1])
+        stdout, stderr = proc.communicate()
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    try:
+        last = json.loads(stdout.strip().splitlines()[-1])
         values = {name: float(last["metrics"][name]["value"]) for name in METRICS}
     except (IndexError, ValueError, KeyError, TypeError) as err:
-        raise SystemExit(f"{workload} seed {seed} in {tree}: no result line (exit {out.returncode}, {err!r}):\n"
-                         f"{out.stderr.strip()[-2000:]}")
+        raise SystemExit(f"{workload} seed {seed} in {tree}: no result line (exit {proc.returncode}, {err!r}):\n"
+                         f"{stderr.strip()[-2000:]}")
     return {**values, "correct": bool(last["correct"]), "attempted": last["attempted"], "failed": last["failed"]}
 
 
 def summary(pairs: list[dict]) -> dict:
-    """Each side's median and quartiles of each metric, and the number of
-    pairs in which the change read lower (ties count for neither side)."""
+    """Each side's median and quartiles of each metric, and the numbers of
+    pairs in which the change read lower and higher (a tie counts for
+    neither)."""
     out = {"median": {}, "quartiles": {}}
     for side in SIDES:
         out["median"][side] = {m: statistics.median(p[side][m] for p in pairs) for m in METRICS}
@@ -141,6 +150,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_path = args.out or os.path.join(args.repo, f"BENCH_{args.slug}.json")
 
+    # a stopped runner still stops its benchmark and removes its trees
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     work = tempfile.mkdtemp(prefix="benchpairs-")
     try:
         trees = dict(zip(SIDES, (os.path.join(work, "a"), os.path.join(work, "b"))))
