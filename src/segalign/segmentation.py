@@ -549,6 +549,8 @@ def _cpd_sweep(x: np.ndarray, num_segments: int, bandwidth) -> tuple[list[list[i
         for a in range(2, A + 1):
             hi = n - a + 1   # a spans need s < hi; the first ends at e <= hi
             rows = min(s1, hi) - s0
+            if a == A:   # only best_A[0] is read, by the objective and the backtrack
+                rows = min(rows, 1) if s0 == 0 else 0
             if rows <= 0:
                 break
             # whole rows: best_{a-1}[e] is +inf for e > hi, and so is every
@@ -660,8 +662,11 @@ def _cluster_dp(costs: np.ndarray, num_segments: int) -> tuple[list, list, list]
     for a in range(2, num_segments + 1):
         hi = nw - a + 2   # the first of a runs ends at e < hi
         M = np.add(P[:, :, 1:hi], best[-1][:, None, 1:hi], out=buf[:, :, : hi - 1])
-        np.minimum.accumulate(M[:, :, ::-1], axis=2, out=M[:, :, ::-1])   # M[b, :, s]: minimum over e > s
-        M -= P[:, :, : hi - 1]
+        if a == num_segments:   # only best_A[0] is read, by the objective and the backtrack
+            M = M.min(axis=2, keepdims=True)
+        else:
+            np.minimum.accumulate(M[:, :, ::-1], axis=2, out=M[:, :, ::-1])   # M[b, :, s]: minimum over e > s
+        M -= P[:, :, : M.shape[2]]
         best.append(M.min(axis=1))
     edges = np.zeros((P.shape[0], num_segments + 1), dtype=np.intp)
     edges[:, -1] = nw

@@ -1,5 +1,6 @@
 """tools/benchpairs.py against a stub benchmark in a throwaway repository."""
 
+import importlib.util
 import json
 import os
 import shutil
@@ -56,10 +57,10 @@ def test_pairs_alternate_and_the_file_holds_every_field(tmp_path):
 
     log = tmp_path / "runs.jsonl"
     out = tmp_path / "BENCH_stub.json"
-    subprocess.run([sys.executable, TOOL, "--repo", str(repo), "--base", "HEAD~1", "--change", "HEAD",
-                    "--pairs", "w1=3", "--pairs", "w2=2", "--seed", "5", "--seconds", "2", "--slug", "stub",
-                    "--out", str(out)], check=True, capture_output=True, text=True,
-                   env={**os.environ, "BENCHPAIRS_STUB_LOG": str(log)})
+    run = subprocess.run([sys.executable, TOOL, "--repo", str(repo), "--base", "HEAD~1", "--change", "HEAD",
+                          "--pairs", "w1=3", "--pairs", "w2=2", "--seed", "5", "--seconds", "2", "--slug", "stub",
+                          "--out", str(out)], check=True, capture_output=True, text=True,
+                         env={**os.environ, "BENCHPAIRS_STUB_LOG": str(log)})
 
     runs = [json.loads(line) for line in log.read_text().splitlines()]
     assert [(r["workload"], r["seed"], r["version"]) for r in runs] == [
@@ -85,6 +86,10 @@ def test_pairs_alternate_and_the_file_holds_every_field(tmp_path):
     assert w1["quartiles"]["base"]["pipeline_s"] == [5.5, 6.5]
     assert w1["change_lower"] == {"setup_s": 0, "pipeline_s": 3, "peak_rss_mb": 3}
     assert w1["change_higher"] == {"setup_s": 0, "pipeline_s": 0, "peak_rss_mb": 0}
+    # pipeline_s: lower in 3/3, median gap 3 > the base's spread 1; peak_rss_mb: gap 0.5 > spread 0
+    assert w1["verdict"] == {"setup_s": "unresolved", "pipeline_s": "lower", "peak_rss_mb": "lower"}
+    assert run.stdout.splitlines() == ["w1: setup_s unresolved  pipeline_s lower  peak_rss_mb lower",
+                                       "w2: setup_s unresolved  pipeline_s lower  peak_rss_mb lower", str(out)]
     assert len(report["workloads"]["w2"]["pairs"]) == 2
     m = report["machine"]
     assert {"python", "numpy", "nproc", "sys_flags", "allocator_env"} <= set(m)
@@ -104,3 +109,30 @@ def test_a_run_without_a_result_line_stops_the_runner(tmp_path):
                           "--pairs", "w=1", "--slug", "x", "--out", str(out)], capture_output=True, text=True)
     assert run.returncode != 0 and "w seed 1" in run.stderr and "boom" in run.stderr
     assert not out.exists()
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("benchpairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def stub_pairs(base, change):
+    return [{"base": {"setup_s": 1.0, "pipeline_s": b, "peak_rss_mb": 40.0},
+             "change": {"setup_s": 1.0, "pipeline_s": c, "peak_rss_mb": 40.0}} for b, c in zip(base, change)]
+
+
+@pytest.mark.parametrize("base, change, verdict", [
+    # lower in 9/10 pairs, median gap 0.5 > the base's quartile spread 0.45
+    ([1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9], [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 2.0], "lower"),
+    # lower in 8/10 pairs only
+    ([1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9], [0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 2.0, 2.0], "unresolved"),
+    # lower in 10/10 pairs, but the median gap 0.1 is inside the spread 0.45
+    ([1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9], [0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8], "unresolved"),
+    # higher in every pair, by more than the spread
+    ([1.0, 1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0, 2.0], "higher"),
+])
+def test_verdict(base, change, verdict):
+    s = load_tool().summary(stub_pairs(base, change))
+    assert s["verdict"] == {"setup_s": "unresolved", "pipeline_s": verdict, "peak_rss_mb": "unresolved"}

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,66 @@ def reference_kmeans_norms_per_iteration(data, k, seed, iters=25):
         if not filled.all():
             centers[~filled] = data[np.argmax(dist.min(axis=1))]
     return centers
+
+
+def norm_form_sqdist(a, b, a_sq=None):
+    """:func:`sqdist` as it was before it wrote its product in place: the
+    norms summed into the result at once, then one (n, k) product
+    subtracted.  Test-only reference for the bits of :func:`sqdist`."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a_sq is None:
+        a_sq = (a * a).sum(axis=1)
+    d2 = np.add(a_sq[:, None], (b * b).sum(axis=1)[None, :])
+    ab = a @ b.T
+    ab *= 2.0
+    d2 -= ab
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def bincount_kmeans(data, k, seed, iters=25, reseeds=None):
+    """:func:`kmeans` as it was before it went by row blocks: the norms and
+    each draw's seeding distances of all rows at once, and Lloyd's sums by
+    one bincount over an (n*d) bin index.  Returns (centers, assignment);
+    appends each reseed's cluster count to ``reseeds``.  Test-only
+    reference for the bits of :func:`kmeans`."""
+    data = np.asarray(data, dtype=np.float64)
+    n, d = data.shape
+    rng = np.random.default_rng(seed)
+    data_sq = (data * data).sum(axis=1)
+    prune = data_sq.max() <= np.finfo(np.float64).max / 8
+    centers = np.empty((k, d))
+    c = centers[0] = data[rng.integers(n)]
+    d2 = np.full(n, np.inf)
+    for j in range(1, k):
+        near = np.flatnonzero(~(rvq._seed_lower_bound(data, data_sq, c) >= d2)) if prune else np.arange(n)
+        d2[near] = np.minimum(d2[near], np.square(data[near] - c).sum(axis=1))
+        total = d2.sum()
+        c = centers[j] = data[rng.integers(n) if total <= 0 else rvq._seed_draw(rng, d2 / total)]
+    bins = np.arange(d)
+    prev = None
+    for _ in range(iters):
+        dist = norm_form_sqdist(data, centers, a_sq=data_sq)
+        assign = np.argmin(dist, axis=1)
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        if filled.all() and prev is not None and np.array_equal(assign, prev):
+            return centers, assign
+        prev = assign
+        sums = np.bincount(
+            (assign[:, None] * d + bins).ravel(), weights=data.ravel(), minlength=k * d
+        ).reshape(k, d)
+        centers[filled] = sums[filled] / counts[filled, None]
+        if not filled.all():
+            centers[~filled] = data[np.argmax(dist.min(axis=1))]
+            if reseeds is not None:
+                reseeds.append(int((~filled).sum()))
+    return centers, np.argmin(norm_form_sqdist(data, centers, a_sq=data_sq), axis=1)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def two_layer_stack():
@@ -493,6 +554,121 @@ class TestKmeansSeedingPrune:
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(ValueError, match="^k-means\\+\\+ distance total is not finite$"):
                     kmeans(data, 3, seed=seed)
+
+
+class TestRowBlocks:
+    """sqdist and kmeans go by blocks of rvq._BLOCK elements; every bit is
+    that of the whole-array forms they replaced."""
+
+    def test_sqdist_equals_the_norm_form(self):
+        rng = np.random.default_rng(31)
+        blocks = 0
+        for t in range(150):
+            n, k, d = int(rng.integers(1, 900)), int(rng.integers(1, 200)), int(rng.integers(1, 40))
+            a = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=d)
+            b = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-3, 3)
+            if t % 5 == 0:
+                a, b = np.asfortranarray(a), np.asfortranarray(b)   # norms at once, not by blocks
+            want = norm_form_sqdist(a, b)
+            assert_same_bits(sqdist(a, b), want)
+            buf = np.full((n, k), np.nan)
+            assert sqdist(a, b, out=buf, a_sq=(a * a).sum(axis=1)) is buf
+            assert_same_bits(buf, want)
+            blocks += n * max(k, d) > rvq._BLOCK
+        assert blocks > 100
+
+    @pytest.mark.parametrize("n, k, d", [(3, rvq._BLOCK + 5, 2), (rvq._BLOCK + 3, 1, 1), (7, 2, rvq._BLOCK + 1)])
+    def test_sqdist_rows_wider_than_a_block(self, n, k, d):
+        rng = np.random.default_rng(n + k + d)
+        a, b = rng.normal(size=(n, d)), rng.normal(size=(k, d))
+        assert_same_bits(sqdist(a, b), norm_form_sqdist(a, b))
+
+    def test_sqdist_sums_a_non_contiguous_a_at_once(self):
+        """A one-row block of a Fortran-ordered ``a`` would sum its row
+        pairwise, not in order as the whole array does."""
+        rng = np.random.default_rng(37)
+        a = np.asfortranarray(rng.normal(size=(rvq._BLOCK // 64 + 1, 64)))
+        b = rng.normal(size=(5, 64))
+        assert_same_bits(sqdist(a, b), norm_form_sqdist(a, b))
+
+    def test_self_distances_equal_the_norm_form_and_stay_symmetric(self):
+        """sqdist(x, x) still takes a @ a.T as one symmetric product."""
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            x = rng.normal(size=(int(rng.integers(1, 400)), int(rng.integers(1, 17))))
+            got = sqdist(x, x)
+            assert_same_bits(got, norm_form_sqdist(x, x))
+            np.testing.assert_array_equal(got, got.T)
+
+    def test_integer_ties_stay_exact_across_blocks(self):
+        rng = np.random.default_rng(33)
+        a = rng.integers(-6, 7, size=(2000, 3)).astype(np.float64)
+        codes = np.vstack([a[:40], a[:40]])   # every code twice: exact ties
+        d2 = sqdist(a, codes)
+        np.testing.assert_array_equal(d2, difference_sqdist(a, codes))
+        assert (np.argmin(d2, axis=1) < 40).all()
+
+    def test_kmeans_equals_the_bincount_form(self):
+        rng = np.random.default_rng(34)
+        reseeds, blocks = [], 0
+        for seed in range(60):
+            n, d = int(rng.integers(2, 3000)), int(rng.integers(1, 40))
+            k = int(rng.integers(1, min(n, 48) + 1))
+            data = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2)
+            if seed % 3 == 0:
+                data[: n // 2] = data[0]   # duplicate points: empty clusters and reseeds
+            if seed % 4 == 0:
+                data = np.round(data)
+            iters = int(rng.choice([1, 3, 25]))
+            got_c, got_a = kmeans(data, k, seed=seed, iters=iters)
+            want_c, want_a = bincount_kmeans(data, k, seed=seed, iters=iters, reseeds=reseeds)
+            assert_same_bits(got_c, want_c)
+            assert_same_bits(got_a, want_a)
+            blocks += n * d > rvq._BLOCK
+        assert reseeds and blocks > 20
+
+    def test_kmeans_reseed_equals_the_bincount_form(self):
+        data = np.array([[0.0, 0.0]] * 4 + [[5.0, 5.0]])
+        for seed in range(5):
+            reseeds = []
+            want_c, want_a = bincount_kmeans(data, 3, seed=seed, reseeds=reseeds)
+            got_c, got_a = kmeans(data, 3, seed=seed)
+            assert reseeds
+            assert_same_bits(got_c, want_c)
+            assert_same_bits(got_a, want_a)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates beyond what is live before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    def test_sqdist_into_a_buffer_needs_one_block(self):
+        """Beyond ``out``: b's norms, one block of norms for a block of rows,
+        and numpy's buffer for the broadcast add into it, at most as large,
+        where the (n, k) product alone was 2 MB."""
+        n, k, d = 4000, 64, 16
+        rng = np.random.default_rng(35)
+        a, b = rng.normal(size=(n, d)), rng.normal(size=(k, d))
+        a_sq, out = (a * a).sum(axis=1), np.empty((n, k))
+        block = rvq._BLOCK * 8
+        assert traced_peak(sqdist, a, b, out, a_sq) <= 2 * block + 8 * k + 4096
+        # without a_sq, a's norms (n values) are summed a block of rows at a time
+        assert traced_peak(sqdist, a, b, out) <= 2 * block + 8 * (n + k) + 4096
+
+    def test_kmeans_needs_its_distance_buffer_and_a_few_vectors(self):
+        """The (n, k) distance buffer, a few n-vectors (norms, seeding
+        distances, assignments) and a few blocks: 6.0 MB at n = 20,000,
+        d = 64, k = 32, where the (n*d) bin index alone was 10 MB."""
+        n, d, k = 20000, 64, 32
+        data = np.random.default_rng(36).normal(size=(n, d))
+        assert traced_peak(kmeans, data, k, 0, 3) <= n * k * 8 + 8 * n * 8 + 4 * rvq._BLOCK * 8
 
 
 class TestTrainCodebooks:

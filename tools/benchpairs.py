@@ -17,8 +17,9 @@ and reads each run's last line.
 
 The file holds both commits and their ``src/`` line counts, every pair's
 three end-to-end metrics with its seed and which side ran first, and per
-workload each side's median and quartiles and the number of pairs in which
-the change read lower on each metric; and the machine: Python and numpy
+workload each side's median and quartiles, the number of pairs in which
+the change read lower and higher on each metric, and each metric's verdict
+(``summary``), which the runner also prints at the end; and the machine: Python and numpy
 versions, ``sys.flags``, the allocator variables (``MALLOC_*``,
 ``GLIBC_TUNABLES``) and the processor count.
 """
@@ -88,15 +89,28 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary(pairs: list[dict]) -> dict:
-    """Each side's median and quartiles of each metric, and the numbers of
+    """Each side's median and quartiles of each metric, the numbers of
     pairs in which the change read lower and higher (a tie counts for
-    neither)."""
+    neither), and a verdict per metric: ``lower`` when the change read lower
+    in at least 9 of every 10 pairs and its median lies below the base's by
+    more than the base's quartile spread, ``higher`` on the same terms the
+    other way, else ``unresolved``."""
     out = {"median": {}, "quartiles": {}}
     for side in SIDES:
         out["median"][side] = {m: statistics.median(p[side][m] for p in pairs) for m in METRICS}
         out["quartiles"][side] = {m: _quartiles([p[side][m] for p in pairs]) for m in METRICS}
     out["change_lower"] = {m: sum(p["change"][m] < p["base"][m] for p in pairs) for m in METRICS}
     out["change_higher"] = {m: sum(p["change"][m] > p["base"][m] for p in pairs) for m in METRICS}
+    out["verdict"] = {}
+    for m in METRICS:
+        gap = out["median"]["change"][m] - out["median"]["base"][m]
+        q1, q3 = out["quartiles"]["base"][m]
+        verdict = "unresolved"
+        if 10 * out["change_lower"][m] >= 9 * len(pairs) and -gap > q3 - q1:
+            verdict = "lower"
+        elif 10 * out["change_higher"][m] >= 9 * len(pairs) and gap > q3 - q1:
+            verdict = "higher"
+        out["verdict"][m] = verdict
     return out
 
 
@@ -185,6 +199,8 @@ def main(argv=None) -> int:
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    for workload, result in workloads.items():
+        print(f"{workload}: " + "  ".join(f"{m} {result['verdict'][m]}" for m in METRICS))
     print(out_path)
     return 0
 
