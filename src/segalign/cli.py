@@ -30,9 +30,11 @@ through ``_write_csv``, a header line and then one line per row of
 ``str(cell)``, so a float is the exact text JSON gives it.  The columns of
 similarity_map.csv are window start tokens, as in grounding.json.  Kernel
 CPD computes in float64 whatever the latents' dtype.  A count flag below 1,
-such as ``--holdout 0``, exits 1 the same way, naming the flag, and so does
-a flag of eval's other mode: ``--metric`` or ``--features-b`` with
-``--model``/``--data``, or ``--model`` or ``--data`` with ``--features-a``.
+such as ``--holdout 0``, or above what the data holds (``--codes``,
+``--primitives``) exits 1 the same way, naming the flag, and so does a flag
+of another mode: ``--metric`` or ``--features-b`` with eval's
+``--model``/``--data``, ``--model`` or ``--data`` with ``--features-a``, and
+``--endpoint`` or ``--cache`` with decompose's ``--fallback``.
 On glibc, quantize and segment keep freed scratch memory in the heap for the
 next sequence or k-means iteration (see ``_keep_freed_memory``).
 """
@@ -101,6 +103,13 @@ def _keep_freed_memory() -> None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(_M_MMAP_THRESHOLD, 32 << 20)
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def _within_data(args, available: int, what: str, dest: str) -> None:
+    """Refuse a count flag ``dest`` above the ``available`` count at --data, naming both."""
+    if getattr(args, dest) > available:
+        raise CliError(f"{os.path.join(args.data, 'dataset.jsonl')}: {available} {what}, "
+                       f"fewer than --{dest} {getattr(args, dest)}")
 
 
 def _sha256(path) -> str:
@@ -263,6 +272,8 @@ def cmd_segment(args) -> int:
         if not args.library:
             raise CliError("--method cluster requires --library")
         if args.fit_library:
+            windows = sum(max(0, (x.length - args.window) // args.stride + 1) for x in latents.values())
+            _within_data(args, windows, "windows", "primitives")
             lib = segmentation.build_primitive_library(
                 list(latents.values()),
                 window_size=args.window,
@@ -315,6 +326,7 @@ def cmd_quantize(args) -> int:
     _keep_freed_memory()
     records, latents = _load_corpus(args.data)
     stacked = np.vstack([v.vectors for v in latents.values()])
+    _within_data(args, len(stacked), "latent vectors", "codes")
     stack, tokens = rvq.train_and_tokenize(
         stacked,
         layers=args.layers,
@@ -347,6 +359,8 @@ def cmd_decompose(args) -> int:
     record does not stop the loop, so the cache keeps every answer that
     passed; an unreachable endpoint stops it.  After any failure only the
     report is written, and the error names the first failed record."""
+    if args.fallback:
+        _unused(args, "--fallback", "endpoint", "cache")
     records = motion.read_dataset(args.data)
     cfg = None
     if not args.fallback:
@@ -637,7 +651,7 @@ COMMANDS = {
         "--out": dict(default="decomposed.jsonl"),
         "--data": dict(required=True),
         "--fallback": dict(action="store_true"),
-        "--endpoint": dict(default=""),
+        "--endpoint": dict(default=None),
         "--model-name": dict(default="qwen3:8b"),
         "--cache": dict(default=None),
     }),

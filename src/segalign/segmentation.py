@@ -149,9 +149,10 @@ def uniform_segment(n: int, num_segments: int) -> SegmentBoundaries:
 # record for clustering, its prefix sums, and (n+1)^2 for kernel CPD, the
 # span table it held before the sweep below, so its stacks stay the
 # measured ones.  Scratch probes (ROADMAP item 13, tried and left) kept
-# _BLOCK and cli._keep_freed_memory as they are: no glibc pin made
-# corpus-long 14% slower; the pin in every command raised align-query's
-# peak RSS, and one 2^15 budget for stacks and sweep blocks corpus-short's.
+# _BLOCK and cli._keep_freed_memory as they are: with no glibc pin
+# corpus-long's pipeline_s read +4.0% (8/10 pairs; +4.7%, 9/12, with a
+# reused CPD block buffer); the pin in every command raised align-query's
+# peak RSS 42.40 -> 43.76 MB (10/10); one 2^15 budget raised corpus-short's.
 
 _BLOCK = 1 << 13
 

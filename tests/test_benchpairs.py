@@ -11,8 +11,9 @@ import pytest
 
 TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools", "benchpairs.py")
 
-# Stands in for perfbench/run.py: logs each run and prints one result line
-# whose metrics depend on the tree's VERSION file.
+# Stands in for perfbench/run.py: logs each run and prints a report line of
+# stage medians and one result line, whose figures depend on the tree's
+# VERSION file.
 STUB = '''
 import argparse, json, os, sys
 p = argparse.ArgumentParser()
@@ -28,6 +29,7 @@ with open(os.environ["BENCHPAIRS_STUB_LOG"], "a") as fh:
 scale = 1.0 if version == "base" else 0.5
 metrics = {"setup_s": 0.2, "pipeline_s": scale * int(args.seed), "peak_rss_mb": 40.0 + scale}
 print("segalign benchmark: stub")
+print("report " + json.dumps({"stages": {"quantize_s": 0.1 * scale, "segment_cpd_s": scale * int(args.seed)}}))
 print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
                   "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()}}))
 '''
@@ -80,10 +82,14 @@ def test_pairs_alternate_and_the_file_holds_every_field(tmp_path):
     assert [p["first"] for p in w1["pairs"]] == ["base", "change", "base"]
     assert [p["seed"] for p in w1["pairs"]] == [5, 6, 7]
     assert w1["pairs"][1]["base"] == {"setup_s": 0.2, "pipeline_s": 6.0, "peak_rss_mb": 41.0,
+                                      "stages": {"quantize_s": 0.1, "segment_cpd_s": 6.0},
                                       "correct": True, "attempted": 4, "failed": 0}
+    assert w1["pairs"][1]["change"]["stages"] == {"quantize_s": 0.05, "segment_cpd_s": 3.0}
     assert w1["median"] == {"base": {"setup_s": 0.2, "pipeline_s": 6.0, "peak_rss_mb": 41.0},
                             "change": {"setup_s": 0.2, "pipeline_s": 3.0, "peak_rss_mb": 40.5}}
     assert w1["quartiles"]["base"]["pipeline_s"] == [5.5, 6.5]
+    assert w1["stage_median"] == {"base": {"quantize_s": 0.1, "segment_cpd_s": 6.0},
+                                  "change": {"quantize_s": 0.05, "segment_cpd_s": 3.0}}
     assert w1["change_lower"] == {"setup_s": 0, "pipeline_s": 3, "peak_rss_mb": 3}
     assert w1["change_higher"] == {"setup_s": 0, "pipeline_s": 0, "peak_rss_mb": 0}
     # pipeline_s: lower in 3/3, median gap 3 > the base's spread 1; peak_rss_mb: gap 0.5 > spread 0
@@ -109,6 +115,24 @@ def test_a_run_without_a_result_line_stops_the_runner(tmp_path):
                           "--pairs", "w=1", "--slug", "x", "--out", str(out)], capture_output=True, text=True)
     assert run.returncode != 0 and "w seed 1" in run.stderr and "boom" in run.stderr
     assert not out.exists()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_run_without_a_report_line_records_no_stages(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    metrics = {k: {"value": 1.0, "unit": "x"} for k in ("setup_s", "pipeline_s", "peak_rss_mb")}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+    (repo / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "only")
+    out = tmp_path / "BENCH_x.json"
+    subprocess.run([sys.executable, TOOL, "--repo", str(repo), "--base", "HEAD", "--change", "HEAD",
+                    "--pairs", "w=1", "--slug", "x", "--out", str(out)], check=True, capture_output=True)
+    w = json.loads(out.read_text())["workloads"]["w"]
+    assert w["pairs"][0]["base"]["stages"] == {} and w["pairs"][0]["change"]["stages"] == {}
+    assert w["stage_median"] == {"base": {}, "change": {}}
 
 
 def load_tool():

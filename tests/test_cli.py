@@ -131,15 +131,15 @@ class TestSegmentCommand:
 
     @pytest.mark.parametrize("primitives", ["0", "-2", "9999"])
     def test_bad_primitive_count_is_a_json_error(self, synth_dir, tmp_path, capsys, recwarn, primitives):
-        """A count below 1 is refused by its flag, more primitives than
-        windows by the library builder."""
+        """A count below 1 is refused by its flag, and so are more primitives
+        than the data has windows."""
         out = tmp_path / "seg"
         error = _one_error(capsys, ["segment", "--data", str(synth_dir), "--method", "cluster", "--fit-library",
                                     "--library", str(out / "library.json"), "--primitives", primitives], out)
         if int(primitives) < 1:
             assert error == f"--primitives must be at least 1, got {primitives}"
         else:
-            assert error == f"only 74 windows for Kp={primitives}"
+            assert error == f"{synth_dir / 'dataset.jsonl'}: 74 windows, fewer than --primitives {primitives}"
         assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize("method,flags,message", [
@@ -430,13 +430,13 @@ class TestQuantizeCommand:
 
     @pytest.mark.parametrize("codes", ["0", "-1", "9999"])
     def test_bad_code_count_is_a_json_error(self, synth_dir, tmp_path, capsys, recwarn, codes):
-        """A count below 1 is refused by its flag, more codes than latents
-        by the codebook trainer."""
+        """A count below 1 is refused by its flag, and so are more codes than
+        the data has latent vectors."""
         error = _one_error(capsys, ["quantize", "--data", str(synth_dir), "--codes", codes], tmp_path / "q")
         if int(codes) < 1:
             assert error == f"--codes must be at least 1, got {codes}"
         else:
-            assert error == f"insufficient data: 98 vectors for K={codes}"
+            assert error == f"{synth_dir / 'dataset.jsonl'}: 98 latent vectors, fewer than --codes {codes}"
         assert [str(w.message) for w in recwarn] == []
 
     def test_seeded_runs_byte_identical(self, synth_dir, tmp_path):
@@ -473,6 +473,26 @@ class TestDecomposeCommand:
         assert out1.read_bytes() == out2.read_bytes()
         segs = read_dataset(out1)[0].text_segments
         assert segs == ["a person walks", "a person runs"]
+
+    @pytest.mark.parametrize("flags,config,flag", [
+        (["--endpoint", "notaurl"], {}, "--endpoint"),
+        ([], {"endpoint": "http://127.0.0.1:9/v1/chat/completions"}, "--endpoint"),
+        (["--cache", "/nonexistent/c.jsonl"], {}, "--cache"),
+        ([], {"cache": "c.jsonl"}, "--cache"),
+    ])
+    def test_fallback_refuses_the_endpoint_flags(self, tmp_path, capsys, flags, config, flag):
+        """--fallback sends nothing and reads no cache: an --endpoint or a
+        --cache, by flag or by --config, exits 1 with one JSON line naming
+        it, and nothing is written."""
+        data = tmp_path / "in.jsonl"
+        write_dataset([DatasetRecord(id="a", raw_text="a person walks, then runs.",
+                                     text_segments=["x"], motion_path="a.sgmo")], data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        error = _one_error(capsys, ["--config", str(cfg), "decompose", "--data", str(data), "--fallback", *flags],
+                           tmp_path / "o" / "x.jsonl")
+        assert error == f"{flag} is not used with --fallback"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "in.jsonl"]
 
     def test_changed_segments_drop_their_embeddings(self, tmp_path):
         """An embedding row belongs to the segment it was made for: a record
@@ -1280,14 +1300,14 @@ PARSER_SURFACE = {
                (("--spec",), "spec", None, None, None, True)]),
     "decompose": (["--data", "d.jsonl"],
                   {"config": None, "command": "decompose", "seed": 0, "out": "decomposed.jsonl",
-                   "quiet": False, "data": "d.jsonl", "fallback": False, "endpoint": "",
+                   "quiet": False, "data": "d.jsonl", "fallback": False, "endpoint": None,
                    "model_name": "qwen3:8b", "cache": None, "func": "cmd_decompose"},
                   [(("--seed",), "seed", 0, "int", None, False),
                    (("--out",), "out", "decomposed.jsonl", None, None, False),
                    (("--quiet",), "quiet", False, None, None, False),
                    (("--data",), "data", None, None, None, True),
                    (("--fallback",), "fallback", False, None, None, False),
-                   (("--endpoint",), "endpoint", "", None, None, False),
+                   (("--endpoint",), "endpoint", None, None, None, False),
                    (("--model-name",), "model_name", "qwen3:8b", None, None, False),
                    (("--cache",), "cache", None, None, None, False)]),
     "quantize": (["--data", "d"],
@@ -1796,6 +1816,28 @@ class TestCountFlags:
         assert not (tmp_path / "lib").exists()
 
 
+class TestCountsBeyondTheData:
+    """A count flag above what the corpus holds exits 1 with one JSON line
+    naming the dataset, the count it has and the flag, and writes nothing,
+    not even the library."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["quantize", "--codes", "500"], "40 latent vectors, fewer than --codes 500"),
+        (["segment", "--method", "cluster", "--fit-library", "--primitives", "500"],
+         "31 windows, fewer than --primitives 500"),
+    ], ids=["codes", "primitives"])
+    def test_names_the_flag_and_the_data(self, tmp_path, capsys, recwarn, argv, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 3, "dim": 2}))
+        data = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec), "--out", str(data), "--quiet"]) == 0
+        library = ["--library", str(tmp_path / "lib" / "library.json")] if argv[0] == "segment" else []
+        error = _one_error(capsys, argv + ["--data", str(data), *library], tmp_path / "o")
+        assert error == f"{data / 'dataset.jsonl'}: {message}"
+        assert not (tmp_path / "lib").exists()
+        assert [str(w.message) for w in recwarn] == []
+
+
 class _FakeMallopt:
     """A C library's mallopt that records its calls."""
 
@@ -1857,8 +1899,11 @@ class TestFreedMemoryPolicy:
     def test_fewer_page_faults(self, tmp_path):
         """segment --method cpd on 4 sequences of 450 tokens, on one BLAS
         thread as CI and the benchmark run: each block of start rows reuses
-        the last one's freed memory.  (With two OpenBLAS threads, glibc's
-        own dynamic thresholds now keep these blocks too.)"""
+        the last one's freed memory.  The faults of a second run in the same
+        process are counted: the first run's count depends on the heap that
+        imports and the paths leave, and moved about tenfold with them.
+        (With two OpenBLAS threads, glibc's own dynamic thresholds keep
+        these blocks too.)"""
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_samples": 4, "dim": 16, "segments_min": 5, "segments_max": 5,
                                     "tokens_per_segment_min": 90, "tokens_per_segment_max": 90}))
@@ -1869,6 +1914,7 @@ class TestFreedMemoryPolicy:
                  "if sys.argv[1] == 'off':\n"
                  "    cli._keep_freed_memory = lambda: None\n"
                  "argv = ['segment', '--data', sys.argv[2], '--method', 'cpd', '--out', sys.argv[3], '--quiet']\n"
+                 "assert cli.main(argv) == 0\n"
                  "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
                  "assert cli.main(argv) == 0\n"
                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")

@@ -1,8 +1,13 @@
 """Golden manifest: every seeded artifact of a small end-to-end run is pinned.
 
-One in-process run through ``cli.main`` covers synth, decompose against a
-warm text cache, quantize, the four segmentations on a short, a long and an
-equal-length corpus, train-align with each loss, ground, retrieve, eval and three
+``run_pipeline`` is the one definition of the seeded pipeline.  One
+in-process run through ``cli.main`` takes six synthetic corpora (``SPECS``:
+short, long, equal-length, even, mixed and sweep) each through synth,
+decompose against a warm text cache with a malformed and a duplicate line,
+quantize at the default size and at 64 codes in 4 layers, and four
+segmentations (uniform, kernel CPD at the median and at a fixed bandwidth,
+cluster with a fitted library); then train-align with each loss, ground at
+two indices and two strides, retrieve and eval on each model, and three
 decodes.  ``tests/golden.json`` records each file it writes:
 
 - integer artifacts (tokens, boundaries, decode traces, grounding starts,
@@ -18,6 +23,11 @@ the one layout of ``jsonio.write_json``: keys sorted, on one line.  Every
 CSV file is in the one layout of ``cli._write_csv``: one header line, then
 one line per row with the header's cell count, each float cell the text
 ``str`` and ``json.dumps`` give it, so the file holds the value exactly.
+
+CI runs ``run_pipeline`` twice, the second time under
+``MALLOC_TRIM_THRESHOLD_`` (so ``cli._keep_freed_memory`` leaves glibc's
+thresholds alone), and compares the two trees with ``diff -r``: no byte of
+any artifact, float ones included, may depend on the run or the allocator.
 
 A change that alters an output on purpose regenerates the manifest with
 ``python tests/test_golden.py --regenerate``, which prints the entries it
@@ -46,11 +56,21 @@ SEED = "5"
 
 SPECS = {
     "short": {"n_samples": 12, "dim": 8, "segments_min": 2, "segments_max": 4},
+    # 450-token records, whose kernel CPD sweeps several blocks of start rows
     "long": {"n_samples": 2, "dim": 8, "segments_min": 5, "segments_max": 5,
              "tokens_per_segment_min": 90, "tokens_per_segment_max": 90},
     # records of one length and segment count, which segment as stacks
     "equal": {"n_samples": 30, "dim": 8, "segments_min": 3, "segments_max": 3,
               "tokens_per_segment_min": 8, "tokens_per_segment_max": 8},
+    # 448-token records: an even count of pairs, so the median bandwidth takes two middles
+    "even": {"n_samples": 2, "dim": 8, "segments_min": 4, "segments_max": 4,
+             "tokens_per_segment_min": 112, "tokens_per_segment_max": 112},
+    # 16- and 24-token records in 2 and 3 segments: two groups interleave, each in several stacks
+    "mixed": {"n_samples": 60, "dim": 8, "segments_min": 2, "segments_max": 3,
+              "tokens_per_segment_min": 8, "tokens_per_segment_max": 8},
+    # 2,000-token records, whose kernel CPD sweeps many blocks of start rows
+    "sweep": {"n_samples": 2, "dim": 8, "segments_min": 5, "segments_max": 5,
+              "tokens_per_segment_min": 400, "tokens_per_segment_max": 400},
 }
 LOSSES = ("sample", "batch", "global")
 DECODE_SEEDS = ("5", "11", "811")
@@ -85,16 +105,19 @@ def run_pipeline(root: Path) -> None:
         (out / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
         _run("synth", "--spec", str(out / "spec.json"), "--seed", SEED, "--out", str(out / "data"))
         (out / "spec.json").unlink()
-        if name == "short":
-            cache = root / "cache.jsonl"
-            _warm_cache(out / "data" / "dataset.jsonl", cache)
-            with warnings.catch_warnings():  # the malformed cache line
-                warnings.simplefilter("ignore", RuntimeWarning)
-                _run("decompose", "--data", str(out / "data" / "dataset.jsonl"), "--cache", str(cache),
-                     "--endpoint", "http://127.0.0.1:9/v1/chat/completions", "--model-name", "golden",
-                     "--out", str(out / "decompose" / "decomposed.jsonl"))
-            cache.unlink()
+        # every lookup hits the warm cache, so the port-9 endpoint is never contacted
+        cache = root / "cache.jsonl"
+        _warm_cache(out / "data" / "dataset.jsonl", cache)
+        with warnings.catch_warnings():  # the malformed cache line
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _run("decompose", "--data", str(out / "data" / "dataset.jsonl"), "--cache", str(cache),
+                 "--endpoint", "http://127.0.0.1:9/v1/chat/completions", "--model-name", "golden",
+                 "--out", str(out / "decompose" / "decomposed.jsonl"))
+        cache.unlink()
         _run("quantize", "--data", str(out / "data"), "--seed", SEED, "--out", str(out / "quantize"))
+        # the benchmark's k, where k-means++ seeding skips most rows
+        _run("quantize", "--data", str(out / "data"), "--codes", "64", "--layers", "4", "--seed", SEED,
+             "--out", str(out / "quantize-64"))
         _run("segment", "--data", str(out / "data"), "--method", "uniform", "--out", str(out / "segment"))
         _run("segment", "--data", str(out / "data"), "--method", "cpd", "--seed", SEED, "--out", str(out / "segment"))
         _run("segment", "--data", str(out / "data"), "--method", "cpd", "--bandwidth", "0.7", "--seed", SEED,
@@ -242,7 +265,7 @@ def test_csv_artifacts_have_one_layout(run_root):
     assert bad == []
 
 
-@pytest.mark.parametrize("group", ["short", "long", "equal", "align/sample", "align/batch", "align/global", "decode"])
+@pytest.mark.parametrize("group", [*SPECS, "align/sample", "align/batch", "align/global", "decode"])
 def test_artifacts_match_the_manifest(produced, golden, group):
     names = [name for name in golden if name.startswith(group + "/")]
     assert names

@@ -13,11 +13,12 @@ Each tree's bytecode is compiled before its first run, so neither side pays
 for compiling.  Pair i of a workload runs the unchanged
 ``perfbench/run.py --workload W --seed SEED+i --seconds N --trace 0`` in
 each tree, the base first in even pairs and the change first in odd ones,
-and reads each run's last line.
+and reads each run's last line and the stage medians of its ``report `` line.
 
 The file holds both commits and their ``src/`` line counts, every pair's
-three end-to-end metrics with its seed and which side ran first, and per
-workload each side's median and quartiles, the number of pairs in which
+three end-to-end metrics and stage times with its seed and which side ran
+first, and per workload each side's median and quartiles, its stage
+medians (``stage_median``), the number of pairs in which
 the change read lower and higher on each metric, and each metric's verdict
 (``summary``), which the runner also prints at the end; and the machine: Python and numpy
 versions, ``sys.flags``, the allocator variables (``MALLOC_*``,
@@ -67,7 +68,8 @@ def export(repo: str, rev: str, dest: str) -> dict:
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``tree``: its three end-to-end metrics and its
-    operation counts, from the last line it prints."""
+    operation counts, from the last line it prints, and its stage medians,
+    from its ``report `` line (none if it prints no such line)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     # its own process group, so that a stopped runner stops its workers too
@@ -80,25 +82,33 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     try:
-        last = json.loads(stdout.strip().splitlines()[-1])
+        lines = stdout.strip().splitlines()
+        last = json.loads(lines[-1])
         values = {name: float(last["metrics"][name]["value"]) for name in METRICS}
+        reports = [json.loads(line.removeprefix("report ")) for line in lines if line.startswith("report ")]
+        stages = {name: float(value) for name, value in (reports[-1]["stages"] if reports else {}).items()}
     except (IndexError, ValueError, KeyError, TypeError) as err:
         raise SystemExit(f"{workload} seed {seed} in {tree}: no result line (exit {proc.returncode}, {err!r}):\n"
                          f"{stderr.strip()[-2000:]}")
-    return {**values, "correct": bool(last["correct"]), "attempted": last["attempted"], "failed": last["failed"]}
+    return {**values, "stages": stages, "correct": bool(last["correct"]), "attempted": last["attempted"],
+            "failed": last["failed"]}
 
 
 def summary(pairs: list[dict]) -> dict:
-    """Each side's median and quartiles of each metric, the numbers of
+    """Each side's median and quartiles of each metric, its median of each
+    stage over the runs that report the stage, the numbers of
     pairs in which the change read lower and higher (a tie counts for
     neither), and a verdict per metric: ``lower`` when the change read lower
     in at least 9 of every 10 pairs and its median lies below the base's by
     more than the base's quartile spread, ``higher`` on the same terms the
     other way, else ``unresolved``."""
-    out = {"median": {}, "quartiles": {}}
+    out = {"median": {}, "quartiles": {}, "stage_median": {}}
     for side in SIDES:
         out["median"][side] = {m: statistics.median(p[side][m] for p in pairs) for m in METRICS}
         out["quartiles"][side] = {m: _quartiles([p[side][m] for p in pairs]) for m in METRICS}
+        runs = [p[side].get("stages", {}) for p in pairs]
+        out["stage_median"][side] = {s: statistics.median(r[s] for r in runs if s in r)
+                                     for s in sorted({s for r in runs for s in r})}
     out["change_lower"] = {m: sum(p["change"][m] < p["base"][m] for p in pairs) for m in METRICS}
     out["change_higher"] = {m: sum(p["change"][m] > p["base"][m] for p in pairs) for m in METRICS}
     out["verdict"] = {}
