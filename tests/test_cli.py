@@ -1902,8 +1902,11 @@ class TestFreedMemoryPolicy:
         the last one's freed memory.  The faults of a second run in the same
         process are counted: the first run's count depends on the heap that
         imports and the paths leave, and moved about tenfold with them.
-        (With two OpenBLAS threads, glibc's own dynamic thresholds keep
-        these blocks too.)"""
+        The control run sets glibc's default thresholds (128 KiB) in the
+        environment, where the pin leaves them and they stay fixed: glibc's
+        dynamic rule, left free, kept these blocks or not as the lengths of
+        the data and source paths moved the heap (2 or 761 faults, against
+        0-4 pinned and about 2,000 at the fixed defaults)."""
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_samples": 4, "dim": 16, "segments_min": 5, "segments_max": 5,
                                     "tokens_per_segment_min": 90, "tokens_per_segment_max": 90}))
@@ -1911,22 +1914,20 @@ class TestFreedMemoryPolicy:
         assert main(["synth", "--spec", str(spec), "--out", str(data), "--quiet"]) == 0
         probe = ("import resource, sys\n"
                  "from segalign import cli\n"
-                 "if sys.argv[1] == 'off':\n"
-                 "    cli._keep_freed_memory = lambda: None\n"
-                 "argv = ['segment', '--data', sys.argv[2], '--method', 'cpd', '--out', sys.argv[3], '--quiet']\n"
+                 "argv = ['segment', '--data', sys.argv[1], '--method', 'cpd', '--out', sys.argv[2], '--quiet']\n"
                  "assert cli.main(argv) == 0\n"
                  "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
                  "assert cli.main(argv) == 0\n"
                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
         env = {key: value for key, value in os.environ.items() if key not in cli._MALLOC_ENV}
+        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        defaults = {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"}
         faults = {
-            mode: int(subprocess.run([sys.executable, "-c", probe, mode, str(data), str(tmp_path / mode)],
-                                     env={**env, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-                                     capture_output=True, text=True,
-                                     check=True).stdout)
-            for mode in ("on", "off")
+            mode: int(subprocess.run([sys.executable, "-c", probe, str(data), str(tmp_path / mode)],
+                                     env={**env, **extra}, capture_output=True, text=True, check=True).stdout)
+            for mode, extra in (("on", {}), ("off", defaults))
         }
         assert (tmp_path / "on" / "boundaries_cpd.json").read_bytes() == \
                (tmp_path / "off" / "boundaries_cpd.json").read_bytes()
-        assert faults["on"] < faults["off"] / 2, faults
+        assert faults["on"] < faults["off"] / 10, faults
